@@ -13,7 +13,6 @@ File formats:
     (alpha written as '-' when absent), then Q_h whitespace-separated rows.
   spectrum CSV: columns l, lambda, v_1..v_Q (generalized coefficient
     vectors, one eigenpair per row).
-  rate CSV: columns M, replication, error, error_sq.
   study summary CSV: columns L, h, M, mean_total, mean_e3, stderr, n_rep.
   study diagnostics CSV: per-cell columns index, L, h, M, ok, error,
     mean_e1, mean_e2, gap_fail_fraction, p0, tau, lambda1_dev.
@@ -181,11 +180,6 @@ def write_spectrum_csv(path, spectrum, L, config=None):
         rows.append([ell, spectrum.eigenvalues[ell - 1]]
                     + list(spectrum.gen_vectors[:, ell - 1]))
     write_csv(path, columns, rows, config)
-
-
-def write_rate_csv(path, rows, config=None):
-    """Rate-study records (M, replication, error, error_sq)."""
-    write_csv(path, ["M", "replication", "error", "error_sq"], rows, config)
 
 
 _SUMMARY_COLUMNS = ["L", "h", "M", "mean_total", "mean_e3", "stderr", "n_rep"]

@@ -156,7 +156,7 @@ def cmd_reconstruct(cfg, args):
                                 C=cfg.calibration["C"], s=cfg.s)
     est_aligned = spectral.align_signs(exact_spec, est_spec)
     report = mercer.error_decomposition(field, oracle, exact_spec, est_spec,
-                                        L, q=cfg.q)
+                                        L)
 
     profile = planner.brownian_profile(d=cfg.d, s=cfg.s, alpha=cfg.alpha,
                                        calibration=cfg.calibration)
@@ -167,7 +167,6 @@ def cmd_reconstruct(cfg, args):
         n=n, M=cov.M, L=L, estimator=cov.estimator_kind, tau=cov.tau,
         errors=dict(e1=report.e1, e2=report.e2, e3=report.e3,
                     total=report.total, triangle_slack=report.triangle_slack,
-                    q=report.q,
                     near_degenerate_split=report.near_degenerate_split),
         diagnostics=dict(
             weyl_bound=diag.weyl_bound,
@@ -250,7 +249,7 @@ def cmd_plan(cfg, args):
     print("regime: %s (case %d)" % (plan.case_tag,
                                     _CASE_NUMBERS[plan.case_tag]))
     print("epsilon: %s  L: %d  M: %d  (binding: %s)"
-          % (fmt_eps(plan.epsilon), plan.L_eps, plan.M_eps,
+          % (artifacts.fmt(float(plan.epsilon)), plan.L_eps, plan.M_eps,
              plan.binding.get("M", "-")))
     if plan.feasible:
         print("h: %s  interval: [%s, %s]"
@@ -264,10 +263,6 @@ def cmd_plan(cfg, args):
     if not plan.feasible:
         return EXIT_INFEASIBLE
     return EXIT_OK
-
-
-def fmt_eps(x):
-    return artifacts.fmt(float(x))
 
 
 def main(argv=None):

@@ -6,7 +6,7 @@ Schema (all sections optional unless a command needs them):
     sampling:    mode (nodal|projection), kl_trunc (projection only)
     estimator:   kind (MLE|Tapered|Exact), alpha (Tapered only)
     study:       ns, Ms, Ls (nonempty int lists), n_rep
-    quadrature:  q (2..6)
+    quadrature:  q (2..6), Gauss points per element for projection sampling
     calibration: C1, C2, C, h0, rho1, lambda_max_mass, beta
     seed:        integer
     output:      artifact directory

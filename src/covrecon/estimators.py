@@ -20,10 +20,9 @@ class TaperedCovariance:
 
     def __init__(self, matrix, tau, alpha, estimator_kind, M):
         matrix = np.asarray(matrix, dtype=float)
-        assert matrix.ndim == 2 and matrix.shape[0] == matrix.shape[1], \
-            "covariance matrix must be square, got shape %r" % (matrix.shape,)
-        assert np.array_equal(matrix, matrix.T), \
-            "covariance matrix must be exactly symmetric"
+        if matrix.ndim != 2 or not np.array_equal(matrix, matrix.T):
+            raise ValueError("covariance matrix must be square and exactly "
+                             "symmetric, got shape %r" % (matrix.shape,))
         self.matrix = matrix
         self.tau = int(tau)
         self.alpha = alpha
@@ -176,12 +175,6 @@ def subgaussian_diagnostic(batch):
     from .fields import moment_diagnostics
     mom = moment_diagnostics(batch)
     return SubgaussianDiagnostic(mom.c_inf_hat, 4.0 * mom.c_inf_hat ** 2)
-
-
-def operator_norm(A):
-    """Spectral norm of a symmetric matrix via its extreme eigenvalues."""
-    vals = np.linalg.eigvalsh(0.5 * (A + A.T))
-    return float(max(abs(vals[0]), abs(vals[-1])))
 
 
 def bandwidth(A, tol=0.0):

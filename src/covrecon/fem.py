@@ -1,14 +1,13 @@
 """P1 finite element spaces on the unit interval/square.
 
 Uniform lattice meshes of (0,1)^d for d in {1,2}, nodal hat-function bases,
-exact mass matrices with their Cholesky factors, L2 projection, and composite
-Gauss quadrature of bivariate kernel norms.
+exact mass matrices with their Cholesky factors, composite Gauss rules and
+L2 projection.  Kernel norms are not computed here: the error split in
+`mercer` uses closed forms instead of quadrature.
 
 Conventions
 -----------
-Points are passed to callables as arrays of shape (npts, d).  Bivariate
-kernels follow the two-block convention ``k(X, Y) -> (a, b)`` where X has
-shape (a, d) and Y has shape (b, d); see `kernel_l2_norm`.
+Points are passed to callables as arrays of shape (npts, d).
 
 Nodes are ordered lexicographically by coordinate tuple, so in 2D the flat
 index of lattice site (ix, iy) is ix*(n+1) + iy.
@@ -21,7 +20,7 @@ import scipy.linalg as sla
 from .errors import NumericError
 
 # Cap on the number of scalars held by one temporary block in chunked
-# quadrature/basis evaluation (about 32 MB of float64).
+# basis evaluation (about 32 MB of float64).
 _CHUNK_SCALARS = 4_000_000
 
 
@@ -229,30 +228,3 @@ def l2_project(space, f, q=4, mass=None):
         raise NumericError(
             "projection residual %.3e exceeds 1e-10 * ||b||_inf" % resid_inf)
     return c
-
-
-def kernel_l2_norm(space, k, q=2):
-    """L2(D x D) norm of a bivariate kernel by composite tensor Gauss quadrature.
-
-    Parameters
-    ----------
-    k : callable with the two-block convention k(X, Y) -> (a, b) for point
-        blocks X of shape (a, dim) and Y of shape (b, dim).
-    q : Gauss points per element per axis, q >= 2.  Deterministic for fixed q.
-
-    Notes
-    -----
-    q=2 integrates products of piecewise-bilinear kernels exactly, which
-    covers every kernel assembled from the P1 basis.
-    """
-    if q < 2:
-        raise ValueError("kernel quadrature needs q >= 2, got %r" % (q,))
-    pts, wts = quadrature_points(space, q)
-    P = len(pts)
-    acc = 0.0
-    step = max(1, _CHUNK_SCALARS // P)
-    for start in range(0, P, step):
-        sl = slice(start, start + step)
-        block = np.asarray(k(pts[sl], pts), dtype=float)
-        acc += wts[sl] @ (block ** 2) @ wts
-    return float(np.sqrt(max(acc, 0.0)))

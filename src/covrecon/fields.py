@@ -151,29 +151,81 @@ class KlOracle:
     def _value_of_product(self, m):
         return 16.0 * np.pi ** -4 / float(m) ** 2
 
-    # -- tail sums for the truncation error -----------------------------
+    # -- closed forms of the kernel against the P1 basis -------------------
     def sum_sq_total(self):
         """Sum of all squared eigenvalues: the squared L2(DxD) kernel norm."""
         return 6.0 ** -self.dim
 
-    def tail_sq(self, L, cap=10 ** 6):
+    def tail_sq(self, L):
         """Sum of squared eigenvalues beyond index L.
 
-        1D: the tail is summed ascending over indices L+1..cap and closed
-        with the analytic integral remainder of the (2l-1)^-4 series.
+        1D: pi^-4 sum_{k>=0} (L + 1/2 + k)^-4 = zeta(4, L + 1/2) / pi^4.
         2D: partial sums telescope against the exact total (1/36).
         """
         if L < 0:
             raise ValueError("L must be >= 0, got %r" % (L,))
         if self.dim == 1:
-            if cap <= L:
-                raise ValueError("tail cap %d must exceed L=%d" % (cap, L))
-            ells = np.arange(cap, L, -1, dtype=float)  # ascending magnitudes
-            partial = float(np.sum(_lam1(ells) ** 2))
-            remainder = 16.0 * np.pi ** -4 / (6.0 * (2.0 * cap) ** 3)
-            return partial + remainder
+            from scipy.special import zeta  # deferred: ~55 ms of import time
+            return float(zeta(4.0, L + 0.5)) * np.pi ** -4
         head = sum(self.eigenvalue(l) ** 2 for l in range(1, L + 1))
         return max(self.sum_sq_total() - head, 0.0)
+
+    def moments(self, space, L):
+        """Rows s_l = (integral of phi_l theta_j)_j, l <= L, shape (L, Q_h); in
+        2D Kronecker products of the 1D moments of the tensor pair."""
+        n = space.mesh.elements_per_axis
+        if self.dim == 1:
+            return _sine_moments(n, np.arange(1, L + 1))
+        pairs = np.array([self._pair(l)[:2] for l in range(1, L + 1)])
+        s1 = _sine_moments(n, np.arange(1, int(pairs.max()) + 1))
+        a, b = s1[pairs[:, 0] - 1], s1[pairs[:, 1] - 1]
+        return (a[:, :, None] * b[:, None, :]).reshape(L, space.dof_count)
+
+    def kernel_forms(self, space, vectors):
+        """v^T B v per column v of vectors, B_ij = <R, theta_i (x) theta_j>.
+
+        In 2D B = B1 kron B1 acts on a column reshaped to its (n+1, n+1)
+        lattice as V -> B1 V B1, so the Q_h x Q_h matrix B is never formed.
+        """
+        n = space.mesh.elements_per_axis
+        B1 = min_kernel_load(n)
+        V = vectors.T.reshape((-1,) + (n + 1,) * self.dim)
+        BV = V @ B1 if self.dim == 1 else B1 @ V @ B1
+        return np.sum(V * BV, axis=tuple(range(1, V.ndim)))
+
+
+def _sine_moments(n, ells):
+    """Moments of phi_l = sqrt(2) sin(w x), w = (l - 1/2) pi, against the hats.
+
+    Interior hats get phi_l(x_j) 4 sin^2(w h / 2) / (w^2 h): the second
+    difference of -phi_l / w^2 without its cancellation.  phi_l is even about
+    1, so the half hat there gets half; at 0, sqrt(2) (w h - sin w h) / (w^2 h).
+    """
+    h = 1.0 / n
+    w = (np.asarray(ells, dtype=float)[:, None] - 0.5) * np.pi
+    x = np.arange(n + 1) * h
+    s = np.sqrt(2.0) * np.sin(w * x) * (4.0 * np.sin(0.5 * w * h) ** 2
+                                        / (w * w * h))
+    s[:, -1] *= 0.5
+    s[:, 0] = np.sqrt(2.0) * (w[:, 0] * h - np.sin(w[:, 0] * h)) \
+        / (w[:, 0] ** 2 * h)
+    return s
+
+
+def min_kernel_load(n):
+    """B1_ij = double integral of min(x, y) theta_i(x) theta_j(y) on [0,1]^2.
+
+    min(x, y) equals its bilinear nodal interpolant except on the n diagonal
+    cells, where it exceeds it by h (min(s, t) - s t) in local coordinates.
+    So B1 = G Sigma G (G the mass matrix, Sigma_ij = min(x_i, x_j)) plus
+    h^3 / 360 [[8, 7], [7, 8]] assembled over the cells, which is
+    h^2 G / 15 plus h^3 / 120 on the first off-diagonals.
+    """
+    x = np.linspace(0.0, 1.0, n + 1)
+    G = fem._mass_1d(n)
+    off = np.eye(n + 1, k=1) + np.eye(n + 1, k=-1)
+    return (G @ np.minimum.outer(x, x) @ G + G / (15.0 * n * n)
+            + off / (120.0 * n ** 3))
 
 
 def brownian_oracle(d):

@@ -4,7 +4,8 @@ A rank-L spectrum on a finite element space defines the kernel
 K(x, x') = sum_{l<=L} lambda_l (Phi_l . theta(x)) (Phi_l . theta(x')).
 The distance of an estimated reconstruction to the analytic covariance
 splits into truncation (e1), spatial discretization (e2) and sampling (e3)
-parts, all measured in L2 of the product domain.
+parts, all measured in L2 of the product domain and computed exactly from
+closed forms of the Brownian kernel against the P1 basis.
 
 expected_error_study runs that pipeline over a (L, h, M) grid with
 replications; each replication r of cell c draws its batch with the seed
@@ -56,11 +57,6 @@ def kernel_matrix(kernel, X, Y):
     return (BX * kernel.eigenvalues) @ BY.T
 
 
-def as_callable(kernel):
-    """The kernel as a two-block callable k(X, Y) -> (a, b) array."""
-    return lambda X, Y: kernel_matrix(kernel, X, Y)
-
-
 def eval(kernel, x, xprime):
     """Pointwise kernel value at two points of the closed unit cube."""
     d = kernel.space.mesh.dim
@@ -73,76 +69,70 @@ class ErrorReport:
     """Three-way L2(DxD) error split of a truncated reconstruction.
 
     e1: analytic truncation tail; e2: spatial discretization; e3: sampling.
-    triangle_slack = total - (e1 + e2 + e3) must stay below quadrature
+    triangle_slack = total - (e1 + e2 + e3) must stay below roundoff
     tolerance.  near_degenerate_split flags rank windows whose per-mode
     attribution is unreliable because neighboring eigenvalues nearly
     coincide; the total remains valid.
     """
 
-    def __init__(self, e1, e2, e3, total, q, near_degenerate_split):
-        assert min(e1, e2, e3, total) >= 0.0, "error components must be >= 0"
+    def __init__(self, e1, e2, e3, total, near_degenerate_split):
+        if not min(e1, e2, e3, total) >= 0.0:
+            raise ValueError("error components must be >= 0")
         self.e1 = e1
         self.e2 = e2
         self.e3 = e3
         self.total = total
         self.triangle_slack = total - (e1 + e2 + e3)
-        assert self.triangle_slack <= 1e-8, \
-            "triangle inequality violated: total %.6e > e1+e2+e3 %.6e" % (
-                total, e1 + e2 + e3)
-        self.q = q
+        if self.triangle_slack > 1e-8:
+            raise NumericError(
+                "triangle inequality violated: total %.6e > e1+e2+e3 %.6e"
+                % (total, e1 + e2 + e3))
         self.near_degenerate_split = near_degenerate_split
 
 
-def _oracle_truncated(oracle, L):
-    """The analytic rank-L kernel sum_{l<=L} lambda_l phi_l(x) phi_l(x')."""
-    lams = np.array([oracle.eigenvalue(l) for l in range(1, L + 1)])
+def error_decomposition(field, oracle, exact_spec, est_spec, L):
+    """Split the reconstruction error of an estimated rank-L kernel, exactly.
 
-    def k(X, Y):
-        PX = np.column_stack([oracle.eigenfunction(l, X) for l in range(1, L + 1)])
-        PY = np.column_stack([oracle.eigenfunction(l, Y) for l in range(1, L + 1)])
-        return (PX * lams) @ PY.T
+    With analytic pairs (lambda_l, phi_l), exact discrete (mu_m, Phi_m) and
+    estimated (mu^_m, Phi^_m), l, m <= L, moments s_l = oracle.moments and
+    Phi~ = (L^G)^T Phi (where a P1 kernel's L2 norm is a Frobenius norm):
 
-    return k
+      e1^2    = sum_{l>L} lambda_l^2
+      e2^2    = ||lambda||^2 + ||mu||^2 - 2 sum lambda_l mu_m (s_l . Phi_m)^2
+      e3      = ||sum mu Phi~ Phi~^T - sum mu^ Phi^~ Phi^~^T||_F
+      total^2 = 6^-d - 2 sum mu^_m Phi^_m^T B Phi^_m + ||mu^||^2
 
-
-def _diff(ka, kb):
-    return lambda X, Y: ka(X, Y) - kb(X, Y)
-
-
-def error_decomposition(field, oracle, exact_spec, est_spec, L, q=2):
-    """Split the reconstruction error of an estimated rank-L kernel.
-
-    The estimated spectrum is sign-aligned to the exact discrete one before
-    differencing, since eigenvector sign flips would corrupt the e2/e3
-    attribution while leaving the total unchanged.  e1 comes from the
-    analytic tail of squared eigenvalues; e2, e3 and the total are
-    quadrature norms of difference kernels.
+    with B the kernel load matrix (oracle.kernel_forms).  Every term is a
+    sum of dyads lambda phi (x) phi, so eigenvector signs drop out.
     """
     if exact_spec.dof_count != est_spec.dof_count:
         raise ValueError("spectra live on different spaces: %d vs %d dofs"
                          % (exact_spec.dof_count, est_spec.dof_count))
     space = exact_spec.mass.space
+    if not field.dim == oracle.dim == space.mesh.dim:
+        raise ValueError("field, oracle and mesh dimensions differ")
     L = int(L)
     if not 1 <= L <= exact_spec.dof_count:
         raise ValueError("truncation rank L=%r must lie in [1, %d]"
                          % (L, exact_spec.dof_count))
-    est_spec = spectral.align_signs(exact_spec, est_spec)
+    lams = np.array([oracle.eigenvalue(l) for l in range(1, L + 1)])
+    mu, mu_est = exact_spec.eigenvalues[:L], est_spec.eigenvalues[:L]
+    vt, vt_est = exact_spec.tilde_vectors[:, :L], est_spec.tilde_vectors[:, :L]
 
-    k_true = field.covariance
-    k_trunc = _oracle_truncated(oracle, L)
-    k_exact_h = as_callable(build_kernel(exact_spec, L, space))
-    k_est = as_callable(build_kernel(est_spec, L, space))
-
+    cross = oracle.moments(space, L) @ exact_spec.gen_vectors[:, :L]
     e1 = float(np.sqrt(oracle.tail_sq(L)))
-    e2 = fem.kernel_l2_norm(space, _diff(k_trunc, k_exact_h), q)
-    e3 = fem.kernel_l2_norm(space, _diff(k_exact_h, k_est), q)
-    total = fem.kernel_l2_norm(space, _diff(k_true, k_est), q)
+    e2_sq = lams @ lams + mu @ mu - 2.0 * lams @ cross ** 2 @ mu
+    e2 = float(np.sqrt(max(e2_sq, 0.0)))  # e2^2 can round below 0
+    e3 = float(np.linalg.norm((vt * mu) @ vt.T - (vt_est * mu_est) @ vt_est.T))
+    forms = oracle.kernel_forms(space, est_spec.gen_vectors[:, :L])
+    total = float(np.sqrt(oracle.sum_sq_total() - 2.0 * forms @ mu_est
+                          + mu_est @ mu_est))  # rank L: total >= e1 > 0
 
     lam = exact_spec.eigenvalues
     upper = min(L + 1, exact_spec.dof_count)
     min_gap = float(np.min(lam[:upper - 1] - lam[1:upper])) if upper > 1 else np.inf
     near_degenerate = bool(min_gap < _NEAR_DEGENERATE_REL * lam[0])
-    return ErrorReport(e1, e2, e3, total, q, near_degenerate)
+    return ErrorReport(e1, e2, e3, total, near_degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +236,7 @@ def run_cell(config, index, L, n, M):
             if not diag.gap_condition_ok:
                 gap_fail += 1
             report = error_decomposition(field, oracle, exact_spec, est_spec,
-                                         L, q=config.q)
+                                         L)
             totals.append(report.total)
             e3s.append(report.e3)
             e1, e2 = report.e1, report.e2

@@ -135,7 +135,8 @@ def opnorm_sandwich(mass, cov_diff_norm):
     return (mass.lambda_min * cov_diff_norm, mass.lambda_max * cov_diff_norm)
 
 
-def _operator_norm(A):
+def operator_norm(A):
+    """Spectral norm of the symmetric part of A via its extreme eigenvalues."""
     vals = sla.eigh(0.5 * (A + A.T), eigvals_only=True)
     return float(max(abs(vals[0]), abs(vals[-1])))
 
@@ -194,7 +195,7 @@ def diagnostics(exact, estimated, s_exact, s_est, oracle, L,
         raise ValueError("L must lie in [1, %d], got %r" % (Q, L))
     mass = s_exact.mass
     diff = s_exact.matrix - s_est.matrix
-    weyl_bound = _operator_norm(diff)
+    weyl_bound = operator_norm(diff)
     eigenvalue_dev = np.abs(exact.eigenvalues - estimated.eigenvalues)
     assert np.max(eigenvalue_dev) <= weyl_bound + 1e-10, \
         "eigenvalue deviation %.3e exceeds the Weyl bound %.3e" % (
@@ -215,7 +216,7 @@ def diagnostics(exact, estimated, s_exact, s_est, oracle, L,
     # and check the sandwich actually contains the transformed norm
     tmp = sla.solve_triangular(mass.chol.T, diff, lower=False)
     cov_diff = sla.solve_triangular(mass.chol.T, tmp.T, lower=False).T
-    cov_diff_norm = _operator_norm(cov_diff)
+    cov_diff_norm = operator_norm(cov_diff)
     lo, hi = opnorm_sandwich(mass, cov_diff_norm)
     slack = 1e-10 * max(1.0, hi)
     assert lo - slack <= weyl_bound <= hi + slack, \

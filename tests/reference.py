@@ -139,6 +139,38 @@ def generalized_eigh(sigma, mass):
     return vals[order], vecs[:, order]
 
 
+def gauss_points(dim, n, q):
+    """Tensor composite Gauss rule on the unit cube: (points (P, dim), weights)."""
+    pts, wts = gauss_points_1d(n, q)
+    if dim == 1:
+        return pts[:, None], wts
+    X, Y = np.meshgrid(pts, pts, indexing="ij")
+    return np.column_stack([X.ravel(), Y.ravel()]), np.outer(wts, wts).ravel()
+
+
+def kernel_l2_norm(space, k, q):
+    """L2(D x D) norm of a kernel callable k(X, Y) -> (a, b) by composite
+    tensor Gauss quadrature on the elements of `space`'s mesh.
+
+    With q points per element per axis the rule is exact only when the
+    squared kernel is a polynomial of degree <= 2q - 1 per variable on every
+    product of two elements, e.g. a kernel spanned by P1 hats of that mesh
+    (q >= 2).  Smooth non-polynomial kernels (truncated sine series) and
+    kernels with a kink inside an element product (min(x, y) on the
+    diagonal) are only approximated: refine the mesh to converge.
+    """
+    if q < 2:
+        raise ValueError("kernel quadrature needs q >= 2, got %r" % (q,))
+    pts, wts = gauss_points(space.mesh.dim, space.mesh.elements_per_axis, q)
+    acc = 0.0
+    step = max(1, 4_000_000 // len(pts))  # about 32 MB per kernel block
+    for start in range(0, len(pts), step):
+        sl = slice(start, start + step)
+        block = np.asarray(k(pts[sl], pts), dtype=float)
+        acc += wts[sl] @ (block ** 2) @ wts
+    return float(np.sqrt(max(acc, 0.0)))
+
+
 def min_kernel_norm_trapezoid(npts=4001):
     """||min(x,y)||_{L2([0,1]^2)} by a fine tensor trapezoid rule."""
     x = np.linspace(0.0, 1.0, npts)

