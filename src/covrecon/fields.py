@@ -7,6 +7,10 @@ coefficient vectors.
 Sampling reproducibility contract: sample m of a batch with seed s is drawn
 from the substream ``Generator(Philox(SeedSequence(s)).jumped(m))``.  The
 (seed, m) keying makes batches bitwise independent of chunking or scheduling.
+jumped(m) only adds m * 2^128 to the 256-bit Philox counter, so the sampler
+keeps one Philox per chunk of samples and resets its counter before each
+sample instead of building a generator per sample (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11).
 """
 
 import numpy as np
@@ -234,13 +238,20 @@ def brownian_oracle(d):
 
 
 class SampleBatch:
-    """M discretized field realizations as rows of coefficient vectors."""
+    """M discretized field realizations as rows of coefficient vectors.
 
-    def __init__(self, space, coeffs, mode, kl_trunc, seed, field_kind):
-        assert coeffs.shape[0] >= 1, "batch must contain at least one sample"
-        assert coeffs.shape[1] == space.dof_count, \
-            "coefficient width %d does not match dof count %d" % (
-                coeffs.shape[1], space.dof_count)
+    jitter is the diagonal shift added to the nodal covariance before its
+    Cholesky factorization: 0.0 unless the plain factorization failed.
+    """
+
+    def __init__(self, space, coeffs, mode, kl_trunc, seed, field_kind,
+                 jitter=0.0):
+        if coeffs.ndim != 2 or coeffs.shape[0] < 1:
+            raise ValueError("batch must be a 2D array with at least one "
+                             "sample, got shape %r" % (coeffs.shape,))
+        if coeffs.shape[1] != space.dof_count:
+            raise ValueError("coefficient width %d does not match dof count %d"
+                             % (coeffs.shape[1], space.dof_count))
         coeffs.setflags(write=False)
         self.space = space
         self.coeffs = coeffs
@@ -248,6 +259,7 @@ class SampleBatch:
         self.kl_trunc = kl_trunc
         self.seed = int(seed)
         self.field_kind = field_kind
+        self.jitter = float(jitter)
 
     @property
     def sample_count(self):
@@ -255,14 +267,18 @@ class SampleBatch:
 
 
 def _chol_with_jitter(C, jitter):
-    """Cholesky factor of C, retrying once with a scaled diagonal shift."""
+    """Cholesky factor of C and the diagonal shift applied to get it.
+
+    The shift is 0.0 when C factors as is; otherwise one retry is made with
+    jitter times the largest diagonal entry added to the diagonal.
+    """
     try:
-        return np.linalg.cholesky(C)
+        return np.linalg.cholesky(C), 0.0
     except np.linalg.LinAlgError:
         pass
-    bump = jitter * np.max(np.diag(C))
+    bump = float(jitter * np.max(np.diag(C)))
     try:
-        return np.linalg.cholesky(C + bump * np.eye(len(C)))
+        return np.linalg.cholesky(C + bump * np.eye(len(C))), bump
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             "nodal covariance Cholesky failed even with jitter %.1e "
@@ -270,23 +286,30 @@ def _chol_with_jitter(C, jitter):
             % (jitter, exc))
 
 
-def _stream_key(seed):
-    """128-bit Philox key of the batch root Philox(SeedSequence(seed))."""
-    key = np.random.Philox(np.random.SeedSequence(int(seed))).state["state"]["key"]
-    return int(key[0]) | (int(key[1]) << 64)
+def _standard_normals(seed, start, count, shape):
+    """Standard normals of samples start..start+count-1, shape (count, *shape).
 
-
-def sample_generators(seed, start, count):
-    """Per-sample generators for samples start..start+count-1 of a batch.
-
-    Stream m is Generator(Philox(SeedSequence(seed)).jumped(m)); since
-    jumped(m) only advances the 256-bit Philox counter by m * 2^128, the
-    streams are built directly from (key, counter), which is equivalent
-    and avoids the per-sample jump cost.
+    Row m holds Generator(Philox(SeedSequence(seed)).jumped(m))
+    .standard_normal(shape), bit for bit.  jumped(m) adds m * 2^128 to the
+    counter of the batch root, whose counter starts at zero, so one root
+    Philox serves every sample: before each draw its counter is set to
+    (0, 0, low 64 bits of m, high 64 bits of m) and its output buffer is
+    emptied.
     """
-    key = _stream_key(seed)
-    return [np.random.Generator(np.random.Philox(counter=m << 128, key=key))
-            for m in range(start, start + count)]
+    bitgen = np.random.Philox(np.random.SeedSequence(int(seed)))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    state["buffer_pos"] = 4  # empty buffer: the next draw runs the counter
+    state["has_uint32"] = 0
+    counter = state["state"]["counter"]
+    out = np.empty((count,) + tuple(shape))
+    for i in range(count):
+        m = start + i
+        counter[2] = m & 0xFFFFFFFFFFFFFFFF
+        counter[3] = m >> 64
+        bitgen.state = state
+        gen.standard_normal(shape, out=out[i])
+    return out
 
 
 def draw_batch(field, space, M, mode=MODE_NODAL, seed=0, kl_trunc=None,
@@ -297,6 +320,8 @@ def draw_batch(field, space, M, mode=MODE_NODAL, seed=0, kl_trunc=None,
     increments in 1D, per-axis Cholesky of the nodal min-kernel in 2D).
     mode "L2ProjectionOfTruncatedKL": truncated KL series with kl_trunc
     standard normal coefficients, then L2-projected onto the space.
+    jitter scales the diagonal shift tried when the 2D Cholesky fails; the
+    shift actually applied is reported as the batch's jitter.
     """
     M = int(M)
     if M < 1:
@@ -304,8 +329,9 @@ def draw_batch(field, space, M, mode=MODE_NODAL, seed=0, kl_trunc=None,
     if field.dim != space.mesh.dim:
         raise ValueError("field dimension %d does not match mesh dimension %d"
                          % (field.dim, space.mesh.dim))
+    shift = 0.0
     if mode == MODE_NODAL:
-        coeffs = _draw_nodal(field, space, M, seed, jitter)
+        coeffs, shift = _draw_nodal(space, M, seed, jitter)
         kl_trunc = None
     elif mode == MODE_PROJECTION:
         if kl_trunc is None or int(kl_trunc) < 1:
@@ -315,31 +341,33 @@ def draw_batch(field, space, M, mode=MODE_NODAL, seed=0, kl_trunc=None,
         coeffs = _draw_projected(field, space, M, seed, kl_trunc, q)
     else:
         raise ValueError("unknown sampling mode %r" % (mode,))
-    return SampleBatch(space, coeffs, mode, kl_trunc, seed, field.kind)
+    return SampleBatch(space, coeffs, mode, kl_trunc, seed, field.kind,
+                       jitter=shift)
 
 
-def _draw_nodal(field, space, M, seed, jitter):
+def _draw_nodal(space, M, seed, jitter):
+    """Nodal coefficients (M, Q_h) and the Cholesky diagonal shift applied."""
     mesh = space.mesh
     n = mesh.elements_per_axis
-    h = mesh.h
-    Q = space.dof_count
-    coeffs = np.empty((M, Q))
+    coeffs = np.empty((M, space.dof_count))
+    shift = 0.0
     if mesh.dim == 2:
         pos = mesh.axis_nodes[1:]
-        Lx = _chol_with_jitter(np.minimum.outer(pos, pos), jitter)
+        Lx, shift = _chol_with_jitter(np.minimum.outer(pos, pos), jitter)
     for start in range(0, M, _SAMPLE_CHUNK):
-        gens = sample_generators(seed, start, min(_SAMPLE_CHUNK, M - start))
+        count = min(_SAMPLE_CHUNK, M - start)
+        block = coeffs[start:start + count]
+        Z = _standard_normals(seed, start, count, (n,) * mesh.dim)
         if mesh.dim == 1:
-            Z = np.stack([g.standard_normal(n) for g in gens])
-            coeffs[start:start + len(gens), 0] = 0.0
-            coeffs[start:start + len(gens), 1:] = np.sqrt(h) * np.cumsum(Z, axis=1)
+            block[:, 0] = 0.0
+            block[:, 1:] = np.sqrt(mesh.h) * np.cumsum(Z, axis=1)
         else:
-            Z = np.stack([g.standard_normal((n, n)) for g in gens])
-            inner = np.einsum("ij,mjk,lk->mil", Lx, Z, Lx)
-            full = np.zeros((len(gens), n + 1, n + 1))
-            full[:, 1:, 1:] = inner
-            coeffs[start:start + len(gens)] = full.reshape(len(gens), Q)
-    return coeffs
+            # the lattice of sample m is Lx Z_m Lx^T, pinned to 0 on the axes
+            full = block.reshape(count, n + 1, n + 1)
+            full[:, 0, :] = 0.0
+            full[:, :, 0] = 0.0
+            full[:, 1:, 1:] = Lx @ Z @ Lx.T
+    return coeffs, shift
 
 
 def _draw_projected(field, space, M, seed, kl_trunc, q):
@@ -353,11 +381,11 @@ def _draw_projected(field, space, M, seed, kl_trunc, q):
     TW = wts[:, None] * T
     coeffs = np.empty((M, space.dof_count))
     for start in range(0, M, _SAMPLE_CHUNK):
-        gens = sample_generators(seed, start, min(_SAMPLE_CHUNK, M - start))
-        Psi = np.stack([g.standard_normal(kl_trunc) for g in gens])
+        count = min(_SAMPLE_CHUNK, M - start)
+        Psi = _standard_normals(seed, start, count, (kl_trunc,))
         field_vals = (Psi * scale) @ Phi.T
         B = field_vals @ TW
-        coeffs[start:start + len(gens)] = sla.cho_solve((mass.chol, True), B.T).T
+        coeffs[start:start + count] = sla.cho_solve((mass.chol, True), B.T).T
     return coeffs
 
 
@@ -365,7 +393,8 @@ def exact_discrete_covariance(field, space):
     """Covariance of the nodal coefficient vector: R evaluated at node pairs."""
     nodes = space.mesh.nodes
     cov = np.asarray(field.covariance(nodes, nodes), dtype=float)
-    assert np.array_equal(cov, cov.T), "analytic covariance evaluation not symmetric"
+    if not np.array_equal(cov, cov.T):
+        raise NumericError("analytic covariance evaluation not symmetric")
     return cov
 
 
@@ -389,14 +418,3 @@ def moment_diagnostics(batch):
     c_inf_hat = float(np.sqrt(np.mean(per_sample_max ** 2)))
     mean_max_abs = float(np.max(np.abs(np.mean(batch.coeffs, axis=0))))
     return MomentDiagnostics(c_inf_hat, mean_max_abs, batch.sample_count)
-
-
-def psd_check(field, points, jitter=1e-10):
-    """Whether the covariance on a finite point set admits a (jittered) Cholesky."""
-    C = np.asarray(field.covariance(points, points), dtype=float)
-    C = 0.5 * (C + C.T)
-    try:
-        _chol_with_jitter(C, jitter)
-        return True
-    except NumericError:
-        return False

@@ -192,6 +192,19 @@ def kernel_norm_trapezoid_1d(k, npts=2001):
 
 
 # ---------------------------------------------------------------------------
+# Field oracles
+# ---------------------------------------------------------------------------
+
+def psd_check(field, points, jitter=1e-10):
+    """Whether the covariance on a finite point set is positive semidefinite
+    up to a diagonal shift of jitter times its largest variance, judged by
+    its smallest eigenvalue."""
+    C = np.asarray(field.covariance(points, points), dtype=float)
+    C = 0.5 * (C + C.T)
+    return bool(np.linalg.eigvalsh(C)[0] > -jitter * np.max(np.diag(C)))
+
+
+# ---------------------------------------------------------------------------
 # Estimator oracles
 # ---------------------------------------------------------------------------
 

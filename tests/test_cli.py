@@ -209,6 +209,7 @@ def test_cli_sample_writes_batch(tmp_path, capsys):
     meta = artifacts.read_json(os.path.join(out, "batch.meta.json"))
     assert "created" in meta and meta["M"] == 10 and meta["Q_h"] == 5
     assert meta["mode"] == "NodalInterpolation"
+    assert meta["jitter"] == 0.0, "the sidecar reports the Cholesky jitter"
     assert "batch.csv" in capsys.readouterr().out
 
 

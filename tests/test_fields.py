@@ -31,7 +31,7 @@ def test_field_covariance_symmetry_and_psd():
             pts = rng.random((20, d))
             C = field.covariance(pts, pts)
             assert support.max_offdiag_asym(C) <= 1e-15
-            assert fields.psd_check(field, pts), \
+            assert reference.psd_check(field, pts), \
                 "covariance must be positive semidefinite on any point set"
 
 
@@ -161,17 +161,34 @@ def test_oracle_tail_sums():
 # sampling: stream contract
 # ---------------------------------------------------------------------------
 
-def test_sample_generators_match_jumped_definition():
-    # the normative stream of sample m is Philox(SeedSequence(seed)).jumped(m);
-    # the implementation builds (key, counter) pairs directly and must agree
+def _jumped_normals(seed, m, shape):
+    """The normative draw of sample m: Philox(SeedSequence(seed)).jumped(m)."""
+    g = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(seed)).jumped(m))
+    return g.standard_normal(shape)
+
+
+def _axis_cholesky(space):
+    """Cholesky factor of the min kernel on the interior axis nodes."""
+    pos = space.mesh.axis_nodes[1:]
+    return np.linalg.cholesky(np.minimum.outer(pos, pos))
+
+
+def test_standard_normals_match_jumped_definition():
+    # the implementation resets one Philox counter per sample and must agree
+    # with the jumped-generator definition, also once the sample index
+    # carries into the counter's high word (m >= 2^64)
     for seed in (0, 42):
-        gens = fields.sample_generators(seed, 0, 6)
-        for m, g in enumerate(gens):
-            ref = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(seed)).jumped(m))
-            assert np.array_equal(g.standard_normal(16),
-                                  ref.standard_normal(16)), \
-                "stream %d deviates from the jumped-generator definition" % m
+        for start, count in ((0, 6), (2 ** 64 - 1, 3)):
+            rows = fields._standard_normals(seed, start, count, (16,))
+            assert rows.shape == (count, 16)
+            for i in range(count):
+                assert np.array_equal(
+                    rows[i], _jumped_normals(seed, start + i, 16)), \
+                    "stream %d deviates from the jumped-generator definition" \
+                    % (start + i)
+    square = fields._standard_normals(3, 4, 2, (3, 3))
+    assert np.array_equal(square[1], _jumped_normals(3, 5, (3, 3)))
 
 
 def test_nodal_draw_matches_manual_construction():
@@ -188,6 +205,25 @@ def test_nodal_draw_matches_manual_construction():
             "1d nodal sample must be the scaled cumulative sum of increments"
 
 
+def test_nodal_draw_2d_matches_manual_construction():
+    # row m is the lattice Lx z_m Lx^T of the per-axis Cholesky factor Lx,
+    # pinned to zero on both axes
+    space = fem.build_space(2, 2)
+    field = fields.brownian_field(2)
+    batch = fields.draw_batch(field, space, 4, seed=11)
+    assert batch.jitter == 0.0, "the 2D nodal Cholesky needs no jitter"
+    Lx = _axis_cholesky(space)
+    for m in range(4):
+        z = _jumped_normals(11, m, (2, 2))
+        lattice = batch.coeffs[m].reshape(3, 3)
+        assert np.all(lattice[0] == 0.0) and np.all(lattice[:, 0] == 0.0)
+        assert np.array_equal(lattice[1:, 1:], Lx @ z @ Lx.T), \
+            "2d nodal sample %d must be Lx z Lx^T bit for bit" % m
+        old = np.einsum("ij,jk,lk->il", Lx, z, Lx)
+        assert np.max(np.abs(lattice[1:, 1:] - old)) \
+            <= 1e-13 * np.max(np.abs(old))
+
+
 def test_draw_chunk_invariance():
     # each sample owns its stream, so a prefix of a big batch equals a small one
     space = fem.build_space(1, 4)
@@ -196,6 +232,18 @@ def test_draw_chunk_invariance():
     big = fields.draw_batch(field, space, 5000, seed=3)
     assert np.array_equal(small.coeffs, big.coeffs[:10]), \
         "sample values must not depend on the batch size"
+    # in 2D, past the chunk boundary of the sampler
+    space2 = fem.build_space(2, 2)
+    field2 = fields.brownian_field(2)
+    M = fields._SAMPLE_CHUNK + 4
+    small = fields.draw_batch(field2, space2, 10, seed=3)
+    big = fields.draw_batch(field2, space2, M, seed=3)
+    assert np.array_equal(small.coeffs, big.coeffs[:10])
+    tail = fields._standard_normals(3, M - 2, 2, (2, 2))
+    lattice = big.coeffs[-2:].reshape(2, 3, 3)
+    Lx = _axis_cholesky(space2)
+    assert np.array_equal(lattice[:, 1:, 1:], Lx @ tail @ Lx.T), \
+        "samples of the second chunk must keep their own streams"
 
 
 def test_draw_seed_determinism():
@@ -343,8 +391,10 @@ def test_projection_mode_seed_and_shape():
 
 def test_chol_jitter_rescues_semidefinite():
     C = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one, PSD
-    L = fields._chol_with_jitter(C, 1e-10)
-    assert np.allclose(L @ L.T, C, atol=1e-4)
+    L, shift = fields._chol_with_jitter(C, 1e-10)
+    assert shift > 0.0, "the rescue must report the diagonal shift it applied"
+    assert np.allclose(L @ L.T, C + shift * np.eye(2), atol=1e-12)
+    assert fields._chol_with_jitter(np.eye(2), 1e-10)[1] == 0.0
 
 
 def test_chol_jitter_raises_on_indefinite():

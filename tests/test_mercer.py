@@ -233,7 +233,7 @@ def test_invariants_raise_under_python_O():
     # the constructors' invariants must not be asserts, which -O strips
     code = (
         "import numpy as np\n"
-        "from covrecon import estimators, mercer\n"
+        "from covrecon import estimators, fem, fields, mercer\n"
         "from covrecon.errors import NumericError\n"
         "try:\n"
         "    estimators.TaperedCovariance(np.array([[1.0, 2.0], [0.0, 1.0]]),"
@@ -243,14 +243,30 @@ def test_invariants_raise_under_python_O():
         "try:\n"
         "    mercer.ErrorReport(0.1, 0.1, 0.1, 5.0, False)\n"
         "except NumericError:\n"
-        "    print('triangle rejected')\n")
+        "    print('triangle rejected')\n"
+        "space = fem.build_space(1, 4)\n"
+        "for shape in ((3, 4), (0, 5)):\n"
+        "    try:\n"
+        "        fields.SampleBatch(space, np.zeros(shape), fields.MODE_NODAL,"
+        " None, 0, 'BrownianMotion1D')\n"
+        "    except ValueError:\n"
+        "        print('batch %dx%d rejected' % shape)\n"
+        "skew = fields.AnalyticField('Skew', 1, 0.5, lambda X, Y:"
+        " np.add.outer(X[:, 0], 2.0 * Y[:, 0]))\n"
+        "try:\n"
+        "    fields.exact_discrete_covariance(skew, space)\n"
+        "except NumericError:\n"
+        "    print('skew covariance rejected')\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(mercer.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split("\n")[:2] == ["asymmetric rejected",
-                                    "triangle rejected"], out
+    assert out.split("\n")[:5] == ["asymmetric rejected",
+                                    "triangle rejected",
+                                    "batch 3x4 rejected",
+                                    "batch 0x5 rejected",
+                                    "skew covariance rejected"], out
 
 
 # ---------------------------------------------------------------------------
