@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import artifacts, estimators, fem, fields, mercer, planner, spectral
+from . import artifacts, estimators, mercer, planner, spectral
 from . import config as config_mod
 from ._version import __version__
 from .errors import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERIC, EXIT_OK,
@@ -70,53 +70,38 @@ def _single(cfg):
     return cfg.ns[0], cfg.Ms[0], cfg.Ls[0]
 
 
-def _draw(cfg, n, M):
-    field = fields.brownian_field(cfg.d, cfg.delta)
-    space = fem.build_space(cfg.d, n)
-    batch = fields.draw_batch(field, space, M, mode=cfg.mode, seed=cfg.seed,
-                              kl_trunc=cfg.kl_trunc, q=cfg.q)
-    return field, space, batch
-
-
 def cmd_sample(cfg, args):
     n, M, _ = _single(cfg)
-    _, space, batch = _draw(cfg, n, M)
+    exact = mercer.ExactSide(cfg.d, n, cfg.delta)
+    batch = mercer.draw(cfg, exact, M, cfg.seed)
     path = os.path.join(cfg.out_dir, "batch.csv")
     artifacts.write_batch_csv(path, batch, cfg)
     artifacts.write_sidecar(path[:-4] + ".meta.json", cfg,
-                            n=n, M=M, Q_h=space.dof_count, mode=batch.mode,
-                            kl_trunc=batch.kl_trunc, seed=batch.seed,
-                            field_kind=batch.field_kind, jitter=batch.jitter)
-    print("wrote %s (%d samples x %d dofs)" % (path, M, space.dof_count))
+                            n=n, M=M, Q_h=exact.space.dof_count,
+                            mode=batch.mode, kl_trunc=batch.kl_trunc,
+                            seed=batch.seed, field_kind=batch.field_kind,
+                            jitter=batch.jitter)
+    print("wrote %s (%d samples x %d dofs)" % (path, M, exact.space.dof_count))
     return EXIT_OK
-
-
-def _estimate(cfg, space, field, batch):
-    if cfg.estimator == "Exact":
-        sigma = fields.exact_discrete_covariance(field, space)
-        return estimators.TaperedCovariance(sigma, tau=0, alpha=None,
-                                            estimator_kind="Exact", M=0)
-    alpha = cfg.alpha if cfg.estimator == "Tapered" else None
-    return estimators.estimate_covariance(batch, alpha=alpha)
 
 
 def cmd_estimate(cfg, args):
     n, M, _ = _single(cfg)
-    field, space, batch = _draw(cfg, n, M)
-    cov = _estimate(cfg, space, field, batch)
+    exact = mercer.ExactSide(cfg.d, n, cfg.delta)
+    batch, cov = mercer.estimate(cfg, exact, M, cfg.seed)
     path = os.path.join(cfg.out_dir, "covariance.txt")
     artifacts.write_covariance(path, cov, cfg)
-    h = space.mesh.h
     check = estimators.decay_class_check(cov.matrix, cfg.alpha,
                                          cfg.calibration["C1"],
                                          cfg.calibration["C2"])
     report = dict(
         estimator=cov.estimator_kind, tau=cov.tau, M=cov.M,
-        Q_h=space.dof_count,
+        Q_h=exact.space.dof_count,
         decay_check=dict(alpha=check.alpha, C1_est=check.C1_est,
                          lambda_max=check.lambda_max, passes=check.passes),
-        rho_tilde=estimators.rho_tilde(h, max(M, 1), cfg.alpha, cfg.d, cfg.s))
-    if cfg.estimator != "Exact":
+        rho_tilde=estimators.rho_tilde(exact.space.mesh.h, max(M, 1),
+                                       cfg.alpha, cfg.d))
+    if batch is not None:
         sub = estimators.subgaussian_diagnostic(batch)
         report["subgaussian"] = dict(c_inf_hat=sub.c_inf_hat,
                                      rho_inv_nodal=sub.rho_inv_nodal)
@@ -129,40 +114,9 @@ def cmd_estimate(cfg, args):
 
 def cmd_reconstruct(cfg, args):
     n, M, L = _single(cfg)
-    field = fields.brownian_field(cfg.d, cfg.delta)
-    oracle = fields.brownian_oracle(cfg.d)
-    space = fem.build_space(cfg.d, n)
-    if L > space.dof_count:
-        raise ConfigError("study.Ls: truncation rank L=%d exceeds the dof "
-                          "count Q_h=%d" % (L, space.dof_count))
-    mass = fem.assemble_mass(space)
-    sigma_exact = fields.exact_discrete_covariance(field, space)
-    s_exact = spectral.transform(sigma_exact, mass, spectral.SOURCE_EXACT)
-    exact_spec = spectral.eigensolve(s_exact)
-
-    if cfg.estimator == "Exact":
-        batch = None
-        cov = estimators.TaperedCovariance(sigma_exact, tau=0, alpha=None,
-                                           estimator_kind="Exact", M=0)
-    else:
-        batch = fields.draw_batch(field, space, M, mode=cfg.mode,
-                                  seed=cfg.seed, kl_trunc=cfg.kl_trunc,
-                                  q=cfg.q)
-        cov = _estimate(cfg, space, field, batch)
-    s_est = spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED)
-    est_spec = spectral.eigensolve(s_est)
-    diag = spectral.diagnostics(exact_spec, est_spec, s_exact, s_est, oracle,
-                                L, C1=cfg.calibration["C1"],
-                                C=cfg.calibration["C"], s=cfg.s)
-    est_aligned = spectral.align_signs(exact_spec, est_spec)
-    report = mercer.error_decomposition(field, oracle, exact_spec, est_spec,
-                                        L)
-
-    profile = planner.brownian_profile(d=cfg.d, s=cfg.s, alpha=cfg.alpha,
-                                       calibration=cfg.calibration)
-    p0 = planner.p0_bound(profile, space.dof_count, max(cov.tau, 2),
-                          cov.M, L)
-    neg = est_spec.eigenvalues[est_spec.eigenvalues < 0]
+    exact = mercer.ExactSide(cfg.d, n, cfg.delta)
+    cov, spec, diag, report, p0 = mercer.replicate(cfg, exact, M, L, cfg.seed)
+    neg = spec.eigenvalues[spec.eigenvalues < 0]
     payload = dict(
         n=n, M=cov.M, L=L, estimator=cov.estimator_kind, tau=cov.tau,
         errors=dict(e1=report.e1, e2=report.e2, e3=report.e3,
@@ -181,15 +135,17 @@ def cmd_reconstruct(cfg, args):
             theorem_consistent=diag.theorem_consistent,
             p0=p0,
             n_negative_eigenvalues=int(neg.size),
-            min_eigenvalue=float(est_spec.eigenvalues[-1]),
+            min_eigenvalue=float(spec.eigenvalues[-1]),
             negatives_below_weyl=bool(
                 neg.size == 0 or np.max(np.abs(neg)) <= diag.weyl_bound)))
     artifacts.write_json(os.path.join(cfg.out_dir, "report.json"), payload,
                          cfg)
     artifacts.write_spectrum_csv(os.path.join(cfg.out_dir, "spectrum.csv"),
-                                 est_aligned, L, cfg)
+                                 spectral.align_signs(exact.spectrum, spec),
+                                 L, cfg)
     artifacts.write_spectrum_csv(
-        os.path.join(cfg.out_dir, "spectrum_exact.csv"), exact_spec, L, cfg)
+        os.path.join(cfg.out_dir, "spectrum_exact.csv"), exact.spectrum, L,
+        cfg)
     artifacts.write_sidecar(os.path.join(cfg.out_dir, "report.meta.json"),
                             cfg, n=n, M=M, L=L)
     print("wrote %s (total=%.6g, e1=%.6g, e2=%.6g, e3=%.6g)"
@@ -271,10 +227,7 @@ def main(argv=None):
     try:
         cfg = _load(args)
         return args.handler(cfg, args)
-    except ConfigError as exc:
-        print("config error: %s" % (exc,), file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print("config error: %s" % (exc,), file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:

@@ -100,15 +100,14 @@ def estimate_covariance(batch, alpha=None):
     return taper(cov, alpha)
 
 
-def rho_tilde(h, M, alpha, d, s):
+def rho_tilde(h, M, alpha, d):
     """Theoretical squared-error rate of the tapered estimator.
 
     Returns M^{-2a/(2a+1)} + d log(1/h)/M when the dof count
     Q_h = (1/h + 1)^d reaches the optimal bandwidth M^{1/(2a+1)}, and the
-    untapered level h^{-d}/M otherwise.  The smoothness s is part of the
-    call signature for symmetry with the planner but does not enter the rate.
+    untapered level h^{-d}/M otherwise.
     """
-    if not (h > 0 and M > 0 and alpha > 0 and d > 0 and s > 0):
+    if not (h > 0 and M > 0 and alpha > 0 and d > 0):
         raise ValueError("rho_tilde arguments must all be positive")
     Q_h = (1.0 / h + 1.0) ** d
     if Q_h >= M ** (1.0 / (2.0 * alpha + 1.0)):

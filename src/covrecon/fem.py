@@ -74,6 +74,7 @@ class FeSpace:
         self.basis_kind = "Nodal"
         self.polynomial_degree = 1
         self.dof_count = mesh.node_count
+        self.mass = None  # the MassMatrix, once assemble_mass has built it
 
     def __repr__(self):
         return "FeSpace(%r)" % (self.mesh,)
@@ -157,8 +158,8 @@ class MassMatrix:
 
     Attributes
     ----------
-    matrix : dense symmetric (Q_h, Q_h) Gram matrix G
-    chol : lower-triangular L with G = L L^T
+    matrix : dense symmetric (Q_h, Q_h) Gram matrix G (read-only)
+    chol : lower-triangular L with G = L L^T (read-only)
     lambda_min, lambda_max : extreme eigenvalues of G
     """
 
@@ -175,15 +176,18 @@ class MassMatrix:
             # spectrum of a Kronecker square is the set of pairwise products
             self.lambda_min = float(ev1[0] ** 2)
             self.lambda_max = float(ev1[-1] ** 2)
-        assert np.array_equal(G, G.T), "mass matrix assembly lost exact symmetry"
+        if not (np.array_equal(G, G.T) and self.lambda_min > 0.0):
+            raise NumericError("mass matrix not symmetric positive definite")
         try:
             chol = np.linalg.cholesky(G)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - G is SPD by construction
             raise NumericError("mass matrix Cholesky failed: %s" % (exc,))
         resid = np.max(np.abs(chol @ chol.T - G))
-        assert resid <= 1e-12 * self.lambda_max, \
-            "Cholesky round trip residual %.3e exceeds tolerance" % resid
-        assert self.lambda_min > 0.0, "mass matrix is not positive definite"
+        if not resid <= 1e-12 * self.lambda_max:
+            raise NumericError("Cholesky round trip residual %.3e exceeds "
+                               "tolerance" % (resid,))
+        G.setflags(write=False)
+        chol.setflags(write=False)
         self.space = space
         self.matrix = G
         self.chol = chol
@@ -194,11 +198,16 @@ class MassMatrix:
 
 
 def assemble_mass(space):
-    """Exact P1 mass matrix of the space (2D is the Kronecker square of 1D)."""
-    return MassMatrix(space)
+    """Exact P1 mass matrix of the space (2D is the Kronecker square of 1D).
+
+    Built on the first call and kept on the space; later calls return it.
+    """
+    if space.mass is None:
+        space.mass = MassMatrix(space)
+    return space.mass
 
 
-def l2_project(space, f, q=4, mass=None):
+def l2_project(space, f, q=4):
     """L2 projection of a scalar field onto the P1 space.
 
     Solves G c = b with b_j = \\int f theta_j approximated by a composite
@@ -207,8 +216,7 @@ def l2_project(space, f, q=4, mass=None):
 
     Returns the coefficient vector c with ||G c - b||_inf <= 1e-10 ||b||_inf.
     """
-    if mass is None:
-        mass = assemble_mass(space)
+    mass = assemble_mass(space)
     pts, wts = quadrature_points(space, q)
     Q = space.dof_count
     b = np.zeros(Q)

@@ -7,15 +7,20 @@ splits into truncation (e1), spatial discretization (e2) and sampling (e3)
 parts, all measured in L2 of the product domain and computed exactly from
 closed forms of the Brownian kernel against the P1 basis.
 
-expected_error_study runs that pipeline over a (L, h, M) grid with
-replications; each replication r of cell c draws its batch with the seed
+A StudyConfig becomes pipeline calls here only: ExactSide is the
+sample-free half of a replication on one mesh and replicate the rest.
+reconstruct runs one replication; expected_error_study runs them over a
+(L, h, M) grid, and replication r of cell c draws its batch with the seed
 derived from SeedSequence(seed, spawn_key=(c, r)), so cells and
 replications are independent of execution order and worker scheduling.
 """
 
+import collections
+import functools
+
 import numpy as np
 
-from . import estimators, fem, fields, spectral
+from . import estimators, fem, fields, planner, spectral
 from .errors import NumericError
 
 _NEAR_DEGENERATE_REL = 1e-8
@@ -43,9 +48,6 @@ def build_kernel(spectrum, L, space=None):
     """Retain the top-L eigenpairs of a discrete spectrum as a kernel."""
     space = space if space is not None else spectrum.mass.space
     L = int(L)
-    if not 1 <= L <= spectrum.dof_count:
-        raise ValueError("truncation rank L=%r must lie in [1, %d]"
-                         % (L, spectrum.dof_count))
     return MercerKernel(space, L, spectrum.eigenvalues[:L].copy(),
                         spectrum.gen_vectors[:, :L].copy(), spectrum.source)
 
@@ -136,6 +138,84 @@ def error_decomposition(field, oracle, exact_spec, est_spec, L):
 
 
 # ---------------------------------------------------------------------------
+# one replication
+
+
+class ExactSide:
+    """The sample-free half of a replication on the n-element mesh.
+
+    mass, sigma (the exact nodal covariance), s_exact and spectrum are built
+    on first use, so drawing or estimating alone never eigensolves.
+    """
+
+    def __init__(self, d, n, delta):
+        self.field = fields.brownian_field(d, delta)
+        self.oracle = fields.brownian_oracle(d)
+        self.space = fem.build_space(d, n)
+
+    @functools.cached_property
+    def mass(self):
+        return fem.assemble_mass(self.space)
+
+    @functools.cached_property
+    def sigma(self):
+        return fields.exact_discrete_covariance(self.field, self.space)
+
+    @functools.cached_property
+    def s_exact(self):
+        return spectral.transform(self.sigma, self.mass, spectral.SOURCE_EXACT)
+
+    @functools.cached_property
+    def spectrum(self):
+        return spectral.eigensolve(self.s_exact)
+
+
+def draw(config, exact, M, seed):
+    """M samples of the field on the exact side's mesh, as configured."""
+    return fields.draw_batch(exact.field, exact.space, M, mode=config.mode,
+                             seed=seed, kl_trunc=config.kl_trunc, q=config.q)
+
+
+def estimate(config, exact, M, seed):
+    """(batch, estimate) as configured; Exact draws nothing (batch None)."""
+    if config.estimator == "Exact":
+        return None, estimators.TaperedCovariance(
+            exact.sigma, tau=0, alpha=None, estimator_kind="Exact", M=0)
+    batch = draw(config, exact, M, seed)
+    alpha = config.alpha if config.estimator == "Tapered" else None
+    return batch, estimators.estimate_covariance(batch, alpha=alpha)
+
+
+Replication = collections.namedtuple(
+    "Replication", "cov spectrum diagnostics errors p0")
+
+
+def replicate(config, exact, M, L, seed):
+    """Estimate from M samples drawn with seed, eigensolve, compare with the
+    exact side, split the error at rank L and bound p0 (planner.p0_bound).
+
+    Returns a Replication; the batch is not kept.
+    """
+    Q = exact.space.dof_count
+    if L > Q:
+        raise ValueError("truncation rank L=%d exceeds dof count Q_h=%d"
+                         % (L, Q))
+    _, cov = estimate(config, exact, M, seed)
+    s_est = spectral.transform(cov, exact.mass, spectral.SOURCE_ESTIMATED)
+    spec = spectral.eigensolve(s_est)
+    cal = config.calibration
+    diag = spectral.diagnostics(exact.spectrum, spec, exact.s_exact, s_est,
+                                exact.oracle, L, C1=cal["C1"], C=cal["C"],
+                                s=config.s)
+    errors = error_decomposition(exact.field, exact.oracle, exact.spectrum,
+                                 spec, L)
+    profile = planner.brownian_profile(d=config.d, s=config.s,
+                                       alpha=config.alpha, calibration=cal)
+    p0 = planner.p0_bound(profile, Q, max(cov.tau, 2), cov.M, L)
+    return Replication(cov, spec, diag, errors, p0)
+
+
+# ---------------------------------------------------------------------------
 # grid study
 
 
@@ -168,13 +248,7 @@ class CellResult:
         return 1.0 / self.n
 
     def to_dict(self):
-        return dict(index=self.index, L=self.L, n=self.n, M=self.M,
-                    ok=self.ok, error=self.error, mean_total=self.mean_total,
-                    mean_e1=self.mean_e1, mean_e2=self.mean_e2,
-                    mean_e3=self.mean_e3, stderr=self.stderr,
-                    n_rep=self.n_rep,
-                    gap_fail_fraction=self.gap_fail_fraction, p0=self.p0,
-                    tau=self.tau, lambda1_dev=self.lambda1_dev)
+        return dict(vars(self))  # exactly the constructor's arguments
 
     @classmethod
     def from_dict(cls, d):
@@ -202,64 +276,31 @@ def study_cells(config):
 
 def run_cell(config, index, L, n, M):
     """Run all replications of one study cell and aggregate them."""
-    from . import planner
     try:
-        field = fields.brownian_field(config.d, config.delta)
-        oracle = fields.brownian_oracle(config.d)
-        space = fem.build_space(config.d, n)
-        if L > space.dof_count:
-            raise ValueError("truncation rank L=%d exceeds dof count Q_h=%d"
-                             % (L, space.dof_count))
-        mass = fem.assemble_mass(space)
-        sigma_exact = fields.exact_discrete_covariance(field, space)
-        s_exact = spectral.transform(sigma_exact, mass, spectral.SOURCE_EXACT)
-        exact_spec = spectral.eigensolve(s_exact)
-        cal = config.calibration
-
+        exact = ExactSide(config.d, n, config.delta)
         totals, e3s = [], []
-        e1 = e2 = np.nan
         gap_fail = 0
-        tau = 0
         for rep in range(config.n_rep):
-            seed = rep_seed(config.seed, index, rep)
-            batch = fields.draw_batch(field, space, M, mode=config.mode,
-                                      seed=seed, kl_trunc=config.kl_trunc,
-                                      q=config.q)
-            alpha = config.alpha if config.estimator == "Tapered" else None
-            cov = estimators.estimate_covariance(batch, alpha=alpha)
-            tau = cov.tau
-            s_est = spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED)
-            est_spec = spectral.eigensolve(s_est)
-            diag = spectral.diagnostics(exact_spec, est_spec, s_exact, s_est,
-                                        oracle, L, C1=cal["C1"], C=cal["C"],
-                                        s=config.s)
-            if not diag.gap_condition_ok:
-                gap_fail += 1
-            report = error_decomposition(field, oracle, exact_spec, est_spec,
-                                         L)
-            totals.append(report.total)
-            e3s.append(report.e3)
-            e1, e2 = report.e1, report.e2
-
-        profile = planner.brownian_profile(
-            d=config.d, s=config.s, alpha=config.alpha, calibration=cal)
-        p0 = planner.p0_bound(profile, space.dof_count, max(tau, 2), M, L)
-        lam1_dev = abs(exact_spec.eigenvalues[0] - oracle.eigenvalue(1))
+            r = replicate(config, exact, M, L,
+                          rep_seed(config.seed, index, rep))
+            totals.append(r.errors.total)
+            e3s.append(r.errors.e3)
+            gap_fail += not r.diagnostics.gap_condition_ok
+        # e1, e2, tau and p0 do not depend on the samples: the last r has them
+        lam1_dev = abs(exact.spectrum.eigenvalues[0]
+                       - exact.oracle.eigenvalue(1))
         stderr = float(np.std(totals, ddof=1) / np.sqrt(len(totals))) \
             if len(totals) > 1 else 0.0
         return CellResult(index, L, n, M, ok=True,
-                          mean_total=float(np.mean(totals)), mean_e1=float(e1),
-                          mean_e2=float(e2), mean_e3=float(np.mean(e3s)),
-                          stderr=stderr, n_rep=config.n_rep,
-                          gap_fail_fraction=gap_fail / config.n_rep, p0=p0,
-                          tau=tau, lambda1_dev=float(lam1_dev))
-    except (ValueError, NumericError, AssertionError) as exc:
+                          mean_total=float(np.mean(totals)),
+                          mean_e1=r.errors.e1, mean_e2=r.errors.e2,
+                          mean_e3=float(np.mean(e3s)), stderr=stderr,
+                          n_rep=config.n_rep,
+                          gap_fail_fraction=gap_fail / config.n_rep, p0=r.p0,
+                          tau=r.cov.tau, lambda1_dev=float(lam1_dev))
+    except (ValueError, NumericError) as exc:
         return CellResult(index, L, n, M, ok=False,
                           error="%s: %s" % (type(exc).__name__, exc))
-
-
-def _run_cell_args(args):
-    return run_cell(*args)
 
 
 def expected_error_study(config, workers=1, cell_loader=None, cell_saver=None):
@@ -284,8 +325,8 @@ def expected_error_study(config, workers=1, cell_loader=None, cell_saver=None):
     if workers > 1 and len(todo) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            fresh = list(pool.map(_run_cell_args,
-                                  [(config,) + c for c in todo]))
+            fresh = list(pool.map(run_cell, [config] * len(todo),
+                                  *zip(*todo)))
     else:
         fresh = [run_cell(config, *c) for c in todo]
     for res in fresh:

@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from . import spectral
 from .errors import DegenerateSpectrumError, InfeasiblePlanError
 from .fields import brownian_oracle
 
@@ -62,6 +63,8 @@ def brownian_profile(d=1, s=0.5, alpha=1.0, gamma=1.5, calibration=None):
 
 
 def _gaps(profile, L):
+    if L < 1:
+        raise ValueError("L must be >= 1, got %r" % (L,))
     gaps = np.array([profile.oracle.gap(l) for l in range(1, L + 1)])
     if np.any(gaps <= 0):
         raise DegenerateSpectrumError(
@@ -72,16 +75,12 @@ def _gaps(profile, L):
 
 def g_of_l(profile, L):
     """Root sum of squared eigenvalue-to-gap ratios over the first L modes."""
-    if L < 1:
-        raise ValueError("L must be >= 1, got %r" % (L,))
     lams = np.array([profile.oracle.eigenvalue(l) for l in range(1, L + 1)])
     return float(np.sqrt(np.sum((lams / _gaps(profile, L)) ** 2)))
 
 
 def h_of_l(profile, L):
     """Squared worst gap over the first L modes, scaled by 48^-2."""
-    if L < 1:
-        raise ValueError("L must be >= 1, got %r" % (L,))
     return float(np.min(_gaps(profile, L)) ** 2 / 2304.0)
 
 
@@ -109,9 +108,6 @@ class GapBudget:
     """Spectral-gap budget of a truncation level at a given mesh width."""
 
     def __init__(self, G_of_L, H_of_L, p0, margins, c2_condition_ok):
-        delta_min = math.sqrt(2304.0 * H_of_L)
-        assert H_of_L <= (delta_min / 48.0) ** 2 + 1e-12, \
-            "H(L) exceeds its defining gap square"
         self.G_of_L = G_of_L
         self.H_of_L = H_of_L
         self.p0 = p0
@@ -122,21 +118,17 @@ class GapBudget:
 
 def check_gap_condition(profile, L, h, stiffness_diff_norm,
                         Q_h=None, tau=None, M=None):
-    """Margins of the spectral-gap condition at mesh width h.
-
-    Per mode: gap_l - (4 C1 h^{2s} / lambda_{l+1} + 4 ||S-tilde diff||).
-    Also flags the calibration-dependent smallness condition
-    C2 h^s / lambda_L <= 1.  p0 is filled in when (Q_h, tau, M) are given.
+    """Margins of the spectral-gap condition at mesh width h, per mode as in
+    spectral.gap_condition_margins.  Also flags the calibration-dependent
+    smallness condition C2 h^s / lambda_L <= 1.  p0 is filled in when
+    (Q_h, tau, M) are given.
     """
     cal = profile.calibration
     if not 0.0 < h <= cal["h0"]:
         raise ValueError("h=%r must lie in (0, h0=%r]" % (h, cal["h0"]))
-    gaps = _gaps(profile, L)
-    lam_next = np.array([profile.oracle.eigenvalue(l + 1)
-                         for l in range(1, L + 1)])
-    rhs = 4.0 * cal["C1"] * h ** (2.0 * profile.s) / lam_next \
-        + 4.0 * stiffness_diff_norm
-    margins = gaps - rhs
+    margins = spectral.gap_condition_margins(
+        _gaps(profile, L), profile.oracle, h, profile.s, cal["C1"],
+        stiffness_diff_norm)
     lam_L = profile.oracle.eigenvalue(L)
     c2_ok = bool(cal["C2"] * h ** profile.s / lam_L <= 1.0)
     p0 = p0_bound(profile, Q_h, tau, M, L) \

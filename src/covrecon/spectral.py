@@ -29,8 +29,8 @@ class TransformedStiffness:
 
     def __init__(self, matrix, source, mass):
         matrix = np.asarray(matrix, dtype=float)
-        assert np.array_equal(matrix, matrix.T), \
-            "transformed stiffness must be exactly symmetric"
+        if not np.array_equal(matrix, matrix.T):
+            raise ValueError("transformed stiffness must be exactly symmetric")
         matrix.setflags(write=False)
         self.matrix = matrix
         self.source = source
@@ -102,11 +102,6 @@ def eigensolve(ts):
     return DiscreteSpectrum(vals, vecs, gen, ts.source, ts.mass)
 
 
-def spectrum_from_covariance(cov, mass, tag=SOURCE_EXACT):
-    """Convenience: transform a covariance matrix and eigensolve it."""
-    return eigensolve(transform(cov, mass, tag))
-
-
 def align_signs(reference, target):
     """Flip target eigenvectors so each pairs nonnegatively with the reference.
 
@@ -156,6 +151,18 @@ def _mixed_gaps(exact_vals, est_vals, L):
     return gaps
 
 
+def gap_condition_margins(gaps, oracle, h, s, C1, stiffness_diff_norm):
+    """Margins gap_l - (4 C1 h^{2s} / lambda_{l+1} + 4 ||S-tilde diff||).
+
+    One per l = 1..len(gaps), with the continuous gaps and eigenvalues; the
+    spectral-gap condition holds at l where the margin is >= 0.
+    """
+    lam_next = np.array([oracle.eigenvalue(l + 1)
+                         for l in range(1, len(gaps) + 1)])
+    return gaps - (4.0 * C1 * h ** (2.0 * s) / lam_next
+                   + 4.0 * stiffness_diff_norm)
+
+
 class SpectralDiagnostics:
     """Joint stability report for an exact and an estimated discrete spectrum."""
 
@@ -184,9 +191,8 @@ def diagnostics(exact, estimated, s_exact, s_est, oracle, L,
 
     Computes the exact operator norm of S-tilde_exact - S-tilde_est (the
     Weyl bound), per-index eigenvalue deviations, mixed and continuous
-    spectral gaps for l <= L, the gap condition
-    delta_l >= 4 C1 h^{2s} / lambda_{l+1} + 4 ||S-tilde diff|| with the
-    calibration constants C1 and s, Davis-Kahan ratios
+    spectral gaps for l <= L, the gap condition (gap_condition_margins with
+    the calibration constants C1 and s), Davis-Kahan ratios
     C ||S-tilde diff|| / mixed gap, and the mass-spectrum sandwich around
     the Weyl bound.  Failed gap checks are reported, never raised.
     """
@@ -197,16 +203,15 @@ def diagnostics(exact, estimated, s_exact, s_est, oracle, L,
     diff = s_exact.matrix - s_est.matrix
     weyl_bound = operator_norm(diff)
     eigenvalue_dev = np.abs(exact.eigenvalues - estimated.eigenvalues)
-    assert np.max(eigenvalue_dev) <= weyl_bound + 1e-10, \
-        "eigenvalue deviation %.3e exceeds the Weyl bound %.3e" % (
-            np.max(eigenvalue_dev), weyl_bound)
+    if not np.max(eigenvalue_dev) <= weyl_bound + 1e-10:
+        raise NumericError("eigenvalue deviation %.3e exceeds the Weyl bound "
+                           "%.3e" % (np.max(eigenvalue_dev), weyl_bound))
 
     discrete_gaps = _mixed_gaps(exact.eigenvalues, estimated.eigenvalues, L)
     continuous_gaps = np.array([oracle.gap(l) for l in range(1, L + 1)])
-    h = mass.space.mesh.h
-    lam_next = np.array([oracle.eigenvalue(l + 1) for l in range(1, L + 1)])
-    gap_condition = continuous_gaps >= (
-        4.0 * C1 * h ** (2.0 * s) / lam_next + 4.0 * weyl_bound)
+    gap_condition = gap_condition_margins(continuous_gaps, oracle,
+                                          mass.space.mesh.h, s, C1,
+                                          weyl_bound) >= 0
     quarter_gap = discrete_gaps >= 0.25 * continuous_gaps
     davis_kahan = np.full(L, np.inf)
     pos = discrete_gaps > 0
@@ -219,9 +224,9 @@ def diagnostics(exact, estimated, s_exact, s_est, oracle, L,
     cov_diff_norm = operator_norm(cov_diff)
     lo, hi = opnorm_sandwich(mass, cov_diff_norm)
     slack = 1e-10 * max(1.0, hi)
-    assert lo - slack <= weyl_bound <= hi + slack, \
-        "transformed norm %.6e escapes the sandwich [%.6e, %.6e]" % (
-            weyl_bound, lo, hi)
+    if not lo - slack <= weyl_bound <= hi + slack:
+        raise NumericError("transformed norm %.6e escapes the sandwich "
+                           "[%.6e, %.6e]" % (weyl_bound, lo, hi))
 
     return SpectralDiagnostics(weyl_bound, eigenvalue_dev, discrete_gaps,
                                continuous_gaps, gap_condition, quarter_gap,

@@ -7,22 +7,18 @@ import os
 import numpy as np
 
 from covrecon import config as config_mod
-from covrecon import fem, fields, spectral
+from covrecon import mercer
 
 
 @functools.lru_cache(maxsize=None)
 def brownian_setup(d, n):
     """Field, oracle, space, mass, exact covariance/stiffness/spectrum for
-    the Brownian field on the n-element mesh.  Cached: everything returned
-    is deterministic and treated as read-only by the tests."""
-    field = fields.brownian_field(d)
-    oracle = fields.brownian_oracle(d)
-    space = fem.build_space(d, n)
-    mass = fem.assemble_mass(space)
-    sigma = fields.exact_discrete_covariance(field, space)
-    s_exact = spectral.transform(sigma, mass, spectral.SOURCE_EXACT)
-    exact_spec = spectral.eigensolve(s_exact)
-    return field, oracle, space, mass, sigma, s_exact, exact_spec
+    the Brownian field on the n-element mesh: the pipeline's exact side.
+    Cached: everything returned is deterministic and treated as read-only
+    by the tests."""
+    ex = mercer.ExactSide(d, n, 1e-3)
+    return (ex.field, ex.oracle, ex.space, ex.mass, ex.sigma, ex.s_exact,
+            ex.spectrum)
 
 
 def make_config(**overrides):

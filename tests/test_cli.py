@@ -383,6 +383,24 @@ def test_cli_study_diagnostics_table(tmp_path):
     assert meta["cells"] == 1 and meta["failed"] == 0
 
 
+def test_study_cell_is_the_mean_of_reconstruct_runs(tmp_path):
+    # study and reconstruct run one replication: a 2-replication cell is the
+    # mean of the two reconstructs at the cell's replication seeds, exactly
+    path, out = write_cfg(tmp_path, n=8, M=200, L=2, seed=5,
+                          estimator="Tapered")
+    assert run_cli("study", "--config", path) == 0
+    cell = artifacts.load_cell(os.path.join(out, "cells"), 0)
+    assert cell.ok and cell.n_rep == 2 and cell.tau == 6
+    errors = []
+    for rep in (0, 1):
+        assert run_cli("reconstruct", "--config", path, "--seed",
+                       str(mercer.rep_seed(5, 0, rep))) == 0
+        report = artifacts.read_json(os.path.join(out, "report.json"))
+        errors.append(report["errors"])
+    assert cell.mean_total == float(np.mean([e["total"] for e in errors]))
+    assert cell.mean_e3 == float(np.mean([e["e3"] for e in errors]))
+
+
 def test_cli_plan_reports_and_exit_codes(tmp_path, capsys):
     path, out = write_cfg(tmp_path)
     assert run_cli("plan", "--config", path, "--epsilon", "0.5") == 0

@@ -164,20 +164,20 @@ def test_estimate_covariance_dispatch():
 
 def test_rho_tilde_branches():
     # Q_h = 129 >= 1e6^{1/3}: tapered rate with the log term
-    big = estimators.rho_tilde(1.0 / 128, 10 ** 6, 1.0, 1, 0.5)
+    big = estimators.rho_tilde(1.0 / 128, 10 ** 6, 1.0, 1)
     want = 10.0 ** (-6 * 2 / 3.0) + math.log(128.0) / 10 ** 6
     assert abs(big - want) <= 1e-12 * want
     # Q_h = 65 < 100: the dof count caps the error at h^{-d}/M
-    small = estimators.rho_tilde(1.0 / 64, 10 ** 6, 1.0, 1, 0.5)
+    small = estimators.rho_tilde(1.0 / 64, 10 ** 6, 1.0, 1)
     assert abs(small - 64.0 / 10 ** 6) <= 1e-18
     with pytest.raises(ValueError):
-        estimators.rho_tilde(-0.1, 10, 1.0, 1, 0.5)
+        estimators.rho_tilde(-0.1, 10, 1.0, 1)
     with pytest.raises(ValueError):
-        estimators.rho_tilde(0.1, 10, 1.0, 0, 0.5)
+        estimators.rho_tilde(0.1, 10, 1.0, 0)
 
 
 def test_rho_tilde_decreases_in_m():
-    vals = [estimators.rho_tilde(1.0 / 32, M, 1.0, 1, 0.5)
+    vals = [estimators.rho_tilde(1.0 / 32, M, 1.0, 1)
             for M in (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 6)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 

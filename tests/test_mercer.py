@@ -233,7 +233,7 @@ def test_invariants_raise_under_python_O():
     # the constructors' invariants must not be asserts, which -O strips
     code = (
         "import numpy as np\n"
-        "from covrecon import estimators, fem, fields, mercer\n"
+        "from covrecon import estimators, fem, fields, mercer, spectral\n"
         "from covrecon.errors import NumericError\n"
         "try:\n"
         "    estimators.TaperedCovariance(np.array([[1.0, 2.0], [0.0, 1.0]]),"
@@ -256,17 +256,45 @@ def test_invariants_raise_under_python_O():
         "try:\n"
         "    fields.exact_discrete_covariance(skew, space)\n"
         "except NumericError:\n"
-        "    print('skew covariance rejected')\n")
+        "    print('skew covariance rejected')\n"
+        "try:\n"
+        "    spectral.TransformedStiffness(np.array([[1.0, 2.0], [0.0, 1.0]]),"
+        " 'Estimated', None)\n"
+        "except ValueError:\n"
+        "    print('asymmetric stiffness rejected')\n"
+        "for g1 in (np.triu(np.ones((3, 3))), -np.eye(3)):\n"
+        "    fem._mass_1d = lambda n: g1\n"
+        "    try:\n"
+        "        fem.MassMatrix(fem.build_space(1, 2))\n"
+        "    except NumericError:\n"
+        "        print('mass rejected')\n"
+        "class Mass:\n"
+        "    chol = np.eye(3)\n"
+        "    space = space\n"
+        "    lambda_min = lambda_max = 2.0\n"
+        "a, b = (spectral.TransformedStiffness(np.diag([v, 0.5, 0.2]), 'x',"
+        " Mass) for v in (1.0, 1.1))\n"
+        "spec_a, spec_b = spectral.eigensolve(a), spectral.eigensolve(b)\n"
+        "oracle = fields.brownian_oracle(1)\n"
+        "for s_b, what in ((a, 'Weyl'), (b, 'sandwich')):\n"
+        "    try:\n"
+        "        spectral.diagnostics(spec_a, spec_b, a, s_b, oracle, 2)\n"
+        "    except NumericError:\n"
+        "        print(what + ' violation rejected')\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(mercer.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split("\n")[:5] == ["asymmetric rejected",
-                                    "triangle rejected",
-                                    "batch 3x4 rejected",
-                                    "batch 0x5 rejected",
-                                    "skew covariance rejected"], out
+    assert out.split("\n")[:10] == ["asymmetric rejected",
+                                     "triangle rejected",
+                                     "batch 3x4 rejected",
+                                     "batch 0x5 rejected",
+                                     "skew covariance rejected",
+                                     "asymmetric stiffness rejected",
+                                     "mass rejected", "mass rejected",
+                                     "Weyl violation rejected",
+                                     "sandwich violation rejected"], out
 
 
 # ---------------------------------------------------------------------------

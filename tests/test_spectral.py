@@ -9,7 +9,7 @@ import scipy.linalg as sla
 
 import reference
 import support
-from covrecon import fem, fields, spectral
+from covrecon import fem, fields, planner, spectral
 from covrecon.errors import NumericError
 
 
@@ -84,7 +84,7 @@ def test_eigensolve_random_matrix_invariants():
     mass = fem.assemble_mass(space)
     for trial in range(50):
         sigma = reference.random_symmetric(rng, 12)
-        spec = spectral.spectrum_from_covariance(sigma, mass)
+        spec = spectral.eigensolve(spectral.transform(sigma, mass))
         lam, vt, vg = spec.eigenvalues, spec.tilde_vectors, spec.gen_vectors
         assert np.all(np.diff(lam) <= 0.0), "eigenvalues must descend"
         S = spectral.transform(sigma, mass).matrix
@@ -184,10 +184,10 @@ def test_align_signs_minimizes_distance_per_mode():
     rng = np.random.default_rng(53)
     mass = fem.assemble_mass(fem.build_space(1, 9))
     base = reference.random_symmetric(rng, 10)
-    ref = spectral.spectrum_from_covariance(base, mass)
-    pert = spectral.spectrum_from_covariance(
+    ref = spectral.eigensolve(spectral.transform(base, mass))
+    pert = spectral.eigensolve(spectral.transform(
         base + 0.05 * reference.random_symmetric(rng, 10), mass,
-        spectral.SOURCE_ESTIMATED)
+        spectral.SOURCE_ESTIMATED))
     aligned = spectral.align_signs(ref, pert)
     for ell in range(10):
         a = ref.tilde_vectors[:, ell]
@@ -315,6 +315,12 @@ def test_diagnostics_gap_condition_and_quarter_gap():
             "positive mixed gaps must give finite subspace bounds"
         assert diag.sandwich_interval[0] <= diag.weyl_bound \
             <= diag.sandwich_interval[1] + 1e-12
+        budget = planner.check_gap_condition(
+            planner.brownian_profile(s=0.5, calibration=dict(C1=1.3e-3)), 3,
+            space.mesh.h, diag.weyl_bound)
+        assert np.array_equal(budget.gap_condition_margin >= 0,
+                              diag.gap_condition_per_ell), \
+            "planner and diagnostics must judge the gap condition alike"
 
 
 def test_diagnostics_validates_rank():
