@@ -72,7 +72,7 @@ def _single(cfg):
 
 def cmd_sample(cfg, args):
     n, M, _ = _single(cfg)
-    exact = mercer.ExactSide(cfg.d, n, cfg.delta)
+    exact = mercer.ExactSide(cfg.d, n)
     batch = mercer.draw(cfg, exact, M, cfg.seed)
     path = os.path.join(cfg.out_dir, "batch.csv")
     artifacts.write_batch_csv(path, batch, cfg)
@@ -87,7 +87,7 @@ def cmd_sample(cfg, args):
 
 def cmd_estimate(cfg, args):
     n, M, _ = _single(cfg)
-    exact = mercer.ExactSide(cfg.d, n, cfg.delta)
+    exact = mercer.ExactSide(cfg.d, n)
     batch, cov = mercer.estimate(cfg, exact, M, cfg.seed)
     path = os.path.join(cfg.out_dir, "covariance.txt")
     artifacts.write_covariance(path, cov, cfg)
@@ -114,7 +114,7 @@ def cmd_estimate(cfg, args):
 
 def cmd_reconstruct(cfg, args):
     n, M, L = _single(cfg)
-    exact = mercer.ExactSide(cfg.d, n, cfg.delta)
+    exact = mercer.ExactSide(cfg.d, n)
     cov, spec, diag, report, p0 = mercer.replicate(cfg, exact, M, L, cfg.seed)
     neg = spec.eigenvalues[spec.eigenvalues < 0]
     payload = dict(

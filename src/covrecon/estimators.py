@@ -175,10 +175,3 @@ def subgaussian_diagnostic(batch):
     mom = moment_diagnostics(batch)
     return SubgaussianDiagnostic(mom.c_inf_hat, 4.0 * mom.c_inf_hat ** 2)
 
-
-def bandwidth(A, tol=0.0):
-    """Largest index offset with an entry of magnitude > tol (0 for diagonal)."""
-    A = np.asarray(A)
-    nz = np.abs(A) > tol
-    offs = np.abs(np.arange(A.shape[0])[:, None] - np.arange(A.shape[1])[None, :])
-    return int(np.max(offs[nz])) if np.any(nz) else 0

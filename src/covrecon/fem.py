@@ -1,13 +1,13 @@
 """P1 finite element spaces on the unit interval/square.
 
 Uniform lattice meshes of (0,1)^d for d in {1,2}, nodal hat-function bases,
-exact mass matrices with their Cholesky factors, composite Gauss rules and
-L2 projection.  Kernel norms are not computed here: the error split in
-`mercer` uses closed forms instead of quadrature.
+exact mass matrices with their Cholesky factors, and composite Gauss
+rules.  Kernel norms are not computed here: the error split in `mercer`
+uses closed forms instead of quadrature.
 
 Conventions
 -----------
-Points are passed to callables as arrays of shape (npts, d).
+Point blocks are arrays of shape (npts, d).
 
 Nodes are ordered lexicographically by coordinate tuple, so in 2D the flat
 index of lattice site (ix, iy) is ix*(n+1) + iy.
@@ -18,11 +18,6 @@ from numpy.polynomial.legendre import leggauss
 import scipy.linalg as sla
 
 from .errors import NumericError
-
-# Cap on the number of scalars held by one temporary block in chunked
-# basis evaluation (about 32 MB of float64).
-_CHUNK_SCALARS = 4_000_000
-
 
 class Mesh:
     """Uniform lattice on the closed unit cube.
@@ -206,33 +201,3 @@ def assemble_mass(space):
         space.mass = MassMatrix(space)
     return space.mass
 
-
-def l2_project(space, f, q=4):
-    """L2 projection of a scalar field onto the P1 space.
-
-    Solves G c = b with b_j = \\int f theta_j approximated by a composite
-    q-point Gauss rule per element per axis.  f receives points as an array
-    of shape (npts, dim) and must return shape (npts,).
-
-    Returns the coefficient vector c with ||G c - b||_inf <= 1e-10 ||b||_inf.
-    """
-    mass = assemble_mass(space)
-    pts, wts = quadrature_points(space, q)
-    Q = space.dof_count
-    b = np.zeros(Q)
-    step = max(1, _CHUNK_SCALARS // Q)
-    for start in range(0, len(pts), step):
-        sl = slice(start, start + step)
-        T = basis_matrix(space, pts[sl])
-        fv = np.asarray(f(pts[sl]), dtype=float).reshape(-1)
-        b += T.T @ (wts[sl] * fv)
-    c = sla.cho_solve((mass.chol, True), b)
-    # one step of iterative refinement tightens the residual when needed
-    resid = b - mass.matrix @ c
-    c = c + sla.cho_solve((mass.chol, True), resid)
-    scale = np.max(np.abs(b)) if np.max(np.abs(b)) > 0 else 1.0
-    resid_inf = np.max(np.abs(mass.matrix @ c - b))
-    if resid_inf > 1e-10 * scale:
-        raise NumericError(
-            "projection residual %.3e exceeds 1e-10 * ||b||_inf" % resid_inf)
-    return c

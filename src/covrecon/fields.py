@@ -1,8 +1,10 @@
-"""Gaussian random fields with known covariance and their KL oracles.
+"""Gaussian random fields with known covariance, and batch sampling.
 
-Centered Brownian motion on (0,1) and the Brownian sheet on (0,1)^2, their
-exact Karhunen-Loeve eigenpairs, and batch sampling of finite element
-coefficient vectors.
+Centered Brownian motion on (0,1) and the Brownian sheet on (0,1)^2.  One
+KlOracle per dimension is the whole field: its min-kernel covariance, its
+exact Karhunen-Loeve eigenpairs and gaps, and closed forms of the kernel
+against the P1 basis.  Batch sampling draws finite element coefficient
+vectors of the field.
 
 Sampling reproducibility contract: sample m of a batch with seed s is drawn
 from the substream ``Generator(Philox(SeedSequence(s)).jumped(m))``.  The
@@ -25,48 +27,6 @@ MODE_PROJECTION = "L2ProjectionOfTruncatedKL"
 _SAMPLE_CHUNK = 4096
 
 
-class AnalyticField:
-    """A centered Gaussian field with analytically known covariance.
-
-    Attributes
-    ----------
-    kind : "BrownianMotion1D" or "BrownianSheet2D"
-    dim : spatial dimension
-    s : reported smoothness 0.5 - delta
-    covariance : callable with the two-block convention R(X, Y) -> (a, b)
-    """
-
-    def __init__(self, kind, dim, s, covariance):
-        self.kind = kind
-        self.dim = dim
-        self.s = s
-        self.covariance = covariance
-
-
-def _min_kernel_1d(X, Y):
-    return np.minimum.outer(np.asarray(X)[:, 0], np.asarray(Y)[:, 0])
-
-
-def _min_kernel_2d(X, Y):
-    X = np.asarray(X)
-    Y = np.asarray(Y)
-    return (np.minimum.outer(X[:, 0], Y[:, 0])
-            * np.minimum.outer(X[:, 1], Y[:, 1]))
-
-
-def brownian_field(dim, delta=1e-3):
-    """Brownian motion (dim=1) or Brownian sheet (dim=2) on the unit cube.
-
-    delta is the smoothness-report offset: the field is reported with
-    s = 0.5 - delta since Brownian paths sit just below H^{1/2}.
-    """
-    if dim == 1:
-        return AnalyticField("BrownianMotion1D", 1, 0.5 - delta, _min_kernel_1d)
-    if dim == 2:
-        return AnalyticField("BrownianSheet2D", 2, 0.5 - delta, _min_kernel_2d)
-    raise ValueError("dim must be 1 or 2, got %r" % (dim,))
-
-
 def _lam1(ell):
     """1D eigenvalue pi^-2 (ell - 1/2)^-2."""
     return (np.pi ** -2) * (np.asarray(ell, dtype=float) - 0.5) ** -2
@@ -78,9 +38,12 @@ def _phi1(ell, x):
 
 
 class KlOracle:
-    """Exact KL eigenpairs of the Brownian min-kernel covariance.
+    """Brownian motion (dim=1) or the Brownian sheet (dim=2) on the unit cube:
+    its min-kernel covariance and exact KL eigenpairs.
 
-    eigenvalue(l) and eigenfunction(l, points) enumerate the spectrum in
+    kind is "BrownianMotion1D" or "BrownianSheet2D"; covariance(X, Y) is
+    the kernel R on two point blocks.  eigenvalue(l) and
+    eigenfunction(l, points) enumerate the spectrum in
     descending order; in 2D tensor pairs are sorted with multiplicity and a
     deterministic tie-break so the eigenfunction family stays orthonormal.
     gap(l) is the distance from eigenvalue l to the nearest *distinct*
@@ -92,9 +55,19 @@ class KlOracle:
         if dim not in (1, 2):
             raise ValueError("dim must be 1 or 2, got %r" % (dim,))
         self.dim = dim
+        self.kind = "BrownianMotion1D" if dim == 1 else "BrownianSheet2D"
         self._pairs = None
         if dim == 2:
             self._extend_pairs(64)
+
+    def covariance(self, X, Y):
+        """R(X, Y) = prod_k min(x_k, y_k) on blocks (a, dim), (b, dim) -> (a, b)."""
+        X = np.asarray(X)
+        Y = np.asarray(Y)
+        R = np.minimum.outer(X[:, 0], Y[:, 0])
+        if self.dim == 2:
+            R = R * np.minimum.outer(X[:, 1], Y[:, 1])
+        return R
 
     # -- 2D enumeration -------------------------------------------------
     def _extend_pairs(self, k):
@@ -232,11 +205,6 @@ def min_kernel_load(n):
             + off / (120.0 * n ** 3))
 
 
-def brownian_oracle(d):
-    """Exact KL oracle of Brownian motion (d=1) or the Brownian sheet (d=2)."""
-    return KlOracle(d)
-
-
 class SampleBatch:
     """M discretized field realizations as rows of coefficient vectors.
 
@@ -371,11 +339,10 @@ def _draw_nodal(space, M, seed, jitter):
 
 
 def _draw_projected(field, space, M, seed, kl_trunc, q):
-    oracle = brownian_oracle(field.dim)
     pts, wts = fem.quadrature_points(space, q)
     Phi = np.column_stack(
-        [oracle.eigenfunction(l, pts) for l in range(1, kl_trunc + 1)])
-    scale = np.sqrt([oracle.eigenvalue(l) for l in range(1, kl_trunc + 1)])
+        [field.eigenfunction(l, pts) for l in range(1, kl_trunc + 1)])
+    scale = np.sqrt([field.eigenvalue(l) for l in range(1, kl_trunc + 1)])
     mass = fem.assemble_mass(space)
     T = fem.basis_matrix(space, pts)
     TW = wts[:, None] * T

@@ -33,8 +33,10 @@ class MercerKernel:
         Q = space.dof_count
         if not 1 <= L <= Q:
             raise ValueError("truncation rank L=%r must lie in [1, %d]" % (L, Q))
-        assert eigenvalues.shape == (L,) and vectors.shape == (Q, L), \
-            "spectral data shapes inconsistent with L=%d, Q=%d" % (L, Q)
+        if eigenvalues.shape != (L,) or vectors.shape != (Q, L):
+            raise ValueError("spectral data shapes %r, %r inconsistent with "
+                             "L=%d, Q=%d"
+                             % (eigenvalues.shape, vectors.shape, L, Q))
         eigenvalues.setflags(write=False)
         vectors.setflags(write=False)
         self.space = space
@@ -57,14 +59,6 @@ def kernel_matrix(kernel, X, Y):
     BX = fem.basis_matrix(kernel.space, X) @ kernel.vectors
     BY = fem.basis_matrix(kernel.space, Y) @ kernel.vectors
     return (BX * kernel.eigenvalues) @ BY.T
-
-
-def eval(kernel, x, xprime):
-    """Pointwise kernel value at two points of the closed unit cube."""
-    d = kernel.space.mesh.dim
-    X = np.asarray(x, dtype=float).reshape(1, d)
-    Y = np.asarray(xprime, dtype=float).reshape(1, d)
-    return float(kernel_matrix(kernel, X, Y)[0, 0])
 
 
 class ErrorReport:
@@ -92,42 +86,44 @@ class ErrorReport:
         self.near_degenerate_split = near_degenerate_split
 
 
-def error_decomposition(field, oracle, exact_spec, est_spec, L):
+def error_decomposition(field, exact_spec, est_spec, L):
     """Split the reconstruction error of an estimated rank-L kernel, exactly.
 
-    With analytic pairs (lambda_l, phi_l), exact discrete (mu_m, Phi_m) and
-    estimated (mu^_m, Phi^_m), l, m <= L, moments s_l = oracle.moments and
-    Phi~ = (L^G)^T Phi (where a P1 kernel's L2 norm is a Frobenius norm):
+    With analytic pairs (lambda_l, phi_l) of the field (a fields.KlOracle),
+    exact discrete (mu_m, Phi_m) and estimated (mu^_m, Phi^_m), l, m <= L,
+    moments s_l = field.moments and Phi~ = (L^G)^T Phi (where a P1 kernel's
+    L2 norm is a Frobenius norm):
 
       e1^2    = sum_{l>L} lambda_l^2
       e2^2    = ||lambda||^2 + ||mu||^2 - 2 sum lambda_l mu_m (s_l . Phi_m)^2
       e3      = ||sum mu Phi~ Phi~^T - sum mu^ Phi^~ Phi^~^T||_F
       total^2 = 6^-d - 2 sum mu^_m Phi^_m^T B Phi^_m + ||mu^||^2
 
-    with B the kernel load matrix (oracle.kernel_forms).  Every term is a
+    with B the kernel load matrix (field.kernel_forms).  Every term is a
     sum of dyads lambda phi (x) phi, so eigenvector signs drop out.
     """
     if exact_spec.dof_count != est_spec.dof_count:
         raise ValueError("spectra live on different spaces: %d vs %d dofs"
                          % (exact_spec.dof_count, est_spec.dof_count))
     space = exact_spec.mass.space
-    if not field.dim == oracle.dim == space.mesh.dim:
-        raise ValueError("field, oracle and mesh dimensions differ")
+    if field.dim != space.mesh.dim:
+        raise ValueError("field dimension %d does not match mesh dimension %d"
+                         % (field.dim, space.mesh.dim))
     L = int(L)
     if not 1 <= L <= exact_spec.dof_count:
         raise ValueError("truncation rank L=%r must lie in [1, %d]"
                          % (L, exact_spec.dof_count))
-    lams = np.array([oracle.eigenvalue(l) for l in range(1, L + 1)])
+    lams = np.array([field.eigenvalue(l) for l in range(1, L + 1)])
     mu, mu_est = exact_spec.eigenvalues[:L], est_spec.eigenvalues[:L]
     vt, vt_est = exact_spec.tilde_vectors[:, :L], est_spec.tilde_vectors[:, :L]
 
-    cross = oracle.moments(space, L) @ exact_spec.gen_vectors[:, :L]
-    e1 = float(np.sqrt(oracle.tail_sq(L)))
+    cross = field.moments(space, L) @ exact_spec.gen_vectors[:, :L]
+    e1 = float(np.sqrt(field.tail_sq(L)))
     e2_sq = lams @ lams + mu @ mu - 2.0 * lams @ cross ** 2 @ mu
     e2 = float(np.sqrt(max(e2_sq, 0.0)))  # e2^2 can round below 0
     e3 = float(np.linalg.norm((vt * mu) @ vt.T - (vt_est * mu_est) @ vt_est.T))
-    forms = oracle.kernel_forms(space, est_spec.gen_vectors[:, :L])
-    total = float(np.sqrt(oracle.sum_sq_total() - 2.0 * forms @ mu_est
+    forms = field.kernel_forms(space, est_spec.gen_vectors[:, :L])
+    total = float(np.sqrt(field.sum_sq_total() - 2.0 * forms @ mu_est
                           + mu_est @ mu_est))  # rank L: total >= e1 > 0
 
     lam = exact_spec.eigenvalues
@@ -144,13 +140,13 @@ def error_decomposition(field, oracle, exact_spec, est_spec, L):
 class ExactSide:
     """The sample-free half of a replication on the n-element mesh.
 
-    mass, sigma (the exact nodal covariance), s_exact and spectrum are built
-    on first use, so drawing or estimating alone never eigensolves.
+    field is the Brownian field of dimension d (a fields.KlOracle).  mass,
+    sigma (the exact nodal covariance), s_exact and spectrum are built on
+    first use, so drawing or estimating alone never eigensolves.
     """
 
-    def __init__(self, d, n, delta):
-        self.field = fields.brownian_field(d, delta)
-        self.oracle = fields.brownian_oracle(d)
+    def __init__(self, d, n):
+        self.field = fields.KlOracle(d)
         self.space = fem.build_space(d, n)
 
     @functools.cached_property
@@ -205,13 +201,10 @@ def replicate(config, exact, M, L, seed):
     spec = spectral.eigensolve(s_est)
     cal = config.calibration
     diag = spectral.diagnostics(exact.spectrum, spec, exact.s_exact, s_est,
-                                exact.oracle, L, C1=cal["C1"], C=cal["C"],
+                                exact.field, L, C1=cal["C1"], C=cal["C"],
                                 s=config.s)
-    errors = error_decomposition(exact.field, exact.oracle, exact.spectrum,
-                                 spec, L)
-    profile = planner.brownian_profile(d=config.d, s=config.s,
-                                       alpha=config.alpha, calibration=cal)
-    p0 = planner.p0_bound(profile, Q, max(cov.tau, 2), cov.M, L)
+    errors = error_decomposition(exact.field, exact.spectrum, spec, L)
+    p0 = planner.p0_bound(exact.field, cal, Q, max(cov.tau, 2), cov.M, L)
     return Replication(cov, spec, diag, errors, p0)
 
 
@@ -277,7 +270,7 @@ def study_cells(config):
 def run_cell(config, index, L, n, M):
     """Run all replications of one study cell and aggregate them."""
     try:
-        exact = ExactSide(config.d, n, config.delta)
+        exact = ExactSide(config.d, n)
         totals, e3s = [], []
         gap_fail = 0
         for rep in range(config.n_rep):
@@ -288,7 +281,7 @@ def run_cell(config, index, L, n, M):
             gap_fail += not r.diagnostics.gap_condition_ok
         # e1, e2, tau and p0 do not depend on the samples: the last r has them
         lam1_dev = abs(exact.spectrum.eigenvalues[0]
-                       - exact.oracle.eigenvalue(1))
+                       - exact.field.eigenvalue(1))
         stderr = float(np.std(totals, ddof=1) / np.sqrt(len(totals))) \
             if len(totals) > 1 else 0.0
         return CellResult(index, L, n, M, ok=True,

@@ -1,10 +1,10 @@
 """A-priori parameter planning for covariance reconstruction.
 
-Given a spectral profile (eigenvalue oracle, smoothness s, dimension d,
-decay exponent alpha, growth exponent gamma, calibration constants) and a
-target accuracy epsilon, the planner couples the truncation rank L, the
-sample count M and the mesh width h so the three error contributions all
-sit below epsilon.  Three regimes are distinguished by which term of the
+Given a spectral profile (eigenvalue oracle with its dimension d,
+smoothness s, decay exponent alpha, growth exponent gamma, calibration
+constants) and a target accuracy epsilon, the planner couples the
+truncation rank L, the sample count M and the mesh width h so the three
+error contributions all sit below epsilon.  Three regimes are distinguished by which term of the
 estimator rate dominates:
 
   1 SmallQh           - dof count below the tapering bandwidth; plain MLE.
@@ -22,9 +22,9 @@ import math
 
 import numpy as np
 
-from . import spectral
-from .errors import DegenerateSpectrumError, InfeasiblePlanError
-from .fields import brownian_oracle
+from .errors import (DegenerateSpectrumError, InfeasiblePlanError,
+                     NumericError)
+from .fields import KlOracle
 
 DEFAULT_CALIBRATION = dict(C1=1.0, C2=1.0, C=1.0, h0=0.5, rho1=1.0,
                            lambda_max_mass=1.0, beta=0.1)
@@ -39,7 +39,7 @@ _SEARCH_LIMIT = 10 ** 18
 class SpectralProfile:
     """Everything the planner needs to know about the target field."""
 
-    def __init__(self, oracle, s, d, alpha, gamma, calibration=None):
+    def __init__(self, oracle, s, alpha, gamma, calibration=None):
         if gamma < 0.5:
             raise ValueError("gamma must be >= 1/2, got %r" % (gamma,))
         cal = dict(DEFAULT_CALIBRATION)
@@ -51,7 +51,7 @@ class SpectralProfile:
                                  % (key, val))
         self.oracle = oracle
         self.s = float(s)
-        self.d = int(d)
+        self.d = int(oracle.dim)
         self.alpha = float(alpha)
         self.gamma = float(gamma)
         self.calibration = cal
@@ -59,13 +59,13 @@ class SpectralProfile:
 
 def brownian_profile(d=1, s=0.5, alpha=1.0, gamma=1.5, calibration=None):
     """Profile of the Brownian field: eigenvalue ratios grow like L^{3/2}."""
-    return SpectralProfile(brownian_oracle(d), s, d, alpha, gamma, calibration)
+    return SpectralProfile(KlOracle(d), s, alpha, gamma, calibration)
 
 
-def _gaps(profile, L):
+def _gaps(oracle, L):
     if L < 1:
         raise ValueError("L must be >= 1, got %r" % (L,))
-    gaps = np.array([profile.oracle.gap(l) for l in range(1, L + 1)])
+    gaps = np.array([oracle.gap(l) for l in range(1, L + 1)])
     if np.any(gaps <= 0):
         raise DegenerateSpectrumError(
             "zero spectral gap at index %d; eigenvalue ratios are undefined"
@@ -76,64 +76,34 @@ def _gaps(profile, L):
 def g_of_l(profile, L):
     """Root sum of squared eigenvalue-to-gap ratios over the first L modes."""
     lams = np.array([profile.oracle.eigenvalue(l) for l in range(1, L + 1)])
-    return float(np.sqrt(np.sum((lams / _gaps(profile, L)) ** 2)))
+    return float(np.sqrt(np.sum((lams / _gaps(profile.oracle, L)) ** 2)))
 
 
 def h_of_l(profile, L):
     """Squared worst gap over the first L modes, scaled by 48^-2."""
-    return float(np.min(_gaps(profile, L)) ** 2 / 2304.0)
+    return float(np.min(_gaps(profile.oracle, L)) ** 2 / 2304.0)
 
 
-def p0_bound(profile, Q_h, tau, M, L):
+def p0_bound(oracle, calibration, Q_h, tau, M, L):
     """Lower bound on the probability that all L spectral gaps survive.
 
-    1 - 2 Q_h 5^tau exp(-M rho1 (min gap / (48 lambda_max(G)))^2), clamped
-    to [0, 1] and evaluated in log space so large tau cannot overflow.
+    1 - 2 Q_h 5^tau exp(-M rho1 (min gap / (48 lambda_max(G)))^2), with the
+    gaps of the oracle and rho1, lambda_max(G) = lambda_max_mass from the
+    calibration, clamped to [0, 1] and evaluated in log space so large tau
+    cannot overflow.
     """
     if Q_h < 1 or L < 1 or M < 0:
         raise ValueError("p0_bound needs Q_h >= 1, L >= 1, M >= 0")
     tau = int(tau)
     if tau < 2 or tau % 2 != 0:
         raise ValueError("tau must be a positive even integer, got %r" % (tau,))
-    cal = profile.calibration
-    min_gap = float(np.min(_gaps(profile, L)))
-    arg = (min_gap / (48.0 * cal["lambda_max_mass"])) ** 2
-    log_fail = math.log(2.0 * Q_h) + tau * math.log(5.0) - M * cal["rho1"] * arg
+    min_gap = float(np.min(_gaps(oracle, L)))
+    arg = (min_gap / (48.0 * calibration["lambda_max_mass"])) ** 2
+    log_fail = (math.log(2.0 * Q_h) + tau * math.log(5.0)
+                - M * calibration["rho1"] * arg)
     if log_fail >= 0.0:
         return 0.0
     return float(-math.expm1(log_fail))
-
-
-class GapBudget:
-    """Spectral-gap budget of a truncation level at a given mesh width."""
-
-    def __init__(self, G_of_L, H_of_L, p0, margins, c2_condition_ok):
-        self.G_of_L = G_of_L
-        self.H_of_L = H_of_L
-        self.p0 = p0
-        self.gap_condition_margin = margins
-        self.gap_condition_ok = bool(np.all(margins >= 0))
-        self.c2_condition_ok = c2_condition_ok
-
-
-def check_gap_condition(profile, L, h, stiffness_diff_norm,
-                        Q_h=None, tau=None, M=None):
-    """Margins of the spectral-gap condition at mesh width h, per mode as in
-    spectral.gap_condition_margins.  Also flags the calibration-dependent
-    smallness condition C2 h^s / lambda_L <= 1.  p0 is filled in when
-    (Q_h, tau, M) are given.
-    """
-    cal = profile.calibration
-    if not 0.0 < h <= cal["h0"]:
-        raise ValueError("h=%r must lie in (0, h0=%r]" % (h, cal["h0"]))
-    margins = spectral.gap_condition_margins(
-        _gaps(profile, L), profile.oracle, h, profile.s, cal["C1"],
-        stiffness_diff_norm)
-    lam_L = profile.oracle.eigenvalue(L)
-    c2_ok = bool(cal["C2"] * h ** profile.s / lam_L <= 1.0)
-    p0 = p0_bound(profile, Q_h, tau, M, L) \
-        if None not in (Q_h, tau, M) else float("nan")
-    return GapBudget(g_of_l(profile, L), h_of_l(profile, L), p0, margins, c2_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +148,8 @@ def int_threshold(pred, peak):
             hi = mid
         else:
             lo = mid
-    assert pred(hi) and not pred(hi - 1), "threshold postcondition failed"
+    if not pred(hi) or pred(hi - 1):
+        raise NumericError("threshold postcondition failed at M=%d" % (hi,))
     return hi
 
 
@@ -279,10 +250,12 @@ class PlanResult:
         self.p0_planned = p0_planned
         self.notes = notes
         self.candidates = candidates or []
-        assert L_eps >= 1 and M_eps >= 1, "planned L and M must be >= 1"
-        if feasible:
-            assert 0.0 < h_eps <= self.h_interval[1] + 1e-300, \
-                "planned h escapes its admissible interval"
+        if not (L_eps >= 1 and M_eps >= 1):
+            raise NumericError("planned L=%r and M=%r must be >= 1"
+                               % (L_eps, M_eps))
+        if feasible and not 0.0 < h_eps <= self.h_interval[1] + 1e-300:
+            raise NumericError("planned h=%r escapes its admissible interval "
+                               "%r" % (h_eps, self.h_interval))
 
 
 def truncation_rank(epsilon, d, s):
@@ -352,8 +325,10 @@ def _plan_case(profile, epsilon, L, case_tag):
             thresholds["M_tilde"] = m_tilde
             thresholds["M_tilde_productlog"] = _tilde_crosscheck(
                 L, epsilon, alpha, rhoH)
-            assert abs(m_tilde - thresholds["M_tilde_productlog"]) <= 1, \
-                "integer search and product-log threshold disagree"
+            if abs(m_tilde - thresholds["M_tilde_productlog"]) > 1:
+                raise NumericError(
+                    "integer search M_tilde=%d and product-log threshold %d "
+                    "disagree" % (m_tilde, thresholds["M_tilde_productlog"]))
             expo = (2.0 * (2.0 * s + d) * beta + 2.0 * s * d * gamma) / (s * d)
             m_terms = [("M_tilde", m_tilde),
                        ("beta_rate", _iceil(L ** expo * epsilon ** -2.0))]
@@ -394,7 +369,7 @@ def _plan_case(profile, epsilon, L, case_tag):
     if feasible:
         tau = max(2 * math.ceil(M ** (1.0 / (2.0 * alpha + 1.0)) / 2.0), 2)
         Q_h = int(round(1.0 / h) + 1) ** d
-        p0 = p0_bound(profile, Q_h, tau, M, L)
+        p0 = p0_bound(profile.oracle, cal, Q_h, tau, M, L)
     else:
         p0 = float("nan")
     return PlanResult(epsilon, case_tag, L, M, h, interval, thresholds,

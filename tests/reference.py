@@ -39,6 +39,17 @@ def brownian_min_gap(L):
     return min(brownian_gap(ell) for ell in range(1, L + 1))
 
 
+def gap_condition_margins(L, h, s, C1, stiffness_diff_norm):
+    """Spectral-gap condition margins of the 1d Brownian spectrum, one per
+    ell = 1..L: gap_ell - (4 C1 h^{2s} / lambda_{ell+1} + 4 ||S-tilde diff||),
+    from the closed-form gaps and eigenvalues."""
+    return np.array([
+        brownian_gap(ell) - (4.0 * C1 * h ** (2.0 * s)
+                             / brownian_lambda(ell + 1)
+                             + 4.0 * stiffness_diff_norm)
+        for ell in range(1, L + 1)])
+
+
 def sheet_eigenvalues(count, grid=200):
     """First `count` eigenvalues of the 2d product (Brownian sheet) kernel,
     by brute enumeration of index pairs and a descending sort."""
@@ -216,6 +227,14 @@ def taper_weight_brute(tau, dist):
     if dist < tau:
         return 2.0 * (1.0 - dist / tau)
     return 0.0
+
+
+def bandwidth(A, tol=0.0):
+    """Largest index offset with an entry of magnitude > tol (0 for diagonal)."""
+    A = np.asarray(A)
+    nz = np.abs(A) > tol
+    offs = np.abs(np.arange(A.shape[0])[:, None] - np.arange(A.shape[1])[None, :])
+    return int(np.max(offs[nz])) if np.any(nz) else 0
 
 
 def banded_tail_brute(matrix, c):

@@ -12,13 +12,12 @@ from covrecon import mercer
 
 @functools.lru_cache(maxsize=None)
 def brownian_setup(d, n):
-    """Field, oracle, space, mass, exact covariance/stiffness/spectrum for
-    the Brownian field on the n-element mesh: the pipeline's exact side.
+    """Field (its KL oracle), space, mass, exact covariance/stiffness/spectrum
+    for the Brownian field on the n-element mesh: the pipeline's exact side.
     Cached: everything returned is deterministic and treated as read-only
     by the tests."""
-    ex = mercer.ExactSide(d, n, 1e-3)
-    return (ex.field, ex.oracle, ex.space, ex.mass, ex.sigma, ex.s_exact,
-            ex.spectrum)
+    ex = mercer.ExactSide(d, n)
+    return (ex.field, ex.space, ex.mass, ex.sigma, ex.s_exact, ex.spectrum)
 
 
 def make_config(**overrides):

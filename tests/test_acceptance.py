@@ -25,7 +25,7 @@ from covrecon import cli, estimators, fields, mercer, planner, spectral
 
 def test_criterion_01():
     """Brownian eigenvalue oracle reproduces the closed forms exactly."""
-    oracle = fields.brownian_oracle(1)
+    oracle = fields.KlOracle(1)
     lam1, lam2 = oracle.eigenvalue(1), oracle.eigenvalue(2)
     assert abs(lam1 - 4.0 / math.pi ** 2) <= 1e-12
     assert abs(lam2 - 4.0 / (9.0 * math.pi ** 2)) <= 1e-12
@@ -36,7 +36,7 @@ def test_criterion_01():
 def test_criterion_02():
     """Galerkin eigenvalues converge monotonically with order >= 1.5 in h."""
     start = time.perf_counter()
-    oracle = fields.brownian_oracle(1)
+    oracle = fields.KlOracle(1)
     exact = np.array([oracle.eigenvalue(l) for l in range(1, 6)])
     ns = [8, 16, 32, 64, 128]
     devs = []
@@ -134,14 +134,14 @@ def test_criterion_05():
     """Whenever the gap condition passes, the mixed gap keeps a quarter
     of the continuous gap -- zero violations over 20 seeded runs, and the
     condition itself holds at mode 1 every time (the check is not vacuous)."""
-    field, oracle, space, mass, _, s_exact, spec = support.brownian_setup(1, 32)
+    field, space, mass, _, s_exact, spec = support.brownian_setup(1, 32)
     passing_modes = 0
     for seed in range(20):
         batch = fields.draw_batch(field, space, 10_000, seed=seed)
         cov = estimators.mle_covariance(batch)
         s_est = spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED)
         est = spectral.eigensolve(s_est)
-        diag = spectral.diagnostics(spec, est, s_exact, s_est, oracle, 3,
+        diag = spectral.diagnostics(spec, est, s_exact, s_est, field, 3,
                                     C1=1.3e-3)
         assert diag.theorem_consistent, \
             "seed %d: quarter-gap failed under a passing condition" % (seed,)
@@ -153,7 +153,7 @@ def test_criterion_05():
 
 def test_criterion_06():
     """The truncation error falls like L^{-3/2} on the Brownian tail."""
-    oracle = fields.brownian_oracle(1)
+    oracle = fields.KlOracle(1)
     Ls = np.arange(2, 33)
     e1 = np.array([math.sqrt(oracle.tail_sq(int(L))) for L in Ls])
     slope = reference.loglog_slope(Ls.astype(float), e1)

@@ -1,5 +1,7 @@
 """Command-line interface, configuration loading, and artifact formats."""
 
+import ast
+import glob
 import json
 import math
 import os
@@ -11,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+import reference
 import support
 import covrecon
 from covrecon import artifacts, cli, estimators, mercer
@@ -249,7 +252,7 @@ def test_cli_estimate_tapered_band(tmp_path):
     assert cov.estimator_kind == "Tapered" and cov.alpha == 1.0
     assert cov.tau == 4, \
         "tau(M=100)=6 exceeds Q_h=5 and must clamp to the even value 4"
-    assert estimators.bandwidth(cov.matrix) <= cov.tau - 1
+    assert reference.bandwidth(cov.matrix) <= cov.tau - 1
 
 
 def test_cli_reconstruct_exact_mode(tmp_path, capsys):
@@ -518,3 +521,16 @@ def test_installed_console_script(tmp_path):
     # A script left on PATH by another checkout reports another version.
     assert proc.stdout.strip() == __version__
     check_plan_command([script], tmp_path)
+
+
+def test_library_has_no_asserts():
+    # python -O strips assert statements, so every library invariant must
+    # raise explicitly instead
+    pkg = os.path.dirname(os.path.abspath(covrecon.__file__))
+    found = []
+    for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        found += ["%s:%d" % (os.path.basename(path), node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, "assert statements in the library: %s" % (found,)

@@ -30,7 +30,7 @@ def test_sample_mean_basics():
 
 def test_sample_mean_concentrates():
     space = fem.build_space(1, 4)
-    field = fields.brownian_field(1)
+    field = fields.KlOracle(1)
     M = 100_000
     batch = fields.draw_batch(field, space, M, seed=41)
     mean = estimators.sample_mean(batch)
@@ -59,7 +59,7 @@ def test_mle_divisor_and_degenerate_batches():
 def test_mle_operator_error_rate_in_m():
     # fixed Q: mean opnorm error of the MLE decays like M^{-1/2}
     space = fem.build_space(1, 8)
-    field = fields.brownian_field(1)
+    field = fields.KlOracle(1)
     sigma = fields.exact_discrete_covariance(field, space)
     Ms = [500, 2000, 8000]
     means = []
@@ -102,21 +102,21 @@ def test_tapering_weights_vectorized_and_validated():
 
 def test_taper_bandwidth_selection():
     space = fem.build_space(1, 100)
-    field = fields.brownian_field(1)
+    field = fields.KlOracle(1)
     for M, tau in ((1000, 10), (100, 6), (200, 6), (2000, 14)):
         batch = fields.draw_batch(field, space, M, seed=M)
         cov = estimators.estimate_covariance(batch, alpha=1.0)
         assert cov.tau == tau, \
             "M=%d must select tau=%d, got %d" % (M, tau, cov.tau)
         assert cov.estimator_kind == "Tapered" and cov.alpha == 1.0
-        assert estimators.bandwidth(cov.matrix) <= tau - 1, \
+        assert reference.bandwidth(cov.matrix) <= tau - 1, \
             "entries at offsets >= tau must be exactly zero"
         assert np.array_equal(cov.matrix, cov.matrix.T)
 
 
 def test_taper_small_matrix_returned_unchanged():
     space = fem.build_space(1, 2)  # Q=3 < 1e6^{1/3}=100
-    field = fields.brownian_field(1)
+    field = fields.KlOracle(1)
     batch = fields.draw_batch(field, space, 8, seed=1)
     mle = estimators.mle_covariance(batch)
     # fake a huge sample count: Q < M^{1/(2a+1)} leaves the MLE untouched
@@ -131,7 +131,7 @@ def test_taper_clamps_to_matrix_size():
     # Q=9, M=614: raw bandwidth 614^{1/3}=8.50 rounds up to 10 > Q, so the
     # even clamp must fall back to 8
     space = fem.build_space(1, 8)
-    field = fields.brownian_field(1)
+    field = fields.KlOracle(1)
     batch = fields.draw_batch(field, space, 614, seed=2)
     cov = estimators.estimate_covariance(batch, alpha=1.0)
     assert cov.tau == 8, "expected clamped tau=8, got %d" % cov.tau
@@ -139,7 +139,7 @@ def test_taper_clamps_to_matrix_size():
 
 def test_taper_never_increases_magnitudes():
     space = fem.build_space(1, 20)
-    field = fields.brownian_field(1)
+    field = fields.KlOracle(1)
     batch = fields.draw_batch(field, space, 200, seed=8)
     mle = estimators.mle_covariance(batch)
     tap = estimators.taper(mle, alpha=1.0)
@@ -151,7 +151,7 @@ def test_taper_never_increases_magnitudes():
 
 def test_estimate_covariance_dispatch():
     space = fem.build_space(1, 8)
-    field = fields.brownian_field(1)
+    field = fields.KlOracle(1)
     batch = fields.draw_batch(field, space, 50, seed=3)
     assert estimators.estimate_covariance(batch).estimator_kind == "MLE"
     assert estimators.estimate_covariance(batch, alpha=1.0).estimator_kind \
@@ -222,7 +222,7 @@ def test_decay_constant_grows_with_dof_count():
     # the Brownian covariance does not decay off the diagonal: tail sums
     # scale like 1/h and the optimal cutoff like Q, so the fitted constant
     # grows ~quadratically in Q -- the field is *not* in a fixed decay class
-    field = fields.brownian_field(1)
+    field = fields.KlOracle(1)
     ests = []
     for n in (16, 32):
         sigma = fields.exact_discrete_covariance(field, fem.build_space(1, n))
@@ -239,7 +239,7 @@ def test_decay_constant_grows_with_dof_count():
 
 def test_subgaussian_diagnostic_scaling():
     space = fem.build_space(1, 8)
-    field = fields.brownian_field(1)
+    field = fields.KlOracle(1)
     batch = fields.draw_batch(field, space, 5000, seed=21)
     diag = estimators.subgaussian_diagnostic(batch)
     assert diag.rho_inv_nodal == 4.0 * diag.c_inf_hat ** 2
@@ -256,11 +256,11 @@ def test_subgaussian_diagnostic_scaling():
 
 def test_operator_norm_and_bandwidth():
     assert spectral.operator_norm(np.diag([3.0, -4.0, 1.0])) == 4.0
-    assert estimators.bandwidth(np.eye(5)) == 0
+    assert reference.bandwidth(np.eye(5)) == 0
     tri = np.eye(5) + np.diag(np.ones(4), 1) + np.diag(np.ones(4), -1)
-    assert estimators.bandwidth(tri) == 1
-    assert estimators.bandwidth(np.zeros((4, 4))) == 0
-    assert estimators.bandwidth(tri, tol=1.5) == 0
+    assert reference.bandwidth(tri) == 1
+    assert reference.bandwidth(np.zeros((4, 4))) == 0
+    assert reference.bandwidth(tri, tol=1.5) == 0
 
 
 def test_tapered_covariance_validation():

@@ -175,51 +175,6 @@ def test_mass_quadratic_form_sandwich():
 
 
 # ---------------------------------------------------------------------------
-# L2 projection
-# ---------------------------------------------------------------------------
-
-def test_project_reproduces_p1_functions():
-    space = fem.build_space(1, 7)
-    ones = fem.l2_project(space, lambda X: np.ones(X.shape[0]))
-    assert np.max(np.abs(ones - 1.0)) <= 1e-12, \
-        "constants are in the space and must project to themselves"
-    lin = fem.l2_project(space, lambda X: X[:, 0])
-    assert np.max(np.abs(lin - space.mesh.nodes[:, 0])) <= 1e-12
-    space2 = fem.build_space(2, 3)
-    plane = fem.l2_project(space2, lambda X: X[:, 0] + 2.0 * X[:, 1])
-    nodes = space2.mesh.nodes
-    assert np.max(np.abs(plane - nodes[:, 0] - 2.0 * nodes[:, 1])) <= 1e-12
-
-
-def test_project_quadratic_against_dense_reference():
-    n = 4
-    space = fem.build_space(1, n)
-    c = fem.l2_project(space, lambda X: X[:, 0] ** 2)
-    # independent dense route: quadrature mass and load at high order
-    pts, wts = reference.gauss_points_1d(n, 10)
-    T = reference.hat_values_1d(n, pts)
-    ref = np.linalg.solve(T.T @ (wts[:, None] * T), T.T @ (wts * pts ** 2))
-    assert np.max(np.abs(c - ref)) <= 1e-10
-    # projection error at the nodes is O(h^2) with C = 1 explicit
-    h = space.mesh.h
-    assert np.max(np.abs(c - space.mesh.nodes[:, 0] ** 2)) <= 1.0 * h ** 2
-
-
-def test_project_satisfies_orthogonality_residual():
-    # cubic data: hat-times-f is degree 4, integrated exactly at q=4 by both
-    # routes, so G c - b isolates the linear-solve residual contract
-    space = fem.build_space(1, 16)
-    f = lambda X: X[:, 0] ** 3
-    c = fem.l2_project(space, f, q=4)
-    pts, wts = reference.gauss_points_1d(16, 10)
-    T = reference.hat_values_1d(16, pts)
-    b = T.T @ (wts * f(pts[:, None]))
-    resid = fem.assemble_mass(space).matrix @ c - b
-    assert np.max(np.abs(resid)) <= 1e-10 * np.max(np.abs(b)), \
-        "projection residual exceeds the advertised 1e-10 relative bound"
-
-
-# ---------------------------------------------------------------------------
 # kernel L2 norms (the quadrature oracle of reference.py)
 # ---------------------------------------------------------------------------
 

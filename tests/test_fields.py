@@ -1,4 +1,5 @@
-"""Analytic fields, the KL oracle, batch sampling and moment diagnostics."""
+"""The Brownian field object (kernel and KL oracle), batch sampling and
+moment diagnostics."""
 
 import numpy as np
 import pytest
@@ -14,19 +15,21 @@ from covrecon.errors import NumericError
 # ---------------------------------------------------------------------------
 
 def test_field_kinds_and_regularity():
-    f1 = fields.brownian_field(1)
+    f1 = fields.KlOracle(1)
     assert f1.kind == "BrownianMotion1D" and f1.dim == 1
-    assert f1.s == 0.5 - 1e-3, "default regularity must be 0.5 - delta"
-    f2 = fields.brownian_field(2, delta=1e-2)
-    assert f2.kind == "BrownianSheet2D" and f2.s == 0.5 - 1e-2
+    f2 = fields.KlOracle(2)
+    assert f2.kind == "BrownianSheet2D" and f2.dim == 2
     with pytest.raises(ValueError):
-        fields.brownian_field(3)
+        fields.KlOracle(3)
+    # the field carries no smoothness: the pipeline reads it from the config
+    assert support.make_config(d=2, delta=1e-2).s == 0.5 - 1e-2, \
+        "default regularity must be 0.5 - delta"
 
 
 def test_field_covariance_symmetry_and_psd():
     rng = np.random.default_rng(3)
     for d in (1, 2):
-        field = fields.brownian_field(d)
+        field = fields.KlOracle(d)
         for trial in range(3):
             pts = rng.random((20, d))
             C = field.covariance(pts, pts)
@@ -36,11 +39,11 @@ def test_field_covariance_symmetry_and_psd():
 
 
 def test_field_covariance_values():
-    field = fields.brownian_field(1)
+    field = fields.KlOracle(1)
     X = np.array([[0.2], [0.7]])
     C = field.covariance(X, X)
     assert np.allclose(C, [[0.2, 0.2], [0.2, 0.7]], atol=1e-15)
-    field2 = fields.brownian_field(2)
+    field2 = fields.KlOracle(2)
     X2 = np.array([[0.5, 0.25], [1.0, 1.0]])
     C2 = field2.covariance(X2, X2)
     assert abs(C2[0, 0] - 0.125) <= 1e-15, "sheet variance is the product x1*x2"
@@ -52,7 +55,7 @@ def test_field_covariance_values():
 # ---------------------------------------------------------------------------
 
 def test_oracle_1d_eigenvalues():
-    o = fields.brownian_oracle(1)
+    o = fields.KlOracle(1)
     assert abs(o.eigenvalue(1) - 4.0 / np.pi ** 2) <= 1e-12 * o.eigenvalue(1)
     assert abs(o.eigenvalue(2) - 4.0 / (9.0 * np.pi ** 2)) <= 1e-15
     lams = [o.eigenvalue(l) for l in range(1, 51)]
@@ -61,7 +64,7 @@ def test_oracle_1d_eigenvalues():
 
 
 def test_oracle_1d_gap_identities():
-    o = fields.brownian_oracle(1)
+    o = fields.KlOracle(1)
     ratio = o.eigenvalue(1) / o.gap(1)
     assert abs(ratio - 9.0 / 8.0) <= 1e-14, \
         "lambda_1 / gap_1 must equal 9/8 (the pi^2 factors cancel)"
@@ -71,7 +74,7 @@ def test_oracle_1d_gap_identities():
 
 
 def test_oracle_1d_eigenfunctions_orthonormal():
-    o = fields.brownian_oracle(1)
+    o = fields.KlOracle(1)
     x, w = np.polynomial.legendre.leggauss(256)
     pts = (x[:, None] + 1.0) / 2.0
     w = w / 2.0
@@ -82,7 +85,7 @@ def test_oracle_1d_eigenfunctions_orthonormal():
 
 
 def test_oracle_1d_eigenfunction_values():
-    o = fields.brownian_oracle(1)
+    o = fields.KlOracle(1)
     pts = np.array([[0.5]])
     # sqrt(2) sin((l - 1/2) pi x)
     assert abs(o.eigenfunction(1, pts)[0]
@@ -92,7 +95,7 @@ def test_oracle_1d_eigenfunction_values():
 
 
 def test_oracle_validation():
-    o = fields.brownian_oracle(1)
+    o = fields.KlOracle(1)
     with pytest.raises(ValueError):
         o.eigenvalue(0)
     with pytest.raises(ValueError):
@@ -100,7 +103,7 @@ def test_oracle_validation():
     with pytest.raises(ValueError):
         o.eigenfunction(1, np.zeros(3))  # not (npts, d)
     with pytest.raises(ValueError):
-        fields.brownian_oracle(3)
+        fields.KlOracle(3)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +111,7 @@ def test_oracle_validation():
 # ---------------------------------------------------------------------------
 
 def test_oracle_2d_eigenvalues_match_brute_enumeration():
-    o = fields.brownian_oracle(2)
+    o = fields.KlOracle(2)
     brute = reference.sheet_eigenvalues(30)
     got = np.array([o.eigenvalue(l) for l in range(1, 31)])
     assert np.max(np.abs(got - brute)) <= 1e-14 * brute[0], \
@@ -119,7 +122,7 @@ def test_oracle_2d_eigenvalues_match_brute_enumeration():
 
 
 def test_oracle_2d_gaps_skip_equal_values():
-    o = fields.brownian_oracle(2)
+    o = fields.KlOracle(2)
     for ell in range(1, 16):
         g = o.gap(ell)
         assert g > 0.0, "gap must be to the nearest *distinct* value"
@@ -128,7 +131,7 @@ def test_oracle_2d_gaps_skip_equal_values():
 
 
 def test_oracle_2d_eigenfunctions_orthonormal():
-    o = fields.brownian_oracle(2)
+    o = fields.KlOracle(2)
     x, w = np.polynomial.legendre.leggauss(64)
     x = (x + 1.0) / 2.0
     w = w / 2.0
@@ -141,14 +144,14 @@ def test_oracle_2d_eigenfunctions_orthonormal():
 
 
 def test_oracle_tail_sums():
-    o1 = fields.brownian_oracle(1)
+    o1 = fields.KlOracle(1)
     assert abs(o1.sum_sq_total() - 1.0 / 6.0) <= 1e-16
     assert abs(o1.tail_sq(0) - 1.0 / 6.0) <= 1e-12, \
         "capped series plus remainder must recover the Parseval total"
     assert abs(o1.tail_sq(1) - reference.e1_parseval(1) ** 2) <= 1e-16
     assert abs(np.sqrt(o1.tail_sq(1)) - reference.e1_closed_rank1()) \
         <= 1e-12 * reference.e1_closed_rank1()
-    o2 = fields.brownian_oracle(2)
+    o2 = fields.KlOracle(2)
     assert o2.sum_sq_total() == 1.0 / 36.0
     assert abs(o2.tail_sq(0) - 1.0 / 36.0) <= 1e-16
     tails = [o2.tail_sq(L) for L in range(0, 12)]
@@ -193,7 +196,7 @@ def test_standard_normals_match_jumped_definition():
 
 def test_nodal_draw_matches_manual_construction():
     space = fem.build_space(1, 2)
-    field = fields.brownian_field(1)
+    field = fields.KlOracle(1)
     batch = fields.draw_batch(field, space, 3, seed=7)
     h = space.mesh.h
     for m in range(3):
@@ -209,7 +212,7 @@ def test_nodal_draw_2d_matches_manual_construction():
     # row m is the lattice Lx z_m Lx^T of the per-axis Cholesky factor Lx,
     # pinned to zero on both axes
     space = fem.build_space(2, 2)
-    field = fields.brownian_field(2)
+    field = fields.KlOracle(2)
     batch = fields.draw_batch(field, space, 4, seed=11)
     assert batch.jitter == 0.0, "the 2D nodal Cholesky needs no jitter"
     Lx = _axis_cholesky(space)
@@ -227,14 +230,14 @@ def test_nodal_draw_2d_matches_manual_construction():
 def test_draw_chunk_invariance():
     # each sample owns its stream, so a prefix of a big batch equals a small one
     space = fem.build_space(1, 4)
-    field = fields.brownian_field(1)
+    field = fields.KlOracle(1)
     small = fields.draw_batch(field, space, 10, seed=3)
     big = fields.draw_batch(field, space, 5000, seed=3)
     assert np.array_equal(small.coeffs, big.coeffs[:10]), \
         "sample values must not depend on the batch size"
     # in 2D, past the chunk boundary of the sampler
     space2 = fem.build_space(2, 2)
-    field2 = fields.brownian_field(2)
+    field2 = fields.KlOracle(2)
     M = fields._SAMPLE_CHUNK + 4
     small = fields.draw_batch(field2, space2, 10, seed=3)
     big = fields.draw_batch(field2, space2, M, seed=3)
@@ -248,7 +251,7 @@ def test_draw_chunk_invariance():
 
 def test_draw_seed_determinism():
     space = fem.build_space(1, 8)
-    field = fields.brownian_field(1)
+    field = fields.KlOracle(1)
     a = fields.draw_batch(field, space, 20, seed=5)
     b = fields.draw_batch(field, space, 20, seed=5)
     c = fields.draw_batch(field, space, 20, seed=6)
@@ -259,7 +262,7 @@ def test_draw_seed_determinism():
 
 def test_draw_validation():
     space = fem.build_space(1, 4)
-    field = fields.brownian_field(1)
+    field = fields.KlOracle(1)
     with pytest.raises(ValueError):
         fields.draw_batch(field, space, 0)
     with pytest.raises(ValueError):
@@ -267,7 +270,7 @@ def test_draw_validation():
     with pytest.raises(ValueError):
         fields.draw_batch(field, space, 5, mode=fields.MODE_PROJECTION)
     with pytest.raises(ValueError):
-        fields.draw_batch(fields.brownian_field(2), space, 5)
+        fields.draw_batch(fields.KlOracle(2), space, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +280,7 @@ def test_draw_validation():
 def test_nodal_covariance_small_grid():
     # spec'd pointwise check: cov of the nodes x=0.5 and x=1.0
     space = fem.build_space(1, 2)
-    field = fields.brownian_field(1)
+    field = fields.KlOracle(1)
     M = 100_000
     batch = fields.draw_batch(field, space, M, seed=17)
     c = batch.coeffs
@@ -293,7 +296,7 @@ def test_nodal_batch_covariance_entrywise_1d():
     from covrecon import estimators
 
     space = fem.build_space(1, 8)
-    field = fields.brownian_field(1)
+    field = fields.KlOracle(1)
     M = 100_000
     batch = fields.draw_batch(field, space, M, seed=29)
     sigma = fields.exact_discrete_covariance(field, space)
@@ -310,7 +313,7 @@ def test_nodal_batch_covariance_entrywise_2d():
     from covrecon import estimators
 
     space = fem.build_space(2, 4)
-    field = fields.brownian_field(2)
+    field = fields.KlOracle(2)
     M = 20_000
     batch = fields.draw_batch(field, space, M, seed=31)
     sigma = fields.exact_discrete_covariance(field, space)
@@ -327,7 +330,7 @@ def test_nodal_batch_covariance_entrywise_2d():
 
 def test_exact_discrete_covariance_values():
     space = fem.build_space(1, 2)
-    field = fields.brownian_field(1)
+    field = fields.KlOracle(1)
     sigma = fields.exact_discrete_covariance(field, space)
     assert np.array_equal(sigma, [[0.0, 0.0, 0.0],
                                   [0.0, 0.5, 0.5],
@@ -340,7 +343,7 @@ def test_exact_discrete_covariance_values():
 
 def test_kl_partial_sum_parseval_check():
     # truncated Mercer series of the analytic kernel on a 9 x 9 grid
-    o = fields.brownian_oracle(1)
+    o = fields.KlOracle(1)
     x = np.linspace(0.0, 1.0, 9)[:, None]
     K = 500
     lams = np.array([o.eigenvalue(l) for l in range(1, K + 1)])
@@ -355,7 +358,7 @@ def test_projection_mode_variance_cross_check():
     # both sampling modes must reproduce the nodal variances x_j; the spread
     # is measured relative to the largest variance on the mesh
     space = fem.build_space(1, 16)
-    field = fields.brownian_field(1)
+    field = fields.KlOracle(1)
     M = 200_000
     nodes = space.mesh.nodes[:, 0]
     proj = fields.draw_batch(field, space, M, mode=fields.MODE_PROJECTION,
@@ -372,7 +375,7 @@ def test_projection_mode_variance_cross_check():
 
 def test_projection_mode_seed_and_shape():
     space = fem.build_space(1, 8)
-    field = fields.brownian_field(1)
+    field = fields.KlOracle(1)
     a = fields.draw_batch(field, space, 12, mode=fields.MODE_PROJECTION,
                           seed=9, kl_trunc=40)
     b = fields.draw_batch(field, space, 12, mode=fields.MODE_PROJECTION,
@@ -417,7 +420,7 @@ def test_moment_diagnostics_basics():
 
 def test_moment_diagnostics_scaling_and_centering():
     space = fem.build_space(1, 8)
-    field = fields.brownian_field(1)
+    field = fields.KlOracle(1)
     batch = fields.draw_batch(field, space, 10_000, seed=13)
     d = fields.moment_diagnostics(batch)
     assert np.isfinite(d.c_inf_hat) and d.c_inf_hat > 0.0

@@ -17,7 +17,7 @@ from covrecon import estimators, fem, fields, mercer, spectral
 # ---------------------------------------------------------------------------
 
 def test_full_rank_kernel_reproduces_nodal_covariance():
-    _, _, space, _, sigma, _, spec = support.brownian_setup(1, 8)
+    _, space, _, sigma, _, spec = support.brownian_setup(1, 8)
     kernel = mercer.build_kernel(spec, 9)
     K = mercer.kernel_matrix(kernel, space.mesh.nodes, space.mesh.nodes)
     assert np.max(np.abs(K - sigma)) <= 1e-12, \
@@ -33,23 +33,28 @@ def test_kernel_rank_validation():
     assert mercer.build_kernel(spec, 5).L == 5
 
 
+def _kernel_at(kernel, x, y):
+    """Kernel value at two 1D points, as kernel_matrix on one-point blocks."""
+    return mercer.kernel_matrix(kernel, [[x]], [[y]])[0, 0]
+
+
 def test_kernel_eval_boundary_and_domain():
     *_, spec = support.brownian_setup(1, 16)
     kernel = mercer.build_kernel(spec, 3)
     for x in (0.3, 0.85, 1.0):
-        assert abs(mercer.eval(kernel, 0.0, x)) <= 1e-12, \
+        assert abs(_kernel_at(kernel, 0.0, x)) <= 1e-12, \
             "the Brownian kernel vanishes on the pinned boundary"
     with pytest.raises(ValueError):
-        mercer.eval(kernel, -0.2, 0.5)
+        _kernel_at(kernel, -0.2, 0.5)
     with pytest.raises(ValueError):
-        mercer.eval(kernel, 0.2, 1.5)
+        _kernel_at(kernel, 0.2, 1.5)
 
 
 def test_kernel_eval_is_bilinear_between_nodes():
-    _, _, space, _, sigma, _, spec = support.brownian_setup(1, 4)
+    _, space, _, sigma, _, spec = support.brownian_setup(1, 4)
     kernel = mercer.build_kernel(spec, 5)  # full rank: nodal values = sigma
     mid = lambda j: 0.5 * (space.mesh.axis_nodes[j] + space.mesh.axis_nodes[j + 1])
-    got = mercer.eval(kernel, mid(1), mid(2))
+    got = _kernel_at(kernel, mid(1), mid(2))
     want = 0.25 * (sigma[1, 2] + sigma[1, 3] + sigma[2, 2] + sigma[2, 3])
     assert abs(got - want) <= 1e-12, \
         "P1 kernels interpolate bilinearly between mesh nodes"
@@ -75,8 +80,8 @@ def test_kernel_rank_window_is_one_dyad():
 # ---------------------------------------------------------------------------
 
 def test_decomposition_exact_estimate_has_zero_sampling_error():
-    field, oracle, _, _, _, _, spec = support.brownian_setup(1, 16)
-    report = mercer.error_decomposition(field, oracle, spec, spec, 3)
+    field, _, _, _, _, spec = support.brownian_setup(1, 16)
+    report = mercer.error_decomposition(field, spec, spec, 3)
     assert report.e3 == 0.0, \
         "identical spectra must produce exactly zero sampling error"
     assert report.e1 > 0.0 and report.e2 > 0.0
@@ -86,17 +91,17 @@ def test_decomposition_exact_estimate_has_zero_sampling_error():
 
 
 def test_decomposition_e1_matches_closed_form():
-    field, oracle, _, _, _, _, spec = support.brownian_setup(1, 16)
-    report = mercer.error_decomposition(field, oracle, spec, spec, 1)
+    field, _, _, _, _, spec = support.brownian_setup(1, 16)
+    report = mercer.error_decomposition(field, spec, spec, 1)
     want = reference.e1_closed_rank1()
     assert abs(report.e1 - want) <= 1e-12 * want, \
         "rank-1 truncation error must equal (4/pi^2) sqrt(pi^4/96 - 1)"
 
 
 def test_decomposition_e1_rate_in_l():
-    field, oracle, *_ , spec = support.brownian_setup(1, 64)
+    field, *_, spec = support.brownian_setup(1, 64)
     Ls = [2, 4, 8, 16, 32]
-    e1s = [mercer.error_decomposition(field, oracle, spec, spec, L).e1
+    e1s = [mercer.error_decomposition(field, spec, spec, L).e1
            for L in Ls]
     slope = reference.loglog_slope(Ls, e1s)
     assert abs(slope + 1.5) <= 0.05, \
@@ -104,12 +109,12 @@ def test_decomposition_e1_rate_in_l():
 
 
 def test_decomposition_with_sampled_estimate():
-    field, oracle, space, mass, _, s_exact, spec = support.brownian_setup(1, 16)
+    field, space, mass, _, s_exact, spec = support.brownian_setup(1, 16)
     batch = fields.draw_batch(field, space, 2000, seed=0)
     cov = estimators.estimate_covariance(batch, alpha=1.0)
     s_est = spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED)
     est = spectral.eigensolve(s_est)
-    report = mercer.error_decomposition(field, oracle, spec, est, 3)
+    report = mercer.error_decomposition(field, spec, est, 3)
     assert report.e3 > 0.0 and report.total > 0.0
     assert report.total <= report.e1 + report.e2 + report.e3 + 1e-8
     # e3 is the Frobenius distance of the transformed rank-L
@@ -121,25 +126,25 @@ def test_decomposition_with_sampled_estimate():
 
 
 def test_decomposition_validation():
-    field, oracle, _, _, _, _, spec = support.brownian_setup(1, 8)
+    field, _, _, _, _, spec = support.brownian_setup(1, 8)
     *_, other = support.brownian_setup(1, 4)
     with pytest.raises(ValueError):
-        mercer.error_decomposition(field, oracle, spec, other, 2)
+        mercer.error_decomposition(field, spec, other, 2)
     with pytest.raises(ValueError):
-        mercer.error_decomposition(field, oracle, spec, spec, 0)
+        mercer.error_decomposition(field, spec, spec, 0)
     with pytest.raises(ValueError):
-        mercer.error_decomposition(field, oracle, spec, spec, 10)
+        mercer.error_decomposition(field, spec, spec, 10)
 
 
 def test_decomposition_flags_near_degenerate_2d():
     # the 2d sheet has exact multiplicity-two eigenvalues, and the Kronecker
     # discretization preserves the tie: splitting rank L=2 between them is
     # flagged as unreliable while the totals stay valid
-    field, oracle, _, _, _, _, spec = support.brownian_setup(2, 4)
+    field, _, _, _, _, spec = support.brownian_setup(2, 4)
     gap12 = spec.eigenvalues[1] - spec.eigenvalues[2]
     assert gap12 <= 1e-8 * spec.eigenvalues[0], \
         "modes 2 and 3 of the discrete sheet should tie to machine precision"
-    report = mercer.error_decomposition(field, oracle, spec, spec, 2)
+    report = mercer.error_decomposition(field, spec, spec, 2)
     assert report.near_degenerate_split, \
         "a machine-ties eigenvalue window must raise the degeneracy flag"
     assert report.e3 == 0.0
@@ -147,7 +152,7 @@ def test_decomposition_flags_near_degenerate_2d():
 
 
 def _sampled_spectrum(d, n, M, seed):
-    field, _, space, mass, *_ = support.brownian_setup(d, n)
+    field, space, mass, *_ = support.brownian_setup(d, n)
     cov = estimators.estimate_covariance(
         fields.draw_batch(field, space, M, seed=seed))
     return spectral.eigensolve(
@@ -175,12 +180,12 @@ def test_decomposition_matches_refined_quadrature(d, n, L, refine, q):
     # kernel's kink on the diagonal leaves an O(refine^-2) quadrature error
     # in the total, so the 2D oracle is Richardson-extrapolated from two
     # refinements; 1D is fine enough as it stands.
-    field, oracle, space, *_, spec = support.brownian_setup(d, n)
+    field, space, *_, spec = support.brownian_setup(d, n)
     est = _sampled_spectrum(d, n, 400, seed=1)
-    report = mercer.error_decomposition(field, oracle, spec, est, L)
+    report = mercer.error_decomposition(field, spec, est, L)
     k_h = mercer.build_kernel(spec, L)
     k_est = mercer.build_kernel(est, L)
-    k_trunc = _truncated_kl(oracle, L)
+    k_trunc = _truncated_kl(field, L)
     fine = fem.build_space(d, n * refine)
     e2 = reference.kernel_l2_norm(
         fine, lambda X, Y: k_trunc(X, Y) - mercer.kernel_matrix(k_h, X, Y), q)
@@ -206,7 +211,7 @@ def test_min_kernel_load_matches_mercer_series(n):
     # B1 = sum_k lambda_k s_k s_k^T; terms decay like k^-6, so the tail
     # beyond K = 2e4 is far below the tolerance
     space = fem.build_space(1, n)
-    oracle = fields.brownian_oracle(1)
+    oracle = fields.KlOracle(1)
     S = oracle.moments(space, 20_000)
     lam = reference.brownian_lambda(np.arange(1, 20_001))
     series = (S.T * lam) @ S
@@ -216,7 +221,7 @@ def test_min_kernel_load_matches_mercer_series(n):
 def test_moments_match_quadrature():
     n, L = 8, 12
     for d in (1, 2):
-        oracle = fields.brownian_oracle(d)
+        oracle = fields.KlOracle(d)
         space = fem.build_space(d, n)
         pts, wts = reference.gauss_points(d, n * 16, 6)
         T = np.ones((len(pts), 1))
@@ -233,7 +238,8 @@ def test_invariants_raise_under_python_O():
     # the constructors' invariants must not be asserts, which -O strips
     code = (
         "import numpy as np\n"
-        "from covrecon import estimators, fem, fields, mercer, spectral\n"
+        "from covrecon import estimators, fem, fields, mercer, planner, "
+        "spectral\n"
         "from covrecon.errors import NumericError\n"
         "try:\n"
         "    estimators.TaperedCovariance(np.array([[1.0, 2.0], [0.0, 1.0]]),"
@@ -251,10 +257,11 @@ def test_invariants_raise_under_python_O():
         " None, 0, 'BrownianMotion1D')\n"
         "    except ValueError:\n"
         "        print('batch %dx%d rejected' % shape)\n"
-        "skew = fields.AnalyticField('Skew', 1, 0.5, lambda X, Y:"
-        " np.add.outer(X[:, 0], 2.0 * Y[:, 0]))\n"
+        "class Skew:\n"
+        "    def covariance(self, X, Y):\n"
+        "        return np.add.outer(X[:, 0], 2.0 * Y[:, 0])\n"
         "try:\n"
-        "    fields.exact_discrete_covariance(skew, space)\n"
+        "    fields.exact_discrete_covariance(Skew(), space)\n"
         "except NumericError:\n"
         "    print('skew covariance rejected')\n"
         "try:\n"
@@ -275,18 +282,43 @@ def test_invariants_raise_under_python_O():
         "a, b = (spectral.TransformedStiffness(np.diag([v, 0.5, 0.2]), 'x',"
         " Mass) for v in (1.0, 1.1))\n"
         "spec_a, spec_b = spectral.eigensolve(a), spectral.eigensolve(b)\n"
-        "oracle = fields.brownian_oracle(1)\n"
+        "oracle = fields.KlOracle(1)\n"
         "for s_b, what in ((a, 'Weyl'), (b, 'sandwich')):\n"
         "    try:\n"
         "        spectral.diagnostics(spec_a, spec_b, a, s_b, oracle, 2)\n"
         "    except NumericError:\n"
-        "        print(what + ' violation rejected')\n")
+        "        print(what + ' violation rejected')\n"
+        "try:\n"
+        "    mercer.MercerKernel(space, 2, np.zeros(3), np.zeros((5, 2)), 'x')\n"
+        "except ValueError:\n"
+        "    print('kernel shapes rejected')\n"
+        "seen = set()\n"
+        "def once(M):\n"  # true from M = 2 on, but only when first asked
+        "    fresh = M not in seen\n"
+        "    seen.add(M)\n"
+        "    return M >= 2 and fresh\n"
+        "try:\n"
+        "    planner.int_threshold(once, 1.0)\n"
+        "except NumericError:\n"
+        "    print('threshold postcondition rejected')\n"
+        "nan = float('nan')\n"
+        "for L, M, h in ((0, 5, 0.1), (2, 5, 0.5)):\n"
+        "    try:\n"
+        "        planner.PlanResult(0.4, planner.CASE_LOG, L, M, h,"
+        " (0.01, 0.2), {}, True, '', {}, nan, [])\n"
+        "    except NumericError:\n"
+        "        print('plan L=%d h=%g rejected' % (L, h))\n"
+        "planner._tilde_crosscheck = lambda *args: 10 ** 9\n"
+        "try:\n"
+        "    planner.plan(planner.brownian_profile(), 0.4)\n"
+        "except NumericError:\n"
+        "    print('product-log disagreement rejected')\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(mercer.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split("\n")[:10] == ["asymmetric rejected",
+    assert out.split("\n")[:15] == ["asymmetric rejected",
                                      "triangle rejected",
                                      "batch 3x4 rejected",
                                      "batch 0x5 rejected",
@@ -294,7 +326,12 @@ def test_invariants_raise_under_python_O():
                                      "asymmetric stiffness rejected",
                                      "mass rejected", "mass rejected",
                                      "Weyl violation rejected",
-                                     "sandwich violation rejected"], out
+                                     "sandwich violation rejected",
+                                     "kernel shapes rejected",
+                                     "threshold postcondition rejected",
+                                     "plan L=0 h=0.1 rejected",
+                                     "plan L=2 h=0.5 rejected",
+                                     "product-log disagreement rejected"], out
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +361,24 @@ def test_run_cell_isolates_failures():
     good = mercer.run_cell(cfg, 0, L=2, n=4, M=30)
     assert good.ok and good.n_rep == cfg.n_rep
     assert np.isfinite(good.mean_total) and good.mean_total > 0.0
+
+
+def test_run_cell_builds_one_field_object(monkeypatch):
+    # the exact side's field serves sampling, the error split and p0 in
+    # every replication; no layer builds a KL oracle of its own
+    calls = []
+    init = fields.KlOracle.__init__
+
+    def counting_init(self, dim):
+        calls.append(dim)
+        init(self, dim)
+
+    monkeypatch.setattr(fields.KlOracle, "__init__", counting_init)
+    cfg = support.make_config(d=2, mode="projection", kl_trunc=12, ns=[4],
+                              Ms=[30], Ls=[2], n_rep=3)
+    cell = mercer.run_cell(cfg, 0, L=2, n=4, M=30)
+    assert cell.ok, cell.error
+    assert calls == [2], "one KlOracle per cell, got %d" % (len(calls),)
 
 
 def test_cell_result_roundtrip():

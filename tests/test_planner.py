@@ -7,12 +7,14 @@ import pytest
 
 import reference
 import support
-from covrecon import mercer, planner
+from covrecon import fields, mercer, planner, spectral
 from covrecon.errors import DegenerateSpectrumError, InfeasiblePlanError
 
 
 class _FlatOracle:
     """Degenerate stub: repeated eigenvalues, zero gaps."""
+
+    dim = 1
 
     def eigenvalue(self, ell):
         return 1.0
@@ -70,7 +72,7 @@ def test_h_of_l_closed_form_and_decay():
 
 
 def test_degenerate_spectrum_raises():
-    prof = planner.SpectralProfile(_FlatOracle(), 0.5, 1, 1.0, 1.5)
+    prof = planner.SpectralProfile(_FlatOracle(), 0.5, 1.0, 1.5)
     with pytest.raises(DegenerateSpectrumError):
         planner.g_of_l(prof, 2)
     with pytest.raises(DegenerateSpectrumError):
@@ -81,80 +83,74 @@ def test_degenerate_spectrum_raises():
 # success probability
 # ---------------------------------------------------------------------------
 
+def _p0(Q_h, tau, M, L):
+    """p0_bound of the 1D Brownian oracle at the default calibration."""
+    return planner.p0_bound(fields.KlOracle(1), planner.DEFAULT_CALIBRATION,
+                            Q_h, tau, M, L)
+
+
 def test_p0_bound_matches_high_precision_oracle():
-    p = planner.brownian_profile()
-    gap = min(p.oracle.gap(1), p.oracle.gap(2))
-    got = planner.p0_bound(p, 65, 6, 60_000_000, 2)
+    oracle = fields.KlOracle(1)
+    gap = min(oracle.gap(1), oracle.gap(2))
+    got = _p0(65, 6, 60_000_000, 2)
     want = reference.p0_mpmath(65, 6, 60_000_000, 1.0, gap, 1.0)
     assert want > 0.99, "the example must sit in the informative range"
     assert abs(got - want) <= 1e-12 * want, \
         "log-space evaluation drifts from the mpmath oracle"
     # below the crossover the bound clamps to zero on both routes
-    assert planner.p0_bound(p, 65, 6, 40_000_000, 2) == 0.0
+    assert _p0(65, 6, 40_000_000, 2) == 0.0
     assert reference.p0_mpmath(65, 6, 40_000_000, 1.0, gap, 1.0) == 0.0
 
 
 def test_p0_bound_limits_and_monotonicity():
-    p = planner.brownian_profile()
-    assert planner.p0_bound(p, 65, 6, 0, 2) == 0.0
-    assert planner.p0_bound(p, 65, 6, 10 ** 12, 2) == 1.0
+    assert _p0(65, 6, 0, 2) == 0.0
+    assert _p0(65, 6, 10 ** 12, 2) == 1.0
     ms = [5 * 10 ** 7, 8 * 10 ** 7, 2 * 10 ** 8]
-    vals = [planner.p0_bound(p, 65, 6, M, 2) for M in ms]
+    vals = [_p0(65, 6, M, 2) for M in ms]
     assert vals[0] < vals[1] < vals[2] <= 1.0
-    assert planner.p0_bound(p, 65, 8, 10 ** 8, 2) \
-        < planner.p0_bound(p, 65, 6, 10 ** 8, 2), \
+    assert _p0(65, 8, 10 ** 8, 2) < _p0(65, 6, 10 ** 8, 2), \
         "wider tapers can only lower the success bound"
-    assert planner.p0_bound(p, 1000, 6, 10 ** 8, 2) \
-        < planner.p0_bound(p, 65, 6, 10 ** 8, 2)
+    assert _p0(1000, 6, 10 ** 8, 2) < _p0(65, 6, 10 ** 8, 2)
     with pytest.raises(ValueError):
-        planner.p0_bound(p, 65, 5, 100, 2)  # odd tau
+        _p0(65, 5, 100, 2)  # odd tau
     with pytest.raises(ValueError):
-        planner.p0_bound(p, 0, 6, 100, 2)
+        _p0(0, 6, 100, 2)
 
 
 # ---------------------------------------------------------------------------
 # gap condition checks
 # ---------------------------------------------------------------------------
 
+def _margins(L, h, stiffness_diff_norm, C1=1.0, s=0.5):
+    """spectral.gap_condition_margins on the 1D Brownian gaps."""
+    oracle = fields.KlOracle(1)
+    gaps = np.array([oracle.gap(l) for l in range(1, L + 1)])
+    return spectral.gap_condition_margins(gaps, oracle, h, s, C1,
+                                          stiffness_diff_norm)
+
+
 def test_check_gap_condition_clean_inputs():
-    p = planner.brownian_profile()
-    budget = planner.check_gap_condition(p, 3, 1e-6, 0.0)
-    assert budget.gap_condition_ok
-    assert budget.gap_condition_margin.shape == (3,)
-    assert np.all(budget.gap_condition_margin > 0.0)
-    assert budget.c2_condition_ok
-    assert math.isnan(budget.p0), "p0 needs the (Q_h, tau, M) identifiers"
-    assert abs(budget.H_of_L - planner.h_of_l(p, 3)) <= 1e-18
-    filled = planner.check_gap_condition(p, 3, 1e-6, 0.0,
-                                         Q_h=65, tau=6, M=10 ** 8)
-    assert 0.0 <= filled.p0 <= 1.0 and not math.isnan(filled.p0)
+    margins = _margins(3, 1e-6, 0.0)
+    assert margins.shape == (3,)
+    assert np.all(margins > 0.0)
+    want = reference.gap_condition_margins(3, 1e-6, 0.5, 1.0, 0.0)
+    assert np.max(np.abs(margins - want)) <= 1e-12 * np.max(np.abs(want)), \
+        "margins must match the closed-form reference"
 
 
 def test_check_gap_condition_large_perturbation_fails():
-    p = planner.brownian_profile()
-    budget = planner.check_gap_condition(p, 3, 1e-6, 1e3)
-    assert not budget.gap_condition_ok
-    assert np.all(budget.gap_condition_margin < 0.0)
+    assert np.all(_margins(3, 1e-6, 1e3) < 0.0)
 
 
 def test_check_gap_condition_honest_calibration_mode_one():
     # with the empirically calibrated C1 the condition is satisfiable at
     # mode 1 on a practical mesh, while mode 3 still fails: the blanket
     # all-mode claim is not attainable and the test encodes the honest split
-    p = planner.brownian_profile(calibration={"C1": 1.3e-3})
-    budget = planner.check_gap_condition(p, 3, 1.0 / 32, 0.0)
-    assert budget.gap_condition_margin[0] > 0.0, \
+    margins = _margins(3, 1.0 / 32, 0.0, C1=1.3e-3)
+    assert margins[0] > 0.0, \
         "mode 1 must clear the gap condition with honest constants"
-    assert budget.gap_condition_margin[2] < 0.0, \
+    assert margins[2] < 0.0, \
         "mode 3 cannot clear it: the gap shrinks faster than the rhs"
-
-
-def test_check_gap_condition_validates_mesh_width():
-    p = planner.brownian_profile()
-    with pytest.raises(ValueError):
-        planner.check_gap_condition(p, 2, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        planner.check_gap_condition(p, 2, 0.9, 0.0)  # above h0
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import scipy.linalg as sla
 
 import reference
 import support
-from covrecon import fem, fields, planner, spectral
+from covrecon import fem, fields, spectral
 from covrecon.errors import NumericError
 
 
@@ -38,7 +38,7 @@ def test_transform_zero_and_mismatch():
 def test_transform_small_grid_triple_product():
     space = fem.build_space(1, 2)
     mass = fem.assemble_mass(space)
-    sigma = fields.exact_discrete_covariance(fields.brownian_field(1), space)
+    sigma = fields.exact_discrete_covariance(fields.KlOracle(1), space)
     ts = spectral.transform(sigma, mass)
     L = mass.chol
     direct = L.T @ sigma @ L
@@ -52,7 +52,7 @@ def test_transform_accepts_covariance_objects():
 
     space = fem.build_space(1, 4)
     mass = fem.assemble_mass(space)
-    sigma = fields.exact_discrete_covariance(fields.brownian_field(1), space)
+    sigma = fields.exact_discrete_covariance(fields.KlOracle(1), space)
     cov = estimators.TaperedCovariance(sigma, tau=0, alpha=None,
                                        estimator_kind="Exact", M=0)
     a = spectral.transform(cov, mass).matrix
@@ -100,7 +100,7 @@ def test_eigensolve_random_matrix_invariants():
 
 
 def test_eigensolve_matches_generalized_reference():
-    _, _, space, mass, sigma, _, spec = support.brownian_setup(1, 16)
+    _, space, mass, sigma, _, spec = support.brownian_setup(1, 16)
     ref_vals, ref_vecs = reference.generalized_eigh(sigma, mass.matrix)
     assert np.max(np.abs(spec.eigenvalues - ref_vals)) \
         <= 1e-10 * max(1.0, ref_vals[0]), \
@@ -117,7 +117,7 @@ def test_eigensolve_brownian_bracket():
 
 def test_eigensolve_generalized_equation_residual():
     # the transformed route must solve S Phi = lambda G Phi with S = G Sigma G
-    _, _, space, mass, sigma, _, spec = support.brownian_setup(1, 16)
+    _, space, mass, sigma, _, spec = support.brownian_setup(1, 16)
     S = mass.matrix @ sigma @ mass.matrix
     G = mass.matrix
     for ell in range(5):
@@ -260,8 +260,8 @@ def test_weyl_bound_random_pairs():
 # ---------------------------------------------------------------------------
 
 def test_diagnostics_identical_spectra():
-    _, oracle, _, _, _, s_exact, spec = support.brownian_setup(1, 32)
-    diag = spectral.diagnostics(spec, spec, s_exact, s_exact, oracle, 3)
+    field, _, _, _, s_exact, spec = support.brownian_setup(1, 32)
+    diag = spectral.diagnostics(spec, spec, s_exact, s_exact, field, 3)
     assert diag.weyl_bound == 0.0
     assert np.max(diag.eigenvalue_dev) == 0.0
     assert diag.cov_diff_norm <= 1e-14
@@ -283,7 +283,7 @@ def test_diagnostics_rank_one_perturbation():
     s_b = spectral.TransformedStiffness(bumped, spectral.SOURCE_ESTIMATED, mass)
     spec_a = spectral.eigensolve(s_a)
     spec_b = spectral.eigensolve(s_b)
-    oracle = fields.brownian_oracle(1)
+    oracle = fields.KlOracle(1)
     diag = spectral.diagnostics(spec_a, spec_b, s_a, s_b, oracle, 2)
     assert abs(diag.weyl_bound - eps) <= 1e-12, \
         "a rank-one epsilon bump has operator norm epsilon"
@@ -299,13 +299,13 @@ def test_diagnostics_gap_condition_and_quarter_gap():
     # the 20-seed version lives in the acceptance suite)
     from covrecon import estimators
 
-    field, oracle, space, mass, sigma, s_exact, spec = support.brownian_setup(1, 32)
+    field, space, mass, sigma, s_exact, spec = support.brownian_setup(1, 32)
     for seed in (0, 1, 2):
         batch = fields.draw_batch(field, space, 10_000, seed=seed)
         cov = estimators.mle_covariance(batch)
         s_est = spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED)
         est = spectral.eigensolve(s_est)
-        diag = spectral.diagnostics(spec, est, s_exact, s_est, oracle, 3,
+        diag = spectral.diagnostics(spec, est, s_exact, s_est, field, 3,
                                     C1=1.3e-3)
         assert diag.theorem_consistent, \
             "quarter-gap failed under a passing gap condition (seed %d)" % seed
@@ -315,17 +315,16 @@ def test_diagnostics_gap_condition_and_quarter_gap():
             "positive mixed gaps must give finite subspace bounds"
         assert diag.sandwich_interval[0] <= diag.weyl_bound \
             <= diag.sandwich_interval[1] + 1e-12
-        budget = planner.check_gap_condition(
-            planner.brownian_profile(s=0.5, calibration=dict(C1=1.3e-3)), 3,
-            space.mesh.h, diag.weyl_bound)
-        assert np.array_equal(budget.gap_condition_margin >= 0,
-                              diag.gap_condition_per_ell), \
-            "planner and diagnostics must judge the gap condition alike"
+        margins = reference.gap_condition_margins(
+            3, space.mesh.h, 0.5, 1.3e-3, diag.weyl_bound)
+        assert np.array_equal(margins >= 0, diag.gap_condition_per_ell), \
+            "the closed-form reference and diagnostics must judge the gap " \
+            "condition alike"
 
 
 def test_diagnostics_validates_rank():
-    _, oracle, _, _, _, s_exact, spec = support.brownian_setup(1, 8)
+    field, _, _, _, s_exact, spec = support.brownian_setup(1, 8)
     with pytest.raises(ValueError):
-        spectral.diagnostics(spec, spec, s_exact, s_exact, oracle, 0)
+        spectral.diagnostics(spec, spec, s_exact, s_exact, field, 0)
     with pytest.raises(ValueError):
-        spectral.diagnostics(spec, spec, s_exact, s_exact, oracle, 10)
+        spectral.diagnostics(spec, spec, s_exact, s_exact, field, 10)
