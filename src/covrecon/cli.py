@@ -93,7 +93,7 @@ def cmd_estimate(cfg, args):
     artifacts.write_covariance(path, cov, cfg)
     check = estimators.decay_class_check(cov.matrix, cfg.alpha,
                                          cfg.calibration["C1"],
-                                         cfg.calibration["C2"])
+                                         cfg.calibration["C2"], cfg.d)
     report = dict(
         estimator=cov.estimator_kind, tau=cov.tau, M=cov.M,
         Q_h=exact.space.dof_count,
@@ -115,10 +115,11 @@ def cmd_estimate(cfg, args):
 def cmd_reconstruct(cfg, args):
     n, M, L = _single(cfg)
     exact = mercer.ExactSide(cfg.d, n)
-    cov, spec, diag, report, p0 = mercer.replicate(cfg, exact, M, L, cfg.seed)
+    rep = mercer.replicate(cfg, exact, M, L, cfg.seed)
+    spec, diag, report = rep.spectrum, rep.diagnostics, rep.errors
     neg = spec.eigenvalues[spec.eigenvalues < 0]
     payload = dict(
-        n=n, M=cov.M, L=L, estimator=cov.estimator_kind, tau=cov.tau,
+        n=n, M=rep.M, L=L, estimator=rep.estimator, tau=rep.tau,
         errors=dict(e1=report.e1, e2=report.e2, e3=report.e3,
                     total=report.total, triangle_slack=report.triangle_slack,
                     near_degenerate_split=report.near_degenerate_split),
@@ -133,7 +134,7 @@ def cmd_reconstruct(cfg, args):
             sandwich_interval=list(diag.sandwich_interval),
             cov_diff_norm=diag.cov_diff_norm,
             theorem_consistent=diag.theorem_consistent,
-            p0=p0,
+            p0=mercer.success_bound(cfg, exact, rep, L),
             n_negative_eigenvalues=int(neg.size),
             min_eigenvalue=float(spec.eigenvalues[-1]),
             negatives_below_weyl=bool(

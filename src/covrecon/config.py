@@ -20,7 +20,7 @@ import yaml
 
 from .errors import ConfigError
 from .fields import MODE_NODAL, MODE_PROJECTION
-from .planner import DEFAULT_CALIBRATION
+from .planner import resolve_calibration
 
 _MODES = {"nodal": MODE_NODAL, "projection": MODE_PROJECTION,
           MODE_NODAL: MODE_NODAL, MODE_PROJECTION: MODE_PROJECTION}
@@ -47,10 +47,7 @@ class StudyConfig:
         self.Ls = list(Ls)
         self.n_rep = n_rep
         self.q = q
-        cal = dict(DEFAULT_CALIBRATION)
-        if calibration:
-            cal.update(calibration)
-        self.calibration = cal
+        self.calibration = calibration
         self.seed = seed
         self.out_dir = out_dir
         self._validate()
@@ -102,12 +99,7 @@ class StudyConfig:
         if not (isinstance(self.q, int) and 2 <= self.q <= 6):
             raise ConfigError("quadrature.q: must be an integer in [2, 6], "
                               "got %r" % (self.q,))
-        for key, val in self.calibration.items():
-            if key not in DEFAULT_CALIBRATION:
-                raise ConfigError("calibration.%s: unknown constant" % (key,))
-            if not (isinstance(val, (int, float)) and val > 0):
-                raise ConfigError("calibration.%s: must be > 0, got %r"
-                                  % (key, val))
+        self.calibration = resolve_calibration(self.calibration)
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError("seed: must be a nonnegative integer, got %r"
                               % (self.seed,))

@@ -2,7 +2,8 @@
 
 The tapering estimator multiplies the MLE sample covariance entrywise by
 trapezoidal weights that vanish beyond a bandwidth tau chosen from the
-sample count and the off-diagonal decay exponent alpha.  The rate function
+sample count and the off-diagonal decay exponent alpha; on a 2D lattice the
+weight is the product of the two axis weights.  The rate function
 rho_tilde gives the theoretical squared-error level of that choice.
 """
 
@@ -66,17 +67,40 @@ def tapering_weights(tau, j, jprime):
     return w if w.ndim else float(w)
 
 
-def _weight_matrix(Q, tau):
+def _lattice_side(Q, dim):
+    """Nodes m per axis of a lexicographic m^dim lattice with Q nodes."""
+    m = int(round(Q ** (1.0 / dim)))
+    if m ** dim != Q:
+        raise ValueError("%d dofs do not form a %dD lattice" % (Q, dim))
+    return m
+
+
+def _weight_matrix(Q, tau, dim):
+    """Per-axis taper of the lattice: W1 in 1D, W1 kron W1 in 2D."""
+    idx = np.arange(_lattice_side(Q, dim))
+    W1 = tapering_weights(tau, idx[:, None], idx[None, :])
+    return W1 if dim == 1 else np.kron(W1, W1)
+
+
+def _lattice_offsets(Q, dim):
+    """Chebyshev offsets max_k |i_k - i'_k| between the Q lattice nodes."""
     idx = np.arange(Q)
-    return tapering_weights(tau, idx[:, None], idx[None, :])
+    if dim == 1:
+        return np.abs(idx[:, None] - idx[None, :])
+    ix, iy = np.divmod(idx, _lattice_side(Q, dim))
+    return np.maximum(np.abs(ix[:, None] - ix[None, :]),
+                      np.abs(iy[:, None] - iy[None, :]))
 
 
-def taper(cov, alpha):
+def taper(cov, alpha, dim):
     """Taper an MLE covariance at the rate-optimal bandwidth for alpha.
 
     tau is the smallest even integer >= M^{1/(2 alpha + 1)}, clamped to
     [2, Q].  If Q < M^{1/(2 alpha + 1)} the matrix is so small that the
-    plain MLE already attains the rate and cov is returned unchanged.
+    plain MLE already attains the rate and cov is returned unchanged.  The
+    Q dofs are the lexicographic nodes of a dim-dimensional lattice, tapered
+    per axis: in 2D the weight of a node pair is the product of the weights
+    of its two axis offsets.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive, got %r" % (alpha,))
@@ -87,7 +111,7 @@ def taper(cov, alpha):
     tau = max(2 * math.ceil(raw / 2.0), 2)
     if tau > Q:
         tau = Q if Q % 2 == 0 else Q - 1
-    tapered = cov.matrix * _weight_matrix(Q, tau)
+    tapered = cov.matrix * _weight_matrix(Q, tau, dim)
     return TaperedCovariance(tapered, tau=tau, alpha=alpha,
                              estimator_kind="Tapered", M=cov.M)
 
@@ -97,7 +121,7 @@ def estimate_covariance(batch, alpha=None):
     cov = mle_covariance(batch)
     if alpha is None:
         return cov
-    return taper(cov, alpha)
+    return taper(cov, alpha, batch.space.mesh.dim)
 
 
 def rho_tilde(h, M, alpha, d):
@@ -127,13 +151,14 @@ class DecayClassCheck:
         self.passes = bool(C1_est <= C1 and lambda_max <= C2)
 
 
-def decay_class_check(matrix, alpha, C1, C2):
+def decay_class_check(matrix, alpha, C1, C2, dim):
     """Fit the smallest decay constant of a matrix and test class membership.
 
     For every cutoff c the worst-row off-diagonal tail sum
-    max_j sum_{|j'-j|>c} |A_{j,j'}| is computed; C1_est is the largest
-    tail(c) * c^alpha, so membership in the decay class with constants
-    (C1, C2) holds iff C1_est <= C1 and the top eigenvalue is <= C2.
+    max_j sum_{off(j,j')>c} |A_{j,j'}| is computed, with off the Chebyshev
+    offset of the dim-dimensional lattice (|j - j'| in 1D); C1_est is the
+    largest tail(c) * c^alpha, so membership in the decay class with
+    constants (C1, C2) holds iff C1_est <= C1 and the top eigenvalue is <= C2.
     """
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -141,18 +166,18 @@ def decay_class_check(matrix, alpha, C1, C2):
     if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * max(np.max(np.abs(A)), 1.0)):
         raise ValueError("decay check needs a symmetric matrix")
     Q = A.shape[0]
-    absA = np.abs(A)
-    # per row: bucket |entries| by index offset, then suffix-sum over offsets
-    by_dist = np.zeros((Q, Q))
-    idx = np.arange(Q)
-    for j in range(Q):
-        by_dist[j] = np.bincount(np.abs(idx - j), weights=absA[j], minlength=Q)
+    off = _lattice_offsets(Q, dim)
+    span = int(off.max()) + 1
+    # per row: bucket |entries| by offset, then suffix-sum over offsets
+    rows = np.arange(Q)[:, None] * span
+    by_dist = np.bincount((rows + off).ravel(), weights=np.abs(A).ravel(),
+                          minlength=Q * span).reshape(Q, span)
     suffix = np.cumsum(by_dist[:, ::-1], axis=1)[:, ::-1]
     # tail(c) needs offsets strictly beyond c: shift the suffix by one
-    tail = np.zeros(Q)
+    tail = np.zeros(span)
     tail[:-1] = np.max(suffix[:, 1:], axis=0)
-    cs = np.arange(1, Q, dtype=float)
-    C1_est = float(np.max(tail[1:Q] * cs ** alpha)) if Q > 1 else 0.0
+    cs = np.arange(1, span, dtype=float)
+    C1_est = float(np.max(tail[1:] * cs ** alpha)) if span > 1 else 0.0
     lambda_max = float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1])
     return DecayClassCheck(alpha, C1_est, lambda_max, C1, C2)
 

@@ -1,9 +1,10 @@
 """P1 finite element spaces on the unit interval/square.
 
 Uniform lattice meshes of (0,1)^d for d in {1,2}, nodal hat-function bases,
-exact mass matrices with their Cholesky factors, and composite Gauss
-rules.  Kernel norms are not computed here: the error split in `mercer`
-uses closed forms instead of quadrature.
+exact mass matrices with the actions of their Cholesky factors (through the
+1D axis factor alone in 2D), and composite Gauss rules.  Kernel norms are
+not computed here: the error split in `mercer` uses closed forms instead of
+quadrature.
 
 Conventions
 -----------
@@ -12,6 +13,8 @@ Point blocks are arrays of shape (npts, d).
 Nodes are ordered lexicographically by coordinate tuple, so in 2D the flat
 index of lattice site (ix, iy) is ix*(n+1) + iy.
 """
+
+import functools
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -149,28 +152,40 @@ def _mass_1d(n):
 
 
 class MassMatrix:
-    """Gram matrix of the nodal basis with factorization and extreme eigenvalues.
+    """Gram matrix G of the nodal basis, held through its axis Cholesky factor.
+
+    In 1D G is the axis mass G1 = L1 L1^T.  In 2D G = G1 kron G1, so its
+    Cholesky factor is L = L1 kron L1 and only the (n+1) x (n+1) factor L1 is
+    ever formed: each action of L reshapes a block of columns to the
+    (n+1, n+1) lattice and applies the 1D operation, as an (n+1) x (n+1)
+    matrix, along both axes (Van Loan, "The ubiquitous Kronecker product",
+    2000).  A triangular solve with n+1 rows and Q_h k right-hand sides is
+    several times slower than a product with the explicit inverse.
 
     Attributes
     ----------
-    matrix : dense symmetric (Q_h, Q_h) Gram matrix G (read-only)
-    chol : lower-triangular L with G = L L^T (read-only)
+    axis : the MassMatrix of one lattice axis (the object itself in 1D)
+    chol : lower-triangular axis factor L1 with G1 = L1 L1^T (read-only)
+    matrix : the dense axis mass G1 (read-only; 1D only, the 2D G is never
+        formed)
     lambda_min, lambda_max : extreme eigenvalues of G
     """
 
     def __init__(self, space):
         mesh = space.mesh
-        g1 = _mass_1d(mesh.elements_per_axis)
-        ev1 = sla.eigvalsh(g1)
-        if mesh.dim == 1:
-            G = g1
-            self.lambda_min = float(ev1[0])
-            self.lambda_max = float(ev1[-1])
-        else:
-            G = np.kron(g1, g1)
-            # spectrum of a Kronecker square is the set of pairwise products
-            self.lambda_min = float(ev1[0] ** 2)
-            self.lambda_max = float(ev1[-1] ** 2)
+        self.space = space
+        self.dim = mesh.dim
+        if mesh.dim == 2:
+            # the spectrum of a Kronecker square is the set of pairwise products
+            self.axis = MassMatrix(FeSpace(Mesh(1, mesh.elements_per_axis)))
+            self.chol = self.axis.chol
+            self.lambda_min = self.axis.lambda_min ** 2
+            self.lambda_max = self.axis.lambda_max ** 2
+            return
+        G = _mass_1d(mesh.elements_per_axis)
+        ev = sla.eigvalsh(G)
+        self.lambda_min = float(ev[0])
+        self.lambda_max = float(ev[-1])
         if not (np.array_equal(G, G.T) and self.lambda_min > 0.0):
             raise NumericError("mass matrix not symmetric positive definite")
         try:
@@ -183,13 +198,47 @@ class MassMatrix:
                                "tolerance" % (resid,))
         G.setflags(write=False)
         chol.setflags(write=False)
-        self.space = space
+        self.axis = self
         self.matrix = G
         self.chol = chol
 
     @property
     def dof_count(self):
         return self.space.dof_count
+
+    @functools.cached_property
+    def _axis_inverses(self):
+        """L1^{-T} and G1^{-1} as (n+1) x (n+1) matrices: the 1D solves of the
+        identity.  G1 has condition number below 4, so both are accurate."""
+        eye = np.eye(self.axis.dof_count)
+        return self.axis.solve_lt(eye), self.axis.solve(eye)
+
+    @staticmethod
+    def _along_axes(A, X):
+        """(A kron A) X for an axis matrix A and a (Q_h, k) block X: A acts
+        on the first lattice index, then (batched) on the second."""
+        m, k = A.shape[0], X.shape[1]
+        Y = (A @ X.reshape(m, m * k)).reshape(m, m, k)
+        return (A @ Y).reshape(m * m, k)
+
+    def congruence(self, A):
+        """L^T A L for a (Q_h, Q_h) matrix A."""
+        if self.dim == 1:
+            return self.chol.T @ A @ self.chol
+        lt_a = self._along_axes(self.chol.T, A)
+        return self._along_axes(self.chol.T, lt_a.T).T
+
+    def solve_lt(self, B):
+        """L^{-T} B for a (Q_h, k) block B."""
+        if self.dim == 1:
+            return sla.solve_triangular(self.chol.T, B, lower=False)
+        return self._along_axes(self._axis_inverses[0], B)
+
+    def solve(self, B):
+        """G^{-1} B = L^{-T} L^{-1} B for a (Q_h, k) block B."""
+        if self.dim == 1:
+            return sla.cho_solve((self.chol, True), B)
+        return self._along_axes(self._axis_inverses[1], B)
 
 
 def assemble_mass(space):

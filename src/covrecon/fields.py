@@ -16,7 +16,6 @@ random numbers: as easy as 1, 2, 3", SC'11).
 """
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import fem
 from .errors import NumericError
@@ -68,6 +67,11 @@ class KlOracle:
         if self.dim == 2:
             R = R * np.minimum.outer(X[:, 1], Y[:, 1])
         return R
+
+    def axis_covariance(self, x):
+        """min(x_i, x_j) on one axis: the nodal covariance of a lattice is its
+        dim-th Kronecker power."""
+        return np.minimum.outer(x, x)
 
     # -- 2D enumeration -------------------------------------------------
     def _extend_pairs(self, k):
@@ -299,7 +303,7 @@ def draw_batch(field, space, M, mode=MODE_NODAL, seed=0, kl_trunc=None,
                          % (field.dim, space.mesh.dim))
     shift = 0.0
     if mode == MODE_NODAL:
-        coeffs, shift = _draw_nodal(space, M, seed, jitter)
+        coeffs, shift = _draw_nodal(field, space, M, seed, jitter)
         kl_trunc = None
     elif mode == MODE_PROJECTION:
         if kl_trunc is None or int(kl_trunc) < 1:
@@ -313,7 +317,7 @@ def draw_batch(field, space, M, mode=MODE_NODAL, seed=0, kl_trunc=None,
                        jitter=shift)
 
 
-def _draw_nodal(space, M, seed, jitter):
+def _draw_nodal(field, space, M, seed, jitter):
     """Nodal coefficients (M, Q_h) and the Cholesky diagonal shift applied."""
     mesh = space.mesh
     n = mesh.elements_per_axis
@@ -321,7 +325,7 @@ def _draw_nodal(space, M, seed, jitter):
     shift = 0.0
     if mesh.dim == 2:
         pos = mesh.axis_nodes[1:]
-        Lx, shift = _chol_with_jitter(np.minimum.outer(pos, pos), jitter)
+        Lx, shift = _chol_with_jitter(field.axis_covariance(pos), jitter)
     for start in range(0, M, _SAMPLE_CHUNK):
         count = min(_SAMPLE_CHUNK, M - start)
         block = coeffs[start:start + count]
@@ -352,7 +356,7 @@ def _draw_projected(field, space, M, seed, kl_trunc, q):
         Psi = _standard_normals(seed, start, count, (kl_trunc,))
         field_vals = (Psi * scale) @ Phi.T
         B = field_vals @ TW
-        coeffs[start:start + count] = sla.cho_solve((mass.chol, True), B.T).T
+        coeffs[start:start + count] = mass.solve(B.T).T
     return coeffs
 
 

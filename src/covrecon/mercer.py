@@ -86,7 +86,7 @@ class ErrorReport:
         self.near_degenerate_split = near_degenerate_split
 
 
-def error_decomposition(field, exact_spec, est_spec, L):
+def error_decomposition(field, exact_spec, est_spec, L, e1):
     """Split the reconstruction error of an estimated rank-L kernel, exactly.
 
     With analytic pairs (lambda_l, phi_l) of the field (a fields.KlOracle),
@@ -100,7 +100,9 @@ def error_decomposition(field, exact_spec, est_spec, L):
       total^2 = 6^-d - 2 sum mu^_m Phi^_m^T B Phi^_m + ||mu^||^2
 
     with B the kernel load matrix (field.kernel_forms).  Every term is a
-    sum of dyads lambda phi (x) phi, so eigenvector signs drop out.
+    sum of dyads lambda phi (x) phi, so eigenvector signs drop out.  e1 is
+    passed in as sqrt(field.tail_sq(L)): it depends on L alone, so a study
+    cell computes it once (ExactSide.e1).
     """
     if exact_spec.dof_count != est_spec.dof_count:
         raise ValueError("spectra live on different spaces: %d vs %d dofs"
@@ -118,7 +120,6 @@ def error_decomposition(field, exact_spec, est_spec, L):
     vt, vt_est = exact_spec.tilde_vectors[:, :L], est_spec.tilde_vectors[:, :L]
 
     cross = field.moments(space, L) @ exact_spec.gen_vectors[:, :L]
-    e1 = float(np.sqrt(field.tail_sq(L)))
     e2_sq = lams @ lams + mu @ mu - 2.0 * lams @ cross ** 2 @ mu
     e2 = float(np.sqrt(max(e2_sq, 0.0)))  # e2^2 can round below 0
     e3 = float(np.linalg.norm((vt * mu) @ vt.T - (vt_est * mu_est) @ vt_est.T))
@@ -142,12 +143,17 @@ class ExactSide:
 
     field is the Brownian field of dimension d (a fields.KlOracle).  mass,
     sigma (the exact nodal covariance), s_exact and spectrum are built on
-    first use, so drawing or estimating alone never eigensolves.
+    first use, so drawing or estimating alone never eigensolves.  In 2D the
+    sheet's nodal covariance is Sigma1 kron Sigma1 (Sigma1 the covariance on
+    one axis), so s_exact is S-tilde1 kron S-tilde1 and its spectrum the
+    Kronecker square of the axis spectrum: no Q_h x Q_h factorization or
+    eigensolve.  e1 depends on L alone and is kept per L.
     """
 
     def __init__(self, d, n):
         self.field = fields.KlOracle(d)
         self.space = fem.build_space(d, n)
+        self._e1 = {}
 
     @functools.cached_property
     def mass(self):
@@ -158,12 +164,34 @@ class ExactSide:
         return fields.exact_discrete_covariance(self.field, self.space)
 
     @functools.cached_property
+    def _axis(self):
+        """S-tilde1 of the covariance on one lattice axis and its spectrum: in
+        1D s_exact and spectrum themselves."""
+        x = self.space.mesh.axis_nodes
+        s1 = spectral.transform(self.field.axis_covariance(x), self.mass.axis,
+                                spectral.SOURCE_EXACT)
+        return s1, spectral.eigensolve(s1)
+
+    @functools.cached_property
     def s_exact(self):
-        return spectral.transform(self.sigma, self.mass, spectral.SOURCE_EXACT)
+        s1, _ = self._axis
+        if self.space.mesh.dim == 1:
+            return s1
+        return spectral.TransformedStiffness(np.kron(s1.matrix, s1.matrix),
+                                             spectral.SOURCE_EXACT, self.mass)
 
     @functools.cached_property
     def spectrum(self):
-        return spectral.eigensolve(self.s_exact)
+        _, spec1 = self._axis
+        if self.space.mesh.dim == 1:
+            return spec1
+        return spectral.kronecker_square(spec1, self.mass)
+
+    def e1(self, L):
+        """Truncation error sqrt(field.tail_sq(L))."""
+        if L not in self._e1:
+            self._e1[L] = float(np.sqrt(self.field.tail_sq(L)))
+        return self._e1[L]
 
 
 def draw(config, exact, M, seed):
@@ -183,29 +211,44 @@ def estimate(config, exact, M, seed):
 
 
 Replication = collections.namedtuple(
-    "Replication", "cov spectrum diagnostics errors p0")
+    "Replication", "estimator tau M spectrum diagnostics errors")
 
 
 def replicate(config, exact, M, L, seed):
     """Estimate from M samples drawn with seed, eigensolve, compare with the
-    exact side, split the error at rank L and bound p0 (planner.p0_bound).
+    exact side and split the error at rank L.  The Exact estimator is the
+    exact side itself: its s_exact and spectrum serve as the estimate, and
+    nothing is drawn or formed.
 
-    Returns a Replication; the batch is not kept.
+    Returns a Replication with the estimate's kind, tau and M; neither the
+    batch nor the covariance is kept.
     """
     Q = exact.space.dof_count
     if L > Q:
         raise ValueError("truncation rank L=%d exceeds dof count Q_h=%d"
                          % (L, Q))
-    _, cov = estimate(config, exact, M, seed)
-    s_est = spectral.transform(cov, exact.mass, spectral.SOURCE_ESTIMATED)
-    spec = spectral.eigensolve(s_est)
+    if config.estimator == "Exact":
+        kind, tau, m_est = "Exact", 0, 0
+        s_est, spec = exact.s_exact, exact.spectrum
+    else:
+        _, cov = estimate(config, exact, M, seed)
+        kind, tau, m_est = cov.estimator_kind, cov.tau, cov.M
+        s_est = spectral.transform(cov, exact.mass, spectral.SOURCE_ESTIMATED)
+        spec = spectral.eigensolve(s_est)
     cal = config.calibration
     diag = spectral.diagnostics(exact.spectrum, spec, exact.s_exact, s_est,
                                 exact.field, L, C1=cal["C1"], C=cal["C"],
                                 s=config.s)
-    errors = error_decomposition(exact.field, exact.spectrum, spec, L)
-    p0 = planner.p0_bound(exact.field, cal, Q, max(cov.tau, 2), cov.M, L)
-    return Replication(cov, spec, diag, errors, p0)
+    errors = error_decomposition(exact.field, exact.spectrum, spec, L,
+                                 exact.e1(L))
+    return Replication(kind, tau, m_est, spec, diag, errors)
+
+
+def success_bound(config, exact, rep, L):
+    """planner.p0_bound for a replication's tau (at least 2) and M.  It
+    depends on no sample, so a study cell evaluates it once."""
+    return planner.p0_bound(exact.field, config.calibration,
+                            exact.space.dof_count, max(rep.tau, 2), rep.M, L)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +322,7 @@ def run_cell(config, index, L, n, M):
             totals.append(r.errors.total)
             e3s.append(r.errors.e3)
             gap_fail += not r.diagnostics.gap_condition_ok
-        # e1, e2, tau and p0 do not depend on the samples: the last r has them
+        # e1, e2 and tau do not depend on the samples: the last r has them
         lam1_dev = abs(exact.spectrum.eigenvalues[0]
                        - exact.field.eigenvalue(1))
         stderr = float(np.std(totals, ddof=1) / np.sqrt(len(totals))) \
@@ -289,8 +332,9 @@ def run_cell(config, index, L, n, M):
                           mean_e1=r.errors.e1, mean_e2=r.errors.e2,
                           mean_e3=float(np.mean(e3s)), stderr=stderr,
                           n_rep=config.n_rep,
-                          gap_fail_fraction=gap_fail / config.n_rep, p0=r.p0,
-                          tau=r.cov.tau, lambda1_dev=float(lam1_dev))
+                          gap_fail_fraction=gap_fail / config.n_rep,
+                          p0=success_bound(config, exact, r, L), tau=r.tau,
+                          lambda1_dev=float(lam1_dev))
     except (ValueError, NumericError) as exc:
         return CellResult(index, L, n, M, ok=False,
                           error="%s: %s" % (type(exc).__name__, exc))

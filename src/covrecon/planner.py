@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from .errors import (DegenerateSpectrumError, InfeasiblePlanError,
-                     NumericError)
+from .errors import (ConfigError, DegenerateSpectrumError,
+                     InfeasiblePlanError, NumericError)
 from .fields import KlOracle
 
 DEFAULT_CALIBRATION = dict(C1=1.0, C2=1.0, C=1.0, h0=0.5, rho1=1.0,
@@ -36,19 +36,31 @@ CASE_RATE = "LargeQhRateDominated"
 _SEARCH_LIMIT = 10 ** 18
 
 
+def resolve_calibration(calibration=None):
+    """DEFAULT_CALIBRATION updated with the given constants.
+
+    Raises ConfigError naming calibration.<key> for an unknown constant or
+    one that is not a number > 0.
+    """
+    cal = dict(DEFAULT_CALIBRATION)
+    if calibration:
+        cal.update(calibration)
+    for key, val in cal.items():
+        if key not in DEFAULT_CALIBRATION:
+            raise ConfigError("calibration.%s: unknown constant" % (key,))
+        if not (isinstance(val, (int, float)) and val > 0):
+            raise ConfigError("calibration.%s: must be > 0, got %r"
+                              % (key, val))
+    return cal
+
+
 class SpectralProfile:
     """Everything the planner needs to know about the target field."""
 
     def __init__(self, oracle, s, alpha, gamma, calibration=None):
         if gamma < 0.5:
             raise ValueError("gamma must be >= 1/2, got %r" % (gamma,))
-        cal = dict(DEFAULT_CALIBRATION)
-        if calibration:
-            cal.update(calibration)
-        for key, val in cal.items():
-            if not val > 0:
-                raise ValueError("calibration constant %s must be > 0, got %r"
-                                 % (key, val))
+        cal = resolve_calibration(calibration)
         self.oracle = oracle
         self.s = float(s)
         self.d = int(oracle.dim)

@@ -4,7 +4,10 @@ The generalized problem S Phi = lambda G Phi with S = G Sigma G is solved
 through the congruent symmetric matrix S-tilde = (L^G)^T Sigma L^G, where
 G = L^G (L^G)^T is the mass Cholesky factorization.  Eigenvectors transform
 back via Phi = (L^G)^{-T} Phi-tilde, which makes the finite element
-functions phi_l = Phi_l . theta exactly L2-orthonormal.
+functions phi_l = Phi_l . theta exactly L2-orthonormal.  Every action of
+L^G goes through the mass object, which in 2D applies the axis factor along
+both lattice axes; the 2D exact spectrum is the Kronecker square of the 1D
+one (kronecker_square).
 
 Diagnostics compare an exact-discrete spectrum against an estimated one:
 Weyl eigenvalue stability, mixed spectral gaps, the spectral-gap condition,
@@ -44,8 +47,7 @@ def transform(cov, mass, tag=SOURCE_EXACT):
     if sigma.shape != (Q, Q):
         raise ValueError("covariance shape %r does not match dof count %d"
                          % (sigma.shape, Q))
-    L = mass.chol
-    raw = L.T @ sigma @ L
+    raw = mass.congruence(sigma)
     return TransformedStiffness(0.5 * (raw + raw.T), tag, mass)
 
 
@@ -98,8 +100,31 @@ def eigensolve(ts):
     lead = np.argmax(np.abs(vecs), axis=0)
     signs = np.where(vecs[lead, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
     vecs = vecs * signs
-    gen = sla.solve_triangular(ts.mass.chol.T, vecs, lower=False)
+    gen = ts.mass.solve_lt(vecs)
     return DiscreteSpectrum(vals, vecs, gen, ts.source, ts.mass)
+
+
+def kronecker_square(axis_spec, mass):
+    """Spectrum of S-tilde1 kron S-tilde1 on the 2D mass, from the pairs of
+    S-tilde1 on one axis: no Q_h x Q_h eigensolve.
+
+    Eigenvalue mu_i mu_j has the tilde vector v_i kron v_j and, since
+    L^G = L1 kron L1, the generalized vector Phi_i kron Phi_j.  The stable
+    descending sort puts v_i kron v_j before its tie v_j kron v_i (i < j).  A
+    product of canonically signed vectors is canonically signed: its largest
+    component is the product of the two largest.
+    """
+    mu = axis_spec.eigenvalues
+    vals = np.outer(mu, mu).ravel()
+    order = np.argsort(-vals, kind="stable")
+    i, j = np.divmod(order, mu.size)
+
+    def pairs(V):
+        return (V[:, None, i] * V[None, :, j]).reshape(vals.size, vals.size)
+
+    return DiscreteSpectrum(vals[order], pairs(axis_spec.tilde_vectors),
+                            pairs(axis_spec.gen_vectors), axis_spec.source,
+                            mass)
 
 
 def align_signs(reference, target):
@@ -219,8 +244,7 @@ def diagnostics(exact, estimated, s_exact, s_est, oracle, L,
 
     # recover the covariance-space perturbation Sigma_diff = L^{-T} D L^{-1}
     # and check the sandwich actually contains the transformed norm
-    tmp = sla.solve_triangular(mass.chol.T, diff, lower=False)
-    cov_diff = sla.solve_triangular(mass.chol.T, tmp.T, lower=False).T
+    cov_diff = mass.solve_lt(mass.solve_lt(diff).T).T
     cov_diff_norm = operator_norm(cov_diff)
     lo, hi = opnorm_sandwich(mass, cov_diff_norm)
     slack = 1e-10 * max(1.0, hi)

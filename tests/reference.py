@@ -249,6 +249,20 @@ def banded_tail_brute(matrix, c):
     return best
 
 
+def chebyshev_tail_brute(matrix, c, m):
+    """max_j sum over j' with Chebyshev lattice offset > c of |A[j, j']|,
+    nodes j = ix * m + iy of an m x m lattice, by explicit loops."""
+    a = np.abs(np.asarray(matrix, dtype=float))
+    best = 0.0
+    for j in range(m * m):
+        total = 0.0
+        for k in range(m * m):
+            if max(abs(j // m - k // m), abs(j % m - k % m)) > c:
+                total += a[j, k]
+        best = max(best, total)
+    return best
+
+
 def gaussian_cov_stderr(sigma, m):
     """Entrywise standard error of the divisor-m Gaussian covariance
     estimator: sqrt((sigma_jj sigma_kk + sigma_jk^2) / m)."""
@@ -291,22 +305,52 @@ def loglog_slope(x, y):
 class IdentityMass:
     """Stand-in mass object (G = I) so eigensolver behavior can be tested on
     arbitrary symmetric matrices without a mesh.  The fake space carries a
-    mesh width so diagnostics that read mass.space.mesh.h keep working."""
+    mesh width so diagnostics that read mass.space.mesh.h keep working.
+    Every action of the identity factor returns a copy of its argument."""
 
     def __init__(self, q, h=0.5):
         import types
 
         self.matrix = np.eye(q)
-        self.chol = np.eye(q)
         self.lambda_min = 1.0
         self.lambda_max = 1.0
         self.space = types.SimpleNamespace(
             mesh=types.SimpleNamespace(h=h, dim=1), dof_count=q)
         self.dof_count = q
+        self.dim = 1
 
-    @property
-    def dim(self):
-        return 1
+    def congruence(self, X):
+        return np.array(X, dtype=float)
+
+    solve_lt = solve = congruence
+
+
+def dense_mass(mass):
+    """The mass matrix G as one dense matrix: G1 in 1D, the Kronecker
+    square G1 kron G1 in 2D."""
+    G1 = np.asarray(mass.axis.matrix)
+    return G1 if mass.dim == 1 else np.kron(G1, G1)
+
+
+def dense_chol(mass):
+    """The mass Cholesky factor as one dense matrix: L1 in 1D, the
+    Kronecker square L1 kron L1 in 2D."""
+    L1 = np.asarray(mass.chol)
+    return L1 if mass.dim == 1 else np.kron(L1, L1)
+
+
+def dense_transform(sigma, mass):
+    """The symmetrized dense triple product L^T Sigma L with the dense factor."""
+    L = dense_chol(mass)
+    raw = L.T @ np.asarray(sigma, dtype=float) @ L
+    return 0.5 * (raw + raw.T)
+
+
+def dense_eigh(sigma, mass):
+    """Descending dense eigenpairs of the transformed stiffness."""
+    vals, vecs = np.linalg.eigh(dense_transform(sigma, mass))
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], vecs[:, order]
 
 
 def random_symmetric(rng, q, scale=1.0):

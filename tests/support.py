@@ -35,16 +35,17 @@ def write_yaml(path, text):
     return str(path)
 
 
-def basic_yaml(out_dir, n=4, M=10, L=2, seed=0, estimator="MLE", extra=""):
+def basic_yaml(out_dir, n=4, M=10, L=2, seed=0, estimator="MLE", extra="",
+               d=1):
     """Minimal config document used by the CLI tests."""
     return (
-        "field:\n  kind: brownian\n  d: 1\n"
+        "field:\n  kind: brownian\n  d: %d\n"
         "sampling:\n  mode: nodal\n"
         "estimator:\n  kind: %s\n  alpha: 1.0\n"
         "study:\n  ns: [%d]\n  Ms: [%d]\n  Ls: [%d]\n  n_rep: 2\n"
         "quadrature:\n  q: 2\n"
         "seed: %d\noutput: %s\n%s"
-        % (estimator, n, M, L, seed, out_dir, extra)
+        % (d, estimator, n, M, L, seed, out_dir, extra)
     )
 
 

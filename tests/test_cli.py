@@ -272,6 +272,22 @@ def test_cli_reconstruct_exact_mode(tmp_path, capsys):
     assert "total=" in capsys.readouterr().out
 
 
+def test_cli_reconstruct_exact_mode_2d(tmp_path):
+    # the Exact estimate is the exact side itself, so the Kronecker exact
+    # spectrum is compared with itself and no roundoff residue is left
+    path, out = write_cfg(tmp_path, n=6, M=10, L=3, estimator="Exact", d=2)
+    assert run_cli("reconstruct", "--config", path) == 0
+    report = artifacts.read_json(os.path.join(out, "report.json"))
+    assert report["errors"]["e3"] == 0.0
+    assert report["diagnostics"]["weyl_bound"] == 0.0
+    assert max(report["diagnostics"]["eigenvalue_dev"]) == 0.0
+    assert report["errors"]["near_degenerate_split"], \
+        "modes 2 and 3 of the sheet tie exactly"
+    _, rows = artifacts.read_csv(os.path.join(out, "spectrum.csv"))
+    _, exact_rows = artifacts.read_csv(os.path.join(out, "spectrum_exact.csv"))
+    assert rows == exact_rows
+
+
 def test_cli_reconstruct_reproducible_bytes(tmp_path):
     path, out = write_cfg(tmp_path, n=4, M=20, L=2, seed=9)
     assert run_cli("reconstruct", "--config", path) == 0

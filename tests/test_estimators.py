@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import reference
-from covrecon import estimators, fem, fields, spectral
+import support
+from covrecon import estimators, fem, fields, mercer, spectral
 
 
 def _batch_from(space, coeffs, seed=0):
@@ -122,7 +123,7 @@ def test_taper_small_matrix_returned_unchanged():
     # fake a huge sample count: Q < M^{1/(2a+1)} leaves the MLE untouched
     big = estimators.TaperedCovariance(mle.matrix.copy(), tau=0, alpha=None,
                                        estimator_kind="MLE", M=10 ** 6)
-    out = estimators.taper(big, alpha=1.0)
+    out = estimators.taper(big, alpha=1.0, dim=1)
     assert out is big, "undersized matrices must pass through untapered"
     assert out.estimator_kind == "MLE"
 
@@ -142,11 +143,11 @@ def test_taper_never_increases_magnitudes():
     field = fields.KlOracle(1)
     batch = fields.draw_batch(field, space, 200, seed=8)
     mle = estimators.mle_covariance(batch)
-    tap = estimators.taper(mle, alpha=1.0)
+    tap = estimators.taper(mle, alpha=1.0, dim=1)
     assert np.all(np.abs(tap.matrix) <= np.abs(mle.matrix) + 1e-300), \
         "taper weights lie in [0, 1], entries cannot grow"
     with pytest.raises(ValueError):
-        estimators.taper(mle, alpha=0.0)
+        estimators.taper(mle, alpha=0.0, dim=1)
 
 
 def test_estimate_covariance_dispatch():
@@ -183,10 +184,10 @@ def test_rho_tilde_decreases_in_m():
 
 
 def test_decay_check_identity_and_tridiagonal():
-    check = estimators.decay_class_check(np.eye(6), 1.0, 1.0, 2.0)
+    check = estimators.decay_class_check(np.eye(6), 1.0, 1.0, 2.0, 1)
     assert check.C1_est == 0.0 and check.lambda_max == 1.0 and check.passes
     tri = np.eye(6) + np.diag(np.ones(5), 1) + np.diag(np.ones(5), -1)
-    check = estimators.decay_class_check(tri, 1.0, 3.0, 4.0)
+    check = estimators.decay_class_check(tri, 1.0, 3.0, 4.0, 1)
     assert check.C1_est == 0.0, \
         "offsets beyond 1 are empty, so every c >= 1 tail vanishes"
     assert check.passes
@@ -199,7 +200,7 @@ def test_decay_check_matches_brute_reference():
     A = A + 0.01 * reference.random_symmetric(rng, 12)
     A = 0.5 * (A + A.T)
     alpha = 1.0
-    check = estimators.decay_class_check(A, alpha, 1.0, 2.0)
+    check = estimators.decay_class_check(A, alpha, 1.0, 2.0, 1)
     brute = max(reference.banded_tail_brute(A, c) * c ** alpha
                 for c in range(1, 12))
     assert abs(check.C1_est - brute) <= 1e-12, \
@@ -207,15 +208,62 @@ def test_decay_check_matches_brute_reference():
     assert check.passes == (check.C1_est <= 1.0 and check.lambda_max <= 2.0)
 
 
+def test_decay_check_2d_uses_chebyshev_offsets():
+    rng = np.random.default_rng(31)
+    m = 5
+    ix, iy = np.divmod(np.arange(m * m), m)
+    cheb = np.maximum(np.abs(ix[:, None] - ix[None, :]),
+                      np.abs(iy[:, None] - iy[None, :]))
+    A = (1.0 + cheb) ** -2.0 + 0.01 * reference.random_symmetric(rng, m * m)
+    A = 0.5 * (A + A.T)
+    check = estimators.decay_class_check(A, 1.0, 1.0, 2.0, 2)
+    brute = max(reference.chebyshev_tail_brute(A, c, m) * c
+                for c in range(1, m))
+    assert abs(check.C1_est - brute) <= 1e-12, \
+        "2D tails must bucket entries by lattice offset"
+    with pytest.raises(ValueError):
+        estimators.decay_class_check(np.eye(8), 1.0, 1.0, 2.0, 2)
+
+
+def test_taper_2d_is_the_product_of_axis_tapers():
+    m = 5
+    ones = estimators.TaperedCovariance(np.ones((m * m, m * m)), tau=0,
+                                        alpha=None, estimator_kind="MLE",
+                                        M=27)
+    tap = estimators.taper(ones, alpha=1.0, dim=2)
+    assert tap.tau == 4
+    want = np.array([[reference.taper_weight_brute(4, j // m - k // m)
+                      * reference.taper_weight_brute(4, j % m - k % m)
+                      for k in range(m * m)] for j in range(m * m)])
+    assert np.array_equal(tap.matrix, want), \
+        "a node pair must get the product of its two axis weights"
+
+
+def test_tapered_2d_total_falls_with_m():
+    # with a lexicographic taper, x-neighbours (offset n+1) were cut while
+    # the last node of a column kept the first of the next, and the mean
+    # total stalled near 0.15 (0.155 / 0.151 / 0.144) however large M grew
+    means = []
+    for M in (500, 2000, 8000):
+        cfg = support.make_config(d=2, estimator="Tapered", alpha=1.0,
+                                  ns=[16], Ms=[M], Ls=[3], n_rep=4)
+        exact = mercer.ExactSide(2, 16)
+        means.append(np.mean([
+            mercer.replicate(cfg, exact, M, 3, mercer.rep_seed(0, 0, r))
+            .errors.total for r in range(cfg.n_rep)]))
+    assert means[0] > means[1] > means[2] and means[2] < 0.3 * means[0], \
+        "2D tapered mean totals must converge in M, got %r" % (means,)
+
+
 def test_decay_check_pass_fail_logic():
     A = np.eye(4) * 5.0
-    assert not estimators.decay_class_check(A, 1.0, 1.0, 2.0).passes, \
+    assert not estimators.decay_class_check(A, 1.0, 1.0, 2.0, 1).passes, \
         "top eigenvalue 5 must fail a C2=2 bound"
-    assert estimators.decay_class_check(A, 1.0, 1.0, 10.0).passes
+    assert estimators.decay_class_check(A, 1.0, 1.0, 10.0, 1).passes
     with pytest.raises(ValueError):
-        estimators.decay_class_check(np.arange(9.0).reshape(3, 3), 1.0, 1, 2)
+        estimators.decay_class_check(np.arange(9.0).reshape(3, 3), 1.0, 1, 2, 1)
     with pytest.raises(ValueError):
-        estimators.decay_class_check(np.zeros((3, 2)), 1.0, 1, 2)
+        estimators.decay_class_check(np.zeros((3, 2)), 1.0, 1, 2, 1)
 
 
 def test_decay_constant_grows_with_dof_count():
@@ -226,7 +274,7 @@ def test_decay_constant_grows_with_dof_count():
     ests = []
     for n in (16, 32):
         sigma = fields.exact_discrete_covariance(field, fem.build_space(1, n))
-        ests.append(estimators.decay_class_check(sigma, 1.0, 1.0, 2.0).C1_est)
+        ests.append(estimators.decay_class_check(sigma, 1.0, 1.0, 2.0, 1).C1_est)
     ratio = ests[1] / ests[0]
     assert 3.4 <= ratio <= 4.8, \
         "doubling Q should ~quadruple C1_est, got ratio %.2f" % ratio

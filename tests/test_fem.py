@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import reference
 from covrecon import fem
@@ -127,16 +128,16 @@ def test_mass_row_sums_and_total():
     assert np.allclose(sums[[0, -1]], h / 2, rtol=1e-14, atol=0.0)
     assert abs(mass.matrix.sum() - 1.0) <= 1e-12
     mass2 = fem.assemble_mass(fem.build_space(2, 4))
-    assert abs(mass2.matrix.sum() - 1.0) <= 1e-12, \
+    assert abs(reference.dense_mass(mass2).sum() - 1.0) <= 1e-12, \
         "2d mass entries must sum to the domain volume 1"
 
 
 def test_mass_2d_is_kron_and_matches_quadrature():
     mass = fem.assemble_mass(fem.build_space(2, 3))
     one = fem.assemble_mass(fem.build_space(1, 3)).matrix
-    assert np.array_equal(mass.matrix, np.kron(one, one))
+    assert np.array_equal(mass.axis.matrix, one)
     ref = reference.mass_quadrature(2, 3, q=4)
-    assert np.max(np.abs(mass.matrix - ref)) <= 1e-15, \
+    assert np.max(np.abs(reference.dense_mass(mass) - ref)) <= 1e-15, \
         "stencil mass must agree with quadrature-assembled reference"
 
 
@@ -150,9 +151,9 @@ def test_mass_1d_matches_quadrature_reference():
 def test_mass_symmetry_cholesky_and_extremes():
     for d, n in ((1, 9), (2, 4)):
         mass = fem.assemble_mass(fem.build_space(d, n))
-        G = mass.matrix
+        G = reference.dense_mass(mass)
         assert np.array_equal(G, G.T), "mass matrix must be exactly symmetric"
-        L = mass.chol
+        L = reference.dense_chol(mass)
         assert np.max(np.abs(L @ L.T - G)) <= 1e-12 * mass.lambda_max, \
             "Cholesky roundtrip must reproduce the mass matrix"
         assert 0.0 < mass.lambda_min <= mass.lambda_max
@@ -161,13 +162,45 @@ def test_mass_symmetry_cholesky_and_extremes():
         assert abs(vals[-1] - mass.lambda_max) <= 1e-12 * mass.lambda_max
 
 
+def test_mass_actions_match_the_dense_factor():
+    # 2D factors only the axis mass; every action of L = L1 kron L1 runs
+    # along the two lattice axes and must agree with the dense factor
+    rng = np.random.default_rng(29)
+    for d, n in ((1, 7), (2, 5), (2, 8)):
+        mass = fem.assemble_mass(fem.build_space(d, n))
+        assert mass.chol.shape == (n + 1, n + 1)
+        L = reference.dense_chol(mass)
+        X = rng.standard_normal((mass.dof_count, 6))
+        A = reference.random_symmetric(rng, mass.dof_count)
+        for name, got, want in (
+                ("congruence", mass.congruence(A), L.T @ A @ L),
+                ("solve_lt", mass.solve_lt(X),
+                 sla.solve_triangular(L.T, X, lower=False)),
+                ("solve", mass.solve(X), sla.cho_solve((L, True), X))):
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), \
+                "d=%d n=%d: %s disagrees with the dense factor" % (d, n, name)
+            if d == 1:
+                assert np.array_equal(got, want), \
+                    "1D %s must be the dense call itself" % (name,)
+
+
+def test_mass_2d_shares_the_axis_factor():
+    mass = fem.assemble_mass(fem.build_space(2, 6))
+    axis = fem.assemble_mass(fem.build_space(1, 6))
+    assert mass.axis.dof_count == 7 and mass.chol is mass.axis.chol
+    assert np.array_equal(mass.chol, axis.chol)
+    assert mass.lambda_max == axis.lambda_max ** 2
+    assert not hasattr(mass, "matrix"), \
+        "the dense 2D Gram matrix is never formed"
+
+
 def test_mass_quadratic_form_sandwich():
     rng = np.random.default_rng(23)
     for d, n in ((1, 9), (2, 4)):
         mass = fem.assemble_mass(fem.build_space(d, n))
         for _ in range(100):
             y = rng.standard_normal(mass.dof_count)
-            quad = y @ mass.matrix @ y
+            quad = y @ reference.dense_mass(mass) @ y
             nrm = y @ y
             assert mass.lambda_min * nrm - 1e-12 <= quad <= \
                 mass.lambda_max * nrm + 1e-12, \

@@ -9,7 +9,7 @@ import pytest
 
 import reference
 import support
-from covrecon import estimators, fem, fields, mercer, spectral
+from covrecon import estimators, fem, fields, mercer, planner, spectral
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +79,15 @@ def test_kernel_rank_window_is_one_dyad():
 # error decomposition
 # ---------------------------------------------------------------------------
 
+def _decompose(field, exact_spec, est_spec, L):
+    """The error split with e1 = sqrt(tail_sq(L)), as replicate passes it."""
+    return mercer.error_decomposition(field, exact_spec, est_spec, L,
+                                      float(np.sqrt(field.tail_sq(L))))
+
+
 def test_decomposition_exact_estimate_has_zero_sampling_error():
     field, _, _, _, _, spec = support.brownian_setup(1, 16)
-    report = mercer.error_decomposition(field, spec, spec, 3)
+    report = _decompose(field, spec, spec, 3)
     assert report.e3 == 0.0, \
         "identical spectra must produce exactly zero sampling error"
     assert report.e1 > 0.0 and report.e2 > 0.0
@@ -92,7 +98,7 @@ def test_decomposition_exact_estimate_has_zero_sampling_error():
 
 def test_decomposition_e1_matches_closed_form():
     field, _, _, _, _, spec = support.brownian_setup(1, 16)
-    report = mercer.error_decomposition(field, spec, spec, 1)
+    report = _decompose(field, spec, spec, 1)
     want = reference.e1_closed_rank1()
     assert abs(report.e1 - want) <= 1e-12 * want, \
         "rank-1 truncation error must equal (4/pi^2) sqrt(pi^4/96 - 1)"
@@ -101,7 +107,7 @@ def test_decomposition_e1_matches_closed_form():
 def test_decomposition_e1_rate_in_l():
     field, *_, spec = support.brownian_setup(1, 64)
     Ls = [2, 4, 8, 16, 32]
-    e1s = [mercer.error_decomposition(field, spec, spec, L).e1
+    e1s = [_decompose(field, spec, spec, L).e1
            for L in Ls]
     slope = reference.loglog_slope(Ls, e1s)
     assert abs(slope + 1.5) <= 0.05, \
@@ -114,7 +120,7 @@ def test_decomposition_with_sampled_estimate():
     cov = estimators.estimate_covariance(batch, alpha=1.0)
     s_est = spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED)
     est = spectral.eigensolve(s_est)
-    report = mercer.error_decomposition(field, spec, est, 3)
+    report = _decompose(field, spec, est, 3)
     assert report.e3 > 0.0 and report.total > 0.0
     assert report.total <= report.e1 + report.e2 + report.e3 + 1e-8
     # e3 is the Frobenius distance of the transformed rank-L
@@ -129,11 +135,11 @@ def test_decomposition_validation():
     field, _, _, _, _, spec = support.brownian_setup(1, 8)
     *_, other = support.brownian_setup(1, 4)
     with pytest.raises(ValueError):
-        mercer.error_decomposition(field, spec, other, 2)
+        _decompose(field, spec, other, 2)
     with pytest.raises(ValueError):
-        mercer.error_decomposition(field, spec, spec, 0)
+        _decompose(field, spec, spec, 0)
     with pytest.raises(ValueError):
-        mercer.error_decomposition(field, spec, spec, 10)
+        _decompose(field, spec, spec, 10)
 
 
 def test_decomposition_flags_near_degenerate_2d():
@@ -144,7 +150,7 @@ def test_decomposition_flags_near_degenerate_2d():
     gap12 = spec.eigenvalues[1] - spec.eigenvalues[2]
     assert gap12 <= 1e-8 * spec.eigenvalues[0], \
         "modes 2 and 3 of the discrete sheet should tie to machine precision"
-    report = mercer.error_decomposition(field, spec, spec, 2)
+    report = _decompose(field, spec, spec, 2)
     assert report.near_degenerate_split, \
         "a machine-ties eigenvalue window must raise the degeneracy flag"
     assert report.e3 == 0.0
@@ -182,7 +188,7 @@ def test_decomposition_matches_refined_quadrature(d, n, L, refine, q):
     # refinements; 1D is fine enough as it stands.
     field, space, *_, spec = support.brownian_setup(d, n)
     est = _sampled_spectrum(d, n, 400, seed=1)
-    report = mercer.error_decomposition(field, spec, est, L)
+    report = _decompose(field, spec, est, L)
     k_h = mercer.build_kernel(spec, L)
     k_est = mercer.build_kernel(est, L)
     k_trunc = _truncated_kl(field, L)
@@ -276,7 +282,7 @@ def test_invariants_raise_under_python_O():
         "    except NumericError:\n"
         "        print('mass rejected')\n"
         "class Mass:\n"
-        "    chol = np.eye(3)\n"
+        "    solve_lt = staticmethod(np.array)\n"
         "    space = space\n"
         "    lambda_min = lambda_max = 2.0\n"
         "a, b = (spectral.TransformedStiffness(np.diag([v, 0.5, 0.2]), 'x',"
@@ -363,6 +369,19 @@ def test_run_cell_isolates_failures():
     assert np.isfinite(good.mean_total) and good.mean_total > 0.0
 
 
+def test_exact_replication_reuses_the_exact_side():
+    # the Exact estimate is the exact side's own transform and spectrum: no
+    # nodal covariance is formed and the sampling error is exactly 0
+    cfg = support.make_config(d=2, estimator="Exact", ns=[6], Ls=[3])
+    exact = mercer.ExactSide(2, 6)
+    rep = mercer.replicate(cfg, exact, 50, 3, 0)
+    assert rep.spectrum is exact.spectrum
+    assert (rep.estimator, rep.tau, rep.M) == ("Exact", 0, 0)
+    assert rep.errors.e3 == 0.0 and rep.diagnostics.weyl_bound == 0.0
+    assert "sigma" not in vars(exact), \
+        "an Exact replication must not build the dense nodal covariance"
+
+
 def test_run_cell_builds_one_field_object(monkeypatch):
     # the exact side's field serves sampling, the error split and p0 in
     # every replication; no layer builds a KL oracle of its own
@@ -379,6 +398,28 @@ def test_run_cell_builds_one_field_object(monkeypatch):
     cell = mercer.run_cell(cfg, 0, L=2, n=4, M=30)
     assert cell.ok, cell.error
     assert calls == [2], "one KlOracle per cell, got %d" % (len(calls),)
+
+
+def test_run_cell_computes_e1_and_p0_once(monkeypatch):
+    # e1 depends on L only and p0 on (Q_h, tau, M, L): one of each per cell
+    calls = {"tail_sq": 0, "p0_bound": 0}
+    tail_sq, p0_bound = fields.KlOracle.tail_sq, planner.p0_bound
+
+    def counting_tail_sq(self, L):
+        calls["tail_sq"] += 1
+        return tail_sq(self, L)
+
+    def counting_p0_bound(*args):
+        calls["p0_bound"] += 1
+        return p0_bound(*args)
+
+    monkeypatch.setattr(fields.KlOracle, "tail_sq", counting_tail_sq)
+    monkeypatch.setattr(planner, "p0_bound", counting_p0_bound)
+    cfg = support.make_config(ns=[6], Ms=[40], Ls=[2], n_rep=4)
+    cell = mercer.run_cell(cfg, 0, L=2, n=6, M=40)
+    assert cell.ok, cell.error
+    assert calls == {"tail_sq": 1, "p0_bound": 1}, calls
+    assert cell.mean_e1 == float(np.sqrt(fields.KlOracle(1).tail_sq(2)))
 
 
 def test_cell_result_roundtrip():

@@ -8,7 +8,8 @@ import pytest
 import reference
 import support
 from covrecon import fields, mercer, planner, spectral
-from covrecon.errors import DegenerateSpectrumError, InfeasiblePlanError
+from covrecon.errors import (ConfigError, DegenerateSpectrumError,
+                             InfeasiblePlanError)
 
 
 class _FlatOracle:
@@ -35,6 +36,21 @@ def test_profile_validation():
         planner.brownian_profile(gamma=0.4)
     with pytest.raises(ValueError):
         planner.brownian_profile(calibration={"rho1": -1.0})
+
+
+def test_one_calibration_policy():
+    # the planner profile and the config merge and check the constants
+    # the same way, and name the offending key the same way
+    for bad, needle in (({"C9": 1.0}, "calibration.C9"),
+                        ({"rho1": 0.0}, "calibration.rho1"),
+                        ({"beta": "x"}, "calibration.beta")):
+        for build in (lambda: planner.brownian_profile(calibration=bad),
+                      lambda: support.make_config(calibration=bad)):
+            with pytest.raises(ConfigError, match=needle):
+                build()
+    merged = planner.resolve_calibration({"C1": 2.0})
+    assert merged == dict(planner.DEFAULT_CALIBRATION, C1=2.0)
+    assert support.make_config(calibration={"C1": 2.0}).calibration == merged
 
 
 def test_g_of_l_closed_forms():

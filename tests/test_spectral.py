@@ -9,7 +9,7 @@ import scipy.linalg as sla
 
 import reference
 import support
-from covrecon import fem, fields, spectral
+from covrecon import fem, fields, mercer, spectral
 from covrecon.errors import NumericError
 
 
@@ -126,6 +126,56 @@ def test_eigensolve_generalized_equation_residual():
         resid = np.linalg.norm(S @ phi - lam * G @ phi)
         rel = resid / (np.linalg.norm(S, 2) * np.linalg.norm(phi))
         assert rel <= 1e-8, "mode %d residual %.2e too large" % (ell + 1, rel)
+
+
+def _tie_clusters(vals, count):
+    """[start, end) index ranges of exactly equal eigenvalues covering the
+    first count indices."""
+    clusters, start = [], 0
+    while start < count:
+        end = start + 1
+        while end < vals.size and vals[end] == vals[start]:
+            end += 1
+        clusters.append((start, end))
+        start = end
+    return clusters
+
+
+@pytest.mark.parametrize("n, modes", [(8, 20), (16, 40)])
+def test_kronecker_exact_side_matches_dense_oracle(n, modes):
+    # the 2D exact side is built from the axis problem alone; the dense
+    # factor, triple product and eigh of tests/reference.py are the oracle
+    _, _, mass, sigma, s_exact, spec = support.brownian_setup(2, n)
+    assert np.max(np.abs(s_exact.matrix
+                         - reference.dense_transform(sigma, mass))) <= 1e-17
+    vals, vecs = reference.dense_eigh(sigma, mass)
+    assert np.max(np.abs(spec.eigenvalues - vals)) <= 1e-15
+    vt, vg = spec.tilde_vectors, spec.gen_vectors
+    for start, end in _tie_clusters(spec.eigenvalues, modes):
+        P = vt[:, start:end] @ vt[:, start:end].T
+        P_dense = vecs[:, start:end] @ vecs[:, start:end].T
+        assert np.max(np.abs(P - P_dense)) <= 1e-12, \
+            "modes %d..%d span another eigenspace" % (start + 1, end)
+    lead = np.argmax(np.abs(vt), axis=0)
+    assert np.all(vt[lead, np.arange(vt.shape[1])] > 0.0), \
+        "products of canonical axis vectors must be canonical"
+    G = reference.dense_mass(mass)
+    assert np.max(np.abs(vg.T @ G @ vg - np.eye(vg.shape[1]))) \
+        <= 1e-12, "generalized vectors must be G-orthonormal"
+
+
+def test_kronecker_ties_use_the_product_basis():
+    # mu1 mu2 = mu2 mu1 exactly: modes 2 and 3 are v1 (x) v2 then v2 (x) v1
+    exact = mercer.ExactSide(2, 6)
+    spec = exact.spectrum
+    axis = mercer.ExactSide(1, 6).spectrum
+    v1, v2 = axis.tilde_vectors[:, 0], axis.tilde_vectors[:, 1]
+    assert np.array_equal(spec.eigenvalues[:2],
+                          axis.eigenvalues[0] * axis.eigenvalues[:2])
+    assert spec.eigenvalues[1] == spec.eigenvalues[2]
+    assert np.array_equal(spec.tilde_vectors[:, 1], np.kron(v1, v2))
+    assert np.array_equal(spec.tilde_vectors[:, 2], np.kron(v2, v1))
+    assert np.array_equal(exact.s_exact.matrix, exact.s_exact.matrix.T)
 
 
 def test_eigensolve_permutation_invariant_eigenvalues():
