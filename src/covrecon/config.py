@@ -6,7 +6,7 @@ Schema (all sections optional unless a command needs them):
     sampling:    mode (nodal|projection), kl_trunc (projection only)
     estimator:   kind (MLE|Tapered|Exact), alpha (Tapered only)
     study:       ns, Ms, Ls (nonempty int lists), n_rep
-    quadrature:  q (2..6), Gauss points per element for projection sampling
+    quadrature:  accepted and ignored (projection sampling is exact)
     calibration: C1, C2, C, h0, rho1, lambda_max_mass, beta
     seed:        integer
     output:      artifact directory
@@ -32,8 +32,8 @@ class StudyConfig:
 
     def __init__(self, field_kind="brownian", d=1, delta=1e-3, s=None,
                  mode=MODE_NODAL, kl_trunc=None, estimator="MLE", alpha=1.0,
-                 ns=(16,), Ms=(100,), Ls=(3,), n_rep=2, q=2,
-                 calibration=None, seed=0, out_dir="out"):
+                 ns=(16,), Ms=(100,), Ls=(3,), n_rep=2, calibration=None,
+                 seed=0, out_dir="out"):
         self.field_kind = field_kind
         self.d = d
         self.delta = delta
@@ -46,7 +46,6 @@ class StudyConfig:
         self.Ms = list(Ms)
         self.Ls = list(Ls)
         self.n_rep = n_rep
-        self.q = q
         self.calibration = calibration
         self.seed = seed
         self.out_dir = out_dir
@@ -96,9 +95,6 @@ class StudyConfig:
         if not (isinstance(self.n_rep, int) and self.n_rep >= 1):
             raise ConfigError("study.n_rep: must be an integer >= 1, got %r"
                               % (self.n_rep,))
-        if not (isinstance(self.q, int) and 2 <= self.q <= 6):
-            raise ConfigError("quadrature.q: must be an integer in [2, 6], "
-                              "got %r" % (self.q,))
         self.calibration = resolve_calibration(self.calibration)
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError("seed: must be a nonnegative integer, got %r"
@@ -112,7 +108,7 @@ class StudyConfig:
         return dict(field_kind=self.field_kind, d=self.d, delta=self.delta,
                     s=self.s, mode=self.mode, kl_trunc=self.kl_trunc,
                     estimator=self.estimator, alpha=self.alpha, ns=self.ns,
-                    Ms=self.Ms, Ls=self.Ls, n_rep=self.n_rep, q=self.q,
+                    Ms=self.Ms, Ls=self.Ls, n_rep=self.n_rep,
                     calibration=dict(self.calibration), seed=self.seed,
                     out_dir=self.out_dir)
 
@@ -124,6 +120,8 @@ def from_dict(raw):
     if not isinstance(raw, dict):
         raise ConfigError("config root: must be a mapping, got %r"
                           % (type(raw).__name__,))
+    # "quadrature" is accepted and ignored, so configs that still set a Gauss
+    # order for projection sampling (now exact) keep loading
     known = {"field", "sampling", "estimator", "study", "quadrature",
              "calibration", "seed", "output"}
     unknown = set(raw) - known
@@ -143,7 +141,6 @@ def from_dict(raw):
     sampling = section("sampling")
     estimator = section("estimator")
     study = section("study")
-    quad = section("quadrature")
     cal = section("calibration")
 
     kwargs = {}
@@ -166,8 +163,6 @@ def from_dict(raw):
     for key in ("ns", "Ms", "Ls", "n_rep"):
         if key in study:
             kwargs[key] = study[key]
-    if "q" in quad:
-        kwargs["q"] = quad["q"]
     if cal:
         kwargs["calibration"] = cal
     if "seed" in raw:

@@ -92,11 +92,17 @@ def _lattice_offsets(Q, dim):
                       np.abs(iy[:, None] - iy[None, :]))
 
 
+def taper_bandwidth(M, alpha):
+    """The rate-optimal taper width for M samples: the smallest even integer
+    >= M^{1/(2 alpha + 1)}, and at least 2."""
+    return max(2 * math.ceil(M ** (1.0 / (2.0 * alpha + 1.0)) / 2.0), 2)
+
+
 def taper(cov, alpha, dim):
     """Taper an MLE covariance at the rate-optimal bandwidth for alpha.
 
-    tau is the smallest even integer >= M^{1/(2 alpha + 1)}, clamped to
-    [2, Q].  If Q < M^{1/(2 alpha + 1)} the matrix is so small that the
+    tau is taper_bandwidth(M, alpha), clamped to the largest even integer
+    <= Q.  If Q < M^{1/(2 alpha + 1)} the matrix is so small that the
     plain MLE already attains the rate and cov is returned unchanged.  The
     Q dofs are the lexicographic nodes of a dim-dimensional lattice, tapered
     per axis: in 2D the weight of a node pair is the product of the weights
@@ -105,12 +111,9 @@ def taper(cov, alpha, dim):
     if not alpha > 0:
         raise ValueError("alpha must be positive, got %r" % (alpha,))
     Q = cov.dof_count
-    raw = cov.M ** (1.0 / (2.0 * alpha + 1.0))
-    if Q < raw:
+    if Q < cov.M ** (1.0 / (2.0 * alpha + 1.0)):
         return cov
-    tau = max(2 * math.ceil(raw / 2.0), 2)
-    if tau > Q:
-        tau = Q if Q % 2 == 0 else Q - 1
+    tau = min(taper_bandwidth(cov.M, alpha), Q - Q % 2)
     tapered = cov.matrix * _weight_matrix(Q, tau, dim)
     return TaperedCovariance(tapered, tau=tau, alpha=alpha,
                              estimator_kind="Tapered", M=cov.M)

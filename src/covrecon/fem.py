@@ -1,10 +1,10 @@
 """P1 finite element spaces on the unit interval/square.
 
 Uniform lattice meshes of (0,1)^d for d in {1,2}, nodal hat-function bases,
-exact mass matrices with the actions of their Cholesky factors (through the
-1D axis factor alone in 2D), and composite Gauss rules.  Kernel norms are
-not computed here: the error split in `mercer` uses closed forms instead of
-quadrature.
+and exact mass matrices with the actions of their Cholesky factors (through
+the 1D axis factor alone in 2D).  Nothing here integrates by quadrature:
+sampling and the error split use closed forms of the kernel against the
+basis (see `fields.KlOracle`).
 
 Conventions
 -----------
@@ -17,7 +17,6 @@ index of lattice site (ix, iy) is ix*(n+1) + iy.
 import functools
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 import scipy.linalg as sla
 
 from .errors import NumericError
@@ -112,34 +111,6 @@ def basis_matrix(space, points):
     ty = _hat_values_1d(mesh.axis_nodes, mesh.h, points[:, 1])
     npts = points.shape[0]
     return (tx[:, :, None] * ty[:, None, :]).reshape(npts, space.dof_count)
-
-
-def _axis_quadrature(n, q):
-    """Composite Gauss rule on [0,1]: q points per element, n elements."""
-    if q < 1:
-        raise ValueError("quadrature order must be >= 1, got %r" % (q,))
-    gp, gw = leggauss(q)
-    h = 1.0 / n
-    left = np.arange(n) * h
-    pts = (left[:, None] + (gp[None, :] + 1.0) * (h / 2.0)).ravel()
-    wts = np.tile(gw * (h / 2.0), n)
-    return pts, wts
-
-
-def quadrature_points(space, q):
-    """Tensor composite Gauss rule on the unit cube.
-
-    Returns (points, weights) with points of shape (P, dim) in lexicographic
-    order and weights of shape (P,); sum(weights) == 1 up to roundoff.
-    """
-    mesh = space.mesh
-    ax_p, ax_w = _axis_quadrature(mesh.elements_per_axis, q)
-    if mesh.dim == 1:
-        return ax_p[:, None], ax_w
-    X, Y = np.meshgrid(ax_p, ax_p, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    wts = np.outer(ax_w, ax_w).ravel()
-    return pts, wts
 
 
 def _mass_1d(n):

@@ -4,11 +4,14 @@ Centered Brownian motion on (0,1) and the Brownian sheet on (0,1)^2.  One
 KlOracle per dimension is the whole field: its min-kernel covariance, its
 exact Karhunen-Loeve eigenpairs and gaps, and closed forms of the kernel
 against the P1 basis.  Batch sampling draws finite element coefficient
-vectors of the field.
+vectors of the field: its nodal values, or the exact L2 projection of its
+truncated KL series, which the closed-form sine moments give without
+quadrature.
 
 Sampling reproducibility contract: sample m of a batch with seed s is drawn
 from the substream ``Generator(Philox(SeedSequence(s)).jumped(m))``.  The
-(seed, m) keying makes batches bitwise independent of chunking or scheduling.
+(seed, m) keying and a per-sample product make batches bitwise independent
+of batch size, chunking or scheduling.
 jumped(m) only adds m * 2^128 to the 256-bit Philox counter, so the sampler
 keeps one Philox per chunk of samples and resets its counter before each
 sample instead of building a generator per sample (Salmon et al., "Parallel
@@ -24,6 +27,8 @@ MODE_NODAL = "NodalInterpolation"
 MODE_PROJECTION = "L2ProjectionOfTruncatedKL"
 
 _SAMPLE_CHUNK = 4096
+# relative diagonal shift of the one retry made when a 2D nodal Cholesky fails
+_CHOL_JITTER = 1e-10
 
 
 def _lam1(ell):
@@ -254,7 +259,7 @@ def _chol_with_jitter(C, jitter):
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             "nodal covariance Cholesky failed even with jitter %.1e "
-            "(mesh too fine for this jitter; raise jitter or reduce n): %s"
+            "(mesh too fine to factor; reduce n): %s"
             % (jitter, exc))
 
 
@@ -284,16 +289,15 @@ def _standard_normals(seed, start, count, shape):
     return out
 
 
-def draw_batch(field, space, M, mode=MODE_NODAL, seed=0, kl_trunc=None,
-               jitter=1e-10, q=4):
+def draw_batch(field, space, M, mode=MODE_NODAL, seed=0, kl_trunc=None):
     """Draw M discretized realizations of the field on the given space.
 
     mode "NodalInterpolation": exact joint-Gaussian nodal values (cumulative
     increments in 1D, per-axis Cholesky of the nodal min-kernel in 2D).
     mode "L2ProjectionOfTruncatedKL": truncated KL series with kl_trunc
     standard normal coefficients, then L2-projected onto the space.
-    jitter scales the diagonal shift tried when the 2D Cholesky fails; the
-    shift actually applied is reported as the batch's jitter.
+    If the 2D Cholesky fails, one retry adds 1e-10 times the largest
+    diagonal entry; the shift actually applied is the batch's jitter.
     """
     M = int(M)
     if M < 1:
@@ -303,21 +307,21 @@ def draw_batch(field, space, M, mode=MODE_NODAL, seed=0, kl_trunc=None,
                          % (field.dim, space.mesh.dim))
     shift = 0.0
     if mode == MODE_NODAL:
-        coeffs, shift = _draw_nodal(field, space, M, seed, jitter)
+        coeffs, shift = _draw_nodal(field, space, M, seed)
         kl_trunc = None
     elif mode == MODE_PROJECTION:
         if kl_trunc is None or int(kl_trunc) < 1:
             raise ValueError("projection mode needs kl_trunc >= 1, got %r"
                              % (kl_trunc,))
         kl_trunc = int(kl_trunc)
-        coeffs = _draw_projected(field, space, M, seed, kl_trunc, q)
+        coeffs = _draw_projected(field, space, M, seed, kl_trunc)
     else:
         raise ValueError("unknown sampling mode %r" % (mode,))
     return SampleBatch(space, coeffs, mode, kl_trunc, seed, field.kind,
                        jitter=shift)
 
 
-def _draw_nodal(field, space, M, seed, jitter):
+def _draw_nodal(field, space, M, seed):
     """Nodal coefficients (M, Q_h) and the Cholesky diagonal shift applied."""
     mesh = space.mesh
     n = mesh.elements_per_axis
@@ -325,7 +329,7 @@ def _draw_nodal(field, space, M, seed, jitter):
     shift = 0.0
     if mesh.dim == 2:
         pos = mesh.axis_nodes[1:]
-        Lx, shift = _chol_with_jitter(field.axis_covariance(pos), jitter)
+        Lx, shift = _chol_with_jitter(field.axis_covariance(pos), _CHOL_JITTER)
     for start in range(0, M, _SAMPLE_CHUNK):
         count = min(_SAMPLE_CHUNK, M - start)
         block = coeffs[start:start + count]
@@ -342,21 +346,23 @@ def _draw_nodal(field, space, M, seed, jitter):
     return coeffs, shift
 
 
-def _draw_projected(field, space, M, seed, kl_trunc, q):
-    pts, wts = fem.quadrature_points(space, q)
-    Phi = np.column_stack(
-        [field.eigenfunction(l, pts) for l in range(1, kl_trunc + 1)])
+def _draw_projected(field, space, M, seed, kl_trunc):
+    """Coefficients (M, Q_h) of the L2 projections of truncated KL draws.
+
+    The projection of sum_l sqrt(lambda_l) psi_l phi_l solves G c = b with
+    b_j = sum_l sqrt(lambda_l) psi_l (integral of phi_l theta_j), so a sample
+    is c = psi P with the sample-free P = diag(sqrt(lambda)) S G^{-1}, S the
+    closed-form moments.  Each sample is its own (1, K) x (K, Q_h) product,
+    which rounds the same whatever the number of samples beside it.
+    """
     scale = np.sqrt([field.eigenvalue(l) for l in range(1, kl_trunc + 1)])
-    mass = fem.assemble_mass(space)
-    T = fem.basis_matrix(space, pts)
-    TW = wts[:, None] * T
+    S = field.moments(space, kl_trunc)
+    P = scale[:, None] * fem.assemble_mass(space).solve(S.T).T
     coeffs = np.empty((M, space.dof_count))
     for start in range(0, M, _SAMPLE_CHUNK):
         count = min(_SAMPLE_CHUNK, M - start)
-        Psi = _standard_normals(seed, start, count, (kl_trunc,))
-        field_vals = (Psi * scale) @ Phi.T
-        B = field_vals @ TW
-        coeffs[start:start + count] = mass.solve(B.T).T
+        Psi = _standard_normals(seed, start, count, (1, kl_trunc))
+        coeffs[start:start + count] = (Psi @ P)[:, 0]
     return coeffs
 
 

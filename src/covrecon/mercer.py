@@ -197,7 +197,7 @@ class ExactSide:
 def draw(config, exact, M, seed):
     """M samples of the field on the exact side's mesh, as configured."""
     return fields.draw_batch(exact.field, exact.space, M, mode=config.mode,
-                             seed=seed, kl_trunc=config.kl_trunc, q=config.q)
+                             seed=seed, kl_trunc=config.kl_trunc)
 
 
 def estimate(config, exact, M, seed):

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateSpectrumError,
                      InfeasiblePlanError, NumericError)
+from .estimators import taper_bandwidth
 from .fields import KlOracle
 
 DEFAULT_CALIBRATION = dict(C1=1.0, C2=1.0, C=1.0, h0=0.5, rho1=1.0,
@@ -379,7 +380,7 @@ def _plan_case(profile, epsilon, L, case_tag):
         binding = {"M": m_name, "h_lower": lo_name, "h_upper": up_name}
 
     if feasible:
-        tau = max(2 * math.ceil(M ** (1.0 / (2.0 * alpha + 1.0)) / 2.0), 2)
+        tau = taper_bandwidth(M, alpha)
         Q_h = int(round(1.0 / h) + 1) ** d
         p0 = p0_bound(profile.oracle, cal, Q_h, tau, M, L)
     else:

@@ -128,6 +128,16 @@ def gauss_points_1d(n, q):
     return pts, wts
 
 
+def hat_values(dim, n, points):
+    """Tensor P1 hats of the n-element lattice at points (npts, dim), in the
+    lexicographic node order; returns (npts, (n+1)**dim)."""
+    T = np.ones((len(points), 1))
+    for axis in range(dim):
+        hats = hat_values_1d(n, points[:, axis])
+        T = (T[:, :, None] * hats[:, None, :]).reshape(len(points), -1)
+    return T
+
+
 def mass_quadrature_1d(n, q=4):
     """Mass matrix assembled by numerical quadrature of hat products."""
     pts, wts = gauss_points_1d(n, q)

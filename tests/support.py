@@ -23,8 +23,7 @@ def brownian_setup(d, n):
 def make_config(**overrides):
     """A small, valid StudyConfig with keyword overrides."""
     base = dict(d=1, mode="nodal", estimator="MLE", alpha=1.0,
-                ns=[8], Ms=[50], Ls=[2], n_rep=2, q=2, seed=0,
-                out_dir="out")
+                ns=[8], Ms=[50], Ls=[2], n_rep=2, seed=0, out_dir="out")
     base.update(overrides)
     return config_mod.StudyConfig(**base)
 

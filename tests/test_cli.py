@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 
 import reference
 import support
@@ -47,6 +48,11 @@ def test_config_defaults_resolve_and_roundtrip():
                quadrature=dict(q=2), seed=0, output="out")
     assert config_mod.from_dict(raw).to_dict() == cfg.to_dict(), \
         "an explicit YAML document spelling the defaults must resolve equal"
+    # the quadrature section is accepted and ignored: projection sampling
+    # is exact, so no Gauss order is left to set
+    del raw["quadrature"]
+    assert config_mod.from_dict(raw).to_dict() == cfg.to_dict()
+    assert "q" not in cfg.to_dict()
     # studies ship the config to worker processes
     clone = pickle.loads(pickle.dumps(cfg))
     assert clone.to_dict() == cfg.to_dict()
@@ -67,7 +73,6 @@ def test_config_validation_names_the_field():
         (dict(Ms=[0]), "study.Ms"),
         (dict(Ls=[2, 200]), "study.Ls"),
         (dict(n_rep=0), "study.n_rep"),
-        (dict(q=7), "quadrature.q"),
         (dict(calibration=dict(C9=1.0)), "calibration.C9"),
         (dict(calibration=dict(rho1=0.0)), "calibration.rho1"),
         (dict(seed=-1), "seed"),
@@ -79,6 +84,21 @@ def test_config_validation_names_the_field():
         assert needle in str(err.value), \
             "rejecting %r must name %s, said: %s" % (overrides, needle,
                                                      err.value)
+
+
+def test_readme_config_schema_loads():
+    # the documented schema must stay loadable by the config loader
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    section = text.split("### Config schema", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    raw = yaml.safe_load(block)
+    assert "quadrature" in raw, "the README documents the ignored section"
+    cfg = config_mod.from_dict(raw)
+    assert cfg.d == raw["field"]["d"] and cfg.ns == raw["study"]["ns"]
+    assert cfg.calibration == raw["calibration"]
 
 
 def test_from_dict_structure_errors():
@@ -286,6 +306,19 @@ def test_cli_reconstruct_exact_mode_2d(tmp_path):
     _, rows = artifacts.read_csv(os.path.join(out, "spectrum.csv"))
     _, exact_rows = artifacts.read_csv(os.path.join(out, "spectrum_exact.csv"))
     assert rows == exact_rows
+
+
+def test_cli_reconstruct_counts_only_real_negative_eigenvalues(tmp_path):
+    # the 2D MLE estimate is 0 on the 2n+1 axis nodes, so 2n+1 of its
+    # eigenvalues are roundoff around 0 (9 of them below 0 here); only
+    # eigenvalues below -Q eps lambda_1 count as negative
+    path, out = write_cfg(tmp_path, n=8, M=200, L=3, seed=0, d=2)
+    assert run_cli("reconstruct", "--config", path) == 0
+    diag = artifacts.read_json(os.path.join(out, "report.json"))["diagnostics"]
+    assert diag["n_negative_eigenvalues"] == 0
+    assert -1e-15 < diag["min_eigenvalue"] < 0.0, \
+        "min_eigenvalue stays the raw smallest eigenvalue"
+    assert diag["negatives_below_weyl"]
 
 
 def test_cli_reconstruct_reproducible_bytes(tmp_path):

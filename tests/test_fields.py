@@ -373,19 +373,57 @@ def test_projection_mode_variance_cross_check():
     assert dev_n <= 0.02
 
 
-def test_projection_mode_seed_and_shape():
-    space = fem.build_space(1, 8)
-    field = fields.KlOracle(1)
-    a = fields.draw_batch(field, space, 12, mode=fields.MODE_PROJECTION,
-                          seed=9, kl_trunc=40)
-    b = fields.draw_batch(field, space, 12, mode=fields.MODE_PROJECTION,
-                          seed=9, kl_trunc=40)
-    assert np.array_equal(a.coeffs, b.coeffs)
-    assert a.coeffs.shape == (12, 9)
-    small = fields.draw_batch(field, space, 4, mode=fields.MODE_PROJECTION,
-                              seed=9, kl_trunc=40)
-    assert np.array_equal(small.coeffs, a.coeffs[:4]), \
-        "projection draws must also be per-sample streamed"
+def test_projection_mode_seed_and_shape(monkeypatch):
+    # a row depends on (seed, m) alone: not on how many samples are drawn
+    # beside it, nor on where the 4096-sample chunks fall
+    for d, n in ((1, 8), (2, 4)):
+        space = fem.build_space(d, n)
+        field = fields.KlOracle(d)
+
+        def draw(M):
+            return fields.draw_batch(field, space, M,
+                                     mode=fields.MODE_PROJECTION, seed=9,
+                                     kl_trunc=40).coeffs
+
+        a = draw(12)
+        assert np.array_equal(a, draw(12))
+        assert a.shape == (12, space.dof_count)
+        big = draw(4100)
+        for M in (4, 12, 200):
+            assert np.array_equal(draw(M), big[:M]), \
+                "projection rows must not depend on the batch size (%dD, " \
+                "M=%d)" % (d, M)
+        monkeypatch.setattr(fields, "_SAMPLE_CHUNK", 1000)
+        assert np.array_equal(draw(4100), big), \
+            "projection rows must not depend on the chunking (%dD)" % (d,)
+        monkeypatch.undo()
+
+
+def test_projection_mode_is_the_exact_l2_projection():
+    # independent projection: the KL series from the eigenfunction oracle and
+    # the documented normals, integrated against the hats by a 6-point Gauss
+    # rule on a 16x refined mesh (on each cell the sines turn by under 0.5
+    # rad) and solved with the quadrature mass.  The two agree to 1.4e-15
+    # of the largest coefficient; the bound is 1e-13.
+    seed = 4
+    for d, n, K, M in ((1, 8, 40, 5), (2, 4, 30, 3)):
+        field = fields.KlOracle(d)
+        space = fem.build_space(d, n)
+        batch = fields.draw_batch(field, space, M, mode=fields.MODE_PROJECTION,
+                                  seed=seed, kl_trunc=K)
+        pts, wts = reference.gauss_points(d, n * 16, 6)
+        T = reference.hat_values(d, n, pts)
+        phi = np.column_stack([np.sqrt(field.eigenvalue(l))
+                               * field.eigenfunction(l, pts)
+                               for l in range(1, K + 1)])
+        psi = np.array([
+            np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(seed)).jumped(m)).standard_normal(K)
+            for m in range(M)])
+        load = (psi @ phi.T * wts) @ T
+        want = np.linalg.solve(reference.mass_quadrature(d, n), load.T).T
+        err = np.max(np.abs(batch.coeffs - want)) / np.max(np.abs(want))
+        assert err <= 1e-13, "%dD projection off by %.2e" % (d, err)
 
 
 # ---------------------------------------------------------------------------

@@ -230,10 +230,7 @@ def test_moments_match_quadrature():
         oracle = fields.KlOracle(d)
         space = fem.build_space(d, n)
         pts, wts = reference.gauss_points(d, n * 16, 6)
-        T = np.ones((len(pts), 1))
-        for axis in range(d):
-            hats = reference.hat_values_1d(n, pts[:, axis])
-            T = (T[:, :, None] * hats[:, None, :]).reshape(len(pts), -1)
+        T = reference.hat_values(d, n, pts)
         phi = np.column_stack([oracle.eigenfunction(l, pts)
                                for l in range(1, L + 1)])
         want = (phi * wts[:, None]).T @ T
