@@ -79,12 +79,24 @@ def _write_text(path, text):
         fh.write(text)
 
 
+# BLAS thread settings: dense eigensolves round differently with the thread
+# count, so primary artifacts are byte-identical only at a fixed setting
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+
+
 def write_sidecar(path, config, **extra):
-    """Timestamped companion metadata; the only artifact kind with a clock."""
+    """Timestamped companion metadata; the only artifact kind with a clock.
+
+    Also records the BLAS thread variables of the environment (null when
+    unset) as blas_threads.
+    """
     cfg = config.to_dict() if hasattr(config, "to_dict") else config
     payload = dict(version=__version__, config=cfg,
                    created=datetime.datetime.now(datetime.timezone.utc)
-                   .isoformat(), **extra)
+                   .isoformat(),
+                   blas_threads={k: os.environ.get(k)
+                                 for k in _BLAS_THREAD_VARS}, **extra)
     _write_text(path, json.dumps(_jsonify(payload), sort_keys=True, indent=2)
                 + "\n")
 
@@ -216,16 +228,42 @@ def save_cell(cell_dir, result, config=None):
                config)
 
 
-def load_cell(cell_dir, index):
-    """Reload a persisted study cell, or None when absent/corrupt."""
+def _config_key(cfg):
+    """Canonical JSON of a resolved config mapping, without its out_dir."""
+    cfg = dict(cfg or {})
+    cfg.pop("out_dir", None)
+    return canonical_json(cfg)
+
+
+def load_cell(cell_dir, index, config=None, rejected=None):
+    """Reload a persisted study cell, or None when absent or unusable.
+
+    A cell file is unusable when it is corrupt, was written by another
+    covrecon version, or, when config is given, embeds a config that differs
+    from it in anything but out_dir.  rejected, when given, collects a
+    one-line note naming each unusable file and why.
+    """
     path = cell_path(cell_dir, index)
     if not os.path.exists(path):
         return None
     try:
-        raw = read_json(path)["cell"]
-    except (OSError, ValueError, KeyError):
-        return None
-    for key in _CELL_FLOATS:
-        if raw.get(key) is None:
-            raw[key] = float("nan")
-    return CellResult.from_dict(raw)
+        doc = read_json(path)
+        raw = dict(doc["cell"])
+        for key in _CELL_FLOATS:
+            if raw.get(key) is None:
+                raw[key] = float("nan")
+        cell = CellResult.from_dict(raw)
+        written = _config_key(doc.get("config"))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        reason = "corrupt (%s: %s)" % (type(exc).__name__, exc)
+    else:
+        if doc.get("version") != __version__:
+            reason = "written by covrecon %s, not %s" % (doc.get("version"),
+                                                         __version__)
+        elif config is not None and written != _config_key(config.to_dict()):
+            reason = "written for a different config"
+        else:
+            return cell
+    if rejected is not None:
+        rejected.append("ignoring cell %s: %s" % (path, reason))
+    return None

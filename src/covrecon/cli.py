@@ -163,21 +163,33 @@ def cmd_study(cfg, args):
                           "not Exact")
     cell_dir = os.path.join(cfg.out_dir, "cells")
     os.makedirs(cell_dir, exist_ok=True)
-    loader = (lambda idx: artifacts.load_cell(cell_dir, idx)) \
-        if args.resume else None
+    resumed, rejected = [], []
+
+    def load(idx):
+        # only cells of this version and config are reused; a failed cell is
+        # recomputed like a missing one
+        cell = artifacts.load_cell(cell_dir, idx, cfg, rejected)
+        if cell is not None and cell.ok:
+            resumed.append(idx)
+        return cell
+
     saver = lambda res: artifacts.save_cell(cell_dir, res, cfg)
-    results = mercer.expected_error_study(cfg, workers=args.workers,
-                                          cell_loader=loader,
-                                          cell_saver=saver)
+    results = mercer.expected_error_study(
+        cfg, workers=args.workers, cell_loader=load if args.resume else None,
+        cell_saver=saver)
     rates = mercer.study_rates(results)
     summary, diag, rates_path = artifacts.write_study_csvs(
         cfg.out_dir, results, rates, cfg)
-    artifacts.write_sidecar(os.path.join(cfg.out_dir, "study.meta.json"),
-                            cfg, cells=len(results),
-                            failed=sum(1 for r in results if not r.ok))
     failed = [r for r in results if not r.ok]
-    print("study complete: %d cells (%d failed); wrote %s, %s, %s"
-          % (len(results), len(failed), summary, diag, rates_path))
+    artifacts.write_sidecar(os.path.join(cfg.out_dir, "study.meta.json"),
+                            cfg, cells=len(results), failed=len(failed),
+                            cells_resumed=len(resumed),
+                            cells_rejected=len(rejected))
+    for note in rejected:
+        print(note, file=sys.stderr)
+    print("study complete: %d cells (%d failed, %d resumed); wrote %s, %s, %s"
+          % (len(results), len(failed), len(resumed), summary, diag,
+             rates_path))
     for r in failed:
         print("  cell %d (L=%d, n=%d, M=%d) failed: %s"
               % (r.index, r.L, r.n, r.M, r.error), file=sys.stderr)

@@ -8,13 +8,16 @@ vectors of the field: its nodal values, or the exact L2 projection of its
 truncated KL series, which the closed-form sine moments give without
 quadrature.
 
-Sampling reproducibility contract: sample m of a batch with seed s is drawn
-from the substream ``Generator(Philox(SeedSequence(s)).jumped(m))``.  The
-(seed, m) keying and a per-sample product make batches bitwise independent
-of batch size, chunking or scheduling.
-jumped(m) only adds m * 2^128 to the 256-bit Philox counter, so the sampler
+Sampling reproducibility contract: sample m of a batch with seed s is row
+m % B of block m // B, and block b is drawn from the substream
+``Generator(Philox(SeedSequence(s)).jumped(b)).standard_normal((B, *shape))``
+with the fixed block size B = 64.  A block never depends on the batch size,
+and each sample is its own product downstream, so batches are bitwise
+independent of batch size, chunking or scheduling, and a batch of M samples
+is a prefix of every larger one.
+jumped(b) only adds b * 2^128 to the 256-bit Philox counter, so the sampler
 keeps one Philox per chunk of samples and resets its counter before each
-sample instead of building a generator per sample (Salmon et al., "Parallel
+block instead of building a generator per block (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC'11).
 """
 
@@ -26,7 +29,10 @@ from .errors import NumericError
 MODE_NODAL = "NodalInterpolation"
 MODE_PROJECTION = "L2ProjectionOfTruncatedKL"
 
-_SAMPLE_CHUNK = 4096
+# samples per Philox substream: one standard_normal call draws a whole block
+_SAMPLE_BLOCK = 64
+# samples per sampler call; whole blocks, so that no block is drawn twice
+_SAMPLE_CHUNK = 64 * _SAMPLE_BLOCK
 # relative diagonal shift of the one retry made when a 2D nodal Cholesky fails
 _CHOL_JITTER = 1e-10
 
@@ -266,26 +272,35 @@ def _chol_with_jitter(C, jitter):
 def _standard_normals(seed, start, count, shape):
     """Standard normals of samples start..start+count-1, shape (count, *shape).
 
-    Row m holds Generator(Philox(SeedSequence(seed)).jumped(m))
-    .standard_normal(shape), bit for bit.  jumped(m) adds m * 2^128 to the
-    counter of the batch root, whose counter starts at zero, so one root
-    Philox serves every sample: before each draw its counter is set to
-    (0, 0, low 64 bits of m, high 64 bits of m) and its output buffer is
-    emptied.
+    Row m is row m % B of block m // B (B = _SAMPLE_BLOCK), and block b is
+    Generator(Philox(SeedSequence(seed)).jumped(b)).standard_normal((B,
+    *shape)), bit for bit.  jumped(b) adds b * 2^128 to the counter of the
+    batch root, whose counter starts at zero, so one root Philox serves every
+    block: before each block its counter is set to (0, 0, low 64 bits of b,
+    high 64 bits of b) and its output buffer is emptied.  Whole blocks are
+    drawn straight into the result; only a block cut by either end of the
+    request is drawn in full and sliced.
     """
+    shape = tuple(shape)
+    B = _SAMPLE_BLOCK
     bitgen = np.random.Philox(np.random.SeedSequence(int(seed)))
     gen = np.random.Generator(bitgen)
     state = bitgen.state
     state["buffer_pos"] = 4  # empty buffer: the next draw runs the counter
     state["has_uint32"] = 0
     counter = state["state"]["counter"]
-    out = np.empty((count,) + tuple(shape))
-    for i in range(count):
-        m = start + i
-        counter[2] = m & 0xFFFFFFFFFFFFFFFF
-        counter[3] = m >> 64
+    out = np.empty((count,) + shape)
+    stop = start + count
+    for b in range(start // B, (stop + B - 1) // B):
+        counter[2] = b & 0xFFFFFFFFFFFFFFFF
+        counter[3] = b >> 64
         bitgen.state = state
-        gen.standard_normal(shape, out=out[i])
+        lo, hi = max(b * B, start), min(b * B + B, stop)
+        if hi - lo == B:
+            gen.standard_normal((B,) + shape, out=out[lo - start:hi - start])
+        else:
+            block = gen.standard_normal((B,) + shape)
+            out[lo - start:hi - start] = block[lo - b * B:hi - b * B]
     return out
 
 
@@ -336,7 +351,9 @@ def _draw_nodal(field, space, M, seed):
         Z = _standard_normals(seed, start, count, (n,) * mesh.dim)
         if mesh.dim == 1:
             block[:, 0] = 0.0
-            block[:, 1:] = np.sqrt(mesh.h) * np.cumsum(Z, axis=1)
+            # in place: no (count, n) temporaries
+            np.cumsum(Z, axis=1, out=block[:, 1:])
+            block[:, 1:] *= np.sqrt(mesh.h)
         else:
             # the lattice of sample m is Lx Z_m Lx^T, pinned to 0 on the axes
             full = block.reshape(count, n + 1, n + 1)

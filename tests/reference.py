@@ -309,6 +309,24 @@ def loglog_slope(x, y):
 
 
 # ---------------------------------------------------------------------------
+# Sampling contract
+# ---------------------------------------------------------------------------
+
+# samples per substream block of the (seed, m) sampling contract
+SAMPLE_BLOCK = 64
+
+
+def block_normals(seed, m, shape):
+    """The normative normals of sample m: row m % B of block m // B, where
+    block b is Philox(SeedSequence(seed)).jumped(b) drawing (B, *shape)
+    normals from a fresh generator (no counter resets)."""
+    shape = (shape,) if np.isscalar(shape) else tuple(shape)
+    g = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed)).jumped(m // SAMPLE_BLOCK))
+    return g.standard_normal((SAMPLE_BLOCK,) + shape)[m % SAMPLE_BLOCK]
+
+
+# ---------------------------------------------------------------------------
 # Test scaffolding helpers
 # ---------------------------------------------------------------------------
 

@@ -219,6 +219,42 @@ def test_study_cell_persistence_round_trip(tmp_path):
         "a corrupt cell must be recomputed, not crash the resume"
 
 
+def test_load_cell_notes_rejections_but_ignores_out_dir(tmp_path):
+    # the version and seed rejections are covered through the CLI in
+    # test_cli_study_resume_rejects_cells_of_other_runs
+    cell_dir = str(tmp_path)
+    good = mercer.CellResult(0, 2, 8, 50, ok=True, mean_total=0.25,
+                             mean_e1=0.1, mean_e2=0.05, mean_e3=0.1,
+                             stderr=0.01, n_rep=4, gap_fail_fraction=0.0,
+                             p0=0.5, tau=0, lambda1_dev=1e-3)
+    artifacts.save_cell(cell_dir, good, support.make_config(seed=1))
+    notes = []
+    moved = support.make_config(seed=1, out_dir="elsewhere")
+    assert artifacts.load_cell(cell_dir, 0, moved, notes).mean_total == 0.25, \
+        "a cell differing only in out_dir is reused"
+    assert artifacts.load_cell(cell_dir, 1, moved, notes) is None
+    assert notes == [], "a missing cell is no rejection"
+    path = artifacts.cell_path(cell_dir, 0)
+    with open(path, "w") as fh:
+        fh.write("{ truncated")
+    assert artifacts.load_cell(cell_dir, 0, moved, notes) is None
+    assert len(notes) == 1 and "corrupt" in notes[0] and path in notes[0]
+    assert "\n" not in notes[0], "one line per rejected cell"
+
+
+def test_sidecar_records_blas_threads(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    path = str(tmp_path / "x.meta.json")
+    artifacts.write_sidecar(path, support.make_config(), n=4)
+    meta = artifacts.read_json(path)
+    assert meta["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                    "OMP_NUM_THREADS": "2",
+                                    "MKL_NUM_THREADS": None}
+    assert meta["n"] == 4 and meta["version"] == __version__
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -420,6 +456,49 @@ def test_cli_study_resume_and_workers(tmp_path):
     resumed = {os.path.relpath(p, out): support.read_file_bytes(p)
                for p in support.primary_artifacts(out)}
     assert resumed == snapshot and support.read_file_bytes(keep) == before
+
+
+def test_cli_study_resume_rejects_cells_of_other_runs(tmp_path, capsys):
+    path, out = write_cfg(tmp_path, n=4, M=10, seed=1)
+    assert run_cli("study", "--config", path) == 0
+
+    def artifacts_of_run():
+        return {os.path.relpath(p, out): support.read_file_bytes(p)
+                for p in support.primary_artifacts(out)}
+
+    def meta():
+        return artifacts.read_json(os.path.join(out, "study.meta.json"))
+
+    seed1 = artifacts_of_run()
+    assert meta()["cells_resumed"] == 0 and meta()["cells_rejected"] == 0
+    # an identical rerun reuses the cell
+    capsys.readouterr()
+    assert run_cli("study", "--config", path, "--resume") == 0
+    assert artifacts_of_run() == seed1
+    assert meta()["cells_resumed"] == 1 and meta()["cells_rejected"] == 0
+    assert "ignoring cell" not in capsys.readouterr().err
+    # a different seed must not reuse the seed-1 cell
+    assert run_cli("study", "--config", path, "--seed", "2", "--resume") == 0
+    err = capsys.readouterr().err
+    assert "ignoring cell" in err and "different config" in err
+    assert meta()["cells_resumed"] == 0 and meta()["cells_rejected"] == 1
+    seed2 = artifacts_of_run()
+    assert seed2 != seed1
+    shutil.rmtree(out)
+    assert run_cli("study", "--config", path, "--seed", "2") == 0
+    assert artifacts_of_run() == seed2, \
+        "a resume over rejected cells equals a fresh run"
+    # nor a cell written by another version
+    cell = artifacts.cell_path(os.path.join(out, "cells"), 0)
+    doc = artifacts.read_json(cell)
+    doc["version"] = "0.1.0"
+    with open(cell, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert run_cli("study", "--config", path, "--seed", "2", "--resume") == 0
+    assert "covrecon 0.1.0" in capsys.readouterr().err
+    assert meta()["cells_resumed"] == 0 and meta()["cells_rejected"] == 1
+    assert artifacts_of_run() == seed2
 
 
 def test_cli_study_diagnostics_table(tmp_path):

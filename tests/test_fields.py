@@ -164,13 +164,6 @@ def test_oracle_tail_sums():
 # sampling: stream contract
 # ---------------------------------------------------------------------------
 
-def _jumped_normals(seed, m, shape):
-    """The normative draw of sample m: Philox(SeedSequence(seed)).jumped(m)."""
-    g = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed)).jumped(m))
-    return g.standard_normal(shape)
-
-
 def _axis_cholesky(space):
     """Cholesky factor of the min kernel on the interior axis nodes."""
     pos = space.mesh.axis_nodes[1:]
@@ -178,20 +171,43 @@ def _axis_cholesky(space):
 
 
 def test_standard_normals_match_jumped_definition():
-    # the implementation resets one Philox counter per sample and must agree
-    # with the jumped-generator definition, also once the sample index
-    # carries into the counter's high word (m >= 2^64)
+    # the implementation resets one Philox counter per block of samples and
+    # draws whole blocks into the result; it must agree with the fresh
+    # jumped-generator definition row for row: for a count that is not a
+    # multiple of B, for a request that starts and stops inside a block, and
+    # once the block index carries into the counter's high word (m >= 2^64 B)
+    B = reference.SAMPLE_BLOCK
+    assert fields._SAMPLE_BLOCK == B, "the block size is part of the contract"
+    assert fields._SAMPLE_CHUNK % B == 0, "chunks must hold whole blocks"
     for seed in (0, 42):
-        for start, count in ((0, 6), (2 ** 64 - 1, 3)):
+        for start, count in ((0, 6), (B - 3, 2 * B + 5),
+                             (2 ** 64 * B - 2, 4)):
             rows = fields._standard_normals(seed, start, count, (16,))
             assert rows.shape == (count, 16)
             for i in range(count):
                 assert np.array_equal(
-                    rows[i], _jumped_normals(seed, start + i, 16)), \
-                    "stream %d deviates from the jumped-generator definition" \
+                    rows[i], reference.block_normals(seed, start + i, 16)), \
+                    "stream %d deviates from the block definition" \
                     % (start + i)
     square = fields._standard_normals(3, 4, 2, (3, 3))
-    assert np.array_equal(square[1], _jumped_normals(3, 5, (3, 3)))
+    assert np.array_equal(square[1], reference.block_normals(3, 5, (3, 3)))
+
+
+def test_standard_normals_golden_values():
+    # literal values of the contract (seed 0, shape (4,); samples 0, B - 1
+    # and B for the block size B = 64): a change to numpy's Philox or
+    # ziggurat, or to the contract, must fail here even when the sampler and
+    # the reference move together
+    rows = fields._standard_normals(0, 0, 65, (4,))
+    golden = {0: [-0.2059740286292238, -0.12884495093462758,
+                  -0.28978987549091256],
+              63: [-1.730737354734555, 0.820758592950756,
+                   -0.5244185928009969],
+              64: [0.4156171112795787, 2.415201797456255,
+                   -0.1334783958166111]}
+    for m, want in golden.items():
+        assert np.array_equal(rows[m, :3], want), \
+            "sample %d moved: %r" % (m, rows[m, :3].tolist())
 
 
 def test_nodal_draw_matches_manual_construction():
@@ -200,9 +216,7 @@ def test_nodal_draw_matches_manual_construction():
     batch = fields.draw_batch(field, space, 3, seed=7)
     h = space.mesh.h
     for m in range(3):
-        g = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(7)).jumped(m))
-        z = g.standard_normal(2)
+        z = reference.block_normals(7, m, 2)
         row = np.concatenate([[0.0], np.sqrt(h) * np.cumsum(z)])
         assert np.array_equal(batch.coeffs[m], row), \
             "1d nodal sample must be the scaled cumulative sum of increments"
@@ -217,7 +231,7 @@ def test_nodal_draw_2d_matches_manual_construction():
     assert batch.jitter == 0.0, "the 2D nodal Cholesky needs no jitter"
     Lx = _axis_cholesky(space)
     for m in range(4):
-        z = _jumped_normals(11, m, (2, 2))
+        z = reference.block_normals(11, m, (2, 2))
         lattice = batch.coeffs[m].reshape(3, 3)
         assert np.all(lattice[0] == 0.0) and np.all(lattice[:, 0] == 0.0)
         assert np.array_equal(lattice[1:, 1:], Lx @ z @ Lx.T), \
@@ -228,7 +242,8 @@ def test_nodal_draw_2d_matches_manual_construction():
 
 
 def test_draw_chunk_invariance():
-    # each sample owns its stream, so a prefix of a big batch equals a small one
+    # a block never depends on M, so a prefix of a big batch equals a small
+    # one, also when the small M is not a multiple of the block size
     space = fem.build_space(1, 4)
     field = fields.KlOracle(1)
     small = fields.draw_batch(field, space, 10, seed=3)
@@ -416,10 +431,8 @@ def test_projection_mode_is_the_exact_l2_projection():
         phi = np.column_stack([np.sqrt(field.eigenvalue(l))
                                * field.eigenfunction(l, pts)
                                for l in range(1, K + 1)])
-        psi = np.array([
-            np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(seed)).jumped(m)).standard_normal(K)
-            for m in range(M)])
+        psi = np.array([reference.block_normals(seed, m, K)
+                        for m in range(M)])
         load = (psi @ phi.T * wts) @ T
         want = np.linalg.solve(reference.mass_quadrature(d, n), load.T).T
         err = np.max(np.abs(batch.coeffs - want)) / np.max(np.abs(want))
