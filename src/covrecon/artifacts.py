@@ -235,13 +235,13 @@ def _config_key(cfg):
     return canonical_json(cfg)
 
 
-def load_cell(cell_dir, index, config=None, rejected=None):
+def load_cell(cell_dir, index, config, rejected):
     """Reload a persisted study cell, or None when absent or unusable.
 
     A cell file is unusable when it is corrupt, was written by another
-    covrecon version, or, when config is given, embeds a config that differs
-    from it in anything but out_dir.  rejected, when given, collects a
-    one-line note naming each unusable file and why.
+    covrecon version, or embeds a config that differs from config in anything
+    but out_dir.  rejected collects a one-line note naming each unusable file
+    and why.
     """
     path = cell_path(cell_dir, index)
     if not os.path.exists(path):

@@ -277,9 +277,9 @@ def _standard_normals(seed, start, count, shape):
     *shape)), bit for bit.  jumped(b) adds b * 2^128 to the counter of the
     batch root, whose counter starts at zero, so one root Philox serves every
     block: before each block its counter is set to (0, 0, low 64 bits of b,
-    high 64 bits of b) and its output buffer is emptied.  Whole blocks are
-    drawn straight into the result; only a block cut by either end of the
-    request is drawn in full and sliced.
+    high 64 bits of b) and its output buffer is emptied.  Every block the
+    request touches is drawn whole, straight into one buffer, and the request
+    is a slice of it.
     """
     shape = tuple(shape)
     B = _SAMPLE_BLOCK
@@ -289,19 +289,16 @@ def _standard_normals(seed, start, count, shape):
     state["buffer_pos"] = 4  # empty buffer: the next draw runs the counter
     state["has_uint32"] = 0
     counter = state["state"]["counter"]
-    out = np.empty((count,) + shape)
-    stop = start + count
-    for b in range(start // B, (stop + B - 1) // B):
+    b0, b1 = start // B, (start + count + B - 1) // B
+    out = np.empty(((b1 - b0) * B,) + shape)
+    for b in range(b0, b1):
         counter[2] = b & 0xFFFFFFFFFFFFFFFF
         counter[3] = b >> 64
         bitgen.state = state
-        lo, hi = max(b * B, start), min(b * B + B, stop)
-        if hi - lo == B:
-            gen.standard_normal((B,) + shape, out=out[lo - start:hi - start])
-        else:
-            block = gen.standard_normal((B,) + shape)
-            out[lo - start:hi - start] = block[lo - b * B:hi - b * B]
-    return out
+        lo = (b - b0) * B
+        gen.standard_normal((B,) + shape, out=out[lo:lo + B])
+    lo = start - b0 * B
+    return out[lo:lo + count]
 
 
 def draw_batch(field, space, M, mode=MODE_NODAL, seed=0, kl_trunc=None):
@@ -351,9 +348,7 @@ def _draw_nodal(field, space, M, seed):
         Z = _standard_normals(seed, start, count, (n,) * mesh.dim)
         if mesh.dim == 1:
             block[:, 0] = 0.0
-            # in place: no (count, n) temporaries
-            np.cumsum(Z, axis=1, out=block[:, 1:])
-            block[:, 1:] *= np.sqrt(mesh.h)
+            block[:, 1:] = np.sqrt(mesh.h) * np.cumsum(Z, axis=1)
         else:
             # the lattice of sample m is Lx Z_m Lx^T, pinned to 0 on the axes
             full = block.reshape(count, n + 1, n + 1)

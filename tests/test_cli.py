@@ -208,14 +208,15 @@ def test_study_cell_persistence_round_trip(tmp_path):
                              mean_e1=0.1, mean_e2=0.05, mean_e3=0.1,
                              stderr=0.01, n_rep=4, gap_fail_fraction=0.0,
                              p0=float("nan"), tau=0, lambda1_dev=1e-3)
-    artifacts.save_cell(cell_dir, good, support.make_config())
-    back = artifacts.load_cell(cell_dir, 3)
+    cfg, notes = support.make_config(), []
+    artifacts.save_cell(cell_dir, good, cfg)
+    back = artifacts.load_cell(cell_dir, 3, cfg, notes)
     assert back.index == 3 and back.M == 50 and back.mean_total == 0.25
     assert math.isnan(back.p0), "null JSON floats must come back as nan"
-    assert artifacts.load_cell(cell_dir, 4) is None
+    assert artifacts.load_cell(cell_dir, 4, cfg, notes) is None
     with open(artifacts.cell_path(cell_dir, 3), "w") as fh:
         fh.write("{ truncated")
-    assert artifacts.load_cell(cell_dir, 3) is None, \
+    assert artifacts.load_cell(cell_dir, 3, cfg, notes) is None, \
         "a corrupt cell must be recomputed, not crash the resume"
 
 
@@ -520,7 +521,8 @@ def test_study_cell_is_the_mean_of_reconstruct_runs(tmp_path):
     path, out = write_cfg(tmp_path, n=8, M=200, L=2, seed=5,
                           estimator="Tapered")
     assert run_cli("study", "--config", path) == 0
-    cell = artifacts.load_cell(os.path.join(out, "cells"), 0)
+    cell = artifacts.load_cell(os.path.join(out, "cells"), 0,
+                               config_mod.load_config(path), [])
     assert cell.ok and cell.n_rep == 2 and cell.tau == 6
     errors = []
     for rep in (0, 1):
