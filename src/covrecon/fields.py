@@ -348,7 +348,8 @@ def _draw_nodal(field, space, M, seed):
         Z = _standard_normals(seed, start, count, (n,) * mesh.dim)
         if mesh.dim == 1:
             block[:, 0] = 0.0
-            block[:, 1:] = np.sqrt(mesh.h) * np.cumsum(Z, axis=1)
+            np.cumsum(Z, axis=1, out=block[:, 1:])
+            block[:, 1:] *= np.sqrt(mesh.h)
         else:
             # the lattice of sample m is Lx Z_m Lx^T, pinned to 0 on the axes
             full = block.reshape(count, n + 1, n + 1)

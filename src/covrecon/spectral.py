@@ -26,6 +26,13 @@ from .errors import NumericError
 SOURCE_EXACT = "ExactDiscrete"
 SOURCE_ESTIMATED = "Estimated"
 
+# operator_norm: dense eigensolve below this many rows, Lanczos from it on.
+# On one CPU, for the estimation differences (10-14 Lanczos steps), dense
+# takes 0.1 ms against 0.6 ms at Q=33, breaks even near Q=129 (1 ms), and
+# takes 4 ms against 1.3 ms at Q=257.
+_LANCZOS_MIN_DOF = 128
+_LANCZOS_RTOL = 1e-14
+
 
 class TransformedStiffness:
     """The congruence transform (L^G)^T Sigma L^G of a covariance matrix."""
@@ -156,9 +163,46 @@ def opnorm_sandwich(mass, cov_diff_norm):
 
 
 def operator_norm(A):
-    """Spectral norm of the symmetric part of A via its extreme eigenvalues."""
-    vals = sla.eigh(0.5 * (A + A.T), eigvals_only=True)
-    return float(max(abs(vals[0]), abs(vals[-1])))
+    """Spectral norm of the symmetric part of A via its extreme eigenvalues.
+
+    Below _LANCZOS_MIN_DOF rows a dense eigensolve gives them.  From there
+    on a Lanczos iteration with full reorthogonalization (Golub & Van Loan,
+    Matrix Computations, 10.1), started from a fixed vector, stops once
+    every extreme Ritz value theta_j plus its residual estimate
+    beta_k |s_kj| is at most (1 + _LANCZOS_RTOL) max|theta|.  For the Ritz
+    value of largest magnitude that is beta_k |s_kj| <= _LANCZOS_RTOL |theta|;
+    at the other end it keeps an unconverged value from hiding a larger
+    eigenvalue.  The zero matrix gives exactly 0.0, and no convergence
+    within Q steps raises NumericError.
+    """
+    S = 0.5 * (A + A.T)
+    Q = S.shape[0]
+    if Q < _LANCZOS_MIN_DOF:
+        vals = sla.eigh(S, eigvals_only=True)
+        return float(max(abs(vals[0]), abs(vals[-1])))
+    basis = np.empty((Q, Q))
+    v = np.random.default_rng(0).standard_normal(Q)
+    v /= np.linalg.norm(v)
+    alpha, beta = [], []
+    for k in range(Q):
+        basis[k] = v
+        w = S @ v
+        alpha.append(v @ w)
+        # Gram-Schmidt against the whole basis, twice: once leaves roundoff
+        # of the size of the removed components
+        V = basis[:k + 1]
+        w -= V.T @ (V @ w)
+        w -= V.T @ (V @ w)
+        b = np.linalg.norm(w)
+        theta, s = sla.eigh_tridiagonal(alpha, beta)
+        top = max(abs(theta[0]), abs(theta[-1]))
+        bound = np.abs(theta[[0, -1]]) + b * np.abs(s[-1, [0, -1]])
+        if np.max(bound) <= (1.0 + _LANCZOS_RTOL) * top:
+            return float(top)
+        beta.append(b)
+        v = w / b
+    raise NumericError("Lanczos operator norm did not converge in %d steps"
+                       % Q)
 
 
 def _mixed_gaps(exact_vals, est_vals, L):

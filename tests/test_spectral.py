@@ -306,6 +306,74 @@ def test_weyl_bound_random_pairs():
 
 
 # ---------------------------------------------------------------------------
+# operator norm: dense below the Lanczos switch, Lanczos from it on
+# ---------------------------------------------------------------------------
+
+def _dense_norm(A):
+    vals = sla.eigvalsh(0.5 * (A + A.T))
+    return max(abs(vals[0]), abs(vals[-1]))
+
+
+def _norm_cases(q):
+    rng = np.random.default_rng(q)
+    u = rng.standard_normal(q)
+    tie = np.diag(np.concatenate(([1.0, -1.0], np.linspace(0.5, 0.0, q - 2))))
+    # a decaying symmetric matrix with the rows and columns of pinned nodes
+    # zeroed, as the 2D lattice has on its axes
+    U = np.linalg.qr(rng.standard_normal((q, q)))[0]
+    pinned = (U * (rng.choice([-1.0, 1.0], q) / np.arange(1, q + 1) ** 2)) \
+        @ U.T
+    pinned[::7] = 0.0
+    pinned[:, ::7] = 0.0
+    # the isolated +1 converges first; the larger -1 - 1e-6 sits at the edge
+    # of a cluster and converges later, so stopping on the first converged
+    # extreme would return 1.0
+    hidden = (U * np.concatenate(([1.0, -1.0 - 1e-6],
+                                  np.linspace(-1.0, -0.9, q // 2),
+                                  np.zeros(q - 2 - q // 2)))) @ U.T
+    return {"rank one": np.outer(u, u), "tie": tie,
+            "non-symmetric": rng.standard_normal((q, q)), "pinned": pinned,
+            "hidden near-tie": hidden}
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 172])
+def test_operator_norm_matches_dense_both_sides_of_switch(offset):
+    q = spectral._LANCZOS_MIN_DOF + offset
+    assert spectral.operator_norm(np.zeros((q, q))) == 0.0, \
+        "the zero matrix must give exactly 0.0 (Exact estimator weyl_bound)"
+    for name, A in _norm_cases(q).items():
+        got = spectral.operator_norm(A)
+        want = _dense_norm(A)
+        assert isinstance(got, float)
+        assert abs(got - want) <= 1e-13 * want, \
+            "%s at Q=%d: %r against dense %r" % (name, q, got, want)
+
+
+def test_operator_norm_lanczos_non_decaying_goe():
+    # a GOE matrix has no decay and near-equal extremes at both ends
+    rng = np.random.default_rng(7)
+    G = rng.standard_normal((1089, 1089))
+    G = (G + G.T) / np.sqrt(2.0)
+    want = _dense_norm(G)
+    assert abs(spectral.operator_norm(G) - want) <= 1e-13 * want
+
+
+def test_operator_norm_lanczos_never_falls_back_to_dense(monkeypatch):
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense eigensolve above the Lanczos switch")
+
+    A = reference.random_symmetric(np.random.default_rng(3),
+                                   spectral._LANCZOS_MIN_DOF + 2)
+    want = _dense_norm(A)
+    monkeypatch.setattr(spectral.sla, "eigh", no_dense)
+    assert abs(spectral.operator_norm(A) - want) <= 1e-13 * want
+    # a tolerance no Ritz value can meet exhausts the Q steps and raises
+    monkeypatch.setattr(spectral, "_LANCZOS_RTOL", -1.0)
+    with pytest.raises(NumericError, match="did not converge"):
+        spectral.operator_norm(A)
+
+
+# ---------------------------------------------------------------------------
 # joint diagnostics
 # ---------------------------------------------------------------------------
 
@@ -370,6 +438,32 @@ def test_diagnostics_gap_condition_and_quarter_gap():
         assert np.array_equal(margins >= 0, diag.gap_condition_per_ell), \
             "the closed-form reference and diagnostics must judge the gap " \
             "condition alike"
+
+
+def test_diagnostics_above_lanczos_switch():
+    # 1D n=256 projection draws with the tapered estimator, M < Q: both
+    # norms go through Lanczos and must agree with the dense oracle
+    from covrecon import estimators
+
+    field, space, mass, sigma, s_exact, spec = support.brownian_setup(1, 256)
+    assert space.dof_count >= spectral._LANCZOS_MIN_DOF
+    batch = fields.draw_batch(field, space, 200, mode=fields.MODE_PROJECTION,
+                              seed=0, kl_trunc=400)
+    cov = estimators.estimate_covariance(batch, alpha=1.0)
+    assert cov.estimator_kind == "Tapered"
+    s_est = spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED)
+    est = spectral.eigensolve(s_est)
+    diag = spectral.diagnostics(spec, est, s_exact, s_est, field, 5)
+    want = _dense_norm(s_exact.matrix - s_est.matrix)
+    assert abs(diag.weyl_bound - want) <= 1e-13 * want
+    # the recovered difference is sigma - cov up to the two triangular solves
+    want = _dense_norm(sigma - cov.matrix)
+    assert abs(diag.cov_diff_norm - want) <= 1e-10 * want
+    lo, hi = diag.sandwich_interval
+    assert lo <= diag.weyl_bound <= hi
+    assert np.max(diag.eigenvalue_dev) <= diag.weyl_bound
+    assert spectral.diagnostics(spec, spec, s_exact, s_exact, field,
+                                5).weyl_bound == 0.0
 
 
 def test_diagnostics_validates_rank():
