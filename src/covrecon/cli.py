@@ -79,8 +79,7 @@ def cmd_sample(cfg, args):
     artifacts.write_sidecar(path[:-4] + ".meta.json", cfg,
                             n=n, M=M, Q_h=exact.space.dof_count,
                             mode=batch.mode, kl_trunc=batch.kl_trunc,
-                            seed=batch.seed, field_kind=batch.field_kind,
-                            jitter=batch.jitter)
+                            seed=batch.seed, field_kind=batch.field_kind)
     print("wrote %s (%d samples x %d dofs)" % (path, M, exact.space.dof_count))
     return EXIT_OK
 

@@ -7,6 +7,7 @@ weight is the product of the two axis weights.  The rate function
 rho_tilde gives the theoretical squared-error level of that choice.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -76,20 +77,17 @@ def _lattice_side(Q, dim):
 
 
 def _weight_matrix(Q, tau, dim):
-    """Per-axis taper of the lattice: W1 in 1D, W1 kron W1 in 2D."""
+    """Per-axis taper of the lattice: the dim-th Kronecker power of W1."""
     idx = np.arange(_lattice_side(Q, dim))
     W1 = tapering_weights(tau, idx[:, None], idx[None, :])
-    return W1 if dim == 1 else np.kron(W1, W1)
+    return functools.reduce(np.kron, [W1] * dim)
 
 
 def _lattice_offsets(Q, dim):
     """Chebyshev offsets max_k |i_k - i'_k| between the Q lattice nodes."""
-    idx = np.arange(Q)
-    if dim == 1:
-        return np.abs(idx[:, None] - idx[None, :])
-    ix, iy = np.divmod(idx, _lattice_side(Q, dim))
-    return np.maximum(np.abs(ix[:, None] - ix[None, :]),
-                      np.abs(iy[:, None] - iy[None, :]))
+    coords = np.unravel_index(np.arange(Q), (_lattice_side(Q, dim),) * dim)
+    return functools.reduce(np.maximum, [np.abs(i[:, None] - i[None, :])
+                                         for i in coords])
 
 
 def taper_bandwidth(M, alpha):
@@ -192,14 +190,13 @@ class SubgaussianDiagnostic:
         self.c_inf_hat = c_inf_hat
         self.rho_inv_nodal = rho_inv_nodal
 
-    @property
-    def rho1(self):
-        return 1.0 / self.rho_inv_nodal if self.rho_inv_nodal > 0 else math.inf
-
 
 def subgaussian_diagnostic(batch):
-    """Estimate rho_inv_nodal = 4 c_inf^2 from the batch sup-norm moments."""
-    from .fields import moment_diagnostics
-    mom = moment_diagnostics(batch)
-    return SubgaussianDiagnostic(mom.c_inf_hat, 4.0 * mom.c_inf_hat ** 2)
-
+    """Estimate c_inf = sqrt(E max_j K_j^2) from the per-sample sup norms of
+    a batch, and rho_inv_nodal = 4 c_inf^2."""
+    if batch.sample_count < 2:
+        raise ValueError("moment diagnostics need at least 2 samples, got %d"
+                         % (batch.sample_count,))
+    per_sample_max = np.max(np.abs(batch.coeffs), axis=1)
+    c_inf_hat = float(np.sqrt(np.mean(per_sample_max ** 2)))
+    return SubgaussianDiagnostic(c_inf_hat, 4.0 * c_inf_hat ** 2)

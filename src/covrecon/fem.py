@@ -8,10 +8,9 @@ basis (see `fields.KlOracle`).
 
 Conventions
 -----------
-Point blocks are arrays of shape (npts, d).
-
-Nodes are ordered lexicographically by coordinate tuple, so in 2D the flat
-index of lattice site (ix, iy) is ix*(n+1) + iy.
+Node coordinates are an array of shape (Q_h, d), ordered lexicographically
+by coordinate tuple, so in 2D the flat index of lattice site (ix, iy) is
+ix*(n+1) + iy.
 """
 
 import functools
@@ -45,13 +44,9 @@ class Mesh:
         self.elements_per_axis = n
         self.h = 1.0 / n
         axis = np.linspace(0.0, 1.0, n + 1)
-        if dim == 1:
-            nodes = axis[:, None]
-        else:
-            X, Y = np.meshgrid(axis, axis, indexing="ij")
-            nodes = np.column_stack([X.ravel(), Y.ravel()])
+        grids = np.meshgrid(*(axis,) * dim, indexing="ij")
         self.axis_nodes = axis
-        self.nodes = nodes
+        self.nodes = np.column_stack([g.ravel() for g in grids])
         self.node_count = (n + 1) ** dim
 
     def __repr__(self):
@@ -80,37 +75,6 @@ class FeSpace:
 def build_space(dim, n):
     """Convenience constructor: FeSpace on a fresh uniform mesh."""
     return FeSpace(build_mesh(dim, n))
-
-
-def _hat_values_1d(axis_nodes, h, pts):
-    """Values of all 1D hat functions at pts; shape (len(pts), n+1)."""
-    return np.clip(1.0 - np.abs(pts[:, None] - axis_nodes[None, :]) / h, 0.0, None)
-
-
-def basis_matrix(space, points):
-    """Evaluate every nodal basis function at the given points.
-
-    Parameters
-    ----------
-    points : (npts, dim) array of locations inside [0,1]^dim.
-
-    Returns
-    -------
-    (npts, Q_h) array T with T[p, j] = theta_j(points[p]).
-    """
-    mesh = space.mesh
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != mesh.dim:
-        raise ValueError("points must have shape (npts, %d), got %r"
-                         % (mesh.dim, points.shape))
-    if np.any(points < -1e-12) or np.any(points > 1.0 + 1e-12):
-        raise ValueError("points outside the closed unit cube")
-    if mesh.dim == 1:
-        return _hat_values_1d(mesh.axis_nodes, mesh.h, points[:, 0])
-    tx = _hat_values_1d(mesh.axis_nodes, mesh.h, points[:, 0])
-    ty = _hat_values_1d(mesh.axis_nodes, mesh.h, points[:, 1])
-    npts = points.shape[0]
-    return (tx[:, :, None] * ty[:, None, :]).reshape(npts, space.dof_count)
 
 
 def _mass_1d(n):

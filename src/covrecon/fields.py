@@ -33,8 +33,6 @@ MODE_PROJECTION = "L2ProjectionOfTruncatedKL"
 _SAMPLE_BLOCK = 64
 # samples per sampler call; whole blocks, so that no block is drawn twice
 _SAMPLE_CHUNK = 64 * _SAMPLE_BLOCK
-# relative diagonal shift of the one retry made when a 2D nodal Cholesky fails
-_CHOL_JITTER = 1e-10
 
 
 def _lam1(ell):
@@ -74,10 +72,7 @@ class KlOracle:
         """R(X, Y) = prod_k min(x_k, y_k) on blocks (a, dim), (b, dim) -> (a, b)."""
         X = np.asarray(X)
         Y = np.asarray(Y)
-        R = np.minimum.outer(X[:, 0], Y[:, 0])
-        if self.dim == 2:
-            R = R * np.minimum.outer(X[:, 1], Y[:, 1])
-        return R
+        return np.prod(np.minimum(X[:, None, :], Y[None, :, :]), axis=2)
 
     def axis_covariance(self, x):
         """min(x_i, x_j) on one axis: the nodal covariance of a lattice is its
@@ -221,14 +216,9 @@ def min_kernel_load(n):
 
 
 class SampleBatch:
-    """M discretized field realizations as rows of coefficient vectors.
+    """M discretized field realizations as rows of coefficient vectors."""
 
-    jitter is the diagonal shift added to the nodal covariance before its
-    Cholesky factorization: 0.0 unless the plain factorization failed.
-    """
-
-    def __init__(self, space, coeffs, mode, kl_trunc, seed, field_kind,
-                 jitter=0.0):
+    def __init__(self, space, coeffs, mode, kl_trunc, seed, field_kind):
         if coeffs.ndim != 2 or coeffs.shape[0] < 1:
             raise ValueError("batch must be a 2D array with at least one "
                              "sample, got shape %r" % (coeffs.shape,))
@@ -242,31 +232,10 @@ class SampleBatch:
         self.kl_trunc = kl_trunc
         self.seed = int(seed)
         self.field_kind = field_kind
-        self.jitter = float(jitter)
 
     @property
     def sample_count(self):
         return self.coeffs.shape[0]
-
-
-def _chol_with_jitter(C, jitter):
-    """Cholesky factor of C and the diagonal shift applied to get it.
-
-    The shift is 0.0 when C factors as is; otherwise one retry is made with
-    jitter times the largest diagonal entry added to the diagonal.
-    """
-    try:
-        return np.linalg.cholesky(C), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    bump = float(jitter * np.max(np.diag(C)))
-    try:
-        return np.linalg.cholesky(C + bump * np.eye(len(C))), bump
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            "nodal covariance Cholesky failed even with jitter %.1e "
-            "(mesh too fine to factor; reduce n): %s"
-            % (jitter, exc))
 
 
 def _standard_normals(seed, start, count, shape):
@@ -304,12 +273,10 @@ def _standard_normals(seed, start, count, shape):
 def draw_batch(field, space, M, mode=MODE_NODAL, seed=0, kl_trunc=None):
     """Draw M discretized realizations of the field on the given space.
 
-    mode "NodalInterpolation": exact joint-Gaussian nodal values (cumulative
-    increments in 1D, per-axis Cholesky of the nodal min-kernel in 2D).
+    mode "NodalInterpolation": exact joint-Gaussian nodal values (scaled
+    cumulative sums of independent increments along every axis).
     mode "L2ProjectionOfTruncatedKL": truncated KL series with kl_trunc
     standard normal coefficients, then L2-projected onto the space.
-    If the 2D Cholesky fails, one retry adds 1e-10 times the largest
-    diagonal entry; the shift actually applied is the batch's jitter.
     """
     M = int(M)
     if M < 1:
@@ -317,9 +284,8 @@ def draw_batch(field, space, M, mode=MODE_NODAL, seed=0, kl_trunc=None):
     if field.dim != space.mesh.dim:
         raise ValueError("field dimension %d does not match mesh dimension %d"
                          % (field.dim, space.mesh.dim))
-    shift = 0.0
     if mode == MODE_NODAL:
-        coeffs, shift = _draw_nodal(field, space, M, seed)
+        coeffs = _draw_nodal(space, M, seed)
         kl_trunc = None
     elif mode == MODE_PROJECTION:
         if kl_trunc is None or int(kl_trunc) < 1:
@@ -329,34 +295,34 @@ def draw_batch(field, space, M, mode=MODE_NODAL, seed=0, kl_trunc=None):
         coeffs = _draw_projected(field, space, M, seed, kl_trunc)
     else:
         raise ValueError("unknown sampling mode %r" % (mode,))
-    return SampleBatch(space, coeffs, mode, kl_trunc, seed, field.kind,
-                       jitter=shift)
+    return SampleBatch(space, coeffs, mode, kl_trunc, seed, field.kind)
 
 
-def _draw_nodal(field, space, M, seed):
-    """Nodal coefficients (M, Q_h) and the Cholesky diagonal shift applied."""
+def _draw_nodal(space, M, seed):
+    """Nodal coefficients (M, Q_h) of Brownian motion or the Brownian sheet.
+
+    The field has independent N(0, h^d) increments on the n^d lattice cells,
+    so the lattice of sample m is sqrt(h)^d times the cumulative sums of its
+    n^d standard normals along axis 1, then along each further axis, and 0 on
+    the nodes with a zero coordinate.  In 2D this is Lx Z_m Lx^T with
+    Lx = sqrt(h) tril(1), the lower triangular factor of the axis kernel
+    h min(i, j) = Lx Lx^T.
+    """
     mesh = space.mesh
-    n = mesh.elements_per_axis
+    n, d = mesh.elements_per_axis, mesh.dim
     coeffs = np.empty((M, space.dof_count))
-    shift = 0.0
-    if mesh.dim == 2:
-        pos = mesh.axis_nodes[1:]
-        Lx, shift = _chol_with_jitter(field.axis_covariance(pos), _CHOL_JITTER)
     for start in range(0, M, _SAMPLE_CHUNK):
         count = min(_SAMPLE_CHUNK, M - start)
-        block = coeffs[start:start + count]
-        Z = _standard_normals(seed, start, count, (n,) * mesh.dim)
-        if mesh.dim == 1:
-            block[:, 0] = 0.0
-            np.cumsum(Z, axis=1, out=block[:, 1:])
-            block[:, 1:] *= np.sqrt(mesh.h)
-        else:
-            # the lattice of sample m is Lx Z_m Lx^T, pinned to 0 on the axes
-            full = block.reshape(count, n + 1, n + 1)
-            full[:, 0, :] = 0.0
-            full[:, :, 0] = 0.0
-            full[:, 1:, 1:] = Lx @ Z @ Lx.T
-    return coeffs, shift
+        lattice = coeffs[start:start + count].reshape((count,) + (n + 1,) * d)
+        for axis in range(1, d + 1):
+            lattice[(slice(None),) * axis + (0,)] = 0.0
+        inner = lattice[(slice(None),) + (slice(1, None),) * d]
+        Z = _standard_normals(seed, start, count, (n,) * d)
+        np.cumsum(Z, axis=1, out=inner)
+        for axis in range(2, d + 1):
+            np.cumsum(inner, axis=axis, out=inner)
+        inner *= np.sqrt(mesh.h) ** d
+    return coeffs
 
 
 def _draw_projected(field, space, M, seed, kl_trunc):
@@ -386,25 +352,3 @@ def exact_discrete_covariance(field, space):
     if not np.array_equal(cov, cov.T):
         raise NumericError("analytic covariance evaluation not symmetric")
     return cov
-
-
-class MomentDiagnostics:
-    """Sup-norm second-moment estimate and sample-mean summary of a batch."""
-
-    def __init__(self, c_inf_hat, mean_max_abs, sample_count):
-        self.c_inf_hat = c_inf_hat
-        self.mean_max_abs = mean_max_abs
-        # centering bound |E field| <= c_inf: tested on estimates with
-        # Monte Carlo slack 3 c_inf / sqrt(M)
-        self.centering_ok = mean_max_abs <= 3.0 * c_inf_hat / np.sqrt(sample_count) + 1e-300
-
-
-def moment_diagnostics(batch):
-    """Estimate c_inf = sqrt(E max_j K_j^2) and the sample-mean sup-norm."""
-    if batch.sample_count < 2:
-        raise ValueError("moment diagnostics need at least 2 samples, got %d"
-                         % (batch.sample_count,))
-    per_sample_max = np.max(np.abs(batch.coeffs), axis=1)
-    c_inf_hat = float(np.sqrt(np.mean(per_sample_max ** 2)))
-    mean_max_abs = float(np.max(np.abs(np.mean(batch.coeffs, axis=0))))
-    return MomentDiagnostics(c_inf_hat, mean_max_abs, batch.sample_count)

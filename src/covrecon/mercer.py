@@ -26,41 +26,6 @@ from .errors import NumericError
 _NEAR_DEGENERATE_REL = 1e-8
 
 
-class MercerKernel:
-    """A truncated Mercer kernel over a finite element space."""
-
-    def __init__(self, space, L, eigenvalues, vectors, provenance):
-        Q = space.dof_count
-        if not 1 <= L <= Q:
-            raise ValueError("truncation rank L=%r must lie in [1, %d]" % (L, Q))
-        if eigenvalues.shape != (L,) or vectors.shape != (Q, L):
-            raise ValueError("spectral data shapes %r, %r inconsistent with "
-                             "L=%d, Q=%d"
-                             % (eigenvalues.shape, vectors.shape, L, Q))
-        eigenvalues.setflags(write=False)
-        vectors.setflags(write=False)
-        self.space = space
-        self.L = L
-        self.eigenvalues = eigenvalues
-        self.vectors = vectors
-        self.provenance = provenance
-
-
-def build_kernel(spectrum, L, space=None):
-    """Retain the top-L eigenpairs of a discrete spectrum as a kernel."""
-    space = space if space is not None else spectrum.mass.space
-    L = int(L)
-    return MercerKernel(space, L, spectrum.eigenvalues[:L].copy(),
-                        spectrum.gen_vectors[:, :L].copy(), spectrum.source)
-
-
-def kernel_matrix(kernel, X, Y):
-    """Kernel values on the product of two point blocks, shape (a, b)."""
-    BX = fem.basis_matrix(kernel.space, X) @ kernel.vectors
-    BY = fem.basis_matrix(kernel.space, Y) @ kernel.vectors
-    return (BX * kernel.eigenvalues) @ BY.T
-
-
 class ErrorReport:
     """Three-way L2(DxD) error split of a truncated reconstruction.
 
@@ -143,11 +108,11 @@ class ExactSide:
 
     field is the Brownian field of dimension d (a fields.KlOracle).  mass,
     sigma (the exact nodal covariance), s_exact and spectrum are built on
-    first use, so drawing or estimating alone never eigensolves.  In 2D the
-    sheet's nodal covariance is Sigma1 kron Sigma1 (Sigma1 the covariance on
-    one axis), so s_exact is S-tilde1 kron S-tilde1 and its spectrum the
-    Kronecker square of the axis spectrum: no Q_h x Q_h factorization or
-    eigensolve.  e1 depends on L alone and is kept per L.
+    first use, so drawing or estimating alone never eigensolves.  The nodal
+    covariance is the d-th Kronecker power of Sigma1, the covariance on one
+    axis, so s_exact is the d-th power of S-tilde1 and its spectrum the d-th
+    Kronecker power of the axis spectrum: in 2D no Q_h x Q_h factorization
+    or eigensolve is run.  e1 depends on L alone and is kept per L.
     """
 
     def __init__(self, d, n):
@@ -165,27 +130,23 @@ class ExactSide:
 
     @functools.cached_property
     def _axis(self):
-        """S-tilde1 of the covariance on one lattice axis and its spectrum: in
-        1D s_exact and spectrum themselves."""
+        """S-tilde1 of the covariance on one lattice axis."""
         x = self.space.mesh.axis_nodes
-        s1 = spectral.transform(self.field.axis_covariance(x), self.mass.axis,
-                                spectral.SOURCE_EXACT)
-        return s1, spectral.eigensolve(s1)
+        return spectral.transform(self.field.axis_covariance(x),
+                                  self.mass.axis, spectral.SOURCE_EXACT)
 
     @functools.cached_property
     def s_exact(self):
-        s1, _ = self._axis
-        if self.space.mesh.dim == 1:
-            return s1
-        return spectral.TransformedStiffness(np.kron(s1.matrix, s1.matrix),
-                                             spectral.SOURCE_EXACT, self.mass)
+        power = [self._axis.matrix] * self.space.mesh.dim
+        return spectral.TransformedStiffness(
+            functools.reduce(np.kron, power), spectral.SOURCE_EXACT, self.mass)
 
     @functools.cached_property
     def spectrum(self):
-        _, spec1 = self._axis
-        if self.space.mesh.dim == 1:
-            return spec1
-        return spectral.kronecker_square(spec1, self.mass)
+        # the axis spectrum is not kept: in 1D its first power is a copy,
+        # and keeping both would hold the Q_h x Q_h vectors twice
+        return spectral.kronecker_power(spectral.eigensolve(self._axis),
+                                        self.mass, self.space.mesh.dim)
 
     def e1(self, L):
         """Truncation error sqrt(field.tail_sq(L))."""

@@ -7,7 +7,7 @@ back via Phi = (L^G)^{-T} Phi-tilde, which makes the finite element
 functions phi_l = Phi_l . theta exactly L2-orthonormal.  Every action of
 L^G goes through the mass object, which in 2D applies the axis factor along
 both lattice axes; the 2D exact spectrum is the Kronecker square of the 1D
-one (kronecker_square).
+one (kronecker_power).
 
 Diagnostics compare an exact-discrete spectrum against an estimated one:
 Weyl eigenvalue stability, mixed spectral gaps, the spectral-gap condition,
@@ -15,6 +15,7 @@ Davis-Kahan subspace ratios, and the mass-spectrum sandwich on the
 transformed perturbation norm.
 """
 
+import functools
 import os
 import tempfile
 
@@ -111,26 +112,31 @@ def eigensolve(ts):
     return DiscreteSpectrum(vals, vecs, gen, ts.source, ts.mass)
 
 
-def kronecker_square(axis_spec, mass):
-    """Spectrum of S-tilde1 kron S-tilde1 on the 2D mass, from the pairs of
-    S-tilde1 on one axis: no Q_h x Q_h eigensolve.
+def kronecker_power(axis_spec, mass, d):
+    """Spectrum of the d-th Kronecker power of S-tilde1 on the mass of the
+    d-dimensional lattice, from the pairs of S-tilde1 on one axis: no Q_h x
+    Q_h eigensolve.
 
     Eigenvalue mu_i mu_j has the tilde vector v_i kron v_j and, since
-    L^G = L1 kron L1, the generalized vector Phi_i kron Phi_j.  The stable
-    descending sort puts v_i kron v_j before its tie v_j kron v_i (i < j).  A
-    product of canonically signed vectors is canonically signed: its largest
-    component is the product of the two largest.
+    L^G = L1 kron L1, the generalized vector Phi_i kron Phi_j (likewise for
+    every d).  The stable descending sort puts v_i kron v_j before its tie
+    v_j kron v_i (i < j).  A product of canonically signed vectors is
+    canonically signed: its largest component is the product of the largest.
+    For d = 1 it equals the axis spectrum, bit for bit.
     """
     mu = axis_spec.eigenvalues
-    vals = np.outer(mu, mu).ravel()
+    vals = functools.reduce(np.multiply.outer, [mu] * d).ravel()
     order = np.argsort(-vals, kind="stable")
-    i, j = np.divmod(order, mu.size)
+    index = np.unravel_index(order, (mu.size,) * d)
 
-    def pairs(V):
-        return (V[:, None, i] * V[None, :, j]).reshape(vals.size, vals.size)
+    def power(V):
+        P = V[:, index[0]]
+        for i in index[1:]:
+            P = (P[:, None, :] * V[None, :, i]).reshape(-1, vals.size)
+        return P
 
-    return DiscreteSpectrum(vals[order], pairs(axis_spec.tilde_vectors),
-                            pairs(axis_spec.gen_vectors), axis_spec.source,
+    return DiscreteSpectrum(vals[order], power(axis_spec.tilde_vectors),
+                            power(axis_spec.gen_vectors), axis_spec.source,
                             mass)
 
 

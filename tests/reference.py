@@ -138,6 +138,23 @@ def hat_values(dim, n, points):
     return T
 
 
+def rank_l_kernel(spec, L):
+    """The rank-L Mercer kernel of a discrete spectrum as a function of two
+    point blocks: K(X, Y) = sum_{l<=L} mu_l (Phi_l . theta(X)) (Phi_l .
+    theta(Y)), with the hats from the tent formula."""
+    mesh = spec.mass.space.mesh
+    mu, V = spec.eigenvalues[:L], spec.gen_vectors[:, :L]
+
+    def values(P):
+        return hat_values(mesh.dim, mesh.elements_per_axis,
+                          np.asarray(P, dtype=float)) @ V
+
+    def k(X, Y):
+        return (values(X) * mu) @ values(Y).T
+
+    return k
+
+
 def mass_quadrature_1d(n, q=4):
     """Mass matrix assembled by numerical quadrature of hat products."""
     pts, wts = gauss_points_1d(n, q)

@@ -17,6 +17,8 @@ def test_mesh_1d_basic():
     mesh = fem.build_mesh(1, 2)
     assert mesh.h == 0.5 and mesh.node_count == 3, "n=2 grid must have 3 nodes"
     assert np.array_equal(mesh.axis_nodes, [0.0, 0.5, 1.0])
+    assert np.array_equal(mesh.nodes, [[0.0], [0.5], [1.0]]), \
+        "1d nodes must be an (n+1, 1) point block"
     mesh = fem.build_mesh(1, 4)
     assert mesh.node_count == 5 and mesh.h == 0.25
 
@@ -52,41 +54,34 @@ def test_space_dof_count():
 
 
 # ---------------------------------------------------------------------------
-# basis evaluation
+# basis evaluation (the tent-formula hats every oracle integrates against)
 # ---------------------------------------------------------------------------
 
 def test_basis_partition_of_unity():
     rng = np.random.default_rng(11)
     for d, n in ((1, 5), (2, 3)):
-        space = fem.build_space(d, n)
         pts = rng.random((40, d))
-        T = fem.basis_matrix(space, pts)
-        assert T.shape == (40, space.dof_count)
+        T = reference.hat_values(d, n, pts)
+        assert T.shape == (40, (n + 1) ** d)
         assert np.max(np.abs(T.sum(axis=1) - 1.0)) <= 1e-12, \
             "hat functions must sum to one everywhere in the domain"
         assert np.min(T) >= 0.0
 
 
 def test_basis_interpolates_nodal_values():
-    space = fem.build_space(1, 8)
-    T = fem.basis_matrix(space, space.mesh.nodes)
-    assert np.array_equal(T, np.eye(9)), "basis at nodes must be the identity"
+    for d, n in ((1, 8), (2, 3)):
+        T = reference.hat_values(d, n, fem.build_space(d, n).mesh.nodes)
+        assert np.array_equal(T, np.eye((n + 1) ** d)), \
+            "basis at the mesh nodes must be the identity (%dD)" % (d,)
 
 
 def test_basis_matches_reference_hats():
-    space = fem.build_space(1, 13)
+    # a hat expansion is the piecewise linear interpolant of its coefficients
     x = np.linspace(0.0, 1.0, 97)
-    T = fem.basis_matrix(space, x[:, None])
-    assert np.max(np.abs(T - reference.hat_values_1d(13, x))) <= 1e-14
-
-
-def test_basis_rejects_points_outside_domain():
-    space = fem.build_space(1, 4)
-    for bad in (-0.1, 1.1):
-        with pytest.raises(ValueError):
-            fem.basis_matrix(space, np.array([[bad]]))
-    with pytest.raises(ValueError):
-        fem.basis_matrix(space, np.zeros((3, 2)))  # wrong dimension
+    nodes = np.linspace(0.0, 1.0, 14)
+    f = np.random.default_rng(5).standard_normal(14)
+    got = reference.hat_values(1, 13, x[:, None]) @ f
+    assert np.max(np.abs(got - np.interp(x, nodes, f))) <= 1e-14
 
 
 def test_quadrature_points_weights():
@@ -222,8 +217,8 @@ def test_kernel_norm_separable_hat_product():
     space = fem.build_space(1, 4)
 
     def k(X, Y):
-        a = fem.basis_matrix(space, X)[:, [0]]
-        b = fem.basis_matrix(space, Y)[:, [0]]
+        a = reference.hat_values(1, 4, X)[:, [0]]
+        b = reference.hat_values(1, 4, Y)[:, [0]]
         return a @ b.T
 
     val = reference.kernel_l2_norm(space, k, q=2)

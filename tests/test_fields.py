@@ -1,13 +1,12 @@
 """The Brownian field object (kernel and KL oracle), batch sampling and
-moment diagnostics."""
+the sup-moment diagnostic of a batch."""
 
 import numpy as np
 import pytest
 
 import reference
 import support
-from covrecon import fem, fields
-from covrecon.errors import NumericError
+from covrecon import estimators, fem, fields
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +169,13 @@ def _axis_cholesky(space):
     return np.linalg.cholesky(np.minimum.outer(pos, pos))
 
 
+def _sheet_lattice(z, h):
+    """sqrt(h)^2 times the cumulative sums of an (n, n) increment block
+    along x, then along y: the documented 2D nodal construction on the
+    interior nodes."""
+    return np.cumsum(np.cumsum(z, axis=0), axis=1) * np.sqrt(h) ** 2
+
+
 def test_standard_normals_match_jumped_definition():
     # the implementation resets one Philox counter per block of samples and
     # draws whole blocks into the result; it must agree with the fresh
@@ -223,22 +229,42 @@ def test_nodal_draw_matches_manual_construction():
 
 
 def test_nodal_draw_2d_matches_manual_construction():
-    # row m is the lattice Lx z_m Lx^T of the per-axis Cholesky factor Lx,
-    # pinned to zero on both axes
-    space = fem.build_space(2, 2)
-    field = fields.KlOracle(2)
-    batch = fields.draw_batch(field, space, 4, seed=11)
-    assert batch.jitter == 0.0, "the 2D nodal Cholesky needs no jitter"
-    Lx = _axis_cholesky(space)
-    for m in range(4):
-        z = reference.block_normals(11, m, (2, 2))
-        lattice = batch.coeffs[m].reshape(3, 3)
-        assert np.all(lattice[0] == 0.0) and np.all(lattice[:, 0] == 0.0)
-        assert np.array_equal(lattice[1:, 1:], Lx @ z @ Lx.T), \
-            "2d nodal sample %d must be Lx z Lx^T bit for bit" % m
-        old = np.einsum("ij,jk,lk->il", Lx, z, Lx)
-        assert np.max(np.abs(lattice[1:, 1:] - old)) \
-            <= 1e-13 * np.max(np.abs(old))
+    # row m is the lattice of cumulative sums of its increments along both
+    # axes, pinned to zero on both axes; Lx z_m Lx^T of the per-axis Cholesky
+    # factor Lx = sqrt(h) tril(1) is the same lattice up to roundoff
+    for n in (2, 5):
+        space = fem.build_space(2, n)
+        batch = fields.draw_batch(fields.KlOracle(2), space, 4, seed=11)
+        Lx = _axis_cholesky(space)
+        for m in range(4):
+            z = reference.block_normals(11, m, (n, n))
+            lattice = batch.coeffs[m].reshape(n + 1, n + 1)
+            assert np.all(lattice[0] == 0.0) and np.all(lattice[:, 0] == 0.0)
+            assert np.array_equal(lattice[1:, 1:],
+                                  _sheet_lattice(z, space.mesh.h)), \
+                "2d nodal sample %d must be the double cumulative sum bit " \
+                "for bit" % m
+            chol = Lx @ z @ Lx.T
+            assert np.max(np.abs(lattice[1:, 1:] - chol)) \
+                <= 1e-13 * np.max(np.abs(chol))
+
+
+def test_nodal_draw_2d_golden_values():
+    # literal lattice rows at x = 1 (seed 0, n = 4; samples 0, B - 1 and B):
+    # a change to the 2D construction must fail here even when the test
+    # oracle moves with it
+    batch = fields.draw_batch(fields.KlOracle(2), fem.build_space(2, 4), 65,
+                              seed=0)
+    golden = {0: [0.1653637567649885, 0.7652523582794684,
+                  0.5863301737548208, 0.3678920899125844],
+              63: [-0.20480995693722076, 0.12258325335524184,
+                   0.06678642486859765, 0.35698651621604066],
+              64: [-0.09457638057119308, 0.6011261869429848,
+                   0.9053790127684442, 0.866857849671196]}
+    for m, want in golden.items():
+        lattice = batch.coeffs[m].reshape(5, 5)
+        assert np.array_equal(lattice[4], [0.0] + want), \
+            "sample %d moved: %r" % (m, lattice[4].tolist())
 
 
 def test_draw_chunk_invariance():
@@ -251,17 +277,21 @@ def test_draw_chunk_invariance():
     assert np.array_equal(small.coeffs, big.coeffs[:10]), \
         "sample values must not depend on the batch size"
     # in 2D, past the chunk boundary of the sampler
-    space2 = fem.build_space(2, 2)
+    space2 = fem.build_space(2, 3)
     field2 = fields.KlOracle(2)
     M = fields._SAMPLE_CHUNK + 4
     small = fields.draw_batch(field2, space2, 10, seed=3)
     big = fields.draw_batch(field2, space2, M, seed=3)
     assert np.array_equal(small.coeffs, big.coeffs[:10])
-    tail = fields._standard_normals(3, M - 2, 2, (2, 2))
-    lattice = big.coeffs[-2:].reshape(2, 3, 3)
+    tail = fields._standard_normals(3, M - 2, 2, (3, 3))
+    lattice = big.coeffs[-2:].reshape(2, 4, 4)
     Lx = _axis_cholesky(space2)
-    assert np.array_equal(lattice[:, 1:, 1:], Lx @ tail @ Lx.T), \
-        "samples of the second chunk must keep their own streams"
+    for z, got in zip(tail, lattice):
+        assert np.array_equal(got[1:, 1:], _sheet_lattice(z, space2.mesh.h)), \
+            "samples of the second chunk must keep their own streams"
+        chol = Lx @ z @ Lx.T
+        assert np.max(np.abs(got[1:, 1:] - chol)) \
+            <= 1e-13 * np.max(np.abs(chol))
 
 
 def test_draw_seed_determinism():
@@ -440,44 +470,16 @@ def test_projection_mode_is_the_exact_l2_projection():
 
 
 # ---------------------------------------------------------------------------
-# jittered Cholesky and diagnostics
+# sup-moment diagnostic
 # ---------------------------------------------------------------------------
-
-def test_chol_jitter_rescues_semidefinite():
-    C = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one, PSD
-    L, shift = fields._chol_with_jitter(C, 1e-10)
-    assert shift > 0.0, "the rescue must report the diagonal shift it applied"
-    assert np.allclose(L @ L.T, C + shift * np.eye(2), atol=1e-12)
-    assert fields._chol_with_jitter(np.eye(2), 1e-10)[1] == 0.0
-
-
-def test_chol_jitter_raises_on_indefinite():
-    C = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-    with pytest.raises(NumericError, match="jitter"):
-        fields._chol_with_jitter(C, 1e-10)
-
 
 def test_moment_diagnostics_basics():
     space = fem.build_space(1, 4)
     zero = fields.SampleBatch(space, np.zeros((3, 5)), fields.MODE_NODAL,
                               None, 0, "BrownianMotion1D")
-    d = fields.moment_diagnostics(zero)
-    assert d.c_inf_hat == 0.0 and d.mean_max_abs == 0.0 and d.centering_ok
+    d = estimators.subgaussian_diagnostic(zero)
+    assert d.c_inf_hat == 0.0 and d.rho_inv_nodal == 0.0
     one = fields.SampleBatch(space, np.zeros((1, 5)), fields.MODE_NODAL,
                              None, 0, "BrownianMotion1D")
     with pytest.raises(ValueError):
-        fields.moment_diagnostics(one)
-
-
-def test_moment_diagnostics_scaling_and_centering():
-    space = fem.build_space(1, 8)
-    field = fields.KlOracle(1)
-    batch = fields.draw_batch(field, space, 10_000, seed=13)
-    d = fields.moment_diagnostics(batch)
-    assert np.isfinite(d.c_inf_hat) and d.c_inf_hat > 0.0
-    assert d.centering_ok, "a centered field must pass the mean bound"
-    double = fields.SampleBatch(space, 2.0 * batch.coeffs, batch.mode,
-                                None, 13, batch.field_kind)
-    d2 = fields.moment_diagnostics(double)
-    assert abs(d2.c_inf_hat - 2.0 * d.c_inf_hat) <= 1e-12 * d2.c_inf_hat, \
-        "sup-moment estimate must scale linearly with the field"
+        estimators.subgaussian_diagnostic(one)

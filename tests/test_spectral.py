@@ -178,6 +178,19 @@ def test_kronecker_ties_use_the_product_basis():
     assert np.array_equal(exact.s_exact.matrix, exact.s_exact.matrix.T)
 
 
+def test_kronecker_first_power_is_the_axis_eigensolve():
+    # in 1D the exact side takes the same Kronecker-power path as in 2D; its
+    # first power must be the plain transform and eigensolve, bit for bit
+    exact = mercer.ExactSide(1, 9)
+    s1 = spectral.transform(exact.sigma, exact.mass, spectral.SOURCE_EXACT)
+    spec1 = spectral.eigensolve(s1)
+    assert np.array_equal(exact.s_exact.matrix, s1.matrix)
+    spec = exact.spectrum
+    for name in ("eigenvalues", "tilde_vectors", "gen_vectors"):
+        assert np.array_equal(getattr(spec, name), getattr(spec1, name)), name
+    assert spec.mass is exact.mass and spec.source == spectral.SOURCE_EXACT
+
+
 def test_eigensolve_permutation_invariant_eigenvalues():
     rng = np.random.default_rng(43)
     mass = reference.IdentityMass(10)
