@@ -483,3 +483,20 @@ def test_moment_diagnostics_basics():
                              None, 0, "BrownianMotion1D")
     with pytest.raises(ValueError):
         estimators.subgaussian_diagnostic(one)
+
+
+def test_moment_diagnostics_scaling_and_centering():
+    space = fem.build_space(1, 8)
+    field = fields.KlOracle(1)
+    batch = fields.draw_batch(field, space, 10_000, seed=13)
+    d = estimators.subgaussian_diagnostic(batch)
+    assert np.isfinite(d.c_inf_hat) and d.c_inf_hat > 0.0
+    # centering |E field| <= c_inf, with Monte Carlo slack 3 c_inf / sqrt(M)
+    mean_max_abs = np.max(np.abs(np.mean(batch.coeffs, axis=0)))
+    assert mean_max_abs <= 3.0 * d.c_inf_hat / np.sqrt(batch.sample_count), \
+        "a centered field must pass the mean bound"
+    double = fields.SampleBatch(space, 2.0 * batch.coeffs, batch.mode,
+                                None, 13, batch.field_kind)
+    d2 = estimators.subgaussian_diagnostic(double)
+    assert abs(d2.c_inf_hat - 2.0 * d.c_inf_hat) <= 1e-12 * d2.c_inf_hat, \
+        "sup-moment estimate must scale linearly with the field"
