@@ -1,10 +1,11 @@
 """P1 finite element spaces on the unit interval/square.
 
 Uniform lattice meshes of (0,1)^d for d in {1,2}, nodal hat-function bases,
-and exact mass matrices with the actions of their Cholesky factors (through
-the 1D axis factor alone in 2D).  Nothing here integrates by quadrature:
-sampling and the error split use closed forms of the kernel against the
-basis (see `fields.KlOracle`).
+and exact mass matrices with the actions of their Cholesky factors: for
+d = 1 and d = 2 alike, 1D axis matrices (the factor, or its explicit
+inverses for the solves) applied along every lattice axis.  Nothing here
+integrates by quadrature: sampling and the error split use closed forms of
+the kernel against the basis (see `fields.KlOracle`).
 
 Conventions
 -----------
@@ -16,7 +17,6 @@ ix*(n+1) + iy.
 import functools
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NumericError
 
@@ -94,8 +94,9 @@ class MassMatrix:
     ever formed: each action of L reshapes a block of columns to the
     (n+1, n+1) lattice and applies the 1D operation, as an (n+1) x (n+1)
     matrix, along both axes (Van Loan, "The ubiquitous Kronecker product",
-    2000).  A triangular solve with n+1 rows and Q_h k right-hand sides is
-    several times slower than a product with the explicit inverse.
+    2000).  The solves, in 1D too, are products with the explicit axis
+    inverses L1^{-T} and G1^{-1}: a triangular solve with n+1 rows and many
+    right-hand sides is several times slower than such a product.
 
     Attributes
     ----------
@@ -118,7 +119,7 @@ class MassMatrix:
             self.lambda_max = self.axis.lambda_max ** 2
             return
         G = _mass_1d(mesh.elements_per_axis)
-        ev = sla.eigvalsh(G)
+        ev = np.linalg.eigvalsh(G)
         self.lambda_min = float(ev[0])
         self.lambda_max = float(ev[-1])
         if not (np.array_equal(G, G.T) and self.lambda_min > 0.0):
@@ -143,18 +144,21 @@ class MassMatrix:
 
     @functools.cached_property
     def _axis_inverses(self):
-        """L1^{-T} and G1^{-1} as (n+1) x (n+1) matrices: the 1D solves of the
-        identity.  G1 has condition number below 4, so both are accurate."""
-        eye = np.eye(self.axis.dof_count)
-        return self.axis.solve_lt(eye), self.axis.solve(eye)
+        """L1^{-T} and G1^{-1} = L1^{-T} L1^{-1} as (n+1) x (n+1) matrices,
+        from the inverse of the bidiagonal factor.  G1 has condition number
+        below 4, so both are accurate."""
+        inv = np.linalg.inv(self.axis.chol)
+        return inv.T, inv.T @ inv
 
-    @staticmethod
-    def _along_axes(A, X):
-        """(A kron A) X for an axis matrix A and a (Q_h, k) block X: A acts
-        on the first lattice index, then (batched) on the second."""
-        m, k = A.shape[0], X.shape[1]
-        Y = (A @ X.reshape(m, m * k)).reshape(m, m, k)
-        return (A @ Y).reshape(m * m, k)
+    def _along_axes(self, A, X):
+        """(A kron ... kron A) X, one A per lattice axis, for an axis matrix
+        A and a (Q_h, k) block X: A acts on the first lattice index, then in
+        2D (batched) on the second."""
+        m = A.shape[0]
+        Y = A @ X.reshape(m, -1)
+        if self.dim == 2:
+            Y = A @ Y.reshape(m, m, -1)
+        return Y.reshape(X.shape)
 
     def congruence(self, A):
         """L^T A L for a (Q_h, Q_h) matrix A."""
@@ -165,14 +169,10 @@ class MassMatrix:
 
     def solve_lt(self, B):
         """L^{-T} B for a (Q_h, k) block B."""
-        if self.dim == 1:
-            return sla.solve_triangular(self.chol.T, B, lower=False)
         return self._along_axes(self._axis_inverses[0], B)
 
     def solve(self, B):
         """G^{-1} B = L^{-T} L^{-1} B for a (Q_h, k) block B."""
-        if self.dim == 1:
-            return sla.cho_solve((self.chol, True), B)
         return self._along_axes(self._axis_inverses[1], B)
 
 

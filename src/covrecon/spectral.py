@@ -20,7 +20,6 @@ import os
 import tempfile
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NumericError
 
@@ -28,9 +27,10 @@ SOURCE_EXACT = "ExactDiscrete"
 SOURCE_ESTIMATED = "Estimated"
 
 # operator_norm: dense eigensolve below this many rows, Lanczos from it on.
-# On one CPU, for the estimation differences (10-14 Lanczos steps), dense
-# takes 0.1 ms against 0.6 ms at Q=33, breaks even near Q=129 (1 ms), and
-# takes 4 ms against 1.3 ms at Q=257.
+# With numpy's eigvalsh and an eigh of the tridiagonal, on one CPU of a Xeon
+# VM (OpenBLAS, one thread), for the 1D Weyl differences at M=2000 (10-14
+# Lanczos steps): dense takes 0.08 ms against 0.6 ms at Q=33, breaks even
+# near Q=97-129 (0.4-0.7 ms), and takes 3-3.8 ms against 0.7-1.1 ms at Q=257.
 _LANCZOS_MIN_DOF = 128
 _LANCZOS_RTOL = 1e-14
 
@@ -96,8 +96,8 @@ def eigensolve(ts):
     vectors inherit the same flips.
     """
     try:
-        vals, vecs = sla.eigh(ts.matrix)
-    except sla.LinAlgError as exc:
+        vals, vecs = np.linalg.eigh(ts.matrix)
+    except np.linalg.LinAlgError as exc:
         path = _dump_matrix(ts.matrix)
         raise NumericError(
             "symmetric eigensolver failed to converge; offending matrix "
@@ -168,9 +168,10 @@ def opnorm_sandwich(mass, cov_diff_norm):
     return (mass.lambda_min * cov_diff_norm, mass.lambda_max * cov_diff_norm)
 
 
-def operator_norm(A):
-    """Spectral norm of the symmetric part of A via its extreme eigenvalues.
+def operator_norm(S):
+    """Spectral norm of a symmetric matrix S via its extreme eigenvalues.
 
+    S is not symmetrized here: callers pass an exactly symmetric matrix.
     Below _LANCZOS_MIN_DOF rows a dense eigensolve gives them.  From there
     on a Lanczos iteration with full reorthogonalization (Golub & Van Loan,
     Matrix Computations, 10.1), started from a fixed vector, stops once
@@ -181,10 +182,9 @@ def operator_norm(A):
     eigenvalue.  The zero matrix gives exactly 0.0, and no convergence
     within Q steps raises NumericError.
     """
-    S = 0.5 * (A + A.T)
     Q = S.shape[0]
     if Q < _LANCZOS_MIN_DOF:
-        vals = sla.eigh(S, eigvals_only=True)
+        vals = np.linalg.eigvalsh(S)
         return float(max(abs(vals[0]), abs(vals[-1])))
     basis = np.empty((Q, Q))
     v = np.random.default_rng(0).standard_normal(Q)
@@ -200,7 +200,8 @@ def operator_norm(A):
         w -= V.T @ (V @ w)
         w -= V.T @ (V @ w)
         b = np.linalg.norm(w)
-        theta, s = sla.eigh_tridiagonal(alpha, beta)
+        theta, s = np.linalg.eigh(
+            np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
         top = max(abs(theta[0]), abs(theta[-1]))
         bound = np.abs(theta[[0, -1]]) + b * np.abs(s[-1, [0, -1]])
         if np.max(bound) <= (1.0 + _LANCZOS_RTOL) * top:
@@ -275,6 +276,7 @@ def diagnostics(exact, estimated, s_exact, s_est, oracle, L,
     if not 1 <= L <= Q:
         raise ValueError("L must lie in [1, %d], got %r" % (Q, L))
     mass = s_exact.mass
+    # exactly symmetric, as both transformed matrices are
     diff = s_exact.matrix - s_est.matrix
     weyl_bound = operator_norm(diff)
     eigenvalue_dev = np.abs(exact.eigenvalues - estimated.eigenvalues)
@@ -295,7 +297,7 @@ def diagnostics(exact, estimated, s_exact, s_est, oracle, L,
     # recover the covariance-space perturbation Sigma_diff = L^{-T} D L^{-1}
     # and check the sandwich actually contains the transformed norm
     cov_diff = mass.solve_lt(mass.solve_lt(diff).T).T
-    cov_diff_norm = operator_norm(cov_diff)
+    cov_diff_norm = operator_norm(0.5 * (cov_diff + cov_diff.T))
     lo, hi = opnorm_sandwich(mass, cov_diff_norm)
     slack = 1e-10 * max(1.0, hi)
     if not lo - slack <= weyl_bound <= hi + slack:

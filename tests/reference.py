@@ -313,6 +313,15 @@ def p0_mpmath(q_h, tau, m, rho1, gap_min, lambda_max, dps=60):
         return float(max(0, min(1, val)))
 
 
+def tail_sq_mpmath(L, dps=40):
+    """1D sum of squared eigenvalues beyond L, zeta(4, L + 1/2) / pi^4, as a
+    dps-digit mpmath number."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return mpmath.zeta(4, mpmath.mpf(L) + mpmath.mpf(1) / 2) / mpmath.pi ** 4
+
+
 def lambert_wm1(z):
     """scipy's W_{-1} branch (independent of the package's bisection)."""
     return float(scipy.special.lambertw(z, -1).real)

@@ -665,3 +665,65 @@ def test_library_has_no_asserts():
         found += ["%s:%d" % (os.path.basename(path), node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, "assert statements in the library: %s" % (found,)
+
+
+def test_library_never_names_scipy():
+    # scipy is a test oracle only: no library module may name it
+    pkg = os.path.dirname(os.path.abspath(covrecon.__file__))
+    found = []
+    for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
+        with open(path) as fh:
+            found += ["%s:%d" % (os.path.basename(path), i)
+                      for i, line in enumerate(fh, 1) if "scipy" in line]
+    assert not found, "scipy named in the library: %s" % (found,)
+
+
+# Runs the CLI with a finder in front of sys.meta_path that records and
+# refuses every scipy import; exits 3 if one was tried or loaded, else with
+# the command's own code.
+NO_SCIPY = """
+import sys
+tried = []
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            tried.append(name)
+            raise ImportError("scipy import refused: " + name)
+sys.meta_path.insert(0, NoScipy())
+from covrecon.cli import main
+code = main()
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+if tried or loaded:
+    print("scipy imports tried %r, loaded %r" % (tried, loaded))
+    sys.exit(3)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command, options", [
+    ("reconstruct", dict(n=4, M=10, L=2)),
+    ("reconstruct", dict(n=4, M=50, L=2, d=2)),
+    ("study", dict(n=4, M=10, L=2)),
+    ("sample", dict(n=4, M=10, mode="projection")),
+    ("estimate", dict(n=4, M=100, estimator="Tapered")),
+    ("plan", dict()),
+])
+def test_cli_commands_never_import_scipy(tmp_path, command, options):
+    options = dict(options)
+    mode = options.pop("mode", "nodal")
+    out = str(tmp_path / "out")
+    text = support.basic_yaml(out, **options)
+    if mode == "projection":
+        text = text.replace("mode: nodal", "mode: projection\n  kl_trunc: 20")
+    path = support.write_yaml(tmp_path / "cfg.yaml", text)
+    argv = [command, "--config", path]
+    if command == "plan":
+        argv += ["--epsilon", "0.5"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(covrecon.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY] + argv,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert os.listdir(out), "%s wrote no artifact" % (command,)
