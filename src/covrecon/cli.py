@@ -136,7 +136,7 @@ def cmd_reconstruct(cfg, args):
             sandwich_interval=list(diag.sandwich_interval),
             cov_diff_norm=diag.cov_diff_norm,
             theorem_consistent=diag.theorem_consistent,
-            p0=mercer.success_bound(cfg, exact, rep, L),
+            p0=mercer.success_bound(cfg, exact, rep.tau, rep.M, L),
             n_negative_eigenvalues=n_negative,
             min_eigenvalue=float(ev[-1]),
             negatives_below_weyl=bool(ev[-1] >= -diag.weyl_bound)))

@@ -67,6 +67,9 @@ class FeSpace:
         self.polynomial_degree = 1
         self.dof_count = mesh.node_count
         self.mass = None  # the MassMatrix, once assemble_mass has built it
+        # KL projection maps by (field kind, kl_trunc), once a projection
+        # draw has built them (fields._draw_projected)
+        self.kl_projections = {}
 
     def __repr__(self):
         return "FeSpace(%r)" % (self.mesh,)
@@ -77,13 +80,22 @@ def build_space(dim, n):
     return FeSpace(build_mesh(dim, n))
 
 
+def _axis_mass_action(Y):
+    """G1 Y along the last axis of Y, whose length n+1 is that of an axis of
+    the uniform n-element mesh: the P1 mass stencil h/6 [1, 4, 1], with h/3
+    on the two end nodes.  O(n) per line; G1 is not formed."""
+    h = 1.0 / (Y.shape[-1] - 1)
+    GY = (2.0 * h / 3.0) * Y
+    GY[..., 0] *= 0.5
+    GY[..., -1] *= 0.5
+    GY[..., 1:] += (h / 6.0) * Y[..., :-1]
+    GY[..., :-1] += (h / 6.0) * Y[..., 1:]
+    return GY
+
+
 def _mass_1d(n):
     """Exact 1D P1 mass matrix on the uniform n-element mesh."""
-    h = 1.0 / n
-    main = np.full(n + 1, 2.0 * h / 3.0)
-    main[0] = main[-1] = h / 3.0
-    off = np.full(n, h / 6.0)
-    return np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+    return _axis_mass_action(np.eye(n + 1))
 
 
 class MassMatrix:
@@ -95,8 +107,9 @@ class MassMatrix:
     (n+1, n+1) lattice and applies the 1D operation, as an (n+1) x (n+1)
     matrix, along both axes (Van Loan, "The ubiquitous Kronecker product",
     2000).  The solves, in 1D too, are products with the explicit axis
-    inverses L1^{-T} and G1^{-1}: a triangular solve with n+1 rows and many
-    right-hand sides is several times slower than such a product.
+    inverses L1^{-1}, L1^{-T} and G1^{-1}: a triangular solve with n+1 rows
+    and many right-hand sides is several times slower than such a product.
+    Every action takes a (Q_h, k) block or a single (Q_h,) vector.
 
     Attributes
     ----------
@@ -144,16 +157,16 @@ class MassMatrix:
 
     @functools.cached_property
     def _axis_inverses(self):
-        """L1^{-T} and G1^{-1} = L1^{-T} L1^{-1} as (n+1) x (n+1) matrices,
-        from the inverse of the bidiagonal factor.  G1 has condition number
-        below 4, so both are accurate."""
+        """L1^{-1}, L1^{-T} and G1^{-1} = L1^{-T} L1^{-1} as (n+1) x (n+1)
+        matrices, from the inverse of the bidiagonal factor.  G1 has
+        condition number below 4, so all three are accurate."""
         inv = np.linalg.inv(self.axis.chol)
-        return inv.T, inv.T @ inv
+        return inv, inv.T, inv.T @ inv
 
     def _along_axes(self, A, X):
         """(A kron ... kron A) X, one A per lattice axis, for an axis matrix
-        A and a (Q_h, k) block X: A acts on the first lattice index, then in
-        2D (batched) on the second."""
+        A and a (Q_h, k) block or (Q_h,) vector X: A acts on the first
+        lattice index, then in 2D (batched) on the second."""
         m = A.shape[0]
         Y = A @ X.reshape(m, -1)
         if self.dim == 2:
@@ -167,13 +180,17 @@ class MassMatrix:
         lt_a = self._along_axes(self.chol.T, A)
         return self._along_axes(self.chol.T, lt_a.T).T
 
+    def solve_l(self, B):
+        """L^{-1} B for a (Q_h, k) block B."""
+        return self._along_axes(self._axis_inverses[0], B)
+
     def solve_lt(self, B):
         """L^{-T} B for a (Q_h, k) block B."""
-        return self._along_axes(self._axis_inverses[0], B)
+        return self._along_axes(self._axis_inverses[1], B)
 
     def solve(self, B):
         """G^{-1} B = L^{-T} L^{-1} B for a (Q_h, k) block B."""
-        return self._along_axes(self._axis_inverses[1], B)
+        return self._along_axes(self._axis_inverses[2], B)
 
 
 def assemble_mass(space):

@@ -185,13 +185,16 @@ class KlOracle:
     def kernel_forms(self, space, vectors):
         """v^T B v per column v of vectors, B_ij = <R, theta_i (x) theta_j>.
 
-        In 2D B = B1 kron B1 acts on a column reshaped to its (n+1, n+1)
-        lattice as V -> B1 V B1, so the Q_h x Q_h matrix B is never formed.
+        B is the d-th Kronecker power of the axis load B1 (_apply_axis_load),
+        so a column reshaped to its (n+1)^d lattice is V -> V B1 in 1D and
+        V -> B1 V B1 in 2D: B1 acts along every lattice axis in O(n) per
+        line, and neither B nor B1 is formed.
         """
         n = space.mesh.elements_per_axis
-        B1 = min_kernel_load(n)
         V = vectors.T.reshape((-1,) + (n + 1,) * self.dim)
-        BV = V @ B1 if self.dim == 1 else B1 @ V @ B1
+        BV = V
+        for axis in range(1, V.ndim):
+            BV = _apply_axis_load(BV, axis)
         return np.sum(V * BV, axis=tuple(range(1, V.ndim)))
 
 
@@ -213,20 +216,29 @@ def _sine_moments(n, ells):
     return s
 
 
-def min_kernel_load(n):
-    """B1_ij = double integral of min(x, y) theta_i(x) theta_j(y) on [0,1]^2.
+def _apply_axis_load(Y, axis):
+    """B1 Y along one axis of Y, for the axis load matrix
+    B1_ij = double integral of min(x, y) theta_i(x) theta_j(y) on [0,1]^2.
 
     min(x, y) equals its bilinear nodal interpolant except on the n diagonal
     cells, where it exceeds it by h (min(s, t) - s t) in local coordinates.
     So B1 = G Sigma G (G the mass matrix, Sigma_ij = min(x_i, x_j)) plus
     h^3 / 360 [[8, 7], [7, 8]] assembled over the cells, which is
-    h^2 G / 15 plus h^3 / 120 on the first off-diagonals.
+    h^2 G / 15 plus h^3 / 120 on the first off-diagonals.  Sigma acts as two
+    cumulative sums: min(x_i, x_j) = h #{1 <= k <= min(i, j)}, so Sigma z is
+    h times the prefix sums of the suffix sums z_k + ... + z_n, k >= 1.
     """
-    x = np.linspace(0.0, 1.0, n + 1)
-    G = fem._mass_1d(n)
-    off = np.eye(n + 1, k=1) + np.eye(n + 1, k=-1)
-    return (G @ np.minimum.outer(x, x) @ G + G / (15.0 * n * n)
-            + off / (120.0 * n ** 3))
+    Y = np.moveaxis(Y, axis, -1)
+    n = Y.shape[-1] - 1
+    GY = fem._axis_mass_action(Y)
+    suffix = np.cumsum(GY[..., :0:-1], axis=-1)[..., ::-1]
+    sigma_gy = np.zeros_like(GY)
+    np.cumsum(suffix, axis=-1, out=sigma_gy[..., 1:])
+    BY = fem._axis_mass_action(sigma_gy / n) + GY / (15.0 * n * n)
+    off = Y / (120.0 * n ** 3)
+    BY[..., 1:] += off[..., :-1]
+    BY[..., :-1] += off[..., 1:]
+    return np.moveaxis(BY, -1, axis)
 
 
 class SampleBatch:
@@ -345,12 +357,18 @@ def _draw_projected(field, space, M, seed, kl_trunc):
     The projection of sum_l sqrt(lambda_l) psi_l phi_l solves G c = b with
     b_j = sum_l sqrt(lambda_l) psi_l (integral of phi_l theta_j), so a sample
     is c = psi P with the sample-free P = diag(sqrt(lambda)) S G^{-1}, S the
-    closed-form moments.  Each sample is its own (1, K) x (K, Q_h) product,
-    which rounds the same whatever the number of samples beside it.
+    closed-form moments.  P is built on the first draw and kept on the space.
+    Each sample is its own (1, K) x (K, Q_h) product, which rounds the same
+    whatever the number of samples beside it.
     """
-    scale = np.sqrt([field.eigenvalue(l) for l in range(1, kl_trunc + 1)])
-    S = field.moments(space, kl_trunc)
-    P = scale[:, None] * fem.assemble_mass(space).solve(S.T).T
+    key = (field.kind, kl_trunc)
+    P = space.kl_projections.get(key)
+    if P is None:
+        scale = np.sqrt([field.eigenvalue(l) for l in range(1, kl_trunc + 1)])
+        S = field.moments(space, kl_trunc)
+        P = scale[:, None] * fem.assemble_mass(space).solve(S.T).T
+        P.setflags(write=False)
+        space.kl_projections[key] = P
     coeffs = np.empty((M, space.dof_count))
     for start in range(0, M, _SAMPLE_CHUNK):
         count = min(_SAMPLE_CHUNK, M - start)

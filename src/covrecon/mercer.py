@@ -51,23 +51,24 @@ class ErrorReport:
         self.near_degenerate_split = near_degenerate_split
 
 
-def error_decomposition(field, exact_spec, est_spec, L, e1):
+def error_decomposition(field, exact_spec, est_spec, L, e1, e2):
     """Split the reconstruction error of an estimated rank-L kernel, exactly.
 
-    With analytic pairs (lambda_l, phi_l) of the field (a fields.KlOracle),
+    With analytic eigenvalues lambda_l of the field (a fields.KlOracle),
     exact discrete (mu_m, Phi_m) and estimated (mu^_m, Phi^_m), l, m <= L,
-    moments s_l = field.moments and Phi~ = (L^G)^T Phi (where a P1 kernel's
-    L2 norm is a Frobenius norm):
+    and Phi~ = (L^G)^T Phi (where a P1 kernel's L2 norm is a Frobenius
+    norm):
 
-      e1^2    = sum_{l>L} lambda_l^2
-      e2^2    = ||lambda||^2 + ||mu||^2 - 2 sum lambda_l mu_m (s_l . Phi_m)^2
+      e1^2    = sum_{l>L} lambda_l^2                        (ExactSide.e1)
+      e2^2    = ||k_L - sum mu Phi (x) Phi||^2              (ExactSide.e2)
       e3      = ||sum mu Phi~ Phi~^T - sum mu^ Phi^~ Phi^~^T||_F
       total^2 = 6^-d - 2 sum mu^_m Phi^_m^T B Phi^_m + ||mu^||^2
 
-    with B the kernel load matrix (field.kernel_forms).  Every term is a
-    sum of dyads lambda phi (x) phi, so eigenvector signs drop out.  e1 is
-    passed in as sqrt(field.tail_sq(L)): it depends on L alone, so a study
-    cell computes it once (ExactSide.e1).
+    with k_L the rank-L truncated KL kernel and B the kernel load form
+    (field.kernel_forms), which is applied and never formed.  Every term is
+    a sum of dyads lambda phi (x) phi, so eigenvector signs drop out.  e1
+    and e2 depend on the mesh and L alone, so they are passed in, and a
+    study cell computes them once.
     """
     if exact_spec.dof_count != est_spec.dof_count:
         raise ValueError("spectra live on different spaces: %d vs %d dofs"
@@ -80,13 +81,8 @@ def error_decomposition(field, exact_spec, est_spec, L, e1):
     if not 1 <= L <= exact_spec.dof_count:
         raise ValueError("truncation rank L=%r must lie in [1, %d]"
                          % (L, exact_spec.dof_count))
-    lams = np.array([field.eigenvalue(l) for l in range(1, L + 1)])
     mu, mu_est = exact_spec.eigenvalues[:L], est_spec.eigenvalues[:L]
     vt, vt_est = exact_spec.tilde_vectors[:, :L], est_spec.tilde_vectors[:, :L]
-
-    cross = field.moments(space, L) @ exact_spec.gen_vectors[:, :L]
-    e2_sq = lams @ lams + mu @ mu - 2.0 * lams @ cross ** 2 @ mu
-    e2 = float(np.sqrt(max(e2_sq, 0.0)))  # e2^2 can round below 0
     e3 = float(np.linalg.norm((vt * mu) @ vt.T - (vt_est * mu_est) @ vt_est.T))
     forms = field.kernel_forms(space, est_spec.gen_vectors[:, :L])
     total = float(np.sqrt(field.sum_sq_total() - 2.0 * forms @ mu_est
@@ -112,13 +108,14 @@ class ExactSide:
     covariance is the d-th Kronecker power of Sigma1, the covariance on one
     axis, so s_exact is the d-th power of S-tilde1 and its spectrum the d-th
     Kronecker power of the axis spectrum: in 2D no Q_h x Q_h factorization
-    or eigensolve is run.  e1 depends on L alone and is kept per L.
+    or eigensolve is run.  e1 and e2 depend on L alone and are kept per L.
     """
 
     def __init__(self, d, n):
         self.field = fields.KlOracle(d)
         self.space = fem.build_space(d, n)
         self._e1 = {}
+        self._e2 = {}
 
     @functools.cached_property
     def mass(self):
@@ -153,6 +150,27 @@ class ExactSide:
         if L not in self._e1:
             self._e1[L] = float(np.sqrt(self.field.tail_sq(L)))
         return self._e1[L]
+
+    def e2(self, L):
+        """Discretization error of the rank-L exact discrete kernel.
+
+        With analytic pairs (lambda_l, phi_l), exact discrete (mu_m, Phi_m),
+        l, m <= L, and moments s_l = field.moments:
+        e2^2 = ||lambda||^2 + ||mu||^2 - 2 sum lambda_l mu_m (s_l . Phi_m)^2.
+        """
+        if not 1 <= L <= self.space.dof_count:
+            raise ValueError("truncation rank L=%r must lie in [1, %d]"
+                             % (L, self.space.dof_count))
+        if L not in self._e2:
+            lams = np.array([self.field.eigenvalue(l)
+                             for l in range(1, L + 1)])
+            mu = self.spectrum.eigenvalues[:L]
+            cross = (self.field.moments(self.space, L)
+                     @ self.spectrum.gen_vectors[:, :L])
+            e2_sq = lams @ lams + mu @ mu - 2.0 * lams @ cross ** 2 @ mu
+            # e2^2 can round below 0
+            self._e2[L] = float(np.sqrt(max(e2_sq, 0.0)))
+        return self._e2[L]
 
 
 def draw(config, exact, M, seed):
@@ -201,15 +219,15 @@ def replicate(config, exact, M, L, seed):
                                 exact.field, L, C1=cal["C1"], C=cal["C"],
                                 s=config.s)
     errors = error_decomposition(exact.field, exact.spectrum, spec, L,
-                                 exact.e1(L))
+                                 exact.e1(L), exact.e2(L))
     return Replication(kind, tau, m_est, spec, diag, errors)
 
 
-def success_bound(config, exact, rep, L):
+def success_bound(config, exact, tau, M, L):
     """planner.p0_bound for a replication's tau (at least 2) and M.  It
     depends on no sample, so a study cell evaluates it once."""
     return planner.p0_bound(exact.field, config.calibration,
-                            exact.space.dof_count, max(rep.tau, 2), rep.M, L)
+                            exact.space.dof_count, max(tau, 2), M, L)
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +301,21 @@ def run_cell(config, index, L, n, M):
             totals.append(r.errors.total)
             e3s.append(r.errors.e3)
             gap_fail += not r.diagnostics.gap_condition_ok
-        # e1, e2 and tau do not depend on the samples: the last r has them
+            # tau and the estimate's M do not depend on the samples
+            tau, m_est = r.tau, r.M
+            del r  # the next replication runs without this one's spectrum
         lam1_dev = abs(exact.spectrum.eigenvalues[0]
                        - exact.field.eigenvalue(1))
         stderr = float(np.std(totals, ddof=1) / np.sqrt(len(totals))) \
             if len(totals) > 1 else 0.0
         return CellResult(index, L, n, M, ok=True,
                           mean_total=float(np.mean(totals)),
-                          mean_e1=r.errors.e1, mean_e2=r.errors.e2,
+                          mean_e1=exact.e1(L), mean_e2=exact.e2(L),
                           mean_e3=float(np.mean(e3s)), stderr=stderr,
                           n_rep=config.n_rep,
                           gap_fail_fraction=gap_fail / config.n_rep,
-                          p0=success_bound(config, exact, r, L), tau=r.tau,
+                          p0=success_bound(config, exact, tau, m_est, L),
+                          tau=tau,
                           lambda1_dev=float(lam1_dev))
     except (ValueError, NumericError) as exc:
         return CellResult(index, L, n, M, ok=False,

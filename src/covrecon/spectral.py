@@ -33,6 +33,8 @@ SOURCE_ESTIMATED = "Estimated"
 # near Q=97-129 (0.4-0.7 ms), and takes 3-3.8 ms against 0.7-1.1 ms at Q=257.
 _LANCZOS_MIN_DOF = 128
 _LANCZOS_RTOL = 1e-14
+# operator_norm: Lanczos vectors allocated before the basis first doubles
+_LANCZOS_BASIS = 16
 
 
 class TransformedStiffness:
@@ -169,28 +171,36 @@ def opnorm_sandwich(mass, cov_diff_norm):
 
 
 def operator_norm(S):
-    """Spectral norm of a symmetric matrix S via its extreme eigenvalues.
+    """Spectral norm of a symmetric operator S via its extreme eigenvalues.
 
-    S is not symmetrized here: callers pass an exactly symmetric matrix.
-    Below _LANCZOS_MIN_DOF rows a dense eigensolve gives them.  From there
-    on a Lanczos iteration with full reorthogonalization (Golub & Van Loan,
-    Matrix Computations, 10.1), started from a fixed vector, stops once
-    every extreme Ritz value theta_j plus its residual estimate
-    beta_k |s_kj| is at most (1 + _LANCZOS_RTOL) max|theta|.  For the Ritz
-    value of largest magnitude that is beta_k |s_kj| <= _LANCZOS_RTOL |theta|;
-    at the other end it keeps an unconverged value from hiding a larger
-    eigenvalue.  The zero matrix gives exactly 0.0, and no convergence
-    within Q steps raises NumericError.
+    S is a symmetric matrix, or any object with a shape (Q, Q) and an @
+    that applies it to a (Q,) vector and to a (Q, k) block.  S is not
+    symmetrized here: callers pass an exactly symmetric matrix, or an
+    operator that is symmetric up to roundoff.  Below _LANCZOS_MIN_DOF rows a
+    dense eigensolve of S @ I gives them.  From there on a Lanczos iteration
+    with full reorthogonalization (Golub & Van Loan, Matrix Computations,
+    10.1), started from a fixed vector, stops once every extreme Ritz value
+    theta_j plus its residual estimate beta_k |s_kj| is at most
+    (1 + _LANCZOS_RTOL) max|theta|.  For the Ritz value of largest magnitude
+    that is beta_k |s_kj| <= _LANCZOS_RTOL |theta|; at the other end it
+    keeps an unconverged value from hiding a larger eigenvalue.  The basis
+    doubles as the steps need it, so k steps hold at most 2k vectors.  The
+    zero operator gives exactly 0.0, and no convergence within Q steps
+    raises NumericError.
     """
     Q = S.shape[0]
     if Q < _LANCZOS_MIN_DOF:
-        vals = np.linalg.eigvalsh(S)
+        vals = np.linalg.eigvalsh(S @ np.eye(Q))
         return float(max(abs(vals[0]), abs(vals[-1])))
-    basis = np.empty((Q, Q))
+    basis = np.empty((min(_LANCZOS_BASIS, Q), Q))
     v = np.random.default_rng(0).standard_normal(Q)
     v /= np.linalg.norm(v)
     alpha, beta = [], []
     for k in range(Q):
+        if k == len(basis):
+            grown = np.empty((min(2 * k, Q), Q))
+            grown[:k] = basis
+            basis = grown
         basis[k] = v
         w = S @ v
         alpha.append(v @ w)
@@ -210,6 +220,20 @@ def operator_norm(S):
         v = w / b
     raise NumericError("Lanczos operator norm did not converge in %d steps"
                        % Q)
+
+
+class _InverseCongruence:
+    """The symmetric operator v -> L^{-T} D L^{-1} v of a symmetric D, with
+    L the mass Cholesky factor, as operator_norm takes it: a shape and an @.
+    """
+
+    def __init__(self, D, mass):
+        self.shape = D.shape
+        self._D = D
+        self._mass = mass
+
+    def __matmul__(self, X):
+        return self._mass.solve_lt(self._D @ self._mass.solve_l(X))
 
 
 def _mixed_gaps(exact_vals, est_vals, L):
@@ -294,10 +318,10 @@ def diagnostics(exact, estimated, s_exact, s_est, oracle, L,
     pos = discrete_gaps > 0
     davis_kahan[pos] = C * weyl_bound / discrete_gaps[pos]
 
-    # recover the covariance-space perturbation Sigma_diff = L^{-T} D L^{-1}
-    # and check the sandwich actually contains the transformed norm
-    cov_diff = mass.solve_lt(mass.solve_lt(diff).T).T
-    cov_diff_norm = operator_norm(0.5 * (cov_diff + cov_diff.T))
+    # the norm of the covariance-space perturbation L^{-T} D L^{-1}, from its
+    # action on vectors, and a check that the sandwich contains the
+    # transformed norm
+    cov_diff_norm = operator_norm(_InverseCongruence(diff, mass))
     lo, hi = opnorm_sandwich(mass, cov_diff_norm)
     slack = 1e-10 * max(1.0, hi)
     if not lo - slack <= weyl_bound <= hi + slack:

@@ -168,6 +168,23 @@ def mass_quadrature(dim, n, q=4):
     return g1 if dim == 1 else np.kron(g1, g1)
 
 
+def min_kernel_load(n):
+    """B1_ij = double integral of min(x, y) theta_i(x) theta_j(y) on [0,1]^2,
+    formed densely.
+
+    min(x, y) equals its bilinear nodal interpolant except on the n diagonal
+    cells, where it exceeds it by h (min(s, t) - s t) in local coordinates.
+    So B1 = G Sigma G (G the mass matrix, Sigma_ij = min(x_i, x_j)) plus
+    h^3 / 360 [[8, 7], [7, 8]] assembled over the cells, which is
+    h^2 G / 15 plus h^3 / 120 on the first off-diagonals.
+    """
+    x = np.linspace(0.0, 1.0, n + 1)
+    G = mass_quadrature_1d(n)
+    off = np.eye(n + 1, k=1) + np.eye(n + 1, k=-1)
+    return (G @ np.minimum.outer(x, x) @ G + G / (15.0 * n * n)
+            + off / (120.0 * n ** 3))
+
+
 def generalized_eigh(sigma, mass):
     """Reference route for the discrete eigenproblem: solve
     (G sigma G) v = lambda G v with scipy's generalized solver, descending."""
@@ -376,7 +393,7 @@ class IdentityMass:
     def congruence(self, X):
         return np.array(X, dtype=float)
 
-    solve_lt = solve = congruence
+    solve_l = solve_lt = solve = congruence
 
 
 def dense_mass(mass):

@@ -11,12 +11,18 @@ from covrecon import mercer
 
 
 @functools.lru_cache(maxsize=None)
+def exact_side(d, n):
+    """The pipeline's exact side of the Brownian field on the n-element mesh.
+    Cached: brownian_setup returns its parts, and e2 is kept on it."""
+    return mercer.ExactSide(d, n)
+
+
 def brownian_setup(d, n):
     """Field (its KL oracle), space, mass, exact covariance/stiffness/spectrum
     for the Brownian field on the n-element mesh: the pipeline's exact side.
     Cached: everything returned is deterministic and treated as read-only
     by the tests."""
-    ex = mercer.ExactSide(d, n)
+    ex = exact_side(d, n)
     return (ex.field, ex.space, ex.mass, ex.sigma, ex.s_exact, ex.spectrum)
 
 

@@ -169,6 +169,8 @@ def test_mass_actions_match_the_dense_factor():
         A = reference.random_symmetric(rng, mass.dof_count)
         for name, got, want in (
                 ("congruence", mass.congruence(A), L.T @ A @ L),
+                ("solve_l", mass.solve_l(X),
+                 sla.solve_triangular(L, X, lower=True)),
                 ("solve_lt", mass.solve_lt(X),
                  sla.solve_triangular(L.T, X, lower=False)),
                 ("solve", mass.solve(X), sla.cho_solve((L, True), X))):

@@ -465,6 +465,27 @@ def test_projection_mode_seed_and_shape(monkeypatch):
         monkeypatch.undo()
 
 
+def test_projection_map_is_kept_on_the_space():
+    # the sample-free map P is built by the first draw on a space; a second
+    # draw reuses it and matches a draw on a fresh space bit for bit
+    for d, n in ((1, 16), (2, 4)):
+        field = fields.KlOracle(d)
+        space = fem.build_space(d, n)
+
+        def draw(sp, seed):
+            return fields.draw_batch(field, sp, 70, mode=fields.MODE_PROJECTION,
+                                     seed=seed, kl_trunc=30).coeffs
+
+        draw(space, 1)
+        kept = dict(space.kl_projections)
+        assert list(kept) == [(field.kind, 30)]
+        again = draw(space, 5)
+        assert space.kl_projections[(field.kind, 30)] is kept[(field.kind, 30)]
+        assert np.array_equal(again, draw(fem.build_space(d, n), 5)), \
+            "%dD: a draw on a space with a kept map must match a fresh " \
+            "space" % (d,)
+
+
 def test_projection_mode_is_the_exact_l2_projection():
     # independent projection: the KL series from the eigenfunction oracle and
     # the documented normals, integrated against the hats by a 6-point Gauss

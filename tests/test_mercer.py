@@ -65,9 +65,14 @@ def test_kernel_rank_window_is_one_dyad():
 # ---------------------------------------------------------------------------
 
 def _decompose(field, exact_spec, est_spec, L):
-    """The error split with e1 = sqrt(tail_sq(L)), as replicate passes it."""
+    """The error split with e1 = sqrt(tail_sq(L)) and e2 from the exact side
+    whose spectrum exact_spec is, as replicate passes them."""
+    mesh = exact_spec.mass.space.mesh
+    exact = support.exact_side(mesh.dim, mesh.elements_per_axis)
+    assert exact.spectrum is exact_spec
     return mercer.error_decomposition(field, exact_spec, est_spec, L,
-                                      float(np.sqrt(field.tail_sq(L))))
+                                      float(np.sqrt(field.tail_sq(L))),
+                                      exact.e2(L))
 
 
 def test_decomposition_exact_estimate_has_zero_sampling_error():
@@ -206,7 +211,26 @@ def test_min_kernel_load_matches_mercer_series(n):
     S = oracle.moments(space, 20_000)
     lam = reference.brownian_lambda(np.arange(1, 20_001))
     series = (S.T * lam) @ S
-    assert np.max(np.abs(fields.min_kernel_load(n) - series)) <= 1e-14
+    assert np.max(np.abs(reference.min_kernel_load(n) - series)) <= 1e-14
+
+
+@pytest.mark.parametrize("d, n", [(1, 2), (1, 8), (1, 32), (1, 512),
+                                  (2, 4), (2, 16)])
+def test_kernel_forms_match_the_dense_load(d, n):
+    # the load form applies B1 along every lattice axis through the mass
+    # stencil and two cumulative sums; the oracle forms B1 (and in 2D its
+    # Kronecker square) densely.  Up to rank 5, the rank of the fine
+    # projection study, the two agree to 2.1e-15.  Higher modes oscillate
+    # and their forms cancel in the dense product: at n=8 mode 8 of the
+    # oracle is 1.9e-14 off an extended-precision one, the load form 2.3e-16
+    field, space, *_, spec = support.brownian_setup(d, n)
+    V = spec.gen_vectors[:, :min(5, space.dof_count)]
+    B1 = reference.min_kernel_load(n)
+    B = B1 if d == 1 else np.kron(B1, B1)
+    want = np.sum(V * (B @ V), axis=0)
+    got = field.kernel_forms(space, V)
+    assert np.max(np.abs(got - want) / want) <= 1e-14, \
+        "%dD n=%d: load forms off the dense load matrix" % (d, n)
 
 
 def test_moments_match_quadrature():
@@ -264,7 +288,7 @@ def test_invariants_raise_under_python_O():
         "    except NumericError:\n"
         "        print('mass rejected')\n"
         "class Mass:\n"
-        "    solve_lt = staticmethod(np.array)\n"
+        "    solve_l = solve_lt = staticmethod(np.array)\n"
         "    space = space\n"
         "    lambda_min = lambda_max = 2.0\n"
         "a, b = (spectral.TransformedStiffness(np.diag([v, 0.5, 0.2]), 'x',"
@@ -397,6 +421,85 @@ def test_run_cell_computes_e1_and_p0_once(monkeypatch):
     assert cell.ok, cell.error
     assert calls == {"tail_sq": 1, "p0_bound": 1}, calls
     assert cell.mean_e1 == float(np.sqrt(fields.KlOracle(1).tail_sq(2)))
+
+
+def test_run_cell_computes_e2_once(monkeypatch):
+    # e2 depends on the mesh and L only: its moments are taken once per cell
+    calls = []
+    moments = fields.KlOracle.moments
+
+    def counting_moments(self, space, L):
+        calls.append(L)
+        return moments(self, space, L)
+
+    monkeypatch.setattr(fields.KlOracle, "moments", counting_moments)
+    cfg = support.make_config(ns=[6], Ms=[40], Ls=[2], n_rep=4)
+    cell = mercer.run_cell(cfg, 0, L=2, n=6, M=40)
+    assert cell.ok, cell.error
+    assert calls == [2], calls
+    assert cell.mean_e2 == mercer.ExactSide(1, 6).e2(2)
+
+
+def test_run_cell_holds_one_replication_at_a_time(monkeypatch):
+    # the estimated spectrum of a replication is released before the next
+    # replication runs, so a cell's peak memory is that of one replication
+    import gc
+    import weakref
+
+    held, previous = [], []
+    replicate = mercer.replicate
+
+    def watching_replicate(*args):
+        gc.collect()
+        held.append(any(ref() is not None for ref in previous))
+        rep = replicate(*args)
+        previous.append(weakref.ref(rep.spectrum))
+        return rep
+
+    monkeypatch.setattr(mercer, "replicate", watching_replicate)
+    cfg = support.make_config(ns=[6], Ms=[40], Ls=[2], n_rep=3)
+    cell = mercer.run_cell(cfg, 0, L=2, n=6, M=40)
+    assert cell.ok, cell.error
+    assert held == [False, False, False], held
+
+
+def test_projection_cell_builds_sample_free_work_once(monkeypatch):
+    # one projection map per mesh (one solve with the mass), and a load form
+    # that never holds a Q_h x Q_h array: its peak allocation stays below the
+    # size of one
+    import tracemalloc
+
+    solves, peaks = [], []
+    solve, kernel_forms = fem.MassMatrix.solve, fields.KlOracle.kernel_forms
+
+    def counting_solve(self, B):
+        solves.append(self.space.mesh.elements_per_axis)
+        return solve(self, B)
+
+    def measured_kernel_forms(self, space, vectors):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = kernel_forms(self, space, vectors)
+        peaks.append((tracemalloc.get_traced_memory()[1] - base,
+                      space.dof_count))
+        return out
+
+    monkeypatch.setattr(fem.MassMatrix, "solve", counting_solve)
+    monkeypatch.setattr(fields.KlOracle, "kernel_forms", measured_kernel_forms)
+    cfg = support.make_config(mode="projection", kl_trunc=60,
+                              estimator="Tapered", ns=[64, 128], Ms=[20],
+                              Ls=[3], n_rep=3)
+    tracemalloc.start()
+    try:
+        cells = mercer.expected_error_study(cfg)
+    finally:
+        tracemalloc.stop()
+    assert all(c.ok for c in cells), [c.error for c in cells]
+    assert sorted(solves) == [64, 128], solves
+    assert len(peaks) == 6
+    for peak, q in peaks:
+        assert peak < q * q * 8, \
+            "the load form allocated %d bytes at Q_h=%d" % (peak, q)
 
 
 def test_cell_result_roundtrip():

@@ -487,6 +487,27 @@ def test_diagnostics_above_lanczos_switch():
                                 5).weyl_bound == 0.0
 
 
+@pytest.mark.parametrize("d, n", [(1, 32), (1, 256), (2, 32)])
+def test_cov_diff_norm_matches_the_formed_recovered_difference(d, n):
+    # diagnostics takes the norm of L^{-T} D L^{-1} from its action on
+    # vectors (Q_h = 33 below the Lanczos switch, 257 and 1089 above); the
+    # oracle forms it with the dense factor
+    from covrecon import estimators
+
+    field, space, mass, _, s_exact, spec = support.brownian_setup(d, n)
+    batch = fields.draw_batch(field, space, 200, seed=3)
+    cov = estimators.estimate_covariance(batch)
+    s_est = spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED)
+    est = spectral.eigensolve(s_est)
+    diag = spectral.diagnostics(spec, est, s_exact, s_est, field, 3)
+    L_inv = sla.solve_triangular(reference.dense_chol(mass),
+                                 np.eye(space.dof_count), lower=True)
+    want = _dense_norm(L_inv.T @ (s_exact.matrix - s_est.matrix) @ L_inv)
+    assert abs(diag.cov_diff_norm - want) <= 1e-13 * want, \
+        "Q=%d: %r against the formed difference %r" % (
+            space.dof_count, diag.cov_diff_norm, want)
+
+
 def test_diagnostics_validates_rank():
     field, _, _, _, s_exact, spec = support.brownian_setup(1, 8)
     with pytest.raises(ValueError):
