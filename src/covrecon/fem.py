@@ -67,8 +67,8 @@ class FeSpace:
         self.polynomial_degree = 1
         self.dof_count = mesh.node_count
         self.mass = None  # the MassMatrix, once assemble_mass has built it
-        # KL projection maps by (field kind, kl_trunc), once a projection
-        # draw has built them (fields._draw_projected)
+        # KL projection maps by kl_trunc, once a projection draw has built
+        # them (fields._draw_projected)
         self.kl_projections = {}
 
     def __repr__(self):
@@ -181,15 +181,16 @@ class MassMatrix:
         return self._along_axes(self.chol.T, lt_a.T).T
 
     def solve_l(self, B):
-        """L^{-1} B for a (Q_h, k) block B."""
+        """L^{-1} B for a (Q_h, k) block or a (Q_h,) vector B."""
         return self._along_axes(self._axis_inverses[0], B)
 
     def solve_lt(self, B):
-        """L^{-T} B for a (Q_h, k) block B."""
+        """L^{-T} B for a (Q_h, k) block or a (Q_h,) vector B."""
         return self._along_axes(self._axis_inverses[1], B)
 
     def solve(self, B):
-        """G^{-1} B = L^{-T} L^{-1} B for a (Q_h, k) block B."""
+        """G^{-1} B = L^{-T} L^{-1} B for a (Q_h, k) block or a (Q_h,)
+        vector B."""
         return self._along_axes(self._axis_inverses[2], B)
 
 

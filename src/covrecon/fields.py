@@ -361,14 +361,13 @@ def _draw_projected(field, space, M, seed, kl_trunc):
     Each sample is its own (1, K) x (K, Q_h) product, which rounds the same
     whatever the number of samples beside it.
     """
-    key = (field.kind, kl_trunc)
-    P = space.kl_projections.get(key)
+    P = space.kl_projections.get(kl_trunc)
     if P is None:
         scale = np.sqrt([field.eigenvalue(l) for l in range(1, kl_trunc + 1)])
         S = field.moments(space, kl_trunc)
         P = scale[:, None] * fem.assemble_mass(space).solve(S.T).T
         P.setflags(write=False)
-        space.kl_projections[key] = P
+        space.kl_projections[kl_trunc] = P
     coeffs = np.empty((M, space.dof_count))
     for start in range(0, M, _SAMPLE_CHUNK):
         count = min(_SAMPLE_CHUNK, M - start)

@@ -166,14 +166,20 @@ def test_mass_actions_match_the_dense_factor():
         assert mass.chol.shape == (n + 1, n + 1)
         L = reference.dense_chol(mass)
         X = rng.standard_normal((mass.dof_count, 6))
+        x = rng.standard_normal(mass.dof_count)
         A = reference.random_symmetric(rng, mass.dof_count)
-        for name, got, want in (
-                ("congruence", mass.congruence(A), L.T @ A @ L),
-                ("solve_l", mass.solve_l(X),
-                 sla.solve_triangular(L, X, lower=True)),
-                ("solve_lt", mass.solve_lt(X),
-                 sla.solve_triangular(L.T, X, lower=False)),
-                ("solve", mass.solve(X), sla.cho_solve((L, True), X))):
+        cases = [("congruence", mass.congruence(A), L.T @ A @ L)]
+        # the solves take a block or a single vector (Lanczos matvecs)
+        for B in (X, x):
+            cases += [
+                ("solve_l", mass.solve_l(B),
+                 sla.solve_triangular(L, B, lower=True)),
+                ("solve_lt", mass.solve_lt(B),
+                 sla.solve_triangular(L.T, B, lower=False)),
+                ("solve", mass.solve(B), sla.cho_solve((L, True), B))]
+        for name, got, want in cases:
+            assert got.shape == want.shape, \
+                "d=%d n=%d: %s changes the shape" % (d, n, name)
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), \
                 "d=%d n=%d: %s disagrees with the dense factor" % (d, n, name)
             if d == 1 and name == "congruence":

@@ -478,9 +478,9 @@ def test_projection_map_is_kept_on_the_space():
 
         draw(space, 1)
         kept = dict(space.kl_projections)
-        assert list(kept) == [(field.kind, 30)]
+        assert list(kept) == [30]
         again = draw(space, 5)
-        assert space.kl_projections[(field.kind, 30)] is kept[(field.kind, 30)]
+        assert space.kl_projections[30] is kept[30]
         assert np.array_equal(again, draw(fem.build_space(d, n), 5)), \
             "%dD: a draw on a space with a kept map must match a fresh " \
             "space" % (d,)

@@ -126,10 +126,13 @@ def test_decomposition_validation():
     *_, other = support.brownian_setup(1, 4)
     with pytest.raises(ValueError):
         _decompose(field, spec, other, 2)
-    with pytest.raises(ValueError):
-        _decompose(field, spec, spec, 0)
-    with pytest.raises(ValueError):
-        _decompose(field, spec, spec, 10)
+    # the rank check of error_decomposition itself, not the one of
+    # ExactSide.e2 that _decompose would reach first
+    for L in (0, 10):
+        with pytest.raises(ValueError):
+            mercer.error_decomposition(field, spec, spec, L, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            support.exact_side(1, 8).e2(L)
 
 
 def test_decomposition_flags_near_degenerate_2d():
