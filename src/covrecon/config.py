@@ -16,6 +16,8 @@ element of each study list.  Validation failures raise ConfigError with
 the offending field named.
 """
 
+import math
+
 import yaml
 
 from .errors import ConfigError
@@ -25,6 +27,21 @@ from .planner import resolve_calibration
 _MODES = {"nodal": MODE_NODAL, "projection": MODE_PROJECTION,
           MODE_NODAL: MODE_NODAL, MODE_PROJECTION: MODE_PROJECTION}
 _ESTIMATORS = ("MLE", "Tapered", "Exact")
+
+
+def _is_int(v):
+    """An integer setting; YAML's true/false are bools, which are not."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _float(name, v):
+    """The float value of a numeric setting, or ConfigError naming it."""
+    try:
+        if not isinstance(v, bool):
+            return float(v)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError("%s: must be a number, got %r" % (name, v))
 
 
 class StudyConfig:
@@ -55,7 +72,7 @@ class StudyConfig:
         if self.field_kind != "brownian":
             raise ConfigError("field.kind: only 'brownian' is supported, got %r"
                               % (self.field_kind,))
-        if self.d not in (1, 2):
+        if not (_is_int(self.d) and self.d in (1, 2)):
             raise ConfigError("field.d: must be 1 or 2, got %r" % (self.d,))
         if not (isinstance(self.delta, float) and 0.0 < self.delta < 0.5):
             raise ConfigError("field.delta: must be a float in (0, 0.5), got %r"
@@ -67,23 +84,24 @@ class StudyConfig:
                               "got %r" % (self.mode,))
         self.mode = _MODES[self.mode]
         if self.mode == MODE_PROJECTION:
-            if not (isinstance(self.kl_trunc, int) and self.kl_trunc >= 1):
+            if not (_is_int(self.kl_trunc) and self.kl_trunc >= 1):
                 raise ConfigError("sampling.kl_trunc: projection mode needs an "
                                   "integer >= 1, got %r" % (self.kl_trunc,))
         if self.estimator not in _ESTIMATORS:
             raise ConfigError("estimator.kind: must be one of %s, got %r"
                               % ("/".join(_ESTIMATORS), self.estimator))
         if self.estimator == "Tapered" and not (
-                isinstance(self.alpha, (int, float)) and self.alpha > 0):
-            raise ConfigError("estimator.alpha: tapering needs alpha > 0, "
-                              "got %r" % (self.alpha,))
+                (_is_int(self.alpha) or isinstance(self.alpha, float))
+                and 0 < self.alpha < math.inf):
+            raise ConfigError("estimator.alpha: tapering needs a finite "
+                              "alpha > 0, got %r" % (self.alpha,))
         for name, lst, low in (("study.ns", self.ns, 2),
                                ("study.Ms", self.Ms, 1),
                                ("study.Ls", self.Ls, 1)):
             if not lst:
                 raise ConfigError("%s: list must be nonempty" % (name,))
             for v in lst:
-                if not (isinstance(v, int) and v >= low):
+                if not (_is_int(v) and v >= low):
                     raise ConfigError("%s: entries must be integers >= %d, "
                                       "got %r" % (name, low, v))
         min_q = (min(self.ns) + 1) ** self.d
@@ -92,11 +110,11 @@ class StudyConfig:
                 "study.Ls: truncation rank L=%d exceeds the smallest dof "
                 "count Q_h=%d (n=%d, d=%d)"
                 % (max(self.Ls), min_q, min(self.ns), self.d))
-        if not (isinstance(self.n_rep, int) and self.n_rep >= 1):
+        if not (_is_int(self.n_rep) and self.n_rep >= 1):
             raise ConfigError("study.n_rep: must be an integer >= 1, got %r"
                               % (self.n_rep,))
         self.calibration = resolve_calibration(self.calibration)
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError("seed: must be a nonnegative integer, got %r"
                               % (self.seed,))
         if not isinstance(self.out_dir, str) or not self.out_dir:
@@ -149,9 +167,9 @@ def from_dict(raw):
     if "d" in field:
         kwargs["d"] = field["d"]
     if "delta" in field:
-        kwargs["delta"] = float(field["delta"])
+        kwargs["delta"] = _float("field.delta", field["delta"])
     if "s" in field:
-        kwargs["s"] = float(field["s"])
+        kwargs["s"] = _float("field.s", field["s"])
     if "mode" in sampling:
         kwargs["mode"] = sampling["mode"]
     if "kl_trunc" in sampling:
@@ -159,7 +177,7 @@ def from_dict(raw):
     if "kind" in estimator:
         kwargs["estimator"] = estimator["kind"]
     if "alpha" in estimator:
-        kwargs["alpha"] = float(estimator["alpha"])
+        kwargs["alpha"] = _float("estimator.alpha", estimator["alpha"])
     for key in ("ns", "Ms", "Ls", "n_rep"):
         if key in study:
             kwargs[key] = study[key]

@@ -3,7 +3,10 @@
 Uniform lattice meshes of (0,1)^d for d in {1,2}, nodal hat-function bases,
 and exact mass matrices with the actions of their Cholesky factors: for
 d = 1 and d = 2 alike, 1D axis matrices (the factor, or its explicit
-inverses for the solves) applied along every lattice axis.  Nothing here
+inverses for the solves) applied along every lattice axis.  Only the
+MassMatrix constructor (1D factorizes the axis mass, 2D holds the 1D
+MassMatrix of one axis) and the 1D congruence (one dense product, whose
+rounding the 1D artifacts are pinned to) differ by dimension.  Nothing here
 integrates by quadrature: sampling and the error split use closed forms of
 the kernel against the basis (see `fields.KlOracle`).
 
@@ -53,18 +56,11 @@ class Mesh:
         return "Mesh(dim=%d, n=%d, Q_h=%d)" % (self.dim, self.elements_per_axis, self.node_count)
 
 
-def build_mesh(dim, n):
-    """Uniform mesh of (0,1)^dim with n elements per axis (n >= 2)."""
-    return Mesh(dim, n)
-
-
 class FeSpace:
     """Continuous piecewise-(multi)linear nodal space on a Mesh."""
 
     def __init__(self, mesh):
         self.mesh = mesh
-        self.basis_kind = "Nodal"
-        self.polynomial_degree = 1
         self.dof_count = mesh.node_count
         self.mass = None  # the MassMatrix, once assemble_mass has built it
         # KL projection maps by kl_trunc, once a projection draw has built
@@ -77,7 +73,7 @@ class FeSpace:
 
 def build_space(dim, n):
     """Convenience constructor: FeSpace on a fresh uniform mesh."""
-    return FeSpace(build_mesh(dim, n))
+    return FeSpace(Mesh(dim, n))
 
 
 def _axis_mass_action(Y):
@@ -104,9 +100,9 @@ class MassMatrix:
     In 1D G is the axis mass G1 = L1 L1^T.  In 2D G = G1 kron G1, so its
     Cholesky factor is L = L1 kron L1 and only the (n+1) x (n+1) factor L1 is
     ever formed: each action of L reshapes a block of columns to the
-    (n+1, n+1) lattice and applies the 1D operation, as an (n+1) x (n+1)
-    matrix, along both axes (Van Loan, "The ubiquitous Kronecker product",
-    2000).  The solves, in 1D too, are products with the explicit axis
+    (n+1, ..., n+1) lattice and applies the 1D operation, as an
+    (n+1) x (n+1) matrix, along every axis in turn (Van Loan, "The
+    ubiquitous Kronecker product", 2000).  The solves, in 1D too, are products with the explicit axis
     inverses L1^{-1}, L1^{-T} and G1^{-1}: a triangular solve with n+1 rows
     and many right-hand sides is several times slower than such a product.
     Every action takes a (Q_h, k) block or a single (Q_h,) vector.
@@ -165,17 +161,20 @@ class MassMatrix:
 
     def _along_axes(self, A, X):
         """(A kron ... kron A) X, one A per lattice axis, for an axis matrix
-        A and a (Q_h, k) block or (Q_h,) vector X: A acts on the first
-        lattice index, then in 2D (batched) on the second."""
+        A and a (Q_h, k) block or (Q_h,) vector X: A acts on lattice index
+        j of every (batched) line, for j = 0, ..., dim - 1."""
         m = A.shape[0]
-        Y = A @ X.reshape(m, -1)
-        if self.dim == 2:
-            Y = A @ Y.reshape(m, m, -1)
+        Y = X
+        for j in range(self.dim):
+            Y = A @ Y.reshape(m ** j, m, -1)
         return Y.reshape(X.shape)
 
     def congruence(self, A):
         """L^T A L for a (Q_h, Q_h) matrix A."""
         if self.dim == 1:
+            # one dense product, not the axis loop: the per-axis form rounds
+            # differently at n >= 256 (up to 1.2e-16 relative), which would
+            # move the 1D exact S-tilde and every artifact built on it
             return self.chol.T @ A @ self.chol
         lt_a = self._along_axes(self.chol.T, A)
         return self._along_axes(self.chol.T, lt_a.T).T

@@ -1,9 +1,12 @@
 """Gaussian random fields with known covariance, and batch sampling.
 
-Centered Brownian motion on (0,1) and the Brownian sheet on (0,1)^2.  One
-KlOracle per dimension is the whole field: its min-kernel covariance, its
-exact Karhunen-Loeve eigenpairs and gaps, and closed forms of the kernel
-against the P1 basis.  Batch sampling draws finite element coefficient
+Centered Brownian motion on (0,1) and the Brownian sheet on (0,1)^2, its
+tensor square.  One KlOracle per dimension is the whole field: its
+min-kernel covariance, its exact Karhunen-Loeve eigenpairs and gaps, and
+closed forms of the kernel against the P1 basis, each written once as a
+product or a per-axis action over the lattice axes.  Only the rank order of
+the axis indices and the squared-eigenvalue tail are per dimension, because
+there the series differ.  Batch sampling draws finite element coefficient
 vectors of the field: its nodal values, or the exact L2 projection of its
 truncated KL series, which the closed-form sine moments give without
 quadrature.
@@ -21,12 +24,12 @@ block instead of building a generator per block (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC'11).
 """
 
+import functools
 import math
 
 import numpy as np
 
 from . import fem
-from .errors import NumericError
 
 MODE_NODAL = "NodalInterpolation"
 MODE_PROJECTION = "L2ProjectionOfTruncatedKL"
@@ -37,6 +40,7 @@ _SAMPLE_BLOCK = 64
 _SAMPLE_CHUNK = 64 * _SAMPLE_BLOCK
 # explicit terms of the Euler-Maclaurin sum for zeta(4, a) in tail_sq
 _ZETA_HEAD = 24
+_KINDS = {1: "BrownianMotion1D", 2: "BrownianSheet2D"}
 
 
 def _lam1(ell):
@@ -61,14 +65,14 @@ class KlOracle:
     gap(l) is the distance from eigenvalue l to the nearest *distinct*
     eigenvalue, which in 1D (all values simple) coincides with
     min{lambda_{l-1} - lambda_l, lambda_l - lambda_{l+1}}, lambda_0 = inf.
+    Each is a product over the axis indices of rank l that _pair gives.
     """
 
     def __init__(self, dim):
-        if dim not in (1, 2):
+        if dim not in _KINDS:
             raise ValueError("dim must be 1 or 2, got %r" % (dim,))
         self.dim = dim
-        self.kind = "BrownianMotion1D" if dim == 1 else "BrownianSheet2D"
-        self._pairs = None
+        self.kind = _KINDS[dim]
         if dim == 2:
             self._extend_pairs(64)
 
@@ -83,7 +87,7 @@ class KlOracle:
         dim-th Kronecker power."""
         return np.minimum.outer(x, x)
 
-    # -- 2D enumeration -------------------------------------------------
+    # -- enumeration ----------------------------------------------------
     def _extend_pairs(self, k):
         """Sort the k x k tensor-index grid by descending eigenvalue."""
         l1, l2 = np.meshgrid(np.arange(1, k + 1), np.arange(1, k + 1), indexing="ij")
@@ -94,53 +98,42 @@ class KlOracle:
         self._grid_k = k
 
     def _pair(self, ell):
-        """Tensor index pair of rank ell (1-based) in the 2D enumeration."""
+        """Axis indices of rank ell (1-based) and their odd product
+        m = prod_k (2 l_k - 1): ((ell,), 2 ell - 1) in 1D, a table row in 2D."""
+        if self.dim == 1:
+            return (ell,), 2 * ell - 1
         while (ell > len(self._pairs)
                or self._pairs[ell - 1, 2] >= 2 * self._grid_k + 1):
             # ranks are only trustworthy while their product stays below the
             # smallest product reachable outside the enumerated grid
             self._extend_pairs(2 * self._grid_k)
-        return self._pairs[ell - 1]
+        l1, l2, m = self._pairs[ell - 1]
+        return (l1, l2), m
 
     # -- public oracle surface ------------------------------------------
     def eigenvalue(self, ell):
         if ell < 1:
             raise ValueError("eigenvalue index must be >= 1, got %r" % (ell,))
-        if self.dim == 1:
-            return float(_lam1(ell))
-        l1, l2, _ = self._pair(int(ell))
-        return float(_lam1(l1) * _lam1(l2))
+        return float(math.prod(_lam1(l) for l in self._pair(int(ell))[0]))
 
     def eigenfunction(self, ell, points):
         """Values of eigenfunction ell at points of shape (npts, dim)."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ValueError("points must have shape (npts, %d)" % (self.dim,))
-        if self.dim == 1:
-            return _phi1(ell, points[:, 0])
-        l1, l2, _ = self._pair(int(ell))
-        return _phi1(l1, points[:, 0]) * _phi1(l2, points[:, 1])
+        return math.prod(_phi1(l, points[:, k])
+                         for k, l in enumerate(self._pair(int(ell))[0]))
 
     def gap(self, ell):
         """Distance from eigenvalue ell to the nearest distinct eigenvalue."""
         if ell < 1:
             raise ValueError("gap index must be >= 1, got %r" % (ell,))
-        if self.dim == 1:
-            lam = _lam1(ell)
-            right = lam - _lam1(ell + 1)
-            left = np.inf if ell == 1 else _lam1(ell - 1) - lam
-            return float(min(left, right))
-        ell = int(ell)
-        m = int(self._pair(ell)[2])
-        # distinct 2D values are 16 pi^-4 m^-2 over odd m (m = m*1 is always
-        # attained), so the distinct neighbors sit at m -/+ 2
-        left = np.inf if m == 1 else self._value_of_product(m - 2) \
-            - self._value_of_product(m)
-        right = self._value_of_product(m) - self._value_of_product(m + 2)
-        return float(min(left, right))
-
-    def _value_of_product(self, m):
-        return 16.0 * np.pi ** -4 / float(m) ** 2
+        m = self._pair(int(ell))[1]
+        # the distinct eigenvalues are those of the odd products m, each
+        # attained by (m, 1, ...), so the distinct neighbors sit at m -/+ 2
+        below, lam, above = (_lam1((p + 1) / 2) * _lam1(1) ** (self.dim - 1)
+                             for p in (m - 2, m, m + 2))
+        return float(min(np.inf if m == 1 else below - lam, lam - above))
 
     # -- closed forms of the kernel against the P1 basis -------------------
     def sum_sq_total(self):
@@ -172,15 +165,13 @@ class KlOracle:
         return max(self.sum_sq_total() - head, 0.0)
 
     def moments(self, space, L):
-        """Rows s_l = (integral of phi_l theta_j)_j, l <= L, shape (L, Q_h); in
-        2D Kronecker products of the 1D moments of the tensor pair."""
+        """Rows s_l = (integral of phi_l theta_j)_j, l <= L, shape (L, Q_h):
+        Kronecker products of the 1D moments over the axis indices."""
         n = space.mesh.elements_per_axis
-        if self.dim == 1:
-            return _sine_moments(n, np.arange(1, L + 1))
-        pairs = np.array([self._pair(l)[:2] for l in range(1, L + 1)])
-        s1 = _sine_moments(n, np.arange(1, int(pairs.max()) + 1))
-        a, b = s1[pairs[:, 0] - 1], s1[pairs[:, 1] - 1]
-        return (a[:, :, None] * b[:, None, :]).reshape(L, space.dof_count)
+        idx = np.array([self._pair(l)[0] for l in range(1, L + 1)])
+        return functools.reduce(
+            lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(L, -1),
+            [_sine_moments(n, axis) for axis in idx.T])
 
     def kernel_forms(self, space, vectors):
         """v^T B v per column v of vectors, B_ij = <R, theta_i (x) theta_j>.
@@ -374,12 +365,3 @@ def _draw_projected(field, space, M, seed, kl_trunc):
         Psi = _standard_normals(seed, start, count, (1, kl_trunc))
         coeffs[start:start + count] = (Psi @ P)[:, 0]
     return coeffs
-
-
-def exact_discrete_covariance(field, space):
-    """Covariance of the nodal coefficient vector: R evaluated at node pairs."""
-    nodes = space.mesh.nodes
-    cov = np.asarray(field.covariance(nodes, nodes), dtype=float)
-    if not np.array_equal(cov, cov.T):
-        raise NumericError("analytic covariance evaluation not symmetric")
-    return cov

@@ -123,7 +123,8 @@ class ExactSide:
 
     @functools.cached_property
     def sigma(self):
-        return fields.exact_discrete_covariance(self.field, self.space)
+        axis = self.field.axis_covariance(self.space.mesh.axis_nodes)
+        return functools.reduce(np.kron, [axis] * self.space.mesh.dim)
 
     @functools.cached_property
     def _axis(self):

@@ -77,6 +77,13 @@ def test_config_validation_names_the_field():
         (dict(calibration=dict(rho1=0.0)), "calibration.rho1"),
         (dict(seed=-1), "seed"),
         (dict(out_dir=""), "output"),
+        # YAML booleans are not integers, and alpha must be finite
+        (dict(d=True), "field.d"),
+        (dict(Ls=[True]), "study.Ls"),
+        (dict(n_rep=True), "study.n_rep"),
+        (dict(seed=True), "seed"),
+        (dict(mode="projection", kl_trunc=True), "sampling.kl_trunc"),
+        (dict(estimator="Tapered", alpha=math.inf), "estimator.alpha"),
     ]
     for overrides, needle in bad:
         with pytest.raises(ConfigError) as err:
@@ -84,6 +91,13 @@ def test_config_validation_names_the_field():
         assert needle in str(err.value), \
             "rejecting %r must name %s, said: %s" % (overrides, needle,
                                                      err.value)
+    # values that do not convert to a float are refused while loading
+    for raw, needle in ((dict(field=dict(delta=None)), "field.delta"),
+                        (dict(field=dict(s="half")), "field.s"),
+                        (dict(estimator=dict(alpha=[1])), "estimator.alpha"),
+                        (dict(estimator=dict(alpha=True)), "estimator.alpha")):
+        with pytest.raises(ConfigError, match=needle):
+            config_mod.from_dict(raw)
 
 
 def test_readme_config_schema_loads():
@@ -392,6 +406,11 @@ def test_cli_yaml_and_section_errors(tmp_path, capsys):
                                  % (tmp_path / "o",))
     assert run_cli("sample", "--config", unknown) == 2
     assert "unknown config section" in capsys.readouterr().err
+    text = support.basic_yaml(str(tmp_path / "o")).replace("alpha: 1.0",
+                                                           "alpha: [1]")
+    listed = support.write_yaml(tmp_path / "a.yaml", text)
+    assert run_cli("estimate", "--config", listed) == 2
+    assert "estimator.alpha" in capsys.readouterr().err
 
 
 def test_cli_single_sample_estimate_is_a_config_error(tmp_path, capsys):

@@ -61,7 +61,7 @@ def test_mle_operator_error_rate_in_m():
     # fixed Q: mean opnorm error of the MLE decays like M^{-1/2}
     space = fem.build_space(1, 8)
     field = fields.KlOracle(1)
-    sigma = fields.exact_discrete_covariance(field, space)
+    sigma = mercer.ExactSide(1, 8).sigma
     Ms = [500, 2000, 8000]
     means = []
     for i, M in enumerate(Ms):
@@ -270,10 +270,9 @@ def test_decay_constant_grows_with_dof_count():
     # the Brownian covariance does not decay off the diagonal: tail sums
     # scale like 1/h and the optimal cutoff like Q, so the fitted constant
     # grows ~quadratically in Q -- the field is *not* in a fixed decay class
-    field = fields.KlOracle(1)
     ests = []
     for n in (16, 32):
-        sigma = fields.exact_discrete_covariance(field, fem.build_space(1, n))
+        sigma = mercer.ExactSide(1, n).sigma
         ests.append(estimators.decay_class_check(sigma, 1.0, 1.0, 2.0, 1).C1_est)
     ratio = ests[1] / ests[0]
     assert 3.4 <= ratio <= 4.8, \

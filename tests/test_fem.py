@@ -14,23 +14,23 @@ from covrecon.errors import NumericError
 # ---------------------------------------------------------------------------
 
 def test_mesh_1d_basic():
-    mesh = fem.build_mesh(1, 2)
+    mesh = fem.Mesh(1, 2)
     assert mesh.h == 0.5 and mesh.node_count == 3, "n=2 grid must have 3 nodes"
     assert np.array_equal(mesh.axis_nodes, [0.0, 0.5, 1.0])
     assert np.array_equal(mesh.nodes, [[0.0], [0.5], [1.0]]), \
         "1d nodes must be an (n+1, 1) point block"
-    mesh = fem.build_mesh(1, 4)
+    mesh = fem.Mesh(1, 4)
     assert mesh.node_count == 5 and mesh.h == 0.25
 
 
 def test_mesh_width_is_exact_reciprocal():
     for n in (2, 3, 7, 64, 100):
-        assert fem.build_mesh(1, n).h == 1.0 / n, \
+        assert fem.Mesh(1, n).h == 1.0 / n, \
             "mesh width must be the float reciprocal of n=%d" % n
 
 
 def test_mesh_2d_lexicographic_nodes():
-    mesh = fem.build_mesh(2, 2)
+    mesh = fem.Mesh(2, 2)
     assert mesh.node_count == 9
     # flat index j = ix * (n+1) + iy: x varies slowest
     expected = [(x, y) for x in (0.0, 0.5, 1.0) for y in (0.0, 0.5, 1.0)]
@@ -41,16 +41,14 @@ def test_mesh_2d_lexicographic_nodes():
 def test_mesh_validation():
     for bad in (1, 0, -3):
         with pytest.raises(ValueError):
-            fem.build_mesh(1, bad)
+            fem.Mesh(1, bad)
     with pytest.raises(ValueError):
-        fem.build_mesh(3, 4)
+        fem.Mesh(3, 4)
 
 
 def test_space_dof_count():
     assert fem.build_space(1, 6).dof_count == 7
     assert fem.build_space(2, 6).dof_count == 49
-    assert fem.build_space(1, 4).basis_kind == "Nodal"
-    assert fem.build_space(1, 4).polynomial_degree == 1
 
 
 # ---------------------------------------------------------------------------

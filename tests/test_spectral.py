@@ -38,7 +38,7 @@ def test_transform_zero_and_mismatch():
 def test_transform_small_grid_triple_product():
     space = fem.build_space(1, 2)
     mass = fem.assemble_mass(space)
-    sigma = fields.exact_discrete_covariance(fields.KlOracle(1), space)
+    sigma = mercer.ExactSide(1, 2).sigma
     ts = spectral.transform(sigma, mass)
     L = mass.chol
     direct = L.T @ sigma @ L
@@ -52,7 +52,7 @@ def test_transform_accepts_covariance_objects():
 
     space = fem.build_space(1, 4)
     mass = fem.assemble_mass(space)
-    sigma = fields.exact_discrete_covariance(fields.KlOracle(1), space)
+    sigma = mercer.ExactSide(1, 4).sigma
     cov = estimators.TaperedCovariance(sigma, tau=0, alpha=None,
                                        estimator_kind="Exact", M=0)
     a = spectral.transform(cov, mass).matrix
