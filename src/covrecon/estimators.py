@@ -96,7 +96,7 @@ def taper_bandwidth(M, alpha):
     return max(2 * math.ceil(M ** (1.0 / (2.0 * alpha + 1.0)) / 2.0), 2)
 
 
-def taper(cov, alpha, dim):
+def taper(cov, alpha, dim, weights=None):
     """Taper an MLE covariance at the rate-optimal bandwidth for alpha.
 
     tau is taper_bandwidth(M, alpha), clamped to the largest even integer
@@ -104,7 +104,9 @@ def taper(cov, alpha, dim):
     plain MLE already attains the rate and cov is returned unchanged.  The
     Q dofs are the lexicographic nodes of a dim-dimensional lattice, tapered
     per axis: in 2D the weight of a node pair is the product of the weights
-    of its two axis offsets.
+    of its two axis offsets.  weights, when given, keeps the read-only
+    weight matrix of each tau for this lattice (FeSpace.taper_weights), so
+    the tapers of one space build it once.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive, got %r" % (alpha,))
@@ -112,17 +114,22 @@ def taper(cov, alpha, dim):
     if Q < cov.M ** (1.0 / (2.0 * alpha + 1.0)):
         return cov
     tau = min(taper_bandwidth(cov.M, alpha), Q - Q % 2)
-    tapered = cov.matrix * _weight_matrix(Q, tau, dim)
-    return TaperedCovariance(tapered, tau=tau, alpha=alpha,
+    if weights is None:
+        weights = {}
+    if tau not in weights:
+        weights[tau] = _weight_matrix(Q, tau, dim)
+        weights[tau].setflags(write=False)
+    return TaperedCovariance(cov.matrix * weights[tau], tau=tau, alpha=alpha,
                              estimator_kind="Tapered", M=cov.M)
 
 
 def estimate_covariance(batch, alpha=None):
-    """MLE covariance of a batch, tapered at the optimal bandwidth if alpha given."""
+    """MLE covariance of a batch, tapered at the optimal bandwidth if alpha
+    given, with the taper weights kept on the batch's space."""
     cov = mle_covariance(batch)
     if alpha is None:
         return cov
-    return taper(cov, alpha, batch.space.mesh.dim)
+    return taper(cov, alpha, batch.space.mesh.dim, batch.space.taper_weights)
 
 
 def rho_tilde(h, M, alpha, d):

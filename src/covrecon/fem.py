@@ -66,6 +66,9 @@ class FeSpace:
         # KL projection maps by kl_trunc, once a projection draw has built
         # them (fields._draw_projected)
         self.kl_projections = {}
+        # taper weight matrices by bandwidth tau, once a tapered estimate has
+        # built them (estimators.taper)
+        self.taper_weights = {}
 
     def __repr__(self):
         return "FeSpace(%r)" % (self.mesh,)

@@ -196,9 +196,11 @@ Replication = collections.namedtuple(
 
 def replicate(config, exact, M, L, seed):
     """Estimate from M samples drawn with seed, eigensolve, compare with the
-    exact side and split the error at rank L.  The Exact estimator is the
-    exact side itself: its s_exact and spectrum serve as the estimate, and
-    nothing is drawn or formed.
+    exact side and split the error at rank L.  The estimate's eigensolve
+    finds every eigenvalue (the diagnostics read them all) and only the L
+    leading eigenvectors (the error split reads no others).  The Exact
+    estimator is the exact side itself: its s_exact and spectrum serve as
+    the estimate, and nothing is drawn or formed.
 
     Returns a Replication with the estimate's kind, tau and M; neither the
     batch nor the covariance is kept.
@@ -214,7 +216,7 @@ def replicate(config, exact, M, L, seed):
         _, cov = estimate(config, exact, M, seed)
         kind, tau, m_est = cov.estimator_kind, cov.tau, cov.M
         s_est = spectral.transform(cov, exact.mass, spectral.SOURCE_ESTIMATED)
-        spec = spectral.eigensolve(s_est)
+        spec = spectral.eigensolve(s_est, k=L)
     cal = config.calibration
     diag = spectral.diagnostics(exact.spectrum, spec, exact.s_exact, s_est,
                                 exact.field, L, C1=cal["C1"], C=cal["C"],

@@ -41,7 +41,7 @@ def resolve_calibration(calibration=None):
     """DEFAULT_CALIBRATION updated with the given constants.
 
     Raises ConfigError naming calibration.<key> for an unknown constant or
-    one that is not a number > 0.
+    one that is not a finite number > 0 (YAML true and .inf included).
     """
     cal = dict(DEFAULT_CALIBRATION)
     if calibration:
@@ -49,9 +49,10 @@ def resolve_calibration(calibration=None):
     for key, val in cal.items():
         if key not in DEFAULT_CALIBRATION:
             raise ConfigError("calibration.%s: unknown constant" % (key,))
-        if not (isinstance(val, (int, float)) and val > 0):
-            raise ConfigError("calibration.%s: must be > 0, got %r"
-                              % (key, val))
+        if (isinstance(val, bool) or not isinstance(val, (int, float))
+                or not 0 < val < math.inf):
+            raise ConfigError("calibration.%s: must be a finite number > 0, "
+                              "got %r" % (key, val))
     return cal
 
 

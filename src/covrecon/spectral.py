@@ -26,15 +26,24 @@ from .errors import NumericError
 SOURCE_EXACT = "ExactDiscrete"
 SOURCE_ESTIMATED = "Estimated"
 
-# operator_norm: dense eigensolve below this many rows, Lanczos from it on.
-# With numpy's eigvalsh and an eigh of the tridiagonal, on one CPU of a Xeon
-# VM (OpenBLAS, one thread), for the 1D Weyl differences at M=2000 (10-14
-# Lanczos steps): dense takes 0.08 ms against 0.6 ms at Q=33, breaks even
-# near Q=97-129 (0.4-0.7 ms), and takes 3-3.8 ms against 0.7-1.1 ms at Q=257.
+# Dense below this many rows, Lanczos from it on, in operator_norm and in
+# eigensolve(ts, k).  Medians on one CPU of a Xeon VM (OpenBLAS, one thread):
+# - operator_norm of the 1D Weyl differences at M=2000 (10-14 Lanczos
+#   steps): dense eigvalsh takes 0.08 ms against 0.6 ms at Q=33, breaks even
+#   near Q=97-129 (0.4-0.7 ms), and takes 3-3.8 ms against 0.7-1.1 ms at
+#   Q=257.
+# - eigensolve(ts, k=5) of a tapered 1D projection estimate at M=200 (36-68
+#   steps): eigvalsh plus Lanczos takes 3.2 ms against 2.2 ms for eigh at
+#   Q=129, breaks even at Q=257 (9.3 against 9.9 ms), and takes 34 ms
+#   against 52 ms at Q=513; k=3 of a 2D MLE estimate at M=2000 (16 steps)
+#   takes 0.17 s against 0.29 s at Q=1089.
 _LANCZOS_MIN_DOF = 128
 _LANCZOS_RTOL = 1e-14
-# operator_norm: Lanczos vectors allocated before the basis first doubles
+# Lanczos vectors allocated before the basis first doubles
 _LANCZOS_BASIS = 16
+# eigensolve(ts, k): steps between solves of the tridiagonal.  At Q=513
+# (k=5) its Lanczos took 30 ms solving every step and 15 ms every fourth.
+_LANCZOS_CHECK_EVERY = 4
 
 
 class TransformedStiffness:
@@ -83,34 +92,71 @@ class DiscreteSpectrum:
         return self.eigenvalues.shape[0]
 
 
-def _dump_matrix(matrix):
+def _dumped_error(matrix, reason, detail):
+    """A NumericError naming reason and detail, with matrix saved to disk."""
     fd, path = tempfile.mkstemp(prefix="stiffness-dump-", suffix=".npy")
     os.close(fd)
     np.save(path, matrix)
-    return path
+    return NumericError("%s; offending matrix saved to %s: %s"
+                        % (reason, path, detail))
 
 
-def eigensolve(ts):
-    """Full symmetric eigendecomposition of S-tilde, descending, canonical signs.
+def _dense(solver, matrix):
+    """solver(matrix), a dense numpy eigensolver; a failure to converge
+    raises NumericError with the matrix dumped."""
+    try:
+        return solver(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise _dumped_error(matrix, "symmetric eigensolver failed to "
+                            "converge", exc)
+
+
+def eigensolve(ts, k=None):
+    """Symmetric eigendecomposition of S-tilde, descending, canonical signs.
+
+    Without k every eigenpair comes from one dense eigh.  With k all Q
+    eigenvalues are still found, but only the leading k eigenvectors:
+    below _LANCZOS_MIN_DOF rows as the columns of the dense solve, from
+    there on with the eigenvalues from eigvalsh and the vectors from the
+    Lanczos iteration of operator_norm.  It stops once each of the k
+    leading Ritz pairs has a residual beta_j |s_ji| <= _LANCZOS_RTOL
+    |theta_1|, solving its tridiagonal every _LANCZOS_CHECK_EVERY steps.
+    Each of the k Ritz values must then lie within its residual, plus the
+    Q eps |theta_1| roundoff of eigvalsh, of the eigvalsh eigenvalue of its
+    rank: one start vector can miss a copy of a repeated eigenvalue, and
+    that raises NumericError with the matrix dumped, as a failed dense solve
+    does.
 
     The sign of each tilde eigenvector is fixed so its component of largest
     magnitude (first such index on ties) is positive; the generalized
     vectors inherit the same flips.
     """
-    try:
-        vals, vecs = np.linalg.eigh(ts.matrix)
-    except np.linalg.LinAlgError as exc:
-        path = _dump_matrix(ts.matrix)
-        raise NumericError(
-            "symmetric eigensolver failed to converge; offending matrix "
-            "saved to %s: %s" % (path, exc))
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
+    Q = ts.matrix.shape[0]
+    if k is not None and not 1 <= k <= Q:
+        raise ValueError("k must lie in [1, %d], got %r" % (Q, k))
+    if k is None or Q < _LANCZOS_MIN_DOF:
+        vals, vecs = _dense(np.linalg.eigh, ts.matrix)
+        order = np.argsort(-vals, kind="stable")
+        vals = vals[order]
+        vecs = vecs[:, order]
+    else:
+        vals = _dense(np.linalg.eigvalsh, ts.matrix)[::-1]
+        theta, resid, vecs = _leading_pairs(ts.matrix, k)
+        # an eigenvalue lies within resid of each Ritz value, and eigvalsh
+        # rounds by up to about Q eps |lambda_1|
+        tol = resid + Q * np.finfo(float).eps * abs(theta[0])
+        if not np.all(np.abs(theta - vals[:k]) <= tol):
+            raise _dumped_error(
+                ts.matrix, "Lanczos missed a leading eigenvalue",
+                "Ritz values %r against eigenvalues %r" % (theta, vals[:k]))
     lead = np.argmax(np.abs(vecs), axis=0)
     signs = np.where(vecs[lead, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
     vecs = vecs * signs
     gen = ts.mass.solve_lt(vecs)
+    if k is not None:
+        # below the switch the dense solve is back-transformed whole, so the
+        # columns keep the bits of eigensolve(ts)
+        vecs, gen = vecs[:, :k], gen[:, :k]
     return DiscreteSpectrum(vals, vecs, gen, ts.source, ts.mass)
 
 
@@ -145,13 +191,17 @@ def kronecker_power(axis_spec, mass, d):
 def align_signs(reference, target):
     """Flip target eigenvectors so each pairs nonnegatively with the reference.
 
+    The k target columns pair with the first k reference columns; the
+    target may hold fewer vectors than the reference (eigensolve(ts, k)).
     Columns with an exactly zero dot product are left unchanged.  Returns a
     new spectrum; eigenvalues are shared.
     """
     if reference.dof_count != target.dof_count:
         raise ValueError("spectra have mismatched dimensions %d and %d"
                          % (reference.dof_count, target.dof_count))
-    dots = np.sum(reference.tilde_vectors * target.tilde_vectors, axis=0)
+    k = target.tilde_vectors.shape[1]
+    dots = np.sum(reference.tilde_vectors[:, :k] * target.tilde_vectors,
+                  axis=0)
     signs = np.where(dots < 0, -1.0, 1.0)
     return DiscreteSpectrum(target.eigenvalues.copy(),
                             target.tilde_vectors * signs,
@@ -170,6 +220,64 @@ def opnorm_sandwich(mass, cov_diff_norm):
     return (mass.lambda_min * cov_diff_norm, mass.lambda_max * cov_diff_norm)
 
 
+def _lanczos(S, converged, check_every=1):
+    """Lanczos with full reorthogonalization (Golub & Van Loan, Matrix
+    Computations, 10.1) on a symmetric S, started from a fixed vector.
+
+    S is a matrix or any object with a shape (Q, Q) and an @ that applies
+    it to a (Q,) vector and to a (Q, k) block.  After every check_every-th
+    step j, after step Q and once the Krylov space is exhausted, the j x j
+    tridiagonal is solved for its ascending Ritz values theta and vectors
+    s, and converged(theta, s, beta) is asked whether to stop; beta is the
+    norm of the next residual, so beta |s[-1, i]| is the residual of Ritz
+    pair i.  Returns theta, s, beta and the j Lanczos vectors (rows) of the
+    first accepted step, or raises NumericError.  The basis doubles as the
+    steps need it, so j steps hold at most 2j vectors.
+    """
+    Q = S.shape[0]
+    basis = np.empty((min(_LANCZOS_BASIS, Q), Q))
+    v = np.random.default_rng(0).standard_normal(Q)
+    v /= np.linalg.norm(v)
+    alpha, beta = [], []
+    for j in range(1, Q + 1):
+        if j > len(basis):
+            grown = np.empty((min(2 * len(basis), Q), Q))
+            grown[:len(basis)] = basis
+            basis = grown
+        basis[j - 1] = v
+        w = S @ v
+        alpha.append(v @ w)
+        # Gram-Schmidt against the whole basis, twice: once leaves roundoff
+        # of the size of the removed components
+        V = basis[:j]
+        w -= V.T @ (V @ w)
+        w -= V.T @ (V @ w)
+        b = np.linalg.norm(w)
+        if j % check_every == 0 or j == Q or b == 0.0:
+            theta, s = np.linalg.eigh(
+                np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            if converged(theta, s, b):
+                return theta, s, b, V
+            if b == 0.0:
+                break
+        beta.append(b)
+        v = w / b
+    raise NumericError("Lanczos iteration did not converge in %d steps" % j)
+
+
+def _leading_pairs(S, k):
+    """The k largest Ritz values of S, descending, their residuals and their
+    Ritz vectors (Q x k), from _lanczos stopped once each residual is at
+    most _LANCZOS_RTOL |theta_1|."""
+    def converged(theta, s, b):
+        return (theta.size >= k and np.all(
+            b * np.abs(s[-1, -k:]) <= _LANCZOS_RTOL * abs(theta[-1])))
+
+    theta, s, b, V = _lanczos(S, converged, _LANCZOS_CHECK_EVERY)
+    s = s[:, ::-1][:, :k]
+    return theta[::-1][:k], b * np.abs(s[-1]), V.T @ s
+
+
 def operator_norm(S):
     """Spectral norm of a symmetric operator S via its extreme eigenvalues.
 
@@ -177,49 +285,26 @@ def operator_norm(S):
     that applies it to a (Q,) vector and to a (Q, k) block.  S is not
     symmetrized here: callers pass an exactly symmetric matrix, or an
     operator that is symmetric up to roundoff.  Below _LANCZOS_MIN_DOF rows a
-    dense eigensolve of S @ I gives them.  From there on a Lanczos iteration
-    with full reorthogonalization (Golub & Van Loan, Matrix Computations,
-    10.1), started from a fixed vector, stops once every extreme Ritz value
-    theta_j plus its residual estimate beta_k |s_kj| is at most
-    (1 + _LANCZOS_RTOL) max|theta|.  For the Ritz value of largest magnitude
-    that is beta_k |s_kj| <= _LANCZOS_RTOL |theta|; at the other end it
-    keeps an unconverged value from hiding a larger eigenvalue.  The basis
-    doubles as the steps need it, so k steps hold at most 2k vectors.  The
-    zero operator gives exactly 0.0, and no convergence within Q steps
-    raises NumericError.
+    dense eigensolve of S @ I gives them.  From there on _lanczos, checked
+    every step, stops once every extreme Ritz value theta_j plus its
+    residual estimate beta |s_kj| is at most (1 + _LANCZOS_RTOL) max|theta|.
+    For the Ritz value of largest magnitude that is beta |s_kj| <=
+    _LANCZOS_RTOL |theta|; at the other end it keeps an unconverged value
+    from hiding a larger eigenvalue.  The zero operator gives exactly 0.0,
+    and no convergence within Q steps raises NumericError.
     """
     Q = S.shape[0]
     if Q < _LANCZOS_MIN_DOF:
         vals = np.linalg.eigvalsh(S @ np.eye(Q))
         return float(max(abs(vals[0]), abs(vals[-1])))
-    basis = np.empty((min(_LANCZOS_BASIS, Q), Q))
-    v = np.random.default_rng(0).standard_normal(Q)
-    v /= np.linalg.norm(v)
-    alpha, beta = [], []
-    for k in range(Q):
-        if k == len(basis):
-            grown = np.empty((min(2 * k, Q), Q))
-            grown[:k] = basis
-            basis = grown
-        basis[k] = v
-        w = S @ v
-        alpha.append(v @ w)
-        # Gram-Schmidt against the whole basis, twice: once leaves roundoff
-        # of the size of the removed components
-        V = basis[:k + 1]
-        w -= V.T @ (V @ w)
-        w -= V.T @ (V @ w)
-        b = np.linalg.norm(w)
-        theta, s = np.linalg.eigh(
-            np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+
+    def converged(theta, s, b):
         top = max(abs(theta[0]), abs(theta[-1]))
         bound = np.abs(theta[[0, -1]]) + b * np.abs(s[-1, [0, -1]])
-        if np.max(bound) <= (1.0 + _LANCZOS_RTOL) * top:
-            return float(top)
-        beta.append(b)
-        v = w / b
-    raise NumericError("Lanczos operator norm did not converge in %d steps"
-                       % Q)
+        return np.max(bound) <= (1.0 + _LANCZOS_RTOL) * top
+
+    theta = _lanczos(S, converged)[0]
+    return float(max(abs(theta[0]), abs(theta[-1])))
 
 
 class _InverseCongruence:

@@ -411,6 +411,13 @@ def test_cli_yaml_and_section_errors(tmp_path, capsys):
     listed = support.write_yaml(tmp_path / "a.yaml", text)
     assert run_cli("estimate", "--config", listed) == 2
     assert "estimator.alpha" in capsys.readouterr().err
+    for value, key in (("true", "C1"), (".inf", "rho1")):
+        text = support.basic_yaml(str(tmp_path / "o"),
+                                  extra="calibration:\n  %s: %s\n"
+                                  % (key, value))
+        cal = support.write_yaml(tmp_path / "c.yaml", text)
+        assert run_cli("reconstruct", "--config", cal) == 2
+        assert "calibration.%s" % (key,) in capsys.readouterr().err
 
 
 def test_cli_single_sample_estimate_is_a_config_error(tmp_path, capsys):
@@ -424,7 +431,7 @@ def test_cli_single_sample_estimate_is_a_config_error(tmp_path, capsys):
 def test_cli_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     path, _ = write_cfg(tmp_path, n=4)
 
-    def boom(s_tilde):
+    def boom(s_tilde, k=None):
         raise NumericError("synthetic eigensolver failure")
 
     monkeypatch.setattr(cli.spectral, "eigensolve", boom)

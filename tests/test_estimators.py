@@ -163,6 +163,36 @@ def test_estimate_covariance_dispatch():
 # theoretical rate and decay class
 # ---------------------------------------------------------------------------
 
+def test_tapers_of_one_cell_share_the_weight(monkeypatch):
+    # every replication of a study cell tapers at one bandwidth: its weight
+    # is built once and kept read-only on the space, and a taper through
+    # the kept weight keeps the bits of one that builds its own
+    built = []
+    weight_matrix = estimators._weight_matrix
+
+    def counting(Q, tau, dim):
+        built.append((Q, tau, dim))
+        return weight_matrix(Q, tau, dim)
+
+    monkeypatch.setattr(estimators, "_weight_matrix", counting)
+    cfg = support.make_config(estimator="Tapered", ns=[16], Ms=[200],
+                              Ls=[2], n_rep=3)
+    cell = mercer.run_cell(cfg, 0, L=2, n=16, M=200)
+    assert cell.ok and cell.tau == 6, cell.error
+    assert built == [(17, 6, 1)], built
+
+    space = fem.build_space(1, 16)
+    batch = fields.draw_batch(fields.KlOracle(1), space, 200, seed=4)
+    first = estimators.estimate_covariance(batch, alpha=1.0)
+    kept = space.taper_weights[6]
+    assert not kept.flags.writeable
+    again = estimators.estimate_covariance(batch, alpha=1.0)
+    assert space.taper_weights[6] is kept
+    alone = estimators.taper(estimators.mle_covariance(batch), 1.0, 1)
+    assert np.array_equal(first.matrix, alone.matrix)
+    assert np.array_equal(again.matrix, alone.matrix)
+
+
 def test_rho_tilde_branches():
     # Q_h = 129 >= 1e6^{1/3}: tapered rate with the log term
     big = estimators.rho_tilde(1.0 / 128, 10 ** 6, 1.0, 1)

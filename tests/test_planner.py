@@ -7,6 +7,7 @@ import pytest
 
 import reference
 import support
+from covrecon import config as config_mod
 from covrecon import fields, mercer, planner, spectral
 from covrecon.errors import (ConfigError, DegenerateSpectrumError,
                              InfeasiblePlanError)
@@ -43,9 +44,14 @@ def test_one_calibration_policy():
     # the same way, and name the offending key the same way
     for bad, needle in (({"C9": 1.0}, "calibration.C9"),
                         ({"rho1": 0.0}, "calibration.rho1"),
-                        ({"beta": "x"}, "calibration.beta")):
+                        ({"beta": "x"}, "calibration.beta"),
+                        # YAML true and .inf
+                        ({"C1": True}, "calibration.C1"),
+                        ({"rho1": math.inf}, "calibration.rho1"),
+                        ({"C": math.nan}, "calibration.C")):
         for build in (lambda: planner.brownian_profile(calibration=bad),
-                      lambda: support.make_config(calibration=bad)):
+                      lambda: support.make_config(calibration=bad),
+                      lambda: config_mod.from_dict({"calibration": bad})):
             with pytest.raises(ConfigError, match=needle):
                 build()
     merged = planner.resolve_calibration({"C1": 2.0})

@@ -223,6 +223,86 @@ def test_eigensolve_failure_dumps_matrix(monkeypatch):
         os.remove(path)
 
 
+def _estimated_stiffness(d, n, alpha, M, seed=0):
+    """S-tilde of a sampled estimate: projection draws when alpha is given
+    (the tapered 1D fine-mesh case), nodal draws otherwise."""
+    from covrecon import estimators
+
+    field, space, mass, *_ = support.brownian_setup(d, n)
+    if alpha is None:
+        batch = fields.draw_batch(field, space, M, seed=seed)
+    else:
+        batch = fields.draw_batch(field, space, M, mode=fields.MODE_PROJECTION,
+                                  seed=seed, kl_trunc=400)
+    cov = estimators.estimate_covariance(batch, alpha=alpha)
+    return spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("d, n, alpha, M", [(1, 256, 1.0, 200),
+                                            (2, 16, None, 2000)])
+def test_eigensolve_k_matches_the_dense_oracle(d, n, alpha, M, k):
+    # above the Lanczos switch: eigvalsh for all Q eigenvalues, Lanczos for
+    # the k leading vectors; np.linalg.eigh of the same matrix is the oracle
+    ts = _estimated_stiffness(d, n, alpha, M)
+    Q = ts.matrix.shape[0]
+    assert Q >= spectral._LANCZOS_MIN_DOF
+    spec = spectral.eigensolve(ts, k=k)
+    vals, vecs = np.linalg.eigh(ts.matrix)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    assert spec.eigenvalues.shape == (Q,)
+    assert spec.tilde_vectors.shape == spec.gen_vectors.shape == (Q, k)
+    assert np.max(np.abs(spec.eigenvalues - vals)) <= 1e-14 * vals[0]
+    vt = spec.tilde_vectors
+    P = (vt * spec.eigenvalues[:k]) @ vt.T
+    P_dense = (vecs[:, :k] * vals[:k]) @ vecs[:, :k].T
+    assert np.linalg.norm(P - P_dense) <= 1e-12 * np.linalg.norm(P_dense), \
+        "the rank-%d projector moved" % k
+    lead = np.argmax(np.abs(vt), axis=0)
+    assert np.all(vt[lead, np.arange(k)] > 0.0), "canonical signs"
+    vg = spec.gen_vectors
+    G = reference.dense_mass(ts.mass)
+    assert np.max(np.abs(vg.T @ G @ vg - np.eye(k))) <= 1e-12, \
+        "generalized vectors must be G-orthonormal"
+
+
+def test_eigensolve_k_below_switch_is_the_dense_solve_sliced():
+    ts = _estimated_stiffness(1, 32, None, 500)
+    Q = ts.matrix.shape[0]
+    assert Q < spectral._LANCZOS_MIN_DOF
+    full = spectral.eigensolve(ts)
+    for k in (1, 3, Q):
+        spec = spectral.eigensolve(ts, k=k)
+        assert np.array_equal(spec.eigenvalues, full.eigenvalues)
+        assert np.array_equal(spec.tilde_vectors, full.tilde_vectors[:, :k])
+        assert np.array_equal(spec.gen_vectors, full.gen_vectors[:, :k])
+    for k in (0, Q + 1):
+        with pytest.raises(ValueError):
+            spectral.eigensolve(ts, k=k)
+
+
+def test_eigensolve_k_raises_on_a_missed_tie():
+    # one start vector spans one direction of a repeated eigenvalue: on this
+    # rank-3 matrix the Krylov space is exhausted after three steps, and the
+    # second Ritz value converges to 0.5 before roundoff brings in the second
+    # copy of 1.  The k route must raise, and the dense route still solves it
+    q = spectral._LANCZOS_MIN_DOF + 2
+    U = np.linalg.qr(np.random.default_rng(5).standard_normal((q, 3)))[0]
+    A = (U * [1.0, 1.0, 0.5]) @ U.T
+    A = 0.5 * (A + A.T)
+    ts = spectral.TransformedStiffness(A, spectral.SOURCE_ESTIMATED,
+                                       reference.IdentityMass(q))
+    with pytest.raises(NumericError, match="missed") as err:
+        spectral.eigensolve(ts, k=2)
+    path = re.search(r"saved to (\S+):", str(err.value)).group(1)
+    try:
+        assert np.array_equal(np.load(path), A)
+    finally:
+        os.remove(path)
+    spec = spectral.eigensolve(ts)
+    assert np.max(np.abs(spec.eigenvalues[:3] - [1.0, 1.0, 0.5])) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # sign alignment
 # ---------------------------------------------------------------------------
@@ -241,6 +321,13 @@ def test_align_signs_recovers_flips():
     assert np.array_equal(fixed.tilde_vectors, spec.tilde_vectors), \
         "alignment must undo pure sign flips exactly"
     assert np.array_equal(fixed.gen_vectors, spec.gen_vectors)
+    # a target with the k leading vectors pairs with the first k columns
+    leading = spectral.DiscreteSpectrum(
+        spec.eigenvalues.copy(), flipped.tilde_vectors[:, :3],
+        flipped.gen_vectors[:, :3], spectral.SOURCE_ESTIMATED, mass)
+    fixed = spectral.align_signs(spec, leading)
+    assert np.array_equal(fixed.tilde_vectors, spec.tilde_vectors[:, :3])
+    assert np.array_equal(fixed.gen_vectors, spec.gen_vectors[:, :3])
 
 
 def test_align_signs_minimizes_distance_per_mode():
