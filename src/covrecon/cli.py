@@ -26,6 +26,11 @@ from .errors import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERIC, EXIT_OK,
 
 _CASE_NUMBERS = {planner.CASE_SMALL: 1, planner.CASE_LOG: 2,
                  planner.CASE_RATE: 3}
+# how a study's replications share samples (see mercer.run_mesh)
+_PAIRING = ("replication r on mesh i draws once, seeded rep_seed(seed, i, r); "
+            "every (L, M) cell on mesh i reads its first M samples, so cells "
+            "on one mesh are paired (common random numbers) and cells on "
+            "different meshes are independent")
 
 
 def _build_parser():
@@ -46,7 +51,8 @@ def _build_parser():
                        help="override the config output directory")
         if name == "study":
             p.add_argument("--workers", type=int, default=1,
-                           help="process pool size for grid cells")
+                           help="process pool size; each mesh's "
+                                "replications are split among the workers")
             p.add_argument("--resume", action="store_true",
                            help="reuse completed cells from out/cells")
         if name == "plan":
@@ -157,11 +163,7 @@ def cmd_reconstruct(cfg, args):
 
 
 def cmd_study(cfg, args):
-    if cfg.estimator == "Exact":
-        raise ConfigError("estimator.kind: studies need MLE or Tapered, "
-                          "not Exact")
     cell_dir = os.path.join(cfg.out_dir, "cells")
-    os.makedirs(cell_dir, exist_ok=True)
     resumed, rejected = [], []
 
     def load(idx):
@@ -183,7 +185,8 @@ def cmd_study(cfg, args):
     artifacts.write_sidecar(os.path.join(cfg.out_dir, "study.meta.json"),
                             cfg, cells=len(results), failed=len(failed),
                             cells_resumed=len(resumed),
-                            cells_rejected=len(rejected))
+                            cells_rejected=len(rejected),
+                            paired_cells=_PAIRING)
     for note in rejected:
         print(note, file=sys.stderr)
     print("study complete: %d cells (%d failed, %d resumed); wrote %s, %s, %s"

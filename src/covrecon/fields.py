@@ -254,6 +254,15 @@ class SampleBatch:
     def sample_count(self):
         return self.coeffs.shape[0]
 
+    def prefix(self, M):
+        """The first M samples, a view: by the sampling contract, the batch
+        of M samples that this seed draws."""
+        if not 1 <= M <= self.sample_count:
+            raise ValueError("prefix of %r samples from a batch of %d"
+                             % (M, self.sample_count))
+        return SampleBatch(self.space, self.coeffs[:M], self.mode,
+                           self.kl_trunc, self.seed, self.field_kind)
+
 
 def _standard_normals(seed, start, count, shape):
     """Standard normals of samples start..start+count-1, shape (count, *shape).

@@ -10,9 +10,11 @@ closed forms of the Brownian kernel against the P1 basis.
 A StudyConfig becomes pipeline calls here only: ExactSide is the
 sample-free half of a replication on one mesh and replicate the rest.
 reconstruct runs one replication; expected_error_study runs them over a
-(L, h, M) grid, and replication r of cell c draws its batch with the seed
-derived from SeedSequence(seed, spawn_key=(c, r)), so cells and
-replications are independent of execution order and worker scheduling.
+(L, h, M) grid, mesh by mesh.  Replication r on mesh i draws the largest M
+once, with the seed derived from SeedSequence(seed, spawn_key=(i, r)), and
+every (L, M) cell on the mesh reads its first M samples.  Cells on one mesh
+are paired (common random numbers), cells on different meshes independent,
+and no number depends on execution order or worker scheduling.
 """
 
 import collections
@@ -21,7 +23,7 @@ import functools
 import numpy as np
 
 from . import estimators, fem, fields, planner, spectral
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 
 _NEAR_DEGENERATE_REL = 1e-8
 
@@ -146,6 +148,11 @@ class ExactSide:
         return spectral.kronecker_power(spectral.eigensolve(self._axis),
                                         self.mass, self.space.mesh.dim)
 
+    def split(self, spec, L):
+        """error_decomposition of an estimated spectrum at rank L."""
+        return error_decomposition(self.field, self.spectrum, spec, L,
+                                   self.e1(L), self.e2(L))
+
     def e1(self, L):
         """Truncation error sqrt(field.tail_sq(L))."""
         if L not in self._e1:
@@ -180,14 +187,42 @@ def draw(config, exact, M, seed):
                              seed=seed, kl_trunc=config.kl_trunc)
 
 
+def _estimate_batch(config, batch):
+    """The configured sample estimate (MLE or Tapered) of a batch."""
+    alpha = config.alpha if config.estimator == "Tapered" else None
+    return estimators.estimate_covariance(batch, alpha=alpha)
+
+
 def estimate(config, exact, M, seed):
     """(batch, estimate) as configured; Exact draws nothing (batch None)."""
     if config.estimator == "Exact":
         return None, estimators.TaperedCovariance(
             exact.sigma, tau=0, alpha=None, estimator_kind="Exact", M=0)
     batch = draw(config, exact, M, seed)
-    alpha = config.alpha if config.estimator == "Tapered" else None
-    return batch, estimators.estimate_covariance(batch, alpha=alpha)
+    return batch, _estimate_batch(config, batch)
+
+
+def _check_rank(exact, L):
+    Q = exact.space.dof_count
+    if L > Q:
+        raise ValueError("truncation rank L=%d exceeds dof count Q_h=%d"
+                         % (L, Q))
+
+
+def _diagnose(config, exact, s_est, spec, k):
+    cal = config.calibration
+    return spectral.diagnostics(exact.spectrum, spec, exact.s_exact, s_est,
+                                exact.field, k, C1=cal["C1"], C=cal["C"],
+                                s=config.s)
+
+
+def _estimated(config, exact, batch, k):
+    """The estimate of a batch, its spectrum with every eigenvalue and the
+    k leading eigenvectors, and their diagnostics at rank k."""
+    cov = _estimate_batch(config, batch)
+    s_est = spectral.transform(cov, exact.mass, spectral.SOURCE_ESTIMATED)
+    spec = spectral.eigensolve(s_est, k=k)
+    return cov, spec, _diagnose(config, exact, s_est, spec, k)
 
 
 Replication = collections.namedtuple(
@@ -205,25 +240,16 @@ def replicate(config, exact, M, L, seed):
     Returns a Replication with the estimate's kind, tau and M; neither the
     batch nor the covariance is kept.
     """
-    Q = exact.space.dof_count
-    if L > Q:
-        raise ValueError("truncation rank L=%d exceeds dof count Q_h=%d"
-                         % (L, Q))
+    _check_rank(exact, L)
     if config.estimator == "Exact":
         kind, tau, m_est = "Exact", 0, 0
-        s_est, spec = exact.s_exact, exact.spectrum
+        spec = exact.spectrum
+        diag = _diagnose(config, exact, exact.s_exact, spec, L)
     else:
-        _, cov = estimate(config, exact, M, seed)
+        cov, spec, diag = _estimated(config, exact,
+                                     draw(config, exact, M, seed), L)
         kind, tau, m_est = cov.estimator_kind, cov.tau, cov.M
-        s_est = spectral.transform(cov, exact.mass, spectral.SOURCE_ESTIMATED)
-        spec = spectral.eigensolve(s_est, k=L)
-    cal = config.calibration
-    diag = spectral.diagnostics(exact.spectrum, spec, exact.s_exact, s_est,
-                                exact.field, L, C1=cal["C1"], C=cal["C"],
-                                s=config.s)
-    errors = error_decomposition(exact.field, exact.spectrum, spec, L,
-                                 exact.e1(L), exact.e2(L))
-    return Replication(kind, tau, m_est, spec, diag, errors)
+    return Replication(kind, tau, m_est, spec, diag, exact.split(spec, L))
 
 
 def success_bound(config, exact, tau, M, L):
@@ -273,10 +299,11 @@ class CellResult:
         return cls(**d)
 
 
-def rep_seed(base_seed, cell_index, rep):
-    """Derived integer seed of replication rep in cell cell_index."""
+def rep_seed(base_seed, mesh_index, rep):
+    """Derived integer seed of replication rep on mesh mesh_index, the
+    position of its n in config.ns; every cell on the mesh reads it."""
     ss = np.random.SeedSequence(int(base_seed),
-                                spawn_key=(int(cell_index), int(rep)))
+                                spawn_key=(int(mesh_index), int(rep)))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -292,37 +319,116 @@ def study_cells(config):
     return cells
 
 
-def run_cell(config, index, L, n, M):
-    """Run all replications of one study cell and aggregate them."""
+def _mesh_index(config, index):
+    """Position in config.ns of the mesh of cell index (see study_cells)."""
+    return index // len(config.Ms) % len(config.ns)
+
+
+class _Tally:
+    """The replications that one task ran of one study cell, in rep order:
+    the total and e3 errors and whether the gap condition held, or the
+    message of the first failure; and the cell's sample-free values e1,
+    e2, lambda1_dev, tau and p0."""
+
+    def __init__(self):
+        self.totals, self.e3s, self.gap_ok = [], [], []
+        self.error = None
+        self.e1 = self.e2 = self.lambda1_dev = self.tau = self.p0 = None
+
+
+def _failure(exc):
+    return "%s: %s" % (type(exc).__name__, exc)
+
+
+def run_mesh(config, mesh_index, cells, reps):
+    """Replications reps (a range) of study cells on mesh config.ns[mesh_index].
+
+    cells are (index, L, n, M) tuples of study_cells(config) on that mesh;
+    the result is one _Tally per cell, in their order.  The mesh's ExactSide
+    is built once.  Replication r draws the largest M of the cells still
+    running, once, with the seed rep_seed(config.seed, mesh_index, r), and
+    each M estimates from a view of the first M of those samples: by the
+    sampling contract, the batch that seed draws for M.  Each M runs one
+    transform, eigensolve and diagnostics at rank k, the largest L of
+    config.Ls that the mesh admits (of the grid, not of the cells asked for,
+    so a resumed study computes the same bits); each L splits the error of
+    that spectrum and reads the first L gap conditions.  One replication's
+    batch and spectra are held at a time.
+
+    A cell stops at its first failure.  An L above Q_h fails its cells
+    before any replication, and a failed estimate, eigensolve, diagnostics
+    or error split fails the cells of its M.
+    """
+    exact = ExactSide(config.d, config.ns[mesh_index])
+    Q = exact.space.dof_count
+    k = max((L for L in config.Ls if L <= Q), default=None)
+    tallies = [_Tally() for _ in cells]
+    for tally, (_, L, _, _) in zip(tallies, cells):
+        try:
+            _check_rank(exact, L)
+            tally.e1, tally.e2 = exact.e1(L), exact.e2(L)
+            tally.lambda1_dev = float(abs(exact.spectrum.eigenvalues[0]
+                                          - exact.field.eigenvalue(1)))
+        except (ValueError, NumericError) as exc:
+            tally.error = _failure(exc)
+    for rep in reps:
+        by_M = {}
+        for tally, (_, L, _, M) in zip(tallies, cells):
+            if tally.error is None:
+                by_M.setdefault(M, []).append((L, tally))
+        if not by_M:
+            break
+        _replicate_mesh(config, exact, by_M, k,
+                        rep_seed(config.seed, mesh_index, rep))
+    return tallies
+
+
+def _replicate_mesh(config, exact, by_M, k, seed):
+    """One replication of the running cells of a mesh, as (L, tally) pairs
+    per M."""
+    batch = draw(config, exact, max(by_M), seed)
+    for M, group in by_M.items():
+        _replicate_prefix(config, exact, batch.prefix(M), group, k)
+
+
+def _replicate_prefix(config, exact, batch, group, k):
+    """One replication of the cells (L, tally) of one M from its batch."""
     try:
-        exact = ExactSide(config.d, n)
-        totals, e3s = [], []
-        gap_fail = 0
-        for rep in range(config.n_rep):
-            r = replicate(config, exact, M, L,
-                          rep_seed(config.seed, index, rep))
-            totals.append(r.errors.total)
-            e3s.append(r.errors.e3)
-            gap_fail += not r.diagnostics.gap_condition_ok
-            # tau and the estimate's M do not depend on the samples
-            tau, m_est = r.tau, r.M
-            del r  # the next replication runs without this one's spectrum
-        lam1_dev = abs(exact.spectrum.eigenvalues[0]
-                       - exact.field.eigenvalue(1))
-        stderr = float(np.std(totals, ddof=1) / np.sqrt(len(totals))) \
-            if len(totals) > 1 else 0.0
-        return CellResult(index, L, n, M, ok=True,
-                          mean_total=float(np.mean(totals)),
-                          mean_e1=exact.e1(L), mean_e2=exact.e2(L),
-                          mean_e3=float(np.mean(e3s)), stderr=stderr,
-                          n_rep=config.n_rep,
-                          gap_fail_fraction=gap_fail / config.n_rep,
-                          p0=success_bound(config, exact, tau, m_est, L),
-                          tau=tau,
-                          lambda1_dev=float(lam1_dev))
+        cov, spec, diag = _estimated(config, exact, batch, k)
+        for L, tally in group:
+            errors = exact.split(spec, L)
+            if tally.p0 is None:
+                # tau and the estimate's M do not depend on the samples
+                tally.tau = cov.tau
+                tally.p0 = success_bound(config, exact, cov.tau, cov.M, L)
+            tally.totals.append(errors.total)
+            tally.e3s.append(errors.e3)
+            tally.gap_ok.append(bool(np.all(diag.gap_condition_per_ell[:L])))
     except (ValueError, NumericError) as exc:
-        return CellResult(index, L, n, M, ok=False,
-                          error="%s: %s" % (type(exc).__name__, exc))
+        for _, tally in group:
+            tally.error = _failure(exc)
+
+
+def _cell_result(cell, tallies, n_rep):
+    """A study cell from its tallies in rep order: failed with the error of
+    its lowest failing replication, if any."""
+    index, L, n, M = cell
+    for tally in tallies:
+        if tally.error is not None:
+            return CellResult(index, L, n, M, ok=False, error=tally.error)
+    totals = [v for t in tallies for v in t.totals]
+    e3s = [v for t in tallies for v in t.e3s]
+    gap_fail = sum(not ok for t in tallies for ok in t.gap_ok)
+    first = tallies[0]
+    stderr = float(np.std(totals, ddof=1) / np.sqrt(len(totals))) \
+        if len(totals) > 1 else 0.0
+    return CellResult(index, L, n, M, ok=True,
+                      mean_total=float(np.mean(totals)),
+                      mean_e1=first.e1, mean_e2=first.e2,
+                      mean_e3=float(np.mean(e3s)), stderr=stderr,
+                      n_rep=n_rep, gap_fail_fraction=gap_fail / n_rep,
+                      p0=first.p0, tau=first.tau,
+                      lambda1_dev=first.lambda1_dev)
 
 
 def expected_error_study(config, workers=1, cell_loader=None, cell_saver=None):
@@ -330,28 +436,45 @@ def expected_error_study(config, workers=1, cell_loader=None, cell_saver=None):
 
     cell_loader(index) may return a previously completed CellResult to skip
     recomputation (resume); cell_saver(result) persists each finished cell.
-    Replication seeds depend only on (config.seed, cell index, rep), so the
-    worker count never changes the numbers.
+    The cells still to compute run mesh by mesh (run_mesh), so that the
+    cells of one mesh share each replication's samples: they are paired
+    (common random numbers), while cells on different meshes are
+    independent.  With workers > 1 a process pool runs each mesh as up to
+    `workers` tasks of contiguous replication ranges, and each cell is
+    aggregated here in rep order.  Seeds depend only on (config.seed, mesh
+    index, rep), so neither the worker count nor a resume changes a number.
+    Studies need a sampled estimator (MLE or Tapered).
     """
+    if config.estimator == "Exact":
+        raise ConfigError("estimator.kind: studies need MLE or Tapered, "
+                          "not Exact")
     if config.n_rep < 2:
         raise ValueError("study needs n_rep >= 2, got %d" % (config.n_rep,))
-    cells = study_cells(config)
     results = {}
-    todo = []
-    for cell in cells:
+    by_mesh = {}
+    for cell in study_cells(config):
         prior = cell_loader(cell[0]) if cell_loader is not None else None
         if prior is not None and prior.ok:
             results[cell[0]] = prior
         else:
-            todo.append(cell)
-    if workers > 1 and len(todo) > 1:
+            by_mesh.setdefault(_mesh_index(config, cell[0]), []).append(cell)
+    parts = max(1, min(workers, config.n_rep))
+    bounds = [config.n_rep * j // parts for j in range(parts + 1)]
+    tasks = [(config, i, cells, range(lo, hi))
+             for i, cells in sorted(by_mesh.items())
+             for lo, hi in zip(bounds, bounds[1:])]
+    if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            fresh = list(pool.map(run_cell, [config] * len(todo),
-                                  *zip(*todo)))
+            runs = list(pool.map(run_mesh, *zip(*tasks)))
     else:
-        fresh = [run_cell(config, *c) for c in todo]
-    for res in fresh:
+        runs = [run_mesh(*task) for task in tasks]
+    tallies = {}
+    for (_, _, cells, _), run in zip(tasks, runs):
+        for cell, tally in zip(cells, run):
+            tallies.setdefault(cell, []).append(tally)
+    for cell, in_rep_order in tallies.items():
+        res = _cell_result(cell, in_rep_order, config.n_rep)
         results[res.index] = res
         if cell_saver is not None:
             cell_saver(res)

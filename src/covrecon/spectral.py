@@ -26,18 +26,20 @@ from .errors import NumericError
 SOURCE_EXACT = "ExactDiscrete"
 SOURCE_ESTIMATED = "Estimated"
 
-# Dense below this many rows, Lanczos from it on, in operator_norm and in
-# eigensolve(ts, k).  Medians on one CPU of a Xeon VM (OpenBLAS, one thread):
-# - operator_norm of the 1D Weyl differences at M=2000 (10-14 Lanczos
-#   steps): dense eigvalsh takes 0.08 ms against 0.6 ms at Q=33, breaks even
-#   near Q=97-129 (0.4-0.7 ms), and takes 3-3.8 ms against 0.7-1.1 ms at
-#   Q=257.
-# - eigensolve(ts, k=5) of a tapered 1D projection estimate at M=200 (36-68
-#   steps): eigvalsh plus Lanczos takes 3.2 ms against 2.2 ms for eigh at
-#   Q=129, breaks even at Q=257 (9.3 against 9.9 ms), and takes 34 ms
-#   against 52 ms at Q=513; k=3 of a 2D MLE estimate at M=2000 (16 steps)
-#   takes 0.17 s against 0.29 s at Q=1089.
+# operator_norm: dense below this many rows, Lanczos from it on.  Medians
+# on one CPU of a Xeon VM (OpenBLAS, one thread), for the 1D Weyl differences
+# at M=2000 (10-14 Lanczos steps): dense eigvalsh takes 0.08 ms against
+# 0.6 ms at Q=33, breaks even near Q=97-129 (0.4-0.7 ms), and takes 3-3.8 ms
+# against 0.7-1.1 ms at Q=257.
 _LANCZOS_MIN_DOF = 128
+# eigensolve(ts, k): the dense eigh below this many rows, eigvalsh plus
+# Lanczos from it on.  Same machine, k=5 of a tapered 1D projection estimate
+# at M=200 (36-68 steps), dense against the k route: 2.1 against 3.0 ms at
+# Q=129, 4.6 against 5.3 ms at Q=193, 7.2-7.8 against 7.9-8.0 ms at Q=241,
+# even at Q=257 (7.6-9.4 against 8.5-9.5 ms over three measurements), and
+# 52 against 34 ms at Q=513; k=3 of a 2D MLE estimate at M=2000 (16 steps)
+# takes 0.17 s against 0.29 s at Q=1089.
+_EIGENSOLVE_K_MIN_DOF = 257
 _LANCZOS_RTOL = 1e-14
 # Lanczos vectors allocated before the basis first doubles
 _LANCZOS_BASIS = 16
@@ -116,8 +118,8 @@ def eigensolve(ts, k=None):
 
     Without k every eigenpair comes from one dense eigh.  With k all Q
     eigenvalues are still found, but only the leading k eigenvectors:
-    below _LANCZOS_MIN_DOF rows as the columns of the dense solve, from
-    there on with the eigenvalues from eigvalsh and the vectors from the
+    below _EIGENSOLVE_K_MIN_DOF rows as the columns of the dense solve,
+    from there on with the eigenvalues from eigvalsh and the vectors from the
     Lanczos iteration of operator_norm.  It stops once each of the k
     leading Ritz pairs has a residual beta_j |s_ji| <= _LANCZOS_RTOL
     |theta_1|, solving its tridiagonal every _LANCZOS_CHECK_EVERY steps.
@@ -134,7 +136,7 @@ def eigensolve(ts, k=None):
     Q = ts.matrix.shape[0]
     if k is not None and not 1 <= k <= Q:
         raise ValueError("k must lie in [1, %d], got %r" % (Q, k))
-    if k is None or Q < _LANCZOS_MIN_DOF:
+    if k is None or Q < _EIGENSOLVE_K_MIN_DOF:
         vals, vecs = _dense(np.linalg.eigh, ts.matrix)
         order = np.argsort(-vals, kind="stable")
         vals = vals[order]

@@ -540,23 +540,93 @@ def test_cli_study_diagnostics_table(tmp_path):
     assert meta["cells"] == 1 and meta["failed"] == 0
 
 
+def _study_yaml(out, ns, Ms, Ls, seed, estimator="MLE", n_rep=2):
+    return ("field:\n  kind: brownian\n  d: 1\n"
+            "sampling:\n  mode: nodal\n"
+            "estimator:\n  kind: %s\n  alpha: 1.0\n"
+            "study:\n  ns: %s\n  Ms: %s\n  Ls: %s\n  n_rep: %d\n"
+            "quadrature:\n  q: 2\nseed: %d\noutput: %s\n"
+            % (estimator, ns, Ms, Ls, n_rep, seed, out))
+
+
 def test_study_cell_is_the_mean_of_reconstruct_runs(tmp_path):
     # study and reconstruct run one replication: a 2-replication cell is the
-    # mean of the two reconstructs at the cell's replication seeds, exactly
-    path, out = write_cfg(tmp_path, n=8, M=200, L=2, seed=5,
-                          estimator="Tapered")
-    assert run_cli("study", "--config", path) == 0
-    cell = artifacts.load_cell(os.path.join(out, "cells"), 0,
-                               config_mod.load_config(path), [])
+    # mean of the two reconstructs at its (n, M, L) and its mesh's
+    # replication seeds, exactly, also for an M and an L below the largest
+    # of the grid, which read a prefix of the mesh's draw and the leading
+    # part of its spectrum
+    out = str(tmp_path / "out")
+    grid = support.write_yaml(tmp_path / "grid.yaml", _study_yaml(
+        out, [4, 8], [100, 200], [2, 3], seed=5, estimator="Tapered"))
+    single = support.write_yaml(tmp_path / "single.yaml", _study_yaml(
+        out, [8], [100], [2], seed=5, estimator="Tapered"))
+    assert run_cli("study", "--config", grid) == 0
+    cells = mercer.study_cells(config_mod.load_config(grid))
+    index = cells.index((2, 2, 8, 100))
+    cell = artifacts.load_cell(os.path.join(out, "cells"), index,
+                               config_mod.load_config(grid), [])
     assert cell.ok and cell.n_rep == 2 and cell.tau == 6
     errors = []
     for rep in (0, 1):
-        assert run_cli("reconstruct", "--config", path, "--seed",
-                       str(mercer.rep_seed(5, 0, rep))) == 0
+        assert run_cli("reconstruct", "--config", single, "--seed",
+                       str(mercer.rep_seed(5, 1, rep))) == 0
         report = artifacts.read_json(os.path.join(out, "report.json"))
         errors.append(report["errors"])
     assert cell.mean_total == float(np.mean([e["total"] for e in errors]))
     assert cell.mean_e3 == float(np.mean([e["e3"] for e in errors]))
+
+
+def test_cli_study_grid_is_byte_identical_across_workers_and_resume(
+        tmp_path, monkeypatch, capsys):
+    # 2 meshes x 2 Ms x 2 Ls, 3 replications.  The config refuses an L above
+    # the smallest mesh's Q_h, so the grid is set past that check: L=4 on
+    # n=2 (Q_h=3) is one failing cell, isolated from the others
+    out = str(tmp_path / "out")
+    path = support.write_yaml(tmp_path / "study.yaml", _study_yaml(
+        out, [2, 4], [10, 20], [2, 3], seed=3, n_rep=3))
+    load_config = config_mod.load_config
+
+    def past_the_rank_check(*args, **kwargs):
+        cfg = load_config(*args, **kwargs)
+        cfg.Ls = [2, 4]
+        return cfg
+
+    monkeypatch.setattr(cli.config_mod, "load_config", past_the_rank_check)
+
+    def run(*extra):
+        assert run_cli("study", "--config", path, *extra) == 0
+        return {os.path.relpath(p, out): support.read_file_bytes(p)
+                for p in support.primary_artifacts(out)}
+
+    def meta():
+        return artifacts.read_json(os.path.join(out, "study.meta.json"))
+
+    serial = run()
+    cols, rows = artifacts.read_csv(os.path.join(out,
+                                                 "study_diagnostics.csv"))
+    failed = [r for r in rows if r[4] == "false"]
+    assert len(rows) == 8 and [(r[1], r[2]) for r in failed] == [
+        ("4", "0.5"), ("4", "0.5")], failed
+    assert all("L=4" in r[5] and "Q_h=3" in r[5] for r in failed)
+    assert "rep_seed(seed, i, r)" in meta()["paired_cells"]
+    shutil.rmtree(out)
+    assert run("--workers", "2") == serial, \
+        "a process pool must not change any artifact byte"
+    # resume recomputes a deleted cell, and the failed ones, alone
+    cell_dir = os.path.join(out, "cells")
+    os.remove(artifacts.cell_path(cell_dir, 2))  # L=2, n=4, M=10
+    capsys.readouterr()
+    assert run("--resume") == serial
+    assert meta()["cells_resumed"] == 5 and meta()["cells_rejected"] == 0
+    # a cell of the previous sampling contract is rejected
+    doc = artifacts.read_json(artifacts.cell_path(cell_dir, 3))
+    doc["version"] = "0.2.5"
+    with open(artifacts.cell_path(cell_dir, 3), "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert run("--resume") == serial
+    assert "written by covrecon 0.2.5" in capsys.readouterr().err
+    assert meta()["cells_resumed"] == 5 and meta()["cells_rejected"] == 1
 
 
 def test_cli_plan_reports_and_exit_codes(tmp_path, capsys):

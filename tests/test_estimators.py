@@ -177,7 +177,7 @@ def test_tapers_of_one_cell_share_the_weight(monkeypatch):
     monkeypatch.setattr(estimators, "_weight_matrix", counting)
     cfg = support.make_config(estimator="Tapered", ns=[16], Ms=[200],
                               Ls=[2], n_rep=3)
-    cell = mercer.run_cell(cfg, 0, L=2, n=16, M=200)
+    cell, = mercer.expected_error_study(cfg)
     assert cell.ok and cell.tau == 6, cell.error
     assert built == [(17, 6, 1)], built
 

@@ -295,8 +295,14 @@ def test_draw_chunk_invariance():
     field = fields.KlOracle(1)
     small = fields.draw_batch(field, space, 10, seed=3)
     big = fields.draw_batch(field, space, 5000, seed=3)
-    assert np.array_equal(small.coeffs, big.coeffs[:10]), \
+    head = big.prefix(10)
+    assert np.array_equal(small.coeffs, head.coeffs), \
         "sample values must not depend on the batch size"
+    assert np.shares_memory(head.coeffs, big.coeffs), "a prefix is a view"
+    assert not head.coeffs.flags.writeable and head.seed == 3
+    for M in (0, 5001):
+        with pytest.raises(ValueError):
+            big.prefix(M)
     # in 2D, past the chunk boundary of the sampler
     space2 = fem.build_space(2, 3)
     field2 = fields.KlOracle(2)

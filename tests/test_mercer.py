@@ -342,8 +342,8 @@ def test_invariants_raise_under_python_O():
 
 def test_rep_seed_deterministic_and_distinct():
     assert mercer.rep_seed(0, 1, 2) == mercer.rep_seed(0, 1, 2)
-    seeds = {mercer.rep_seed(0, c, r) for c in range(4) for r in range(4)}
-    assert len(seeds) == 16, "cell/rep seeds must not collide"
+    seeds = {mercer.rep_seed(0, i, r) for i in range(4) for r in range(4)}
+    assert len(seeds) == 16, "mesh/rep seeds must not collide"
 
 
 def test_study_cells_enumeration():
@@ -355,14 +355,46 @@ def test_study_cells_enumeration():
 
 
 def test_run_cell_isolates_failures():
-    cfg = support.make_config()
-    bad = mercer.run_cell(cfg, 0, L=10, n=2, M=10)
-    assert not bad.ok
-    assert "L=10" in bad.error and "3" in bad.error, \
-        "the failure message must name the rank and the dof count"
-    good = mercer.run_cell(cfg, 0, L=2, n=4, M=30)
-    assert good.ok and good.n_rep == cfg.n_rep
-    assert np.isfinite(good.mean_total) and good.mean_total > 0.0
+    # the config refuses an L above the smallest mesh's Q_h; a grid set
+    # past that check fails the cells of that L alone, on every mesh
+    cfg = support.make_config(ns=[2, 4], Ms=[10, 30], Ls=[2])
+    cfg.Ls = [2, 10]
+    for cell in mercer.expected_error_study(cfg):
+        if cell.L == 10:
+            assert not cell.ok
+            assert "L=10" in cell.error and \
+                "Q_h=%d" % (cell.n + 1,) in cell.error, \
+                "the failure message must name the rank and the dof count"
+        else:
+            assert cell.ok and cell.n_rep == cfg.n_rep, cell.error
+            assert np.isfinite(cell.mean_total) and cell.mean_total > 0.0
+
+
+def test_study_cell_fails_at_its_lowest_failing_replication(monkeypatch):
+    # replications 1 and 3 fail; two workers run reps 0-1 and 2-3 apart,
+    # and the cell reports rep 1's error either way
+    from covrecon.errors import NumericError
+
+    cfg = support.make_config(ns=[6], Ms=[20], Ls=[1], n_rep=4, seed=7)
+    failing = {mercer.rep_seed(cfg.seed, 0, r): r for r in (1, 3)}
+    rep = {}
+    draw, split = mercer.draw, mercer.error_decomposition
+
+    def noting_draw(config, exact, M, seed):
+        rep["failing"] = failing.get(seed)
+        return draw(config, exact, M, seed)
+
+    def failing_split(*args):
+        if rep["failing"] is not None:
+            raise NumericError("rep %d" % rep["failing"])
+        return split(*args)
+
+    monkeypatch.setattr(mercer, "draw", noting_draw)
+    monkeypatch.setattr(mercer, "error_decomposition", failing_split)
+    for workers in (1, 2):
+        cell, = mercer.expected_error_study(cfg, workers=workers)
+        assert not cell.ok and cell.error == "NumericError: rep 1", \
+            (workers, cell.error)
 
 
 def test_exact_replication_reuses_the_exact_side():
@@ -376,11 +408,14 @@ def test_exact_replication_reuses_the_exact_side():
     assert rep.errors.e3 == 0.0 and rep.diagnostics.weyl_bound == 0.0
     assert "sigma" not in vars(exact), \
         "an Exact replication must not build the dense nodal covariance"
+    with pytest.raises(ValueError, match="MLE or Tapered"):
+        mercer.expected_error_study(cfg)
 
 
 def test_run_cell_builds_one_field_object(monkeypatch):
-    # the exact side's field serves sampling, the error split and p0 in
-    # every replication; no layer builds a KL oracle of its own
+    # a mesh's exact side and its field serve sampling, the error split and
+    # p0 of every cell and replication on it; no layer builds a KL oracle of
+    # its own
     calls = []
     init = fields.KlOracle.__init__
 
@@ -389,15 +424,16 @@ def test_run_cell_builds_one_field_object(monkeypatch):
         init(self, dim)
 
     monkeypatch.setattr(fields.KlOracle, "__init__", counting_init)
-    cfg = support.make_config(d=2, mode="projection", kl_trunc=12, ns=[4],
-                              Ms=[30], Ls=[2], n_rep=3)
-    cell = mercer.run_cell(cfg, 0, L=2, n=4, M=30)
-    assert cell.ok, cell.error
-    assert calls == [2], "one KlOracle per cell, got %d" % (len(calls),)
+    cfg = support.make_config(d=2, mode="projection", kl_trunc=12,
+                              ns=[4, 6], Ms=[20, 30], Ls=[1, 2], n_rep=3)
+    cells = mercer.expected_error_study(cfg)
+    assert all(c.ok for c in cells), [c.error for c in cells]
+    assert calls == [2, 2], "one KlOracle per mesh, got %d" % (len(calls),)
 
 
 def test_run_cell_computes_e1_and_p0_once(monkeypatch):
-    # e1 depends on L only and p0 on (Q_h, tau, M, L): one of each per cell
+    # e1 depends on L only and p0 on (Q_h, tau, M, L): one e1 per (mesh, L)
+    # and one p0 per cell
     calls = {"tail_sq": 0, "p0_bound": 0}
     tail_sq, p0_bound = fields.KlOracle.tail_sq, planner.p0_bound
 
@@ -411,51 +447,97 @@ def test_run_cell_computes_e1_and_p0_once(monkeypatch):
 
     monkeypatch.setattr(fields.KlOracle, "tail_sq", counting_tail_sq)
     monkeypatch.setattr(planner, "p0_bound", counting_p0_bound)
-    cfg = support.make_config(ns=[6], Ms=[40], Ls=[2], n_rep=4)
-    cell = mercer.run_cell(cfg, 0, L=2, n=6, M=40)
-    assert cell.ok, cell.error
-    assert calls == {"tail_sq": 1, "p0_bound": 1}, calls
-    assert cell.mean_e1 == float(np.sqrt(fields.KlOracle(1).tail_sq(2)))
+    cfg = support.make_config(ns=[6, 8], Ms=[20, 40], Ls=[1, 2], n_rep=4)
+    cells = mercer.expected_error_study(cfg)
+    assert all(c.ok for c in cells), [c.error for c in cells]
+    assert calls == {"tail_sq": 4, "p0_bound": 8}, calls
+    for cell in cells:
+        assert cell.mean_e1 == float(np.sqrt(fields.KlOracle(1).tail_sq(
+            cell.L)))
 
 
 def test_run_cell_computes_e2_once(monkeypatch):
-    # e2 depends on the mesh and L only: its moments are taken once per cell
+    # e2 depends on the mesh and L only: its moments are taken once per
+    # (mesh, L)
     calls = []
     moments = fields.KlOracle.moments
 
     def counting_moments(self, space, L):
-        calls.append(L)
+        calls.append((space.mesh.elements_per_axis, L))
         return moments(self, space, L)
 
     monkeypatch.setattr(fields.KlOracle, "moments", counting_moments)
-    cfg = support.make_config(ns=[6], Ms=[40], Ls=[2], n_rep=4)
-    cell = mercer.run_cell(cfg, 0, L=2, n=6, M=40)
-    assert cell.ok, cell.error
-    assert calls == [2], calls
-    assert cell.mean_e2 == mercer.ExactSide(1, 6).e2(2)
+    cfg = support.make_config(ns=[6, 8], Ms=[20, 40], Ls=[1, 2], n_rep=4)
+    cells = mercer.expected_error_study(cfg)
+    assert all(c.ok for c in cells), [c.error for c in cells]
+    assert calls == [(6, 1), (6, 2), (8, 1), (8, 2)], calls
+    for cell in cells:
+        assert cell.mean_e2 == mercer.ExactSide(1, cell.n).e2(cell.L)
 
 
 def test_run_cell_holds_one_replication_at_a_time(monkeypatch):
-    # the estimated spectrum of a replication is released before the next
-    # replication runs, so a cell's peak memory is that of one replication
+    # a replication's batch is released before the next one is drawn, and
+    # each estimated spectrum before the next is solved, so a mesh's peak
+    # memory is that of one replication at its largest M
     import gc
     import weakref
 
-    held, previous = [], []
-    replicate = mercer.replicate
+    held = {"batch": [], "spectrum": []}
+    refs = {"batch": [], "spectrum": []}
 
-    def watching_replicate(*args):
+    def released(kind):
         gc.collect()
-        held.append(any(ref() is not None for ref in previous))
-        rep = replicate(*args)
-        previous.append(weakref.ref(rep.spectrum))
-        return rep
+        held[kind].append(any(ref() is not None for ref in refs[kind]))
 
-    monkeypatch.setattr(mercer, "replicate", watching_replicate)
-    cfg = support.make_config(ns=[6], Ms=[40], Ls=[2], n_rep=3)
-    cell = mercer.run_cell(cfg, 0, L=2, n=6, M=40)
-    assert cell.ok, cell.error
-    assert held == [False, False, False], held
+    draw, eigensolve = mercer.draw, spectral.eigensolve
+
+    def watching_draw(*args):
+        released("batch")
+        batch = draw(*args)
+        refs["batch"].append(weakref.ref(batch.coeffs))  # prefixes view it
+        return batch
+
+    def watching_eigensolve(ts, k=None):
+        if ts.source != spectral.SOURCE_ESTIMATED:
+            return eigensolve(ts, k)
+        released("spectrum")
+        spec = eigensolve(ts, k)
+        refs["spectrum"].append(weakref.ref(spec))
+        return spec
+
+    monkeypatch.setattr(mercer, "draw", watching_draw)
+    monkeypatch.setattr(spectral, "eigensolve", watching_eigensolve)
+    cfg = support.make_config(ns=[6], Ms=[20, 40], Ls=[1, 2], n_rep=3)
+    cells = mercer.expected_error_study(cfg)
+    assert all(c.ok for c in cells), [c.error for c in cells]
+    assert held == {"batch": [False] * 3, "spectrum": [False] * 6}, held
+
+
+def test_study_draws_once_per_mesh_and_rep(monkeypatch):
+    # every cell on a mesh reads a prefix of one draw per replication, of
+    # the largest M still to compute
+    calls = []
+    draw_batch = fields.draw_batch
+
+    def counting_draw_batch(field, space, M, **kwargs):
+        calls.append((space.mesh.elements_per_axis, M))
+        return draw_batch(field, space, M, **kwargs)
+
+    monkeypatch.setattr(fields, "draw_batch", counting_draw_batch)
+    cfg = support.make_config(ns=[4, 6], Ms=[20, 40, 30], Ls=[1, 2],
+                              n_rep=3)
+    store = {}
+    first = mercer.expected_error_study(
+        cfg, cell_saver=lambda r: store.__setitem__(r.index, r))
+    assert calls == [(4, 40)] * 3 + [(6, 40)] * 3, calls
+    # resumed with the M=40 cells done, a mesh draws 30 samples per rep
+    for cell in first:
+        if cell.M != 40:
+            del store[cell.index]
+    calls.clear()
+    again = mercer.expected_error_study(cfg, cell_loader=store.get)
+    assert calls == [(4, 30)] * 3 + [(6, 30)] * 3, calls
+    assert [r.to_dict() for r in again] == [r.to_dict() for r in first]
 
 
 def test_projection_cell_builds_sample_free_work_once(monkeypatch):
@@ -498,15 +580,17 @@ def test_projection_cell_builds_sample_free_work_once(monkeypatch):
 
 
 def test_cell_result_roundtrip():
-    cfg = support.make_config()
-    cell = mercer.run_cell(cfg, 3, L=2, n=4, M=20)
+    cfg = support.make_config(ns=[4], Ms=[20], Ls=[2])
+    cell = mercer.expected_error_study(cfg)[0]
     back = mercer.CellResult.from_dict(cell.to_dict())
     assert back.to_dict() == cell.to_dict()
     assert back.h == 0.25
 
 
 def test_study_deterministic_and_workers_invariant():
-    cfg = support.make_config(ns=[8], Ms=[40, 80], Ls=[2], n_rep=2, seed=11)
+    # two meshes of three replications: two workers split each mesh 1 + 2
+    cfg = support.make_config(ns=[4, 8], Ms=[40, 80], Ls=[1, 2], n_rep=3,
+                              seed=11)
     a = mercer.expected_error_study(cfg)
     b = mercer.expected_error_study(cfg)
     assert [r.to_dict() for r in a] == [r.to_dict() for r in b], \
@@ -517,11 +601,12 @@ def test_study_deterministic_and_workers_invariant():
 
 
 def test_study_resume_skips_completed_cells():
-    cfg = support.make_config(ns=[8], Ms=[30, 60], Ls=[2], n_rep=2, seed=13)
+    cfg = support.make_config(ns=[8, 256], Ms=[30, 60], Ls=[1, 2], n_rep=2,
+                              seed=13)
     store = {}
     first = mercer.expected_error_study(cfg, cell_saver=lambda r:
                                         store.__setitem__(r.index, r))
-    assert sorted(store) == [0, 1]
+    assert sorted(store) == list(range(8))
     calls = []
 
     def loader(idx):
@@ -529,15 +614,17 @@ def test_study_resume_skips_completed_cells():
         return store.get(idx)
 
     second = mercer.expected_error_study(cfg, cell_loader=loader)
-    assert calls == [0, 1]
+    assert calls == list(range(8))
     assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
-    # a missing cell is recomputed and refilled
-    del store[1]
+    # a missing cell is recomputed and refilled, bit for bit: left alone on
+    # its mesh, the L=1 cell at Q_h=257 (the Lanczos route) still takes
+    # the estimate's vectors at the grid's largest rank
+    del store[2]
     third = mercer.expected_error_study(
         cfg, cell_loader=store.get,
         cell_saver=lambda r: store.__setitem__(r.index, r))
     assert [r.to_dict() for r in first] == [r.to_dict() for r in third]
-    assert sorted(store) == [0, 1]
+    assert sorted(store) == list(range(8))
 
 
 def test_study_requires_replications():

@@ -246,7 +246,7 @@ def test_eigensolve_k_matches_the_dense_oracle(d, n, alpha, M, k):
     # the k leading vectors; np.linalg.eigh of the same matrix is the oracle
     ts = _estimated_stiffness(d, n, alpha, M)
     Q = ts.matrix.shape[0]
-    assert Q >= spectral._LANCZOS_MIN_DOF
+    assert Q >= spectral._EIGENSOLVE_K_MIN_DOF
     spec = spectral.eigensolve(ts, k=k)
     vals, vecs = np.linalg.eigh(ts.matrix)
     vals, vecs = vals[::-1], vecs[:, ::-1]
@@ -267,18 +267,22 @@ def test_eigensolve_k_matches_the_dense_oracle(d, n, alpha, M, k):
 
 
 def test_eigensolve_k_below_switch_is_the_dense_solve_sliced():
-    ts = _estimated_stiffness(1, 32, None, 500)
-    Q = ts.matrix.shape[0]
-    assert Q < spectral._LANCZOS_MIN_DOF
-    full = spectral.eigensolve(ts)
-    for k in (1, 3, Q):
-        spec = spectral.eigensolve(ts, k=k)
-        assert np.array_equal(spec.eigenvalues, full.eigenvalues)
-        assert np.array_equal(spec.tilde_vectors, full.tilde_vectors[:, :k])
-        assert np.array_equal(spec.gen_vectors, full.gen_vectors[:, :k])
-    for k in (0, Q + 1):
-        with pytest.raises(ValueError):
-            spectral.eigensolve(ts, k=k)
+    # Q=33 and Q=193: below the k route's switch, though Q=193 is above
+    # operator_norm's
+    for d, n, alpha, M in ((1, 32, None, 500), (1, 192, 1.0, 200)):
+        ts = _estimated_stiffness(d, n, alpha, M)
+        Q = ts.matrix.shape[0]
+        assert Q < spectral._EIGENSOLVE_K_MIN_DOF
+        full = spectral.eigensolve(ts)
+        for k in (1, 3, Q):
+            spec = spectral.eigensolve(ts, k=k)
+            assert np.array_equal(spec.eigenvalues, full.eigenvalues)
+            assert np.array_equal(spec.tilde_vectors,
+                                  full.tilde_vectors[:, :k])
+            assert np.array_equal(spec.gen_vectors, full.gen_vectors[:, :k])
+        for k in (0, Q + 1):
+            with pytest.raises(ValueError):
+                spectral.eigensolve(ts, k=k)
 
 
 def test_eigensolve_k_raises_on_a_missed_tie():
@@ -286,7 +290,7 @@ def test_eigensolve_k_raises_on_a_missed_tie():
     # rank-3 matrix the Krylov space is exhausted after three steps, and the
     # second Ritz value converges to 0.5 before roundoff brings in the second
     # copy of 1.  The k route must raise, and the dense route still solves it
-    q = spectral._LANCZOS_MIN_DOF + 2
+    q = spectral._EIGENSOLVE_K_MIN_DOF + 2
     U = np.linalg.qr(np.random.default_rng(5).standard_normal((q, 3)))[0]
     A = (U * [1.0, 1.0, 0.5]) @ U.T
     A = 0.5 * (A + A.T)
