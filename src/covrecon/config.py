@@ -5,7 +5,8 @@ Schema (all sections optional unless a command needs them):
     field:       kind (brownian), d (1|2), delta, s (default 0.5 - delta)
     sampling:    mode (nodal|projection), kl_trunc (projection only)
     estimator:   kind (MLE|Tapered|Exact), alpha (Tapered only)
-    study:       ns, Ms, Ls (nonempty int lists), n_rep
+    study:       ns, Ms, Ls (nonempty int lists; every L at most the
+                 smallest mesh's Q_h), n_rep
     quadrature:  accepted and ignored (projection sampling is exact)
     calibration: C1, C2, C, h0, rho1, lambda_max_mass, beta
     seed:        integer
@@ -122,13 +123,26 @@ class StudyConfig:
                               % (self.out_dir,))
 
     def to_dict(self):
-        """Flat JSON-ready view of every resolved setting."""
-        return dict(field_kind=self.field_kind, d=self.d, delta=self.delta,
-                    s=self.s, mode=self.mode, kl_trunc=self.kl_trunc,
-                    estimator=self.estimator, alpha=self.alpha, ns=self.ns,
-                    Ms=self.Ms, Ls=self.Ls, n_rep=self.n_rep,
-                    calibration=dict(self.calibration), seed=self.seed,
-                    out_dir=self.out_dir)
+        """Flat JSON-ready view of every resolved setting: the constructor's
+        arguments, which are its only attributes."""
+        return dict(vars(self), calibration=dict(self.calibration))
+
+
+# (section, key, StudyConfig parameter) of each YAML setting; section None
+# is the document root.  The calibration section is passed whole.
+_SETTINGS = (("field", "kind", "field_kind"), ("field", "d", "d"),
+             ("field", "delta", "delta"), ("field", "s", "s"),
+             ("sampling", "mode", "mode"),
+             ("sampling", "kl_trunc", "kl_trunc"),
+             ("estimator", "kind", "estimator"),
+             ("estimator", "alpha", "alpha"),
+             ("study", "ns", "ns"), ("study", "Ms", "Ms"),
+             ("study", "Ls", "Ls"), ("study", "n_rep", "n_rep"),
+             (None, "seed", "seed"), (None, "output", "out_dir"))
+# parameters read as floats, so that YAML's 1 and 1e-3 load alike
+_FLOATS = ("delta", "s", "alpha")
+_SECTIONS = tuple(dict.fromkeys(sec for sec, _, _ in _SETTINGS if sec)) \
+    + ("calibration",)
 
 
 def from_dict(raw):
@@ -140,53 +154,30 @@ def from_dict(raw):
                           % (type(raw).__name__,))
     # "quadrature" is accepted and ignored, so configs that still set a Gauss
     # order for projection sampling (now exact) keep loading
-    known = {"field", "sampling", "estimator", "study", "quadrature",
-             "calibration", "seed", "output"}
+    known = set(_SECTIONS) | {"quadrature"} | {
+        key for sec, key, _ in _SETTINGS if sec is None}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError("unknown config section(s): %s"
                           % (", ".join(sorted(unknown)),))
 
-    def section(name):
+    sections = {None: raw}
+    for name in _SECTIONS:
         sec = raw.get(name, {})
         if sec is None:
             sec = {}
         if not isinstance(sec, dict):
             raise ConfigError("%s: must be a mapping" % (name,))
-        return sec
-
-    field = section("field")
-    sampling = section("sampling")
-    estimator = section("estimator")
-    study = section("study")
-    cal = section("calibration")
+        sections[name] = sec
 
     kwargs = {}
-    if "kind" in field:
-        kwargs["field_kind"] = field["kind"]
-    if "d" in field:
-        kwargs["d"] = field["d"]
-    if "delta" in field:
-        kwargs["delta"] = _float("field.delta", field["delta"])
-    if "s" in field:
-        kwargs["s"] = _float("field.s", field["s"])
-    if "mode" in sampling:
-        kwargs["mode"] = sampling["mode"]
-    if "kl_trunc" in sampling:
-        kwargs["kl_trunc"] = sampling["kl_trunc"]
-    if "kind" in estimator:
-        kwargs["estimator"] = estimator["kind"]
-    if "alpha" in estimator:
-        kwargs["alpha"] = _float("estimator.alpha", estimator["alpha"])
-    for key in ("ns", "Ms", "Ls", "n_rep"):
-        if key in study:
-            kwargs[key] = study[key]
-    if cal:
-        kwargs["calibration"] = cal
-    if "seed" in raw:
-        kwargs["seed"] = raw["seed"]
-    if "output" in raw:
-        kwargs["out_dir"] = raw["output"]
+    for sec, key, attr in _SETTINGS:
+        if key in sections[sec]:
+            value = sections[sec][key]
+            kwargs[attr] = (_float("%s.%s" % (sec, key), value)
+                            if attr in _FLOATS else value)
+    if sections["calibration"]:
+        kwargs["calibration"] = sections["calibration"]
     return StudyConfig(**kwargs)
 
 

@@ -49,9 +49,9 @@ def mle_covariance(batch):
     if M < 2:
         raise ValueError("MLE covariance needs at least 2 samples, got %d" % (M,))
     Xc = batch.coeffs - sample_mean(batch)
-    raw = (Xc.T @ Xc) / M
-    sym = 0.5 * (raw + raw.T)
-    return TaperedCovariance(sym, tau=0, alpha=None, estimator_kind="MLE", M=M)
+    # numpy computes Xc^T Xc as a symmetric rank-k update: exactly symmetric
+    return TaperedCovariance((Xc.T @ Xc) / M, tau=0, alpha=None,
+                             estimator_kind="MLE", M=M)
 
 
 def tapering_weights(tau, j, jprime):

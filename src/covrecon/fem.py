@@ -4,7 +4,7 @@ Uniform lattice meshes of (0,1)^d for d in {1,2}, nodal hat-function bases,
 and exact mass matrices with the actions of their Cholesky factors: for
 d = 1 and d = 2 alike, 1D axis matrices (the factor, or its explicit
 inverses for the solves) applied along every lattice axis.  Only the
-MassMatrix constructor (1D factorizes the axis mass, 2D holds the 1D
+MassMatrix constructor (1D factorizes the axis mass, d > 1 holds the 1D
 MassMatrix of one axis) and the 1D congruence (one dense product, whose
 rounding the 1D artifacts are pinned to) differ by dimension.  Nothing here
 integrates by quadrature: sampling and the error split use closed forms of
@@ -123,12 +123,12 @@ class MassMatrix:
         mesh = space.mesh
         self.space = space
         self.dim = mesh.dim
-        if mesh.dim == 2:
-            # the spectrum of a Kronecker square is the set of pairwise products
+        if mesh.dim > 1:
+            # the spectrum of a Kronecker power is the set of its products
             self.axis = MassMatrix(FeSpace(Mesh(1, mesh.elements_per_axis)))
             self.chol = self.axis.chol
-            self.lambda_min = self.axis.lambda_min ** 2
-            self.lambda_max = self.axis.lambda_max ** 2
+            self.lambda_min = self.axis.lambda_min ** mesh.dim
+            self.lambda_max = self.axis.lambda_max ** mesh.dim
             return
         G = _mass_1d(mesh.elements_per_axis)
         ev = np.linalg.eigvalsh(G)

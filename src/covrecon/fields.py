@@ -4,12 +4,12 @@ Centered Brownian motion on (0,1) and the Brownian sheet on (0,1)^2, its
 tensor square.  One KlOracle per dimension is the whole field: its
 min-kernel covariance, its exact Karhunen-Loeve eigenpairs and gaps, and
 closed forms of the kernel against the P1 basis, each written once as a
-product or a per-axis action over the lattice axes.  Only the rank order of
-the axis indices and the squared-eigenvalue tail are per dimension, because
-there the series differ.  Batch sampling draws finite element coefficient
-vectors of the field: its nodal values, or the exact L2 projection of its
-truncated KL series, which the closed-form sine moments give without
-quadrature.
+product or a per-axis action over the lattice axes, in the rank order of one
+table of axis indices for every dimension.  Only the squared-eigenvalue
+tail is per dimension, because there the series differ.  Batch sampling
+draws finite element coefficient vectors of the field: its nodal values, or
+the exact L2 projection of its truncated KL series, which the closed-form
+sine moments give without quadrature.
 
 Sampling reproducibility contract: sample m of a batch with seed s is row
 m % B of block m // B, and block b is drawn from the substream
@@ -73,8 +73,7 @@ class KlOracle:
             raise ValueError("dim must be 1 or 2, got %r" % (dim,))
         self.dim = dim
         self.kind = _KINDS[dim]
-        if dim == 2:
-            self._extend_pairs(64)
+        self._extend_pairs(64)
 
     def covariance(self, X, Y):
         """R(X, Y) = prod_k min(x_k, y_k) on blocks (a, dim), (b, dim) -> (a, b)."""
@@ -89,26 +88,26 @@ class KlOracle:
 
     # -- enumeration ----------------------------------------------------
     def _extend_pairs(self, k):
-        """Sort the k x k tensor-index grid by descending eigenvalue."""
-        l1, l2 = np.meshgrid(np.arange(1, k + 1), np.arange(1, k + 1), indexing="ij")
-        prod = (2 * l1 - 1) * (2 * l2 - 1)
-        order = np.lexsort((l2.ravel(), l1.ravel(), prod.ravel()))
-        self._pairs = np.column_stack(
-            [l1.ravel()[order], l2.ravel()[order], prod.ravel()[order]])
+        """Sort the k^dim tensor-index grid by descending eigenvalue: by odd
+        product, ties broken by the axis indices in order.  Rows are the
+        axis indices and their odd product."""
+        grid = [g.ravel() for g in np.meshgrid(
+            *[np.arange(1, k + 1)] * self.dim, indexing="ij")]
+        prod = math.prod(2 * g - 1 for g in grid)
+        order = np.lexsort(grid[::-1] + [prod])
+        self._pairs = np.column_stack([g[order] for g in grid + [prod]])
         self._grid_k = k
 
     def _pair(self, ell):
         """Axis indices of rank ell (1-based) and their odd product
-        m = prod_k (2 l_k - 1): ((ell,), 2 ell - 1) in 1D, a table row in 2D."""
-        if self.dim == 1:
-            return (ell,), 2 * ell - 1
+        m = prod_k (2 l_k - 1), a row of the pair table."""
         while (ell > len(self._pairs)
-               or self._pairs[ell - 1, 2] >= 2 * self._grid_k + 1):
+               or self._pairs[ell - 1, -1] >= 2 * self._grid_k + 1):
             # ranks are only trustworthy while their product stays below the
             # smallest product reachable outside the enumerated grid
             self._extend_pairs(2 * self._grid_k)
-        l1, l2, m = self._pairs[ell - 1]
-        return (l1, l2), m
+        *axes, m = self._pairs[ell - 1]
+        return tuple(axes), m
 
     # -- public oracle surface ------------------------------------------
     def eigenvalue(self, ell):

@@ -202,13 +202,6 @@ def estimate(config, exact, M, seed):
     return batch, _estimate_batch(config, batch)
 
 
-def _check_rank(exact, L):
-    Q = exact.space.dof_count
-    if L > Q:
-        raise ValueError("truncation rank L=%d exceeds dof count Q_h=%d"
-                         % (L, Q))
-
-
 def _diagnose(config, exact, s_est, spec, k):
     cal = config.calibration
     return spectral.diagnostics(exact.spectrum, spec, exact.s_exact, s_est,
@@ -240,7 +233,9 @@ def replicate(config, exact, M, L, seed):
     Returns a Replication with the estimate's kind, tau and M; neither the
     batch nor the covariance is kept.
     """
-    _check_rank(exact, L)
+    if L > exact.space.dof_count:
+        raise ValueError("truncation rank L=%d exceeds dof count Q_h=%d"
+                         % (L, exact.space.dof_count))
     if config.estimator == "Exact":
         kind, tau, m_est = "Exact", 0, 0
         spec = exact.spectrum
@@ -349,27 +344,25 @@ def run_mesh(config, mesh_index, cells, reps):
     running, once, with the seed rep_seed(config.seed, mesh_index, r), and
     each M estimates from a view of the first M of those samples: by the
     sampling contract, the batch that seed draws for M.  Each M runs one
-    transform, eigensolve and diagnostics at rank k, the largest L of
-    config.Ls that the mesh admits (of the grid, not of the cells asked for,
-    so a resumed study computes the same bits); each L splits the error of
-    that spectrum and reads the first L gap conditions.  One replication's
-    batch and spectra are held at a time.
+    transform, eigensolve and diagnostics at rank k = max(config.Ls) (of
+    the grid, not of the cells asked for, so a resumed study computes the
+    same bits; the config admits no L above the smallest mesh's Q_h); each
+    L splits the error of that spectrum and reads the first L gap
+    conditions.  One replication's batch and spectra are held at a time.
 
-    A cell stops at its first failure.  An L above Q_h fails its cells
-    before any replication, and a failed estimate, eigensolve, diagnostics
-    or error split fails the cells of its M.
+    A cell stops at its first failure.  A failed exact side fails the
+    mesh's cells before any replication, and a failed estimate,
+    eigensolve, diagnostics or error split fails the cells of its M.
     """
     exact = ExactSide(config.d, config.ns[mesh_index])
-    Q = exact.space.dof_count
-    k = max((L for L in config.Ls if L <= Q), default=None)
+    k = max(config.Ls)
     tallies = [_Tally() for _ in cells]
     for tally, (_, L, _, _) in zip(tallies, cells):
         try:
-            _check_rank(exact, L)
             tally.e1, tally.e2 = exact.e1(L), exact.e2(L)
             tally.lambda1_dev = float(abs(exact.spectrum.eigenvalues[0]
                                           - exact.field.eigenvalue(1)))
-        except (ValueError, NumericError) as exc:
+        except NumericError as exc:
             tally.error = _failure(exc)
     for rep in reps:
         by_M = {}
@@ -434,6 +427,9 @@ def _cell_result(cell, tallies, n_rep):
 def expected_error_study(config, workers=1, cell_loader=None, cell_saver=None):
     """Run the full study grid, isolating failures to their cells.
 
+    The config has checked the grid (every L at most the smallest mesh's
+    Q_h), so every cell can run; a numeric failure of a mesh's exact side
+    or of an estimate fails the cells that read it (see run_mesh).
     cell_loader(index) may return a previously completed CellResult to skip
     recomputation (resume); cell_saver(result) persists each finished cell.
     The cells still to compute run mesh by mesh (run_mesh), so that the
@@ -491,36 +487,27 @@ def _loglog_slope(xs, ys):
     return float(slope), int(np.count_nonzero(keep))
 
 
+# (quantity, grid axis, held parameters, value) of each study_rates row
+_RATES = (("e1_vs_L", "L", ("n", "M"), "mean_e1"),
+          ("lambda1_dev_vs_h", "h", ("L", "M"), "lambda1_dev"),
+          ("e3_vs_M", "M", ("L", "n"), "mean_e3"))
+
+
 def study_rates(results):
     """Regression slopes summarizing a study: e1 vs L, lambda_1 error vs h, e3 vs M.
 
-    Each slope uses the grid axis with the other two parameters held at the
-    first value encountered; rows are (quantity, slope, n_points).
+    Each slope fits the values along its grid axis in the largest group of
+    ok cells that hold the other two parameters fixed, the first such group
+    in result order on a tie; rows are (quantity, slope, n_points).
     """
     ok = [r for r in results if r.ok]
     rows = []
-
-    by_l = {}
-    for r in ok:
-        by_l.setdefault((r.n, r.M), {})[r.L] = r.mean_e1
-    groups = sorted(by_l, key=lambda k: -len(by_l[k]))
-    pts = by_l[groups[0]] if groups else {}
-    slope, npts = _loglog_slope(sorted(pts), [pts[L] for L in sorted(pts)])
-    rows.append(("e1_vs_L", slope, npts))
-
-    by_h = {}
-    for r in ok:
-        by_h.setdefault((r.L, r.M), {})[r.h] = r.lambda1_dev
-    groups = sorted(by_h, key=lambda k: -len(by_h[k]))
-    pts = by_h[groups[0]] if groups else {}
-    slope, npts = _loglog_slope(sorted(pts), [pts[h] for h in sorted(pts)])
-    rows.append(("lambda1_dev_vs_h", slope, npts))
-
-    by_m = {}
-    for r in ok:
-        by_m.setdefault((r.L, r.n), {})[r.M] = r.mean_e3
-    groups = sorted(by_m, key=lambda k: -len(by_m[k]))
-    pts = by_m[groups[0]] if groups else {}
-    slope, npts = _loglog_slope(sorted(pts), [pts[M] for M in sorted(pts)])
-    rows.append(("e3_vs_M", slope, npts))
+    for quantity, axis, held, value in _RATES:
+        groups = {}
+        for r in ok:
+            key = tuple(getattr(r, a) for a in held)
+            groups.setdefault(key, {})[getattr(r, axis)] = getattr(r, value)
+        pts = max(groups.values(), key=len, default={})
+        xs = sorted(pts)
+        rows.append((quantity,) + _loglog_slope(xs, [pts[x] for x in xs]))
     return rows

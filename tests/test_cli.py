@@ -2,6 +2,7 @@
 
 import ast
 import glob
+import inspect
 import json
 import math
 import os
@@ -72,6 +73,9 @@ def test_config_validation_names_the_field():
         (dict(ns=[1]), "study.ns"),
         (dict(Ms=[0]), "study.Ms"),
         (dict(Ls=[2, 200]), "study.Ls"),
+        # the rank bound is the smallest mesh's Q_h (3 at n=2), not the
+        # largest's
+        (dict(ns=[2, 8], Ls=[2, 4]), "study.Ls"),
         (dict(n_rep=0), "study.n_rep"),
         (dict(calibration=dict(C9=1.0)), "calibration.C9"),
         (dict(calibration=dict(rho1=0.0)), "calibration.rho1"),
@@ -125,6 +129,30 @@ def test_from_dict_structure_errors():
     # empty document and explicitly null sections fall back to defaults
     assert config_mod.from_dict(None).d == 1
     assert config_mod.from_dict(dict(field=None, study=None)).ns == [16]
+
+
+def test_config_table_round_trips_every_setting():
+    # a YAML document that sets every row of the settings table loads each
+    # into its parameter and comes back out of to_dict, whose keys are
+    # exactly the constructor's parameters: no private attribute reaches
+    # the config that every artifact embeds
+    raw = yaml.safe_load(
+        "field: {kind: brownian, d: 2, delta: 0.01, s: 0.3}\n"
+        "sampling: {mode: projection, kl_trunc: 7}\n"
+        "estimator: {kind: Tapered, alpha: 2}\n"
+        "study: {ns: [4, 8], Ms: [30], Ls: [1, 3], n_rep: 3}\n"
+        "calibration: {C1: 2.0}\nseed: 5\noutput: elsewhere\n")
+    resolved = config_mod.from_dict(raw).to_dict()
+    for sec, key, attr in config_mod._SETTINGS:
+        value = (raw[sec] if sec else raw)[key]
+        want = config_mod._MODES[value] if attr == "mode" else value
+        assert resolved[attr] == want, (sec, key, attr)
+    assert isinstance(resolved["alpha"], float)
+    assert resolved["calibration"]["C1"] == 2.0
+    params = inspect.signature(config_mod.StudyConfig).parameters
+    assert list(resolved) == list(params), \
+        "to_dict must hold the constructor's arguments and nothing else"
+    assert config_mod.StudyConfig(**resolved).to_dict() == resolved
 
 
 def test_load_config_applies_cli_overrides(tmp_path):
@@ -578,20 +606,20 @@ def test_study_cell_is_the_mean_of_reconstruct_runs(tmp_path):
 
 def test_cli_study_grid_is_byte_identical_across_workers_and_resume(
         tmp_path, monkeypatch, capsys):
-    # 2 meshes x 2 Ms x 2 Ls, 3 replications.  The config refuses an L above
-    # the smallest mesh's Q_h, so the grid is set past that check: L=4 on
-    # n=2 (Q_h=3) is one failing cell, isolated from the others
+    # 2 meshes x 2 Ms x 2 Ls, 3 replications.  The error split of L=3 on
+    # n=2 (Q_h=3) fails, and with it the cells of every L that share its
+    # estimate on that mesh; the n=4 cells are untouched
     out = str(tmp_path / "out")
     path = support.write_yaml(tmp_path / "study.yaml", _study_yaml(
         out, [2, 4], [10, 20], [2, 3], seed=3, n_rep=3))
-    load_config = config_mod.load_config
+    split = mercer.error_decomposition
 
-    def past_the_rank_check(*args, **kwargs):
-        cfg = load_config(*args, **kwargs)
-        cfg.Ls = [2, 4]
-        return cfg
+    def failing_split(field, exact_spec, est_spec, L, e1, e2):
+        if L == 3 and exact_spec.dof_count == 3:
+            raise NumericError("split of L=3 on Q_h=3")
+        return split(field, exact_spec, est_spec, L, e1, e2)
 
-    monkeypatch.setattr(cli.config_mod, "load_config", past_the_rank_check)
+    monkeypatch.setattr(mercer, "error_decomposition", failing_split)
 
     def run(*extra):
         assert run_cli("study", "--config", path, *extra) == 0
@@ -606,8 +634,8 @@ def test_cli_study_grid_is_byte_identical_across_workers_and_resume(
                                                  "study_diagnostics.csv"))
     failed = [r for r in rows if r[4] == "false"]
     assert len(rows) == 8 and [(r[1], r[2]) for r in failed] == [
-        ("4", "0.5"), ("4", "0.5")], failed
-    assert all("L=4" in r[5] and "Q_h=3" in r[5] for r in failed)
+        ("2", "0.5"), ("2", "0.5"), ("3", "0.5"), ("3", "0.5")], failed
+    assert all("L=3 on Q_h=3" in r[5] for r in failed)
     assert "rep_seed(seed, i, r)" in meta()["paired_cells"]
     shutil.rmtree(out)
     assert run("--workers", "2") == serial, \
@@ -617,7 +645,7 @@ def test_cli_study_grid_is_byte_identical_across_workers_and_resume(
     os.remove(artifacts.cell_path(cell_dir, 2))  # L=2, n=4, M=10
     capsys.readouterr()
     assert run("--resume") == serial
-    assert meta()["cells_resumed"] == 5 and meta()["cells_rejected"] == 0
+    assert meta()["cells_resumed"] == 3 and meta()["cells_rejected"] == 0
     # a cell of the previous sampling contract is rejected
     doc = artifacts.read_json(artifacts.cell_path(cell_dir, 3))
     doc["version"] = "0.2.5"
@@ -626,7 +654,7 @@ def test_cli_study_grid_is_byte_identical_across_workers_and_resume(
     capsys.readouterr()
     assert run("--resume") == serial
     assert "written by covrecon 0.2.5" in capsys.readouterr().err
-    assert meta()["cells_resumed"] == 5 and meta()["cells_rejected"] == 1
+    assert meta()["cells_resumed"] == 3 and meta()["cells_rejected"] == 1
 
 
 def test_cli_plan_reports_and_exit_codes(tmp_path, capsys):

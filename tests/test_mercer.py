@@ -354,22 +354,6 @@ def test_study_cells_enumeration():
     assert len(cells) == 4
 
 
-def test_run_cell_isolates_failures():
-    # the config refuses an L above the smallest mesh's Q_h; a grid set
-    # past that check fails the cells of that L alone, on every mesh
-    cfg = support.make_config(ns=[2, 4], Ms=[10, 30], Ls=[2])
-    cfg.Ls = [2, 10]
-    for cell in mercer.expected_error_study(cfg):
-        if cell.L == 10:
-            assert not cell.ok
-            assert "L=10" in cell.error and \
-                "Q_h=%d" % (cell.n + 1,) in cell.error, \
-                "the failure message must name the rank and the dof count"
-        else:
-            assert cell.ok and cell.n_rep == cfg.n_rep, cell.error
-            assert np.isfinite(cell.mean_total) and cell.mean_total > 0.0
-
-
 def test_study_cell_fails_at_its_lowest_failing_replication(monkeypatch):
     # replications 1 and 3 fail; two workers run reps 0-1 and 2-3 apart,
     # and the cell reports rep 1's error either way
@@ -657,3 +641,35 @@ def test_study_rates_shape():
     # single-point axes cannot regress and must say so
     assert rates[1][2] < 2 and np.isnan(rates[1][1])
     assert rates[2][2] < 2 and np.isnan(rates[2][1])
+    # every row fits the largest group of cells that hold its other two
+    # parameters, the first in result order on a tie.  A full L x n x M
+    # grid but for the failed cell (L=4, n=4, M=10), where every group has
+    # its own slope, so the group a row fits shows in its value.  Result
+    # order meets the smaller e1 group (n=4, M=10) first, then three of
+    # 3 points that tie; the other two rows tie in groups of 2 points
+    def e1(L, n, M):
+        return L ** -(1 + n / 10 + M / 100)
+
+    def dev(h, L, M):
+        return h ** (2 + L / 10 + M / 100)
+
+    def e3(M, L, n):
+        return M ** -(0.5 + L / 10 + n / 100)
+
+    grid = [(L, n, M) for L in (1, 2, 4) for n in (4, 8) for M in (10, 20)]
+    cells = [mercer.CellResult(i, L, n, M, ok=(L, n, M) != (4, 4, 10),
+                               mean_e1=e1(L, n, M),
+                               lambda1_dev=dev(1 / n, L, M),
+                               mean_e3=e3(M, L, n))
+             for i, (L, n, M) in enumerate(grid)]
+    Ls, hs, Ms = np.array([1, 2, 4]), 1 / np.array([8, 4]), np.array([10, 20])
+    expected = [("e1_vs_L", reference.loglog_slope(Ls, e1(Ls, 4, 20)), 3),
+                ("lambda1_dev_vs_h",
+                 reference.loglog_slope(hs, dev(hs, 1, 10)), 2),
+                ("e3_vs_M", reference.loglog_slope(Ms, e3(Ms, 1, 4)), 2)]
+    for (name, slope, npts), (want, want_slope, want_npts) in zip(
+            mercer.study_rates(cells), expected):
+        assert (name, npts) == (want, want_npts)
+        assert slope == pytest.approx(want_slope, rel=1e-12), \
+            "%s must fit the first of the largest groups: %r vs %r" % (
+                name, slope, want_slope)
