@@ -66,11 +66,8 @@ def canonical_json(obj):
 
 
 def _comment_lines(config):
-    lines = ["# covrecon %s" % (__version__,)]
-    if config is not None:
-        cfg = config.to_dict() if hasattr(config, "to_dict") else config
-        lines.append("# config %s" % (canonical_json(cfg),))
-    return lines
+    return ["# covrecon %s" % (__version__,),
+            "# config %s" % (canonical_json(config.to_dict()),)]
 
 
 def _write_text(path, text):
@@ -91,8 +88,7 @@ def write_sidecar(path, config, **extra):
     Also records the BLAS thread variables of the environment (null when
     unset) as blas_threads.
     """
-    cfg = config.to_dict() if hasattr(config, "to_dict") else config
-    payload = dict(version=__version__, config=cfg,
+    payload = dict(version=__version__, config=config.to_dict(),
                    created=datetime.datetime.now(datetime.timezone.utc)
                    .isoformat(),
                    blas_threads={k: os.environ.get(k)
@@ -101,13 +97,9 @@ def write_sidecar(path, config, **extra):
                 + "\n")
 
 
-def write_json(path, payload, config=None):
+def write_json(path, payload, config):
     """Primary JSON artifact with embedded version and resolved config."""
-    cfg = config.to_dict() if hasattr(config, "to_dict") else config
-    doc = dict(payload)
-    doc["version"] = __version__
-    if cfg is not None:
-        doc["config"] = cfg
+    doc = dict(payload, version=__version__, config=config.to_dict())
     _write_text(path, json.dumps(_jsonify(doc), sort_keys=True, indent=2)
                 + "\n")
 
@@ -117,7 +109,7 @@ def read_json(path):
         return json.load(fh)
 
 
-def write_csv(path, columns, rows, config=None):
+def write_csv(path, columns, rows, config):
     """Primary CSV artifact: comment header, column line, formatted rows."""
     lines = _comment_lines(config)
     lines.append(",".join(columns))
@@ -138,7 +130,7 @@ def read_csv(path):
     return columns, [ln.split(",") for ln in body[1:]]
 
 
-def write_batch_csv(path, batch, config=None):
+def write_batch_csv(path, batch, config):
     """One sample per row, %.17g coefficients, comma separated."""
     lines = _comment_lines(config)
     for row in batch.coeffs:
@@ -153,7 +145,7 @@ def read_batch_csv(path):
     return np.array([[float(c) for c in row] for row in rows])
 
 
-def write_covariance(path, cov, config=None):
+def write_covariance(path, cov, config):
     """Covariance text format with the "Q_h kind tau alpha" header line."""
     lines = _comment_lines(config)
     alpha_s = "-" if cov.alpha is None else fmt(float(cov.alpha))
@@ -183,7 +175,7 @@ def read_covariance(path):
                              estimator_kind=kind, M=0)
 
 
-def write_spectrum_csv(path, spectrum, L, config=None):
+def write_spectrum_csv(path, spectrum, L, config):
     """Top-L eigenpairs: index, eigenvalue, generalized vector components."""
     Q = spectrum.dof_count
     columns = ["l", "lambda"] + ["v_%d" % (j + 1,) for j in range(Q)]
@@ -199,7 +191,7 @@ _DIAG_COLUMNS = ["index", "L", "h", "M", "ok", "error", "mean_e1", "mean_e2",
                  "gap_fail_fraction", "p0", "tau", "lambda1_dev"]
 
 
-def write_study_csvs(out_dir, results, rates, config=None):
+def write_study_csvs(out_dir, results, rates, config):
     """Summary, per-cell diagnostics and regression-slope tables of a study."""
     summary = os.path.join(out_dir, "study_summary.csv")
     write_csv(summary, _SUMMARY_COLUMNS,
@@ -223,7 +215,7 @@ def cell_path(cell_dir, index):
     return os.path.join(cell_dir, "cell_%05d.json" % (index,))
 
 
-def save_cell(cell_dir, result, config=None):
+def save_cell(cell_dir, result, config):
     write_json(cell_path(cell_dir, result.index), dict(cell=result.to_dict()),
                config)
 
@@ -260,10 +252,9 @@ def load_cell(cell_dir, index, config, rejected):
         if doc.get("version") != __version__:
             reason = "written by covrecon %s, not %s" % (doc.get("version"),
                                                          __version__)
-        elif config is not None and written != _config_key(config.to_dict()):
+        elif written != _config_key(config.to_dict()):
             reason = "written for a different config"
         else:
             return cell
-    if rejected is not None:
-        rejected.append("ignoring cell %s: %s" % (path, reason))
+    rejected.append("ignoring cell %s: %s" % (path, reason))
     return None

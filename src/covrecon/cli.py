@@ -24,8 +24,7 @@ from ._version import __version__
 from .errors import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERIC, EXIT_OK,
                      ConfigError, InfeasiblePlanError, NumericError)
 
-_CASE_NUMBERS = {planner.CASE_SMALL: 1, planner.CASE_LOG: 2,
-                 planner.CASE_RATE: 3}
+_CASE_NUMBERS = {tag: i for i, tag in enumerate(planner.CASES, 1)}
 # how a study's replications share samples (see mercer.run_mesh)
 _PAIRING = ("replication r on mesh i draws once, seeded rep_seed(seed, i, r); "
             "every (L, M) cell on mesh i reads its first M samples, so cells "
@@ -128,9 +127,7 @@ def cmd_reconstruct(cfg, args):
     n_negative = int(np.sum(ev < -ev.size * np.finfo(float).eps * ev[0]))
     payload = dict(
         n=n, M=rep.M, L=L, estimator=rep.estimator, tau=rep.tau,
-        errors=dict(e1=report.e1, e2=report.e2, e3=report.e3,
-                    total=report.total, triangle_slack=report.triangle_slack,
-                    near_degenerate_split=report.near_degenerate_split),
+        errors=vars(report),
         diagnostics=dict(
             weyl_bound=diag.weyl_bound,
             eigenvalue_dev=diag.eigenvalue_dev[:L],

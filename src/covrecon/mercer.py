@@ -351,8 +351,9 @@ def run_mesh(config, mesh_index, cells, reps):
     conditions.  One replication's batch and spectra are held at a time.
 
     A cell stops at its first failure.  A failed exact side fails the
-    mesh's cells before any replication, and a failed estimate,
-    eigensolve, diagnostics or error split fails the cells of its M.
+    mesh's cells before any replication, a failed estimate, eigensolve or
+    diagnostics fails the cells of its M, and a failed error split fails
+    its own cell alone.
     """
     exact = ExactSide(config.d, config.ns[mesh_index])
     k = max(config.Ls)
@@ -388,7 +389,12 @@ def _replicate_prefix(config, exact, batch, group, k):
     """One replication of the cells (L, tally) of one M from its batch."""
     try:
         cov, spec, diag = _estimated(config, exact, batch, k)
-        for L, tally in group:
+    except (ValueError, NumericError) as exc:
+        for _, tally in group:
+            tally.error = _failure(exc)
+        return
+    for L, tally in group:
+        try:
             errors = exact.split(spec, L)
             if tally.p0 is None:
                 # tau and the estimate's M do not depend on the samples
@@ -397,8 +403,7 @@ def _replicate_prefix(config, exact, batch, group, k):
             tally.totals.append(errors.total)
             tally.e3s.append(errors.e3)
             tally.gap_ok.append(bool(np.all(diag.gap_condition_per_ell[:L])))
-    except (ValueError, NumericError) as exc:
-        for _, tally in group:
+        except (ValueError, NumericError) as exc:
             tally.error = _failure(exc)
 
 
@@ -431,7 +436,9 @@ def expected_error_study(config, workers=1, cell_loader=None, cell_saver=None):
     Q_h), so every cell can run; a numeric failure of a mesh's exact side
     or of an estimate fails the cells that read it (see run_mesh).
     cell_loader(index) may return a previously completed CellResult to skip
-    recomputation (resume); cell_saver(result) persists each finished cell.
+    recomputation (resume); cell_saver(result) persists each finished cell,
+    and is called mesh by mesh as soon as a mesh's last task returns, so a
+    study interrupted on one mesh has saved the meshes before it.
     The cells still to compute run mesh by mesh (run_mesh), so that the
     cells of one mesh share each replication's samples: they are paired
     (common random numbers), while cells on different meshes are
@@ -459,21 +466,27 @@ def expected_error_study(config, workers=1, cell_loader=None, cell_saver=None):
     tasks = [(config, i, cells, range(lo, hi))
              for i, cells in sorted(by_mesh.items())
              for lo, hi in zip(bounds, bounds[1:])]
+    tallies = {}
+
+    def save_meshes(runs):
+        # a mesh is `parts` contiguous tasks: once its last one returns, its
+        # cells are aggregated in rep order and saved
+        for j, ((_, _, cells, _), run) in enumerate(zip(tasks, runs), 1):
+            for cell, tally in zip(cells, run):
+                tallies.setdefault(cell, []).append(tally)
+            if j % parts == 0:
+                for cell in cells:
+                    res = _cell_result(cell, tallies.pop(cell), config.n_rep)
+                    results[res.index] = res
+                    if cell_saver is not None:
+                        cell_saver(res)
+
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(run_mesh, *zip(*tasks)))
+            save_meshes(pool.map(run_mesh, *zip(*tasks)))
     else:
-        runs = [run_mesh(*task) for task in tasks]
-    tallies = {}
-    for (_, _, cells, _), run in zip(tasks, runs):
-        for cell, tally in zip(cells, run):
-            tallies.setdefault(cell, []).append(tally)
-    for cell, in_rep_order in tallies.items():
-        res = _cell_result(cell, in_rep_order, config.n_rep)
-        results[res.index] = res
-        if cell_saver is not None:
-            cell_saver(res)
+        save_meshes(run_mesh(*task) for task in tasks)
     return [results[i] for i in sorted(results)]
 
 

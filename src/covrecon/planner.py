@@ -4,21 +4,24 @@ Given a spectral profile (eigenvalue oracle with its dimension d,
 smoothness s, decay exponent alpha, growth exponent gamma, calibration
 constants) and a target accuracy epsilon, the planner couples the
 truncation rank L, the sample count M and the mesh width h so the three
-error contributions all sit below epsilon.  Three regimes are distinguished by which term of the
-estimator rate dominates:
+error contributions all sit below epsilon.  Three regimes are
+distinguished by which term of the estimator rate dominates; a regime's
+number is its position in CASES plus one:
 
-  1 SmallQh           - dof count below the tapering bandwidth; plain MLE.
+  1 SmallQh              - dof count below the tapering bandwidth; plain MLE.
   2 LargeQhLogDominated  - tapering active, log(1/h)/M term balanced.
   3 LargeQhRateDominated - tapering active, M^{-2a/(2a+1)} term dominates.
 
 Sample-count thresholds (M_bar, M_tilde, M_hat, M_prime) are defined as
-the smallest integer M satisfying a closed inequality; they are found by
-probing the unimodal log-space predicate at its peak, exponential
-stepping, then bisection.  For M_tilde the product-logarithm closed form
-is evaluated with an independent bisection as a cross-check.
+the smallest integer M satisfying a closed inequality.  M_hat is 1 for
+every alpha; the others are found by probing the unimodal log-space
+predicate at its peak, exponential stepping, then bisection.  For M_tilde
+the product-logarithm closed form is evaluated with an independent
+bisection as a cross-check.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -33,6 +36,8 @@ DEFAULT_CALIBRATION = dict(C1=1.0, C2=1.0, C=1.0, h0=0.5, rho1=1.0,
 CASE_SMALL = "SmallQh"
 CASE_LOG = "LargeQhLogDominated"
 CASE_RATE = "LargeQhRateDominated"
+# a case's number is its position here plus one
+CASES = (CASE_SMALL, CASE_LOG, CASE_RATE)
 
 _SEARCH_LIMIT = 10 ** 18
 
@@ -207,13 +212,9 @@ def _threshold_bar(L, eps, alpha, rhoH):
 
 
 def _threshold_hat(alpha):
-    """Smallest M with ln M/(2a+1) - M^{1/(2a+1)} <= 0 (that is M = 1)."""
-    inv = 1.0 / (2.0 * alpha + 1.0)
-
-    def pred(M):
-        return inv * math.log(M) - M ** inv <= 0.0
-
-    return int_threshold(pred, 1.0)
+    """Smallest M with ln M/(2a+1) - M^{1/(2a+1)} <= 0, which is 1: at M = 1
+    the inequality reads 0 - 1 <= 0 for every alpha."""
+    return 1
 
 
 def _threshold_prime(L, eps, alpha, rhoH):
@@ -284,24 +285,7 @@ def truncation_rank(epsilon, d, s):
     return rank
 
 
-def _named_min(pairs):
-    """(value, name) of the smallest candidate among (name, value) pairs."""
-    name, value = min(pairs, key=lambda kv: kv[1])
-    return value, name
-
-
-def _named_max(pairs):
-    name, value = max(pairs, key=lambda kv: kv[1])
-    return value, name
-
-
-def _spectral_terms(profile, L, H):
-    """The two mesh bounds derived from the spectrum at rank L."""
-    s = profile.s
-    lam_next = profile.oracle.eigenvalue(L + 1)
-    lam_L = profile.oracle.eigenvalue(L)
-    return (H ** (1.0 / (4.0 * s)) * lam_next ** (1.0 / (2.0 * s)),
-            lam_L ** (1.0 / s))
+_value = operator.itemgetter(1)
 
 
 def _plan_case(profile, epsilon, L, case_tag):
@@ -310,71 +294,61 @@ def _plan_case(profile, epsilon, L, case_tag):
     h0, beta = cal["h0"], cal["beta"]
     H = h_of_l(profile, L)
     rhoH = cal["rho1"] * H
-    spec_a, spec_b = _spectral_terms(profile, L, H)
-    spec_min = min(spec_a, spec_b)
+    # the two mesh bounds derived from the spectrum at rank L
+    spec_a = (H ** (1.0 / (4.0 * s))
+              * profile.oracle.eigenvalue(L + 1) ** (1.0 / (2.0 * s)))
+    spec_b = profile.oracle.eigenvalue(L) ** (1.0 / s)
     d21 = d * (2.0 * alpha + 1.0)
-    thresholds = {}
     notes = ["p0 uses lambda_max(G)=%g from calibration; raw P1 mass "
              "matrices scale like h^d and are normalized by their top "
              "eigenvalue for planning" % (cal["lambda_max_mass"],)]
 
-    if case_tag == CASE_SMALL:
-        m_bar = _threshold_bar(L, epsilon, alpha, rhoH)
-        thresholds["M_bar"] = m_bar
-        m_terms = [
-            ("M_bar", m_bar),
+    # (name, value) of each sample-count term; M is the largest
+    if case_tag == CASE_LOG:
+        thresholds = {
+            "M_tilde": _threshold_bar(L, epsilon, alpha, rhoH),
+            "M_tilde_productlog": _tilde_crosscheck(L, epsilon, alpha, rhoH)}
+        if abs(thresholds["M_tilde"] - thresholds["M_tilde_productlog"]) > 1:
+            raise NumericError(
+                "integer search M_tilde=%d and product-log threshold %d "
+                "disagree" % (thresholds["M_tilde"],
+                              thresholds["M_tilde_productlog"]))
+        expo = (2.0 * (2.0 * s + d) * beta + 2.0 * s * d * gamma) / (s * d)
+        m_terms = [("M_tilde", thresholds["M_tilde"]),
+                   ("beta_rate", _iceil(L ** expo * epsilon ** -2.0))]
+    else:
+        if case_tag == CASE_SMALL:
+            thresholds = {"M_bar": _threshold_bar(L, epsilon, alpha, rhoH)}
+        else:
+            thresholds = {"M_hat": _threshold_hat(alpha),
+                          "M_prime": _threshold_prime(L, epsilon, alpha, rhoH)}
+        m_terms = list(thresholds.items()) + [
             ("rate", _iceil(epsilon ** (-(2.0 * alpha + 1.0) / alpha)
                             * L ** (gamma * (2.0 * alpha + 1.0) / alpha))),
-            ("spectral", _iceil(spec_min ** (-d21))),
-        ]
-        M, m_name = _named_max(m_terms)
-        h, h_name = _named_min([("M^{-1/(d(2a+1))}", M ** (-1.0 / d21)),
-                                ("h0", h0)])
+            ("spectral", _iceil(min(spec_a, spec_b) ** (-d21)))]
+    m_name, M = max(m_terms, key=_value)
+
+    if case_tag == CASE_SMALL:
+        h_name, h = min([("M^{-1/(d(2a+1))}", M ** (-1.0 / d21)), ("h0", h0)],
+                        key=_value)
         interval = (h, h)
         feasible, reason = True, "point mesh width"
         binding = {"M": m_name, "h": h_name}
     else:
-        if case_tag == CASE_LOG:
-            m_tilde = _threshold_bar(L, epsilon, alpha, rhoH)
-            thresholds["M_tilde"] = m_tilde
-            thresholds["M_tilde_productlog"] = _tilde_crosscheck(
-                L, epsilon, alpha, rhoH)
-            if abs(m_tilde - thresholds["M_tilde_productlog"]) > 1:
-                raise NumericError(
-                    "integer search M_tilde=%d and product-log threshold %d "
-                    "disagree" % (m_tilde, thresholds["M_tilde_productlog"]))
-            expo = (2.0 * (2.0 * s + d) * beta + 2.0 * s * d * gamma) / (s * d)
-            m_terms = [("M_tilde", m_tilde),
-                       ("beta_rate", _iceil(L ** expo * epsilon ** -2.0))]
-        else:
-            m_hat = _threshold_hat(alpha)
-            m_prime = _threshold_prime(L, epsilon, alpha, rhoH)
-            thresholds["M_hat"] = m_hat
-            thresholds["M_prime"] = m_prime
-            m_terms = [
-                ("M_hat", m_hat),
-                ("M_prime", m_prime),
-                ("rate", _iceil(epsilon ** (-(2.0 * alpha + 1.0) / alpha)
-                                * L ** (gamma * (2.0 * alpha + 1.0) / alpha))),
-                ("spectral", _iceil(spec_min ** (-d21))),
-            ]
-        M, m_name = _named_max(m_terms)
         lower_terms = [("log-balance",
                         math.exp((0.5 * math.log(L) - math.log(epsilon)
                                   - M * rhoH) / d))]
         if case_tag == CASE_RATE:
             lower_terms.append(("rate-domination",
                                 math.exp(-(M ** (1.0 / (2.0 * alpha + 1.0))) / d)))
-        lower, lo_name = _named_max(lower_terms)
-        upper_terms = [("H^{1/4s} lam_{L+1}^{1/2s}", spec_a),
-                       ("lam_L^{1/s}", spec_b),
-                       ("M^{-1/(d(2a+1))}", M ** (-1.0 / d21)),
-                       ("h0", h0)]
-        upper, up_name = _named_min(upper_terms)
+        lo_name, lower = max(lower_terms, key=_value)
+        up_name, upper = min([("H^{1/4s} lam_{L+1}^{1/2s}", spec_a),
+                              ("lam_L^{1/s}", spec_b),
+                              ("M^{-1/(d(2a+1))}", M ** (-1.0 / d21)),
+                              ("h0", h0)], key=_value)
         interval = (lower, upper)
         feasible = lower <= upper
         h = upper if feasible else float("nan")
-        h_name = up_name
         reason = "admissible mesh interval nonempty" if feasible else (
             "infeasible: h lower bound %.6e (%s) exceeds upper bound %.6e (%s)"
             % (lower, lo_name, upper, up_name))
@@ -390,23 +364,8 @@ def _plan_case(profile, epsilon, L, case_tag):
                       feasible, reason, binding, p0, notes)
 
 
+# tie-break order among feasible cases of equal sample count
 _PREFERENCE = [CASE_LOG, CASE_RATE, CASE_SMALL]
-
-
-def _case_or_infeasible(profile, epsilon, L, tag):
-    """One case's plan, demoting threshold overflows to infeasibility.
-
-    A sample-count search that exceeds the search limit only rules out the
-    case being evaluated, so it must not abort the other candidates.  The
-    placeholder M_eps=1 keeps the result well formed; the reason string
-    carries the overflow message.
-    """
-    try:
-        return _plan_case(profile, epsilon, L, tag)
-    except InfeasiblePlanError as exc:
-        nan = float("nan")
-        return PlanResult(epsilon, tag, L, 1, nan, (nan, nan), {}, False,
-                          "infeasible: %s" % (exc,), {}, nan, [])
 
 
 def plan(profile, epsilon, regime=None):
@@ -416,29 +375,37 @@ def plan(profile, epsilon, regime=None):
     the feasible one with the smallest sample count, preferring the
     log-dominated large-Q_h case on ties.  A case whose sample-count
     search overflows is reported as an infeasible candidate; only when
-    every case is infeasible does the planner raise.
+    every case is infeasible does the planner raise.  regime is a case
+    number, its position in CASES plus one.
     """
     L = truncation_rank(epsilon, profile.d, profile.s)
-    cases = {tag: _case_or_infeasible(profile, epsilon, L, tag)
-             for tag in (CASE_SMALL, CASE_LOG, CASE_RATE)}
-    candidates = [(tag, cases[tag].M_eps, cases[tag].feasible)
-                  for tag in (CASE_SMALL, CASE_LOG, CASE_RATE)]
+    cases = []
+    for tag in CASES:
+        try:
+            cases.append(_plan_case(profile, epsilon, L, tag))
+        except InfeasiblePlanError as exc:
+            # a search past the limit rules out this case only, so it must
+            # not abort the others; the placeholder M_eps=1 keeps the result
+            # well formed and the reason carries the overflow message
+            nan = float("nan")
+            cases.append(PlanResult(epsilon, tag, L, 1, nan, (nan, nan), {},
+                                    False, "infeasible: %s" % (exc,), {}, nan,
+                                    []))
     if regime is not None:
-        tags = {1: CASE_SMALL, 2: CASE_LOG, 3: CASE_RATE}
-        if regime not in tags:
+        numbered = dict(enumerate(cases, 1))
+        if regime not in numbered:
             raise ValueError("regime override must be 1, 2 or 3, got %r"
                              % (regime,))
-        chosen = cases[tags[regime]]
+        chosen = numbered[regime]
     else:
-        feasible = [c for c in cases.values() if c.feasible]
+        feasible = [c for c in cases if c.feasible]
         if not feasible:
             raise InfeasiblePlanError(
                 "no regime is feasible at epsilon=%g -- %s" % (epsilon,
-                "; ".join("%s: %s" % (tag, cases[tag].reason)
-                          for tag in (CASE_SMALL, CASE_LOG, CASE_RATE))))
+                "; ".join("%s: %s" % (c.case_tag, c.reason) for c in cases)))
         chosen = min(feasible,
                      key=lambda c: (c.M_eps, _PREFERENCE.index(c.case_tag)))
-    chosen.candidates = candidates
+    chosen.candidates = [(c.case_tag, c.M_eps, c.feasible) for c in cases]
     return chosen
 
 

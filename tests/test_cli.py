@@ -607,8 +607,8 @@ def test_study_cell_is_the_mean_of_reconstruct_runs(tmp_path):
 def test_cli_study_grid_is_byte_identical_across_workers_and_resume(
         tmp_path, monkeypatch, capsys):
     # 2 meshes x 2 Ms x 2 Ls, 3 replications.  The error split of L=3 on
-    # n=2 (Q_h=3) fails, and with it the cells of every L that share its
-    # estimate on that mesh; the n=4 cells are untouched
+    # n=2 (Q_h=3) fails, and with it those two cells alone: the L=2 cells
+    # that share their estimate, and the n=4 cells, are untouched
     out = str(tmp_path / "out")
     path = support.write_yaml(tmp_path / "study.yaml", _study_yaml(
         out, [2, 4], [10, 20], [2, 3], seed=3, n_rep=3))
@@ -634,7 +634,7 @@ def test_cli_study_grid_is_byte_identical_across_workers_and_resume(
                                                  "study_diagnostics.csv"))
     failed = [r for r in rows if r[4] == "false"]
     assert len(rows) == 8 and [(r[1], r[2]) for r in failed] == [
-        ("2", "0.5"), ("2", "0.5"), ("3", "0.5"), ("3", "0.5")], failed
+        ("3", "0.5"), ("3", "0.5")], failed
     assert all("L=3 on Q_h=3" in r[5] for r in failed)
     assert "rep_seed(seed, i, r)" in meta()["paired_cells"]
     shutil.rmtree(out)
@@ -645,7 +645,7 @@ def test_cli_study_grid_is_byte_identical_across_workers_and_resume(
     os.remove(artifacts.cell_path(cell_dir, 2))  # L=2, n=4, M=10
     capsys.readouterr()
     assert run("--resume") == serial
-    assert meta()["cells_resumed"] == 3 and meta()["cells_rejected"] == 0
+    assert meta()["cells_resumed"] == 5 and meta()["cells_rejected"] == 0
     # a cell of the previous sampling contract is rejected
     doc = artifacts.read_json(artifacts.cell_path(cell_dir, 3))
     doc["version"] = "0.2.5"
@@ -654,7 +654,7 @@ def test_cli_study_grid_is_byte_identical_across_workers_and_resume(
     capsys.readouterr()
     assert run("--resume") == serial
     assert "written by covrecon 0.2.5" in capsys.readouterr().err
-    assert meta()["cells_resumed"] == 3 and meta()["cells_rejected"] == 1
+    assert meta()["cells_resumed"] == 5 and meta()["cells_rejected"] == 1
 
 
 def test_cli_plan_reports_and_exit_codes(tmp_path, capsys):

@@ -611,6 +611,26 @@ def test_study_resume_skips_completed_cells():
     assert sorted(store) == list(range(8))
 
 
+def test_interrupted_study_keeps_its_finished_meshes(monkeypatch):
+    # cells are saved mesh by mesh, so a study stopped on its second mesh
+    # has saved the first mesh's cells for a resume
+    run_mesh = mercer.run_mesh
+
+    def interrupted(config, mesh_index, cells, reps):
+        if mesh_index == 1:
+            raise KeyboardInterrupt
+        return run_mesh(config, mesh_index, cells, reps)
+
+    monkeypatch.setattr(mercer, "run_mesh", interrupted)
+    cfg = support.make_config(ns=[4, 6], Ms=[20], Ls=[1, 2], n_rep=2)
+    saved = []
+    with pytest.raises(KeyboardInterrupt):
+        mercer.expected_error_study(cfg, cell_saver=saved.append)
+    assert [(r.index, r.n, r.ok) for r in saved] == [(0, 4, True),
+                                                     (2, 4, True)], \
+        [r.to_dict() for r in saved]
+
+
 def test_study_requires_replications():
     cfg = support.make_config(n_rep=1)
     with pytest.raises(ValueError):

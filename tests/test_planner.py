@@ -8,7 +8,7 @@ import pytest
 import reference
 import support
 from covrecon import config as config_mod
-from covrecon import fields, mercer, planner, spectral
+from covrecon import cli, fields, mercer, planner, spectral
 from covrecon.errors import (ConfigError, DegenerateSpectrumError,
                              InfeasiblePlanError)
 
@@ -291,12 +291,29 @@ def test_plan_default_selection():
 
 
 def test_plan_regime_overrides():
+    # each forced case reports its own thresholds, binding terms and number
+    regimes = {1: ({"M_bar"}, {"M_bar", "rate", "spectral"}, {"M", "h"}),
+               2: ({"M_tilde", "M_tilde_productlog"}, {"M_tilde", "beta_rate"},
+                   {"M", "h_lower", "h_upper"}),
+               3: ({"M_hat", "M_prime"}, {"M_hat", "M_prime", "rate",
+                                          "spectral"},
+                   {"M", "h_lower", "h_upper"})}
+    for regime, (thresholds, m_terms, binding) in regimes.items():
+        for d in (1, 2):
+            p = planner.brownian_profile(d=d)
+            for eps in (0.4, 0.1):
+                result = planner.plan(p, eps, regime=regime)
+                where = (regime, d, eps)
+                assert result.case_tag == planner.CASES[regime - 1], where
+                assert set(result.thresholds) == thresholds, where
+                assert result.binding["M"] in m_terms, where
+                assert set(result.binding) == binding, where
+                assert cli._plan_payload(result)["case_number"] == regime
     p = planner.brownian_profile()
     small = planner.plan(p, 0.1, regime=1)
     assert small.case_tag == planner.CASE_SMALL and small.feasible
     assert small.h_interval[0] == small.h_interval[1] == small.h_eps, \
         "the small-Q_h case prescribes a point mesh width"
-    assert set(small.binding) == {"M", "h"}
     log = planner.plan(p, 0.1, regime=2)
     assert log.case_tag == planner.CASE_LOG and not log.feasible
     assert math.isnan(log.h_eps)
