@@ -58,14 +58,13 @@ class KlOracle:
     its min-kernel covariance and exact KL eigenpairs.
 
     kind is "BrownianMotion1D" or "BrownianSheet2D"; covariance(X, Y) is
-    the kernel R on two point blocks.  eigenvalue(l) and
-    eigenfunction(l, points) enumerate the spectrum in
-    descending order; in 2D tensor pairs are sorted with multiplicity and a
-    deterministic tie-break so the eigenfunction family stays orthonormal.
-    gap(l) is the distance from eigenvalue l to the nearest *distinct*
-    eigenvalue, which in 1D (all values simple) coincides with
-    min{lambda_{l-1} - lambda_l, lambda_l - lambda_{l+1}}, lambda_0 = inf.
-    Each is a product over the axis indices of rank l that _pair gives.
+    the kernel R on two point blocks.  eigenvalues(L) and gaps(L) give ranks
+    1..L in descending order, with multiplicity and a deterministic tie-break
+    so eigenfunction(l, points) stays orthonormal.  The gap of rank l is the
+    distance from eigenvalue l to the nearest *distinct* eigenvalue, which in
+    1D (all values simple) coincides with min{lambda_{l-1} - lambda_l,
+    lambda_l - lambda_{l+1}}, lambda_0 = inf.  Each is a product over the
+    axis indices of its rank (_extend_pairs).
     """
 
     def __init__(self, dim):
@@ -73,7 +72,7 @@ class KlOracle:
             raise ValueError("dim must be 1 or 2, got %r" % (dim,))
         self.dim = dim
         self.kind = _KINDS[dim]
-        self._extend_pairs(64)
+        self._extend_pairs(127)
 
     def covariance(self, X, Y):
         """R(X, Y) = prod_k min(x_k, y_k) on blocks (a, dim), (b, dim) -> (a, b)."""
@@ -87,52 +86,58 @@ class KlOracle:
         return np.minimum.outer(x, x)
 
     # -- enumeration ----------------------------------------------------
-    def _extend_pairs(self, k):
-        """Sort the k^dim tensor-index grid by descending eigenvalue: by odd
-        product, ties broken by the axis indices in order.  Rows are the
-        axis indices and their odd product."""
-        grid = [g.ravel() for g in np.meshgrid(
-            *[np.arange(1, k + 1)] * self.dim, indexing="ij")]
-        prod = math.prod(2 * g - 1 for g in grid)
-        order = np.lexsort(grid[::-1] + [prod])
-        self._pairs = np.column_stack([g[order] for g in grid + [prod]])
-        self._grid_k = k
+    def _extend_pairs(self, P):
+        """Table the axis-index tuples of odd product prod_k (2 l_k - 1) <= P
+        (P odd) with their product, by descending eigenvalue: by product, then
+        axis indices in order; every tuple left out has a larger product.
+        _axis_lam[j] = _lam1(j) by scalar calls: array power rounds apart."""
+        axes, prod = np.ones((1, 0), dtype=int), np.ones(1, dtype=int)
+        for _ in range(self.dim):
+            # a partial tuple of product p takes l = 1..(P // p + 1) // 2
+            counts = (P // prod + 1) // 2
+            row = np.repeat(np.arange(len(prod)), counts)
+            ell = np.concatenate([np.arange(1, c + 1) for c in counts])
+            axes = np.column_stack([axes[row], ell])
+            prod = prod[row] * (2 * ell - 1)
+        order = np.lexsort(np.vstack([axes.T[::-1], prod]))
+        self._pairs = np.column_stack([axes, prod])[order]
+        self._axis_lam = np.array([_lam1(j) for j in range((P + 3) // 2 + 1)])
 
-    def _pair(self, ell):
-        """Axis indices of rank ell (1-based) and their odd product
-        m = prod_k (2 l_k - 1), a row of the pair table."""
-        while (ell > len(self._pairs)
-               or self._pairs[ell - 1, -1] >= 2 * self._grid_k + 1):
-            # ranks are only trustworthy while their product stays below the
-            # smallest product reachable outside the enumerated grid
-            self._extend_pairs(2 * self._grid_k)
-        *axes, m = self._pairs[ell - 1]
-        return tuple(axes), m
+    def _ranks(self, L):
+        """Rows of ranks 1..L; P, the last row's product, grows to 2P + 1."""
+        if L < 0:
+            raise ValueError("L must be >= 0, got %r" % (L,))
+        while L > len(self._pairs):
+            self._extend_pairs(2 * int(self._pairs[-1, -1]) + 1)
+        return self._pairs[:L]
 
     # -- public oracle surface ------------------------------------------
-    def eigenvalue(self, ell):
-        if ell < 1:
-            raise ValueError("eigenvalue index must be >= 1, got %r" % (ell,))
-        return float(math.prod(_lam1(l) for l in self._pair(int(ell))[0]))
+    def eigenvalues(self, L):
+        """Eigenvalues of ranks 1..L, descending, shape (L,)."""
+        axes = self._ranks(L)[:, :-1]
+        return np.prod(self._axis_lam[axes], axis=1)
 
     def eigenfunction(self, ell, points):
         """Values of eigenfunction ell at points of shape (npts, dim)."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ValueError("points must have shape (npts, %d)" % (self.dim,))
-        return math.prod(_phi1(l, points[:, k])
-                         for k, l in enumerate(self._pair(int(ell))[0]))
-
-    def gap(self, ell):
-        """Distance from eigenvalue ell to the nearest distinct eigenvalue."""
         if ell < 1:
-            raise ValueError("gap index must be >= 1, got %r" % (ell,))
-        m = self._pair(int(ell))[1]
+            raise ValueError("eigenfunction index must be >= 1, got %r" % ell)
+        return math.prod(_phi1(l, points[:, k])
+                         for k, l in enumerate(self._ranks(ell)[-1, :-1]))
+
+    def gaps(self, L):
+        """Distances from eigenvalues 1..L to their nearest distinct ones."""
+        if L < 1:
+            raise ValueError("L must be >= 1, got %r" % (L,))
+        m = self._ranks(L)[:, -1]
         # the distinct eigenvalues are those of the odd products m, each
         # attained by (m, 1, ...), so the distinct neighbors sit at m -/+ 2
-        below, lam, above = (_lam1((p + 1) / 2) * _lam1(1) ** (self.dim - 1)
-                             for p in (m - 2, m, m + 2))
-        return float(min(np.inf if m == 1 else below - lam, lam - above))
+        j = (m + 1) // 2
+        scale = _lam1(1) ** (self.dim - 1)
+        below, lam, above = (self._axis_lam[j + k] * scale for k in (-1, 0, 1))
+        return np.minimum(np.where(m == 1, np.inf, below - lam), lam - above)
 
     # -- closed forms of the kernel against the P1 basis -------------------
     def sum_sq_total(self):
@@ -160,17 +165,16 @@ class KlOracle:
             terms += [x ** -3 / 3.0, x ** -4 / 2.0, x ** -5 / 3.0,
                       -x ** -7 / 6.0, 2.0 * x ** -9 / 9.0, -x ** -11 / 2.0]
             return math.fsum(terms) * np.pi ** -4
-        head = sum(self.eigenvalue(l) ** 2 for l in range(1, L + 1))
+        head = sum(lam ** 2 for lam in self.eigenvalues(L).tolist())
         return max(self.sum_sq_total() - head, 0.0)
 
     def moments(self, space, L):
         """Rows s_l = (integral of phi_l theta_j)_j, l <= L, shape (L, Q_h):
         Kronecker products of the 1D moments over the axis indices."""
         n = space.mesh.elements_per_axis
-        idx = np.array([self._pair(l)[0] for l in range(1, L + 1)])
         return functools.reduce(
             lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(L, -1),
-            [_sine_moments(n, axis) for axis in idx.T])
+            [_sine_moments(n, axis) for axis in self._ranks(L)[:, :-1].T])
 
     def kernel_forms(self, space, vectors):
         """v^T B v per column v of vectors, B_ij = <R, theta_i (x) theta_j>.
@@ -362,7 +366,7 @@ def _draw_projected(field, space, M, seed, kl_trunc):
     """
     P = space.kl_projections.get(kl_trunc)
     if P is None:
-        scale = np.sqrt([field.eigenvalue(l) for l in range(1, kl_trunc + 1)])
+        scale = np.sqrt(field.eigenvalues(kl_trunc))
         S = field.moments(space, kl_trunc)
         P = scale[:, None] * fem.assemble_mass(space).solve(S.T).T
         P.setflags(write=False)

@@ -170,8 +170,7 @@ class ExactSide:
             raise ValueError("truncation rank L=%r must lie in [1, %d]"
                              % (L, self.space.dof_count))
         if L not in self._e2:
-            lams = np.array([self.field.eigenvalue(l)
-                             for l in range(1, L + 1)])
+            lams = self.field.eigenvalues(L)
             mu = self.spectrum.eigenvalues[:L]
             cross = (self.field.moments(self.space, L)
                      @ self.spectrum.gen_vectors[:, :L])
@@ -362,7 +361,7 @@ def run_mesh(config, mesh_index, cells, reps):
         try:
             tally.e1, tally.e2 = exact.e1(L), exact.e2(L)
             tally.lambda1_dev = float(abs(exact.spectrum.eigenvalues[0]
-                                          - exact.field.eigenvalue(1)))
+                                          - exact.field.eigenvalues(1)[0]))
         except NumericError as exc:
             tally.error = _failure(exc)
     for rep in reps:
@@ -442,10 +441,10 @@ def expected_error_study(config, workers=1, cell_loader=None, cell_saver=None):
     The cells still to compute run mesh by mesh (run_mesh), so that the
     cells of one mesh share each replication's samples: they are paired
     (common random numbers), while cells on different meshes are
-    independent.  With workers > 1 a process pool runs each mesh as up to
-    `workers` tasks of contiguous replication ranges, and each cell is
-    aggregated here in rep order.  Seeds depend only on (config.seed, mesh
-    index, rep), so neither the worker count nor a resume changes a number.
+    independent.  With workers > 1 a pool of at most one process per task
+    runs each mesh as up to `workers` tasks of replication ranges, and each
+    cell is aggregated here in rep order.  Seeds depend only on (config.seed,
+    mesh index, rep), so neither the worker count nor a resume moves a number.
     Studies need a sampled estimator (MLE or Tapered).
     """
     if config.estimator == "Exact":
@@ -453,6 +452,8 @@ def expected_error_study(config, workers=1, cell_loader=None, cell_saver=None):
                           "not Exact")
     if config.n_rep < 2:
         raise ValueError("study needs n_rep >= 2, got %d" % (config.n_rep,))
+    if workers < 1:
+        raise ValueError("workers must be >= 1, got %r" % (workers,))
     results = {}
     by_mesh = {}
     for cell in study_cells(config):
@@ -461,7 +462,7 @@ def expected_error_study(config, workers=1, cell_loader=None, cell_saver=None):
             results[cell[0]] = prior
         else:
             by_mesh.setdefault(_mesh_index(config, cell[0]), []).append(cell)
-    parts = max(1, min(workers, config.n_rep))
+    parts = min(workers, config.n_rep)
     bounds = [config.n_rep * j // parts for j in range(parts + 1)]
     tasks = [(config, i, cells, range(lo, hi))
              for i, cells in sorted(by_mesh.items())
@@ -483,7 +484,8 @@ def expected_error_study(config, workers=1, cell_loader=None, cell_saver=None):
 
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool forks all its workers on the first task
+        with ProcessPoolExecutor(min(workers, len(tasks))) as pool:
             save_meshes(pool.map(run_mesh, *zip(*tasks)))
     else:
         save_meshes(run_mesh(*task) for task in tasks)

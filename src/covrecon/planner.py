@@ -82,9 +82,7 @@ def brownian_profile(d=1, s=0.5, alpha=1.0, gamma=1.5, calibration=None):
 
 
 def _gaps(oracle, L):
-    if L < 1:
-        raise ValueError("L must be >= 1, got %r" % (L,))
-    gaps = np.array([oracle.gap(l) for l in range(1, L + 1)])
+    gaps = oracle.gaps(L)
     if np.any(gaps <= 0):
         raise DegenerateSpectrumError(
             "zero spectral gap at index %d; eigenvalue ratios are undefined"
@@ -94,7 +92,7 @@ def _gaps(oracle, L):
 
 def g_of_l(profile, L):
     """Root sum of squared eigenvalue-to-gap ratios over the first L modes."""
-    lams = np.array([profile.oracle.eigenvalue(l) for l in range(1, L + 1)])
+    lams = profile.oracle.eigenvalues(L)
     return float(np.sqrt(np.sum((lams / _gaps(profile.oracle, L)) ** 2)))
 
 
@@ -295,9 +293,9 @@ def _plan_case(profile, epsilon, L, case_tag):
     H = h_of_l(profile, L)
     rhoH = cal["rho1"] * H
     # the two mesh bounds derived from the spectrum at rank L
-    spec_a = (H ** (1.0 / (4.0 * s))
-              * profile.oracle.eigenvalue(L + 1) ** (1.0 / (2.0 * s)))
-    spec_b = profile.oracle.eigenvalue(L) ** (1.0 / s)
+    lam_L, lam_next = profile.oracle.eigenvalues(L + 1)[-2:].tolist()
+    spec_a = H ** (1.0 / (4.0 * s)) * lam_next ** (1.0 / (2.0 * s))
+    spec_b = lam_L ** (1.0 / s)
     d21 = d * (2.0 * alpha + 1.0)
     notes = ["p0 uses lambda_max(G)=%g from calibration; raw P1 mass "
              "matrices scale like h^d and are normalized by their top "

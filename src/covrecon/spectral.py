@@ -330,12 +330,8 @@ def _mixed_gaps(exact_vals, est_vals, L):
     index Q, so boundary gaps stay well defined.
     """
     est_pad = np.concatenate(([np.inf], est_vals, [-np.inf]))
-    gaps = np.empty(L)
-    for ell in range(1, L + 1):
-        left = abs(est_pad[ell - 1] - exact_vals[ell - 1])
-        right = abs(exact_vals[ell - 1] - est_pad[ell + 1])
-        gaps[ell - 1] = min(left, right)
-    return gaps
+    return np.minimum(np.abs(est_pad[:L] - exact_vals[:L]),
+                      np.abs(exact_vals[:L] - est_pad[2:L + 2]))
 
 
 def gap_condition_margins(gaps, oracle, h, s, C1, stiffness_diff_norm):
@@ -344,8 +340,7 @@ def gap_condition_margins(gaps, oracle, h, s, C1, stiffness_diff_norm):
     One per l = 1..len(gaps), with the continuous gaps and eigenvalues; the
     spectral-gap condition holds at l where the margin is >= 0.
     """
-    lam_next = np.array([oracle.eigenvalue(l + 1)
-                         for l in range(1, len(gaps) + 1)])
+    lam_next = oracle.eigenvalues(len(gaps) + 1)[1:]
     return gaps - (4.0 * C1 * h ** (2.0 * s) / lam_next
                    + 4.0 * stiffness_diff_norm)
 
@@ -396,7 +391,7 @@ def diagnostics(exact, estimated, s_exact, s_est, oracle, L,
                            "%.3e" % (np.max(eigenvalue_dev), weyl_bound))
 
     discrete_gaps = _mixed_gaps(exact.eigenvalues, estimated.eigenvalues, L)
-    continuous_gaps = np.array([oracle.gap(l) for l in range(1, L + 1)])
+    continuous_gaps = oracle.gaps(L)
     gap_condition = gap_condition_margins(continuous_gaps, oracle,
                                           mass.space.mesh.h, s, C1,
                                           weyl_bound) >= 0

@@ -50,18 +50,27 @@ def gap_condition_margins(L, h, s, C1, stiffness_diff_norm):
         for ell in range(1, L + 1)])
 
 
+def kl_ranks(dim, count, grid):
+    """Rows (l_1, ..., l_dim, m) of the first `count` KL ranks of the
+    dim-fold product min kernel, m = prod_k (2 l_k - 1), by brute
+    enumeration of the grid^dim index box and a sort by m, ties broken by the
+    axis indices in order."""
+    axes = [g.ravel() for g in np.meshgrid(
+        *[np.arange(1, grid + 1)] * dim, indexing="ij")]
+    prod = np.prod([2 * g - 1 for g in axes], axis=0)
+    order = np.lexsort(axes[::-1] + [prod])
+    rows = np.column_stack(axes + [prod])[order][:count]
+    # guard: every index tuple outside the box has a product >= 2 grid + 1,
+    # so the head is exact while its products stay below that
+    assert rows[-1, -1] < 2 * grid + 1, "grid too small"
+    return rows
+
+
 def sheet_eigenvalues(count, grid=200):
     """First `count` eigenvalues of the 2d product (Brownian sheet) kernel,
     by brute enumeration of index pairs and a descending sort."""
-    l1, l2 = np.meshgrid(np.arange(1, grid + 1), np.arange(1, grid + 1),
-                         indexing="ij")
-    prod = (2 * l1 - 1) * (2 * l2 - 1)
-    vals = np.pi ** -4.0 * ((l1 - 0.5) * (l2 - 0.5)) ** -2.0
-    order = np.lexsort((l2.ravel(), l1.ravel(), prod.ravel()))
-    head = vals.ravel()[order][:count]
-    # guard: enumeration box must be large enough that the head is exact
-    assert prod.ravel()[order][count - 1] < 2 * grid + 1, "grid too small"
-    return head
+    l1, l2 = kl_ranks(2, count, grid)[:, :2].T
+    return np.pi ** -4.0 * ((l1 - 0.5) * (l2 - 0.5)) ** -2.0
 
 
 def sheet_gap(ell, grid=200):

@@ -473,6 +473,13 @@ def test_cli_study_is_exact_free(tmp_path, capsys):
     assert "MLE or Tapered" in capsys.readouterr().err
 
 
+def test_cli_study_rejects_a_worker_count_below_one(tmp_path, capsys):
+    path, _ = write_cfg(tmp_path)
+    for workers in ("0", "-3"):
+        assert run_cli("study", "--config", path, "--workers", workers) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+
+
 def test_cli_study_resume_and_workers(tmp_path):
     out = str(tmp_path / "study_out")
     text = (

@@ -1,6 +1,8 @@
 """The Brownian field object (kernel and KL oracle), batch sampling and
 the sup-moment diagnostic of a batch."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -55,20 +57,21 @@ def test_field_covariance_values():
 
 def test_oracle_1d_eigenvalues():
     o = fields.KlOracle(1)
-    assert abs(o.eigenvalue(1) - 4.0 / np.pi ** 2) <= 1e-12 * o.eigenvalue(1)
-    assert abs(o.eigenvalue(2) - 4.0 / (9.0 * np.pi ** 2)) <= 1e-15
-    lams = [o.eigenvalue(l) for l in range(1, 51)]
-    assert all(a > b for a, b in zip(lams, lams[1:])), \
-        "eigenvalues must decrease strictly"
+    lams = o.eigenvalues(50)
+    assert abs(lams[0] - 4.0 / np.pi ** 2) <= 1e-12 * lams[0]
+    assert abs(lams[1] - 4.0 / (9.0 * np.pi ** 2)) <= 1e-15
+    assert np.all(lams[:-1] > lams[1:]), "eigenvalues must decrease strictly"
+    assert o.eigenvalues(0).shape == (0,)
 
 
 def test_oracle_1d_gap_identities():
     o = fields.KlOracle(1)
-    ratio = o.eigenvalue(1) / o.gap(1)
+    gaps = o.gaps(20)
+    ratio = o.eigenvalues(1)[0] / gaps[0]
     assert abs(ratio - 9.0 / 8.0) <= 1e-14, \
         "lambda_1 / gap_1 must equal 9/8 (the pi^2 factors cancel)"
     for ell in range(1, 21):
-        assert abs(o.gap(ell) - reference.brownian_gap(ell)) <= 1e-16, \
+        assert abs(gaps[ell - 1] - reference.brownian_gap(ell)) <= 1e-16, \
             "gap at index %d disagrees with the min-formula reference" % ell
 
 
@@ -96,13 +99,35 @@ def test_oracle_1d_eigenfunction_values():
 def test_oracle_validation():
     o = fields.KlOracle(1)
     with pytest.raises(ValueError):
-        o.eigenvalue(0)
+        o.eigenvalues(-1)
     with pytest.raises(ValueError):
-        o.gap(0)
+        o.gaps(0)
+    with pytest.raises(ValueError):
+        o.eigenfunction(0, np.zeros((3, 1)))
     with pytest.raises(ValueError):
         o.eigenfunction(1, np.zeros(3))  # not (npts, d)
     with pytest.raises(ValueError):
         fields.KlOracle(3)
+
+
+@pytest.mark.parametrize("d, grid", [(1, 5000), (2, 1100)])
+def test_oracle_rank_table_matches_brute_grid_sort(d, grid):
+    # the table starts with 64 (1D) or 204 (2D) ranks, so rank 5000 takes
+    # several extensions; eigenvalues and gaps stay bit for bit the scalar
+    # one-axis formulas, rank by rank
+    count = 5000
+    o = fields.KlOracle(d)
+    lams, gaps = o.eigenvalues(count), o.gaps(count)
+    brute = reference.kl_ranks(d, count, grid)
+    assert np.array_equal(o._pairs[:count], brute)
+    lam1 = fields._lam1
+    scale = lam1(1) ** (d - 1)
+    for ell, (*axes, m) in enumerate(brute, 1):
+        assert lams[ell - 1] == math.prod(lam1(l) for l in axes), ell
+        below, lam, above = (lam1((p + 1) / 2) * scale
+                             for p in (m - 2, m, m + 2))
+        assert gaps[ell - 1] == min(np.inf if m == 1 else below - lam,
+                                    lam - above), ell
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +137,7 @@ def test_oracle_validation():
 def test_oracle_2d_eigenvalues_match_brute_enumeration():
     o = fields.KlOracle(2)
     brute = reference.sheet_eigenvalues(30)
-    got = np.array([o.eigenvalue(l) for l in range(1, 31)])
+    got = o.eigenvalues(30)
     assert np.max(np.abs(got - brute)) <= 1e-14 * brute[0], \
         "2d ranking must match the brute-force sorted enumeration"
     assert abs(got[0] - (4.0 / np.pi ** 2) ** 2) <= 1e-15
@@ -122,8 +147,7 @@ def test_oracle_2d_eigenvalues_match_brute_enumeration():
 
 def test_oracle_2d_gaps_skip_equal_values():
     o = fields.KlOracle(2)
-    for ell in range(1, 16):
-        g = o.gap(ell)
+    for ell, g in enumerate(o.gaps(15), 1):
         assert g > 0.0, "gap must be to the nearest *distinct* value"
         assert abs(g - reference.sheet_gap(ell)) <= 1e-16, \
             "2d gap at rank %d disagrees with the brute reference" % ell
@@ -422,7 +446,7 @@ def test_kl_partial_sum_parseval_check():
     o = fields.KlOracle(1)
     x = np.linspace(0.0, 1.0, 9)[:, None]
     K = 500
-    lams = np.array([o.eigenvalue(l) for l in range(1, K + 1)])
+    lams = o.eigenvalues(K)
     P = np.column_stack([o.eigenfunction(l, x) for l in range(1, K + 1)])
     partial = (P * lams) @ P.T
     exact = np.minimum(x, x.T)
@@ -510,9 +534,8 @@ def test_projection_mode_is_the_exact_l2_projection():
                                   seed=seed, kl_trunc=K)
         pts, wts = reference.gauss_points(d, n * 16, 6)
         T = reference.hat_values(d, n, pts)
-        phi = np.column_stack([np.sqrt(field.eigenvalue(l))
-                               * field.eigenfunction(l, pts)
-                               for l in range(1, K + 1)])
+        phi = np.sqrt(field.eigenvalues(K)) * np.column_stack(
+            [field.eigenfunction(l, pts) for l in range(1, K + 1)])
         psi = np.array([reference.block_normals(seed, m, K)
                         for m in range(M)])
         load = (psi @ phi.T * wts) @ T

@@ -159,7 +159,7 @@ def _sampled_spectrum(d, n, M, seed):
 
 
 def _truncated_kl(oracle, L):
-    lams = np.array([oracle.eigenvalue(l) for l in range(1, L + 1)])
+    lams = oracle.eigenvalues(L)
 
     def k(X, Y):
         PX = np.column_stack([oracle.eigenfunction(l, X)
@@ -629,6 +629,37 @@ def test_interrupted_study_keeps_its_finished_meshes(monkeypatch):
     assert [(r.index, r.n, r.ok) for r in saved] == [(0, 4, True),
                                                      (2, 4, True)], \
         [r.to_dict() for r in saved]
+
+
+def test_study_pool_has_one_process_per_task_at_most(monkeypatch):
+    # a pool forks all its workers on the first task, so one mesh of two
+    # replications (two tasks) must not get a pool of eight
+    import concurrent.futures
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = support.make_config(n_rep=2)
+    serial = [r.to_dict() for r in mercer.expected_error_study(cfg)]
+    pooled = mercer.expected_error_study(cfg, workers=8)
+    assert sizes == [2]
+    assert [r.to_dict() for r in pooled] == serial
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            mercer.expected_error_study(cfg, workers=workers)
+    assert sizes == [2]
 
 
 def test_study_requires_replications():

@@ -18,11 +18,11 @@ class _FlatOracle:
 
     dim = 1
 
-    def eigenvalue(self, ell):
-        return 1.0
+    def eigenvalues(self, L):
+        return np.ones(L)
 
-    def gap(self, ell):
-        return 0.0
+    def gaps(self, L):
+        return np.zeros(L)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ def _p0(Q_h, tau, M, L):
 
 def test_p0_bound_matches_high_precision_oracle():
     oracle = fields.KlOracle(1)
-    gap = min(oracle.gap(1), oracle.gap(2))
+    gap = min(oracle.gaps(2))
     got = _p0(65, 6, 60_000_000, 2)
     want = reference.p0_mpmath(65, 6, 60_000_000, 1.0, gap, 1.0)
     assert want > 0.99, "the example must sit in the informative range"
@@ -146,7 +146,7 @@ def test_p0_bound_limits_and_monotonicity():
 def _margins(L, h, stiffness_diff_norm, C1=1.0, s=0.5):
     """spectral.gap_condition_margins on the 1D Brownian gaps."""
     oracle = fields.KlOracle(1)
-    gaps = np.array([oracle.gap(l) for l in range(1, L + 1)])
+    gaps = oracle.gaps(L)
     return spectral.gap_condition_margins(gaps, oracle, h, s, C1,
                                           stiffness_diff_norm)
 
@@ -381,6 +381,21 @@ def test_plan_raises_when_every_case_is_infeasible():
     starved = planner.brownian_profile(calibration=dict(rho1=1e-30))
     with pytest.raises(InfeasiblePlanError, match="no regime is feasible"):
         planner.plan(starved, 0.5)
+
+
+def test_plan_2d_fine_accuracy_reads_rank_5624():
+    # eps=1e-3 at s=0.3 in 2D asks for L=5624, far past the first 2D rank
+    # table (204 ranks); every case's sample-count search overflows
+    profile = planner.brownian_profile(d=2, s=0.3)
+    assert planner.truncation_rank(1e-3, 2, 0.3) == 5624
+    overflow = ("infeasible: threshold search exceeded %d samples; the "
+                "accuracy target is unattainable for this profile"
+                % (10 ** 18,))
+    with pytest.raises(InfeasiblePlanError) as info:
+        planner.plan(profile, 1e-3)
+    assert str(info.value) == (
+        "no regime is feasible at epsilon=0.001 -- "
+        + "; ".join("%s: %s" % (tag, overflow) for tag in planner.CASES))
 
 
 # ---------------------------------------------------------------------------
