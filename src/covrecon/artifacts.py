@@ -16,7 +16,11 @@ File formats:
   study summary CSV: columns L, h, M, mean_total, mean_e3, stderr, n_rep.
   study diagnostics CSV: per-cell columns index, L, h, M, ok, error,
     mean_e1, mean_e2, gap_fail_fraction, p0, tau, lambda1_dev.
+  Both are mercer.CellResult attributes, read by column name; an absent
+    error is an empty cell.
   study rates CSV: columns quantity, slope, n_points.
+  study cell JSON (cells/cell_NNNNN.json): the CellResult fields under
+    "cell", NaN written as null and read back as NaN.
 """
 
 import datetime
@@ -110,11 +114,12 @@ def read_json(path):
 
 
 def write_csv(path, columns, rows, config):
-    """Primary CSV artifact: comment header, column line, formatted rows."""
+    """Primary CSV artifact: comment header, column line, formatted rows.
+    A None value is an empty cell."""
     lines = _comment_lines(config)
     lines.append(",".join(columns))
     for row in rows:
-        cells = [fmt(c).replace(",", ";") for c in row]
+        cells = ["" if c is None else fmt(c).replace(",", ";") for c in row]
         lines.append(",".join(cells))
     _write_text(path, "\n".join(lines) + "\n")
 
@@ -195,20 +200,15 @@ def write_study_csvs(out_dir, results, rates, config):
     """Summary, per-cell diagnostics and regression-slope tables of a study."""
     summary = os.path.join(out_dir, "study_summary.csv")
     write_csv(summary, _SUMMARY_COLUMNS,
-              [[r.L, r.h, r.M, r.mean_total, r.mean_e3, r.stderr, r.n_rep]
+              [[getattr(r, c) for c in _SUMMARY_COLUMNS]
                for r in results if r.ok], config)
     diag = os.path.join(out_dir, "study_diagnostics.csv")
     write_csv(diag, _DIAG_COLUMNS,
-              [[r.index, r.L, r.h, r.M, r.ok, r.error or "", r.mean_e1,
-                r.mean_e2, r.gap_fail_fraction, r.p0, r.tau, r.lambda1_dev]
-               for r in results], config)
+              [[getattr(r, c) for c in _DIAG_COLUMNS] for r in results],
+              config)
     rates_path = os.path.join(out_dir, "study_rates.csv")
     write_csv(rates_path, ["quantity", "slope", "n_points"], rates, config)
     return summary, diag, rates_path
-
-
-_CELL_FLOATS = ("mean_total", "mean_e1", "mean_e2", "mean_e3", "stderr",
-                "gap_fail_fraction", "p0", "lambda1_dev")
 
 
 def cell_path(cell_dir, index):
@@ -240,11 +240,10 @@ def load_cell(cell_dir, index, config, rejected):
         return None
     try:
         doc = read_json(path)
-        raw = dict(doc["cell"])
-        for key in _CELL_FLOATS:
-            if raw.get(key) is None:
-                raw[key] = float("nan")
-        cell = CellResult.from_dict(raw)
+        # JSON writes NaN as null; only a cell's error is None when absent
+        cell = CellResult.from_dict(
+            {k: float("nan") if v is None and k != "error" else v
+             for k, v in doc["cell"].items()})
         written = _config_key(doc.get("config"))
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         reason = "corrupt (%s: %s)" % (type(exc).__name__, exc)

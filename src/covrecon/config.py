@@ -5,8 +5,8 @@ Schema (all sections optional unless a command needs them):
     field:       kind (brownian), d (1|2), delta, s (default 0.5 - delta)
     sampling:    mode (nodal|projection), kl_trunc (projection only)
     estimator:   kind (MLE|Tapered|Exact), alpha (Tapered only)
-    study:       ns, Ms, Ls (nonempty int lists; every L at most the
-                 smallest mesh's Q_h), n_rep
+    study:       ns, Ms, Ls (nonempty lists of distinct ints; every L at
+                 most the smallest mesh's Q_h), n_rep
     quadrature:  accepted and ignored (projection sampling is exact)
     calibration: C1, C2, C, h0, rho1, lambda_max_mass, beta
     seed:        integer
@@ -14,7 +14,7 @@ Schema (all sections optional unless a command needs them):
 
 Commands that operate on a single (n, M, L) combination use the first
 element of each study list.  Validation failures raise ConfigError with
-the offending field named.
+the offending field named; so does a key that no section above lists.
 """
 
 import math
@@ -105,6 +105,9 @@ class StudyConfig:
                 if not (_is_int(v) and v >= low):
                     raise ConfigError("%s: entries must be integers >= %d, "
                                       "got %r" % (name, low, v))
+            if len(set(lst)) < len(lst):
+                raise ConfigError("%s: entries must be distinct, got %r"
+                                  % (name, lst))
         min_q = (min(self.ns) + 1) ** self.d
         if max(self.Ls) > min_q:
             raise ConfigError(
@@ -141,6 +144,7 @@ _SETTINGS = (("field", "kind", "field_kind"), ("field", "d", "d"),
              (None, "seed", "seed"), (None, "output", "out_dir"))
 # parameters read as floats, so that YAML's 1 and 1e-3 load alike
 _FLOATS = ("delta", "s", "alpha")
+_KEYS = {(sec, key) for sec, key, _ in _SETTINGS}
 _SECTIONS = tuple(dict.fromkeys(sec for sec, _, _ in _SETTINGS if sec)) \
     + ("calibration",)
 
@@ -155,7 +159,7 @@ def from_dict(raw):
     # "quadrature" is accepted and ignored, so configs that still set a Gauss
     # order for projection sampling (now exact) keep loading
     known = set(_SECTIONS) | {"quadrature"} | {
-        key for sec, key, _ in _SETTINGS if sec is None}
+        key for sec, key in _KEYS if sec is None}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError("unknown config section(s): %s"
@@ -169,6 +173,10 @@ def from_dict(raw):
         if not isinstance(sec, dict):
             raise ConfigError("%s: must be a mapping" % (name,))
         sections[name] = sec
+        # resolve_calibration checks the calibration keys
+        unknown = [key for key in sec if (name, key) not in _KEYS]
+        if unknown and name != "calibration":
+            raise ConfigError("%s.%s: unknown setting" % (name, unknown[0]))
 
     kwargs = {}
     for sec, key, attr in _SETTINGS:

@@ -5,16 +5,19 @@ K(x, x') = sum_{l<=L} lambda_l (Phi_l . theta(x)) (Phi_l . theta(x')).
 The distance of an estimated reconstruction to the analytic covariance
 splits into truncation (e1), spatial discretization (e2) and sampling (e3)
 parts, all measured in L2 of the product domain and computed exactly from
-closed forms of the Brownian kernel against the P1 basis.
+closed forms of the Brownian kernel against the P1 basis:
+error_decomposition(exact, spectrum, L) splits an estimated spectrum's
+error against the ExactSide of its mesh, which keeps e1 and e2 per L.
 
 A StudyConfig becomes pipeline calls here only: ExactSide is the
 sample-free half of a replication on one mesh and replicate the rest.
 reconstruct runs one replication; expected_error_study runs them over a
-(L, h, M) grid, mesh by mesh.  Replication r on mesh i draws the largest M
-once, with the seed derived from SeedSequence(seed, spawn_key=(i, r)), and
-every (L, M) cell on the mesh reads its first M samples.  Cells on one mesh
-are paired (common random numbers), cells on different meshes independent,
-and no number depends on execution order or worker scheduling.
+(L, h, M) grid, mesh by mesh, into one CellResult per cell.  Replication r
+on mesh i draws the largest M once, with the seed derived from
+SeedSequence(seed, spawn_key=(i, r)), and every (L, M) cell on the mesh
+reads its first M samples.  Cells on one mesh are paired (common random
+numbers), cells on different meshes independent, and no number depends on
+execution order or worker scheduling.
 """
 
 import collections
@@ -53,13 +56,13 @@ class ErrorReport:
         self.near_degenerate_split = near_degenerate_split
 
 
-def error_decomposition(field, exact_spec, est_spec, L, e1, e2):
+def error_decomposition(exact, est_spec, L):
     """Split the reconstruction error of an estimated rank-L kernel, exactly.
 
-    With analytic eigenvalues lambda_l of the field (a fields.KlOracle),
-    exact discrete (mu_m, Phi_m) and estimated (mu^_m, Phi^_m), l, m <= L,
-    and Phi~ = (L^G)^T Phi (where a P1 kernel's L2 norm is a Frobenius
-    norm):
+    exact is the ExactSide of the mesh that est_spec lives on.  With
+    analytic eigenvalues lambda_l of its field (a fields.KlOracle), exact
+    discrete (mu_m, Phi_m) and estimated (mu^_m, Phi^_m), l, m <= L, and
+    Phi~ = (L^G)^T Phi (where a P1 kernel's L2 norm is a Frobenius norm):
 
       e1^2    = sum_{l>L} lambda_l^2                        (ExactSide.e1)
       e2^2    = ||k_L - sum mu Phi (x) Phi||^2              (ExactSide.e2)
@@ -69,29 +72,23 @@ def error_decomposition(field, exact_spec, est_spec, L, e1, e2):
     with k_L the rank-L truncated KL kernel and B the kernel load form
     (field.kernel_forms), which is applied and never formed.  Every term is
     a sum of dyads lambda phi (x) phi, so eigenvector signs drop out.  e1
-    and e2 depend on the mesh and L alone, so they are passed in, and a
-    study cell computes them once.
+    and e2 depend on the mesh and L alone, and the exact side keeps them
+    per L; its e2 checks 1 <= L <= Q_h before any spectrum is read.
     """
-    if exact_spec.dof_count != est_spec.dof_count:
+    if est_spec.dof_count != exact.space.dof_count:
         raise ValueError("spectra live on different spaces: %d vs %d dofs"
-                         % (exact_spec.dof_count, est_spec.dof_count))
-    space = exact_spec.mass.space
-    if field.dim != space.mesh.dim:
-        raise ValueError("field dimension %d does not match mesh dimension %d"
-                         % (field.dim, space.mesh.dim))
-    L = int(L)
-    if not 1 <= L <= exact_spec.dof_count:
-        raise ValueError("truncation rank L=%r must lie in [1, %d]"
-                         % (L, exact_spec.dof_count))
-    mu, mu_est = exact_spec.eigenvalues[:L], est_spec.eigenvalues[:L]
-    vt, vt_est = exact_spec.tilde_vectors[:, :L], est_spec.tilde_vectors[:, :L]
+                         % (exact.space.dof_count, est_spec.dof_count))
+    e2, e1 = exact.e2(L), exact.e1(L)  # e2 checks L first
+    field, lam = exact.field, exact.spectrum.eigenvalues
+    mu, mu_est = lam[:L], est_spec.eigenvalues[:L]
+    vt = exact.spectrum.tilde_vectors[:, :L]
+    vt_est = est_spec.tilde_vectors[:, :L]
     e3 = float(np.linalg.norm((vt * mu) @ vt.T - (vt_est * mu_est) @ vt_est.T))
-    forms = field.kernel_forms(space, est_spec.gen_vectors[:, :L])
+    forms = field.kernel_forms(exact.space, est_spec.gen_vectors[:, :L])
     total = float(np.sqrt(field.sum_sq_total() - 2.0 * forms @ mu_est
                           + mu_est @ mu_est))  # rank L: total >= e1 > 0
 
-    lam = exact_spec.eigenvalues
-    upper = min(L + 1, exact_spec.dof_count)
+    upper = min(L + 1, lam.size)
     min_gap = float(np.min(lam[:upper - 1] - lam[1:upper])) if upper > 1 else np.inf
     near_degenerate = bool(min_gap < _NEAR_DEGENERATE_REL * lam[0])
     return ErrorReport(e1, e2, e3, total, near_degenerate)
@@ -147,11 +144,6 @@ class ExactSide:
         # and keeping both would hold the Q_h x Q_h vectors twice
         return spectral.kronecker_power(spectral.eigensolve(self._axis),
                                         self.mass, self.space.mesh.dim)
-
-    def split(self, spec, L):
-        """error_decomposition of an estimated spectrum at rank L."""
-        return error_decomposition(self.field, self.spectrum, spec, L,
-                                   self.e1(L), self.e2(L))
 
     def e1(self, L):
         """Truncation error sqrt(field.tail_sq(L))."""
@@ -232,9 +224,6 @@ def replicate(config, exact, M, L, seed):
     Returns a Replication with the estimate's kind, tau and M; neither the
     batch nor the covariance is kept.
     """
-    if L > exact.space.dof_count:
-        raise ValueError("truncation rank L=%d exceeds dof count Q_h=%d"
-                         % (L, exact.space.dof_count))
     if config.estimator == "Exact":
         kind, tau, m_est = "Exact", 0, 0
         spec = exact.spectrum
@@ -243,7 +232,8 @@ def replicate(config, exact, M, L, seed):
         cov, spec, diag = _estimated(config, exact,
                                      draw(config, exact, M, seed), L)
         kind, tau, m_est = cov.estimator_kind, cov.tau, cov.M
-    return Replication(kind, tau, m_est, spec, diag, exact.split(spec, L))
+    return Replication(kind, tau, m_est, spec, diag,
+                       error_decomposition(exact, spec, L))
 
 
 def success_bound(config, exact, tau, M, L):
@@ -257,36 +247,21 @@ def success_bound(config, exact, tau, M, L):
 # grid study
 
 
-class CellResult:
+class CellResult(collections.namedtuple(
+        "CellResult", "index L n M ok error mean_total mean_e1 mean_e2 "
+        "mean_e3 stderr n_rep gap_fail_fraction p0 tau lambda1_dev",
+        defaults=(None, np.nan, np.nan, np.nan, np.nan, np.nan, 0, np.nan,
+                  np.nan, 0, np.nan))):
     """Aggregated replication results of one (L, h, M) study cell."""
 
-    def __init__(self, index, L, n, M, ok, error=None, mean_total=np.nan,
-                 mean_e1=np.nan, mean_e2=np.nan, mean_e3=np.nan,
-                 stderr=np.nan, n_rep=0, gap_fail_fraction=np.nan,
-                 p0=np.nan, tau=0, lambda1_dev=np.nan):
-        self.index = index
-        self.L = L
-        self.n = n
-        self.M = M
-        self.ok = ok
-        self.error = error
-        self.mean_total = mean_total
-        self.mean_e1 = mean_e1
-        self.mean_e2 = mean_e2
-        self.mean_e3 = mean_e3
-        self.stderr = stderr
-        self.n_rep = n_rep
-        self.gap_fail_fraction = gap_fail_fraction
-        self.p0 = p0
-        self.tau = tau
-        self.lambda1_dev = lambda1_dev
+    __slots__ = ()
 
     @property
     def h(self):
         return 1.0 / self.n
 
     def to_dict(self):
-        return dict(vars(self))  # exactly the constructor's arguments
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, d):
@@ -311,11 +286,6 @@ def study_cells(config):
                 cells.append((idx, L, n, M))
                 idx += 1
     return cells
-
-
-def _mesh_index(config, index):
-    """Position in config.ns of the mesh of cell index (see study_cells)."""
-    return index // len(config.Ms) % len(config.ns)
 
 
 class _Tally:
@@ -357,6 +327,10 @@ def run_mesh(config, mesh_index, cells, reps):
     exact = ExactSide(config.d, config.ns[mesh_index])
     k = max(config.Ls)
     tallies = [_Tally() for _ in cells]
+    # the sample-free values come before any draw, although the first split
+    # could set them as it sets tau and p0: deferred, the exact spectrum is
+    # built while a batch and its estimate are alive, and the peak RSS of
+    # the study-fine-projection benchmark study rose by 1.8 MB or more
     for tally, (_, L, _, _) in zip(tallies, cells):
         try:
             tally.e1, tally.e2 = exact.e1(L), exact.e2(L)
@@ -394,7 +368,7 @@ def _replicate_prefix(config, exact, batch, group, k):
         return
     for L, tally in group:
         try:
-            errors = exact.split(spec, L)
+            errors = error_decomposition(exact, spec, L)
             if tally.p0 is None:
                 # tau and the estimate's M do not depend on the samples
                 tally.tau = cov.tau
@@ -461,7 +435,7 @@ def expected_error_study(config, workers=1, cell_loader=None, cell_saver=None):
         if prior is not None and prior.ok:
             results[cell[0]] = prior
         else:
-            by_mesh.setdefault(_mesh_index(config, cell[0]), []).append(cell)
+            by_mesh.setdefault(config.ns.index(cell[2]), []).append(cell)
     parts = min(workers, config.n_rep)
     bounds = [config.n_rep * j // parts for j in range(parts + 1)]
     tasks = [(config, i, cells, range(lo, hi))

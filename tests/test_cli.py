@@ -131,6 +131,64 @@ def test_from_dict_structure_errors():
     assert config_mod.from_dict(dict(field=None, study=None)).ns == [16]
 
 
+def test_config_refuses_unknown_settings_in_a_section(tmp_path, capsys):
+    # a misspelled key used to load as the default of the key it meant
+    for raw, needle in ((dict(estimator=dict(kind="Tapered", alpa=3.0)),
+                         "estimator.alpa: unknown setting"),
+                        (dict(study=dict(ns=[8], nrep=5)),
+                         "study.nrep: unknown setting"),
+                        (dict(field=dict(dim=2)), "field.dim"),
+                        (dict(sampling=dict(kl_trunk=9)),
+                         "sampling.kl_trunk")):
+        with pytest.raises(ConfigError, match=needle):
+            config_mod.from_dict(raw)
+    # the ignored quadrature section takes any key
+    assert config_mod.from_dict(dict(quadrature=dict(order=3))).d == 1
+    text = support.basic_yaml(str(tmp_path / "o"),
+                              estimator="Tapered").replace("alpha:", "alpa:")
+    typo = support.write_yaml(tmp_path / "typo.yaml", text)
+    assert run_cli("study", "--config", typo) == 2
+    assert "estimator.alpa: unknown setting" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "o" / "study_summary.csv"))
+
+
+def test_config_refuses_repeated_grid_values(tmp_path, capsys):
+    # a repeated n used to give two summary rows for one (L, h, M) and a
+    # rate fitted to one of the two meshes
+    for name in ("ns", "Ms", "Ls"):
+        with pytest.raises(ConfigError, match="study.%s: entries must be "
+                                              "distinct" % (name,)):
+            support.make_config(**{name: [4, 2, 4]})
+    path, out = write_cfg(tmp_path, n=8)
+    text = support.read_file_bytes(path).decode().replace("ns: [8]",
+                                                          "ns: [8, 8]")
+    support.write_yaml(path, text)
+    assert run_cli("study", "--config", path) == 2
+    assert "study.ns" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "study_summary.csv"))
+
+
+def test_benchmark_workload_configs_load():
+    # every benchmark workload's config loads, so that a tightening of the
+    # config fails here before it fails a benchmark run.  A fresh interpreter
+    # imports perfbench/run.py: its reference module would shadow this
+    # directory's reference.py
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir)
+    script = ("import sys\n"
+              "sys.path[:0] = [%r, %r]\n"
+              "import run\n"
+              "from covrecon import config\n"
+              "for name, workload in sorted(run.WORKLOADS.items()):\n"
+              "    config.from_dict(workload.config)\n"
+              "    print(name)\n"
+              % (os.path.join(root, "src"), os.path.join(root, "perfbench")))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "study-fine-projection" in proc.stdout.split(), proc.stdout
+
+
 def test_config_table_round_trips_every_setting():
     # a YAML document that sets every row of the settings table loads each
     # into its parameter and comes back out of to_dict, whose keys are
@@ -341,6 +399,22 @@ def test_cli_estimate_covariance_round_trip(tmp_path):
     assert set(report["decay_check"]) == {"alpha", "C1_est", "lambda_max",
                                           "passes"}
     assert report["subgaussian"]["c_inf_hat"] > 0
+
+
+def test_cli_estimate_exact_writes_the_exact_covariance(tmp_path):
+    # coverage: the Exact estimate draws nothing and is the nodal covariance
+    path, out = write_cfg(tmp_path, n=4, M=30, estimator="Exact")
+    assert run_cli("estimate", "--config", path) == 0
+    cov_path = os.path.join(out, "covariance.txt")
+    cov = artifacts.read_covariance(cov_path)
+    assert np.array_equal(cov.matrix, mercer.ExactSide(1, 4).sigma)
+    with open(cov_path) as fh:
+        lines = [ln for ln in fh.read().splitlines()
+                 if not ln.startswith("#")]
+    assert lines[0] == "5 Exact 0 -"
+    report = artifacts.read_json(os.path.join(out, "estimate_report.json"))
+    assert report["estimator"] == "Exact" and report["M"] == 0
+    assert "subgaussian" not in report, "no batch, no subgaussian block"
 
 
 def test_cli_estimate_tapered_band(tmp_path):
@@ -621,10 +695,10 @@ def test_cli_study_grid_is_byte_identical_across_workers_and_resume(
         out, [2, 4], [10, 20], [2, 3], seed=3, n_rep=3))
     split = mercer.error_decomposition
 
-    def failing_split(field, exact_spec, est_spec, L, e1, e2):
-        if L == 3 and exact_spec.dof_count == 3:
+    def failing_split(exact, est_spec, L):
+        if L == 3 and exact.space.dof_count == 3:
             raise NumericError("split of L=3 on Q_h=3")
-        return split(field, exact_spec, est_spec, L, e1, e2)
+        return split(exact, est_spec, L)
 
     monkeypatch.setattr(mercer, "error_decomposition", failing_split)
 

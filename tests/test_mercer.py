@@ -64,20 +64,9 @@ def test_kernel_rank_window_is_one_dyad():
 # error decomposition
 # ---------------------------------------------------------------------------
 
-def _decompose(field, exact_spec, est_spec, L):
-    """The error split with e1 = sqrt(tail_sq(L)) and e2 from the exact side
-    whose spectrum exact_spec is, as replicate passes them."""
-    mesh = exact_spec.mass.space.mesh
-    exact = support.exact_side(mesh.dim, mesh.elements_per_axis)
-    assert exact.spectrum is exact_spec
-    return mercer.error_decomposition(field, exact_spec, est_spec, L,
-                                      float(np.sqrt(field.tail_sq(L))),
-                                      exact.e2(L))
-
-
 def test_decomposition_exact_estimate_has_zero_sampling_error():
-    field, _, _, _, _, spec = support.brownian_setup(1, 16)
-    report = _decompose(field, spec, spec, 3)
+    exact = support.exact_side(1, 16)
+    report = mercer.error_decomposition(exact, exact.spectrum, 3)
     assert report.e3 == 0.0, \
         "identical spectra must produce exactly zero sampling error"
     assert report.e1 > 0.0 and report.e2 > 0.0
@@ -87,17 +76,17 @@ def test_decomposition_exact_estimate_has_zero_sampling_error():
 
 
 def test_decomposition_e1_matches_closed_form():
-    field, _, _, _, _, spec = support.brownian_setup(1, 16)
-    report = _decompose(field, spec, spec, 1)
+    exact = support.exact_side(1, 16)
+    report = mercer.error_decomposition(exact, exact.spectrum, 1)
     want = reference.e1_closed_rank1()
     assert abs(report.e1 - want) <= 1e-12 * want, \
         "rank-1 truncation error must equal (4/pi^2) sqrt(pi^4/96 - 1)"
 
 
 def test_decomposition_e1_rate_in_l():
-    field, *_, spec = support.brownian_setup(1, 64)
+    exact = support.exact_side(1, 64)
     Ls = [2, 4, 8, 16, 32]
-    e1s = [_decompose(field, spec, spec, L).e1
+    e1s = [mercer.error_decomposition(exact, exact.spectrum, L).e1
            for L in Ls]
     slope = reference.loglog_slope(Ls, e1s)
     assert abs(slope + 1.5) <= 0.05, \
@@ -110,7 +99,7 @@ def test_decomposition_with_sampled_estimate():
     cov = estimators.estimate_covariance(batch, alpha=1.0)
     s_est = spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED)
     est = spectral.eigensolve(s_est)
-    report = _decompose(field, spec, est, 3)
+    report = mercer.error_decomposition(support.exact_side(1, 16), est, 3)
     assert report.e3 > 0.0 and report.total > 0.0
     assert report.total <= report.e1 + report.e2 + report.e3 + 1e-8
     # e3 is the Frobenius distance of the transformed rank-L
@@ -122,28 +111,28 @@ def test_decomposition_with_sampled_estimate():
 
 
 def test_decomposition_validation():
-    field, _, _, _, _, spec = support.brownian_setup(1, 8)
+    exact = support.exact_side(1, 8)
     *_, other = support.brownian_setup(1, 4)
-    with pytest.raises(ValueError):
-        _decompose(field, spec, other, 2)
-    # the rank check of error_decomposition itself, not the one of
-    # ExactSide.e2 that _decompose would reach first
+    with pytest.raises(ValueError, match="different spaces"):
+        mercer.error_decomposition(exact, other, 2)
+    # the split's rank check is the one of ExactSide.e2
     for L in (0, 10):
-        with pytest.raises(ValueError):
-            mercer.error_decomposition(field, spec, spec, L, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            support.exact_side(1, 8).e2(L)
+        with pytest.raises(ValueError, match="truncation rank"):
+            mercer.error_decomposition(exact, exact.spectrum, L)
+        with pytest.raises(ValueError, match="truncation rank"):
+            exact.e2(L)
 
 
 def test_decomposition_flags_near_degenerate_2d():
     # the 2d sheet has exact multiplicity-two eigenvalues, and the Kronecker
     # discretization preserves the tie: splitting rank L=2 between them is
     # flagged as unreliable while the totals stay valid
-    field, _, _, _, _, spec = support.brownian_setup(2, 4)
+    exact = support.exact_side(2, 4)
+    spec = exact.spectrum
     gap12 = spec.eigenvalues[1] - spec.eigenvalues[2]
     assert gap12 <= 1e-8 * spec.eigenvalues[0], \
         "modes 2 and 3 of the discrete sheet should tie to machine precision"
-    report = _decompose(field, spec, spec, 2)
+    report = mercer.error_decomposition(exact, spec, 2)
     assert report.near_degenerate_split, \
         "a machine-ties eigenvalue window must raise the degeneracy flag"
     assert report.e3 == 0.0
@@ -181,7 +170,7 @@ def test_decomposition_matches_refined_quadrature(d, n, L, refine, q):
     # refinements; 1D is fine enough as it stands.
     field, space, *_, spec = support.brownian_setup(d, n)
     est = _sampled_spectrum(d, n, 400, seed=1)
-    report = _decompose(field, spec, est, L)
+    report = mercer.error_decomposition(support.exact_side(d, n), est, L)
     k_h = reference.rank_l_kernel(spec, L)
     k_est = reference.rank_l_kernel(est, L)
     k_trunc = _truncated_kl(field, L)
@@ -629,6 +618,59 @@ def test_interrupted_study_keeps_its_finished_meshes(monkeypatch):
     assert [(r.index, r.n, r.ok) for r in saved] == [(0, 4, True),
                                                      (2, 4, True)], \
         [r.to_dict() for r in saved]
+
+
+def test_failed_estimate_fails_only_the_cells_of_its_M(monkeypatch):
+    # coverage: the estimate of M=20 fails on every mesh and replication;
+    # both L of M=20 fail with its message, and the M=40 cells that share
+    # the draw are those of an unfailed run
+    from covrecon.errors import NumericError
+
+    cfg = support.make_config(ns=[4, 6], Ms=[20, 40], Ls=[1, 2], n_rep=3,
+                              seed=5)
+    unfailed = mercer.expected_error_study(cfg)
+    mle = estimators.mle_covariance
+
+    def failing_mle(batch):
+        if batch.sample_count == 20:
+            raise NumericError("estimate of M=20")
+        return mle(batch)
+
+    monkeypatch.setattr(estimators, "mle_covariance", failing_mle)
+    cells = mercer.expected_error_study(cfg)
+    assert len(cells) == len(unfailed) == 8
+    for cell, want in zip(cells, unfailed):
+        if cell.M == 20:
+            assert not cell.ok
+            assert cell.error == "NumericError: estimate of M=20"
+        else:
+            assert cell.to_dict() == want.to_dict()
+
+
+def test_failed_exact_side_fails_only_its_mesh(monkeypatch):
+    # coverage: a numeric failure of the exact side on n=6 fails that mesh's
+    # cells before any replication, and the n=4 cells are those of an
+    # unfailed run
+    from covrecon.errors import NumericError
+
+    cfg = support.make_config(ns=[4, 6], Ms=[20, 40], Ls=[1, 2], n_rep=2,
+                              seed=9)
+    unfailed = mercer.expected_error_study(cfg)
+    e2 = mercer.ExactSide.e2
+
+    def failing_e2(self, L):
+        if self.space.mesh.elements_per_axis == 6:
+            raise NumericError("exact side of n=6")
+        return e2(self, L)
+
+    monkeypatch.setattr(mercer.ExactSide, "e2", failing_e2)
+    cells = mercer.expected_error_study(cfg)
+    assert len(cells) == len(unfailed) == 8
+    for cell, want in zip(cells, unfailed):
+        if cell.n == 6:
+            assert not cell.ok and cell.error == "NumericError: exact side of n=6"
+        else:
+            assert cell.to_dict() == want.to_dict()
 
 
 def test_study_pool_has_one_process_per_task_at_most(monkeypatch):
