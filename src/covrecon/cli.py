@@ -76,8 +76,8 @@ def _single(cfg):
 
 
 def cmd_sample(cfg, args):
-    n, M, _ = _single(cfg)
-    exact = mercer.ExactSide(cfg.d, n)
+    n, M, L = _single(cfg)
+    exact = mercer.ExactSide(cfg.d, n, L)
     batch = mercer.draw(cfg, exact, M, cfg.seed)
     path = os.path.join(cfg.out_dir, "batch.csv")
     artifacts.write_batch_csv(path, batch, cfg)
@@ -90,8 +90,8 @@ def cmd_sample(cfg, args):
 
 
 def cmd_estimate(cfg, args):
-    n, M, _ = _single(cfg)
-    exact = mercer.ExactSide(cfg.d, n)
+    n, M, L = _single(cfg)
+    exact = mercer.ExactSide(cfg.d, n, L)
     batch, cov = mercer.estimate(cfg, exact, M, cfg.seed)
     path = os.path.join(cfg.out_dir, "covariance.txt")
     artifacts.write_covariance(path, cov, cfg)
@@ -118,7 +118,7 @@ def cmd_estimate(cfg, args):
 
 def cmd_reconstruct(cfg, args):
     n, M, L = _single(cfg)
-    exact = mercer.ExactSide(cfg.d, n)
+    exact = mercer.ExactSide(cfg.d, n, L)
     rep = mercer.replicate(cfg, exact, M, L, cfg.seed)
     spec, diag, report = rep.spectrum, rep.diagnostics, rep.errors
     ev = spec.eigenvalues

@@ -5,8 +5,7 @@ and exact mass matrices with the actions of their Cholesky factors: for
 d = 1 and d = 2 alike, 1D axis matrices (the factor, or its explicit
 inverses for the solves) applied along every lattice axis.  Only the
 MassMatrix constructor (1D factorizes the axis mass, d > 1 holds the 1D
-MassMatrix of one axis) and the 1D congruence (one dense product, whose
-rounding the 1D artifacts are pinned to) differ by dimension.  Nothing here
+MassMatrix of one axis) differs by dimension.  Nothing here
 integrates by quadrature: sampling and the error split use closed forms of
 the kernel against the basis (see `fields.KlOracle`).
 
@@ -172,15 +171,13 @@ class MassMatrix:
             Y = A @ Y.reshape(m ** j, m, -1)
         return Y.reshape(X.shape)
 
+    def lt(self, B):
+        """L^T B for a (Q_h, k) block or a (Q_h,) vector B."""
+        return self._along_axes(self.chol.T, B)
+
     def congruence(self, A):
         """L^T A L for a (Q_h, Q_h) matrix A."""
-        if self.dim == 1:
-            # one dense product, not the axis loop: the per-axis form rounds
-            # differently at n >= 256 (up to 1.2e-16 relative), which would
-            # move the 1D exact S-tilde and every artifact built on it
-            return self.chol.T @ A @ self.chol
-        lt_a = self._along_axes(self.chol.T, A)
-        return self._along_axes(self.chol.T, lt_a.T).T
+        return self.lt(self.lt(A).T).T
 
     def solve_l(self, B):
         """L^{-1} B for a (Q_h, k) block or a (Q_h,) vector B."""

@@ -114,8 +114,13 @@ class KlOracle:
     # -- public oracle surface ------------------------------------------
     def eigenvalues(self, L):
         """Eigenvalues of ranks 1..L, descending, shape (L,)."""
-        axes = self._ranks(L)[:, :-1]
+        axes = self.axis_indices(L)  # may extend _axis_lam
         return np.prod(self._axis_lam[axes], axis=1)
+
+    def axis_indices(self, L):
+        """Axis indices (l_1, ..., l_dim) of ranks 1..L, shape (L, dim):
+        eigenvalue l is the product of the axis eigenvalues _lam1(l_k)."""
+        return self._ranks(L)[:, :-1]
 
     def eigenfunction(self, ell, points):
         """Values of eigenfunction ell at points of shape (npts, dim)."""
@@ -174,7 +179,7 @@ class KlOracle:
         n = space.mesh.elements_per_axis
         return functools.reduce(
             lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(L, -1),
-            [_sine_moments(n, axis) for axis in self._ranks(L)[:, :-1].T])
+            [_sine_moments(n, axis) for axis in self.axis_indices(L).T])
 
     def kernel_forms(self, space, vectors):
         """v^T B v per column v of vectors, B_ij = <R, theta_i (x) theta_j>.

@@ -22,6 +22,7 @@ execution order or worker scheduling.
 
 import collections
 import functools
+import math
 
 import numpy as np
 
@@ -98,21 +99,77 @@ def error_decomposition(exact, est_spec, L):
 # one replication
 
 
+# Taylor coefficients, in t = theta^2 and highest power first, of the two
+# numerators that cancel at small theta in _sine_terms:
+#   12 sin^2(theta/2) - theta^2 (2 + cos theta)
+#     = sum_{k>=2} (-1)^(k+1) (6 - 2k (2k-1)) t^k / (2k)!   (theta^4/4 - ...)
+#   theta^4 (2 + cos theta) - 48 sin^4(theta/2)
+#     = sum_{k>=4} (-1)^k ((2k)!/(2k-4)! - 6 4^k + 24) t^k / (2k)!
+#                                                          (theta^8/240 - ...)
+# Cut at k = 9 and k = 12, they are below 1e-20 relative off for theta up
+# to _SERIES_BELOW (checked against 50-digit values).
+_SERIES_BELOW = 0.5
+# (A quotient of Python ints rounds once.)
+_SERIES_A = [(-1) ** (k + 1) * (6 - 2 * k * (2 * k - 1)) / math.factorial(2 * k)
+             for k in range(9, 1, -1)]
+_SERIES_B = [(-1) ** k * (math.perm(2 * k, 4) - 6 * 4 ** k + 24)
+             / math.factorial(2 * k) for k in range(12, 3, -1)]
+
+
+def _sine_terms(theta, h):
+    """Closed forms of the discrete Brownian pencil on one axis at
+    theta = (a - 1/2) pi h, a >= 1: the analytic eigenvalue lambda_a =
+    h^2 / theta^2, the exact discrete mu_a = h^2 (2 + cos theta) /
+    (12 sin^2(theta / 2)) (a <= n), lambda_a - mu_a, and c_a^2 =
+    48 sin^4(theta / 2) / (theta^4 (2 + cos theta)) with 1 - c_a^2.  c_a is
+    the moment s_a . Phi_b of the analytic eigenfunction against the exact
+    discrete vector it aliases to (b = a when a <= n).  The differences are
+    taken without cancellation: below theta = _SERIES_BELOW their numerators
+    come from the Taylor series above."""
+    t = theta * theta
+    s2 = np.sin(0.5 * theta) ** 2
+    g = 2.0 + np.cos(theta)
+    small = theta < _SERIES_BELOW
+    ts = np.where(small, t, 0.0)
+    lam_mu = np.where(small, ts * ts * np.polyval(_SERIES_A, ts),
+                      12.0 * s2 - t * g)
+    one_c2 = np.where(small, ts ** 4 * np.polyval(_SERIES_B, ts),
+                      t * t * g - 48.0 * s2 * s2)
+    hh = h * h
+    return (hh / t, hh * g / (12.0 * s2), hh * lam_mu / (12.0 * t * s2),
+            48.0 * s2 * s2 / (t * t * g), one_c2 / (t * t * g))
+
+
+def _telescoped(a, b, diff):
+    """prod_k a_k - prod_k b_k over the last axis, from diff = a - b per
+    factor: sum_k (prod_{j<k} b_j) diff_k (prod_{j>k} a_j), which has no
+    cancellation when diff has none and a, b > 0."""
+    return sum(np.prod(b[..., :k], axis=-1) * diff[..., k]
+               * np.prod(a[..., k + 1:], axis=-1) for k in range(a.shape[-1]))
+
+
 class ExactSide:
-    """The sample-free half of a replication on the n-element mesh.
+    """The sample-free half of a replication on the n-element mesh, with the
+    k leading exact discrete pairs.
 
     field is the Brownian field of dimension d (a fields.KlOracle).  mass,
-    sigma (the exact nodal covariance), s_exact and spectrum are built on
-    first use, so drawing or estimating alone never eigensolves.  The nodal
-    covariance is the d-th Kronecker power of Sigma1, the covariance on one
-    axis, so s_exact is the d-th power of S-tilde1 and its spectrum the d-th
-    Kronecker power of the axis spectrum: in 2D no Q_h x Q_h factorization
-    or eigensolve is run.  e1 and e2 depend on L alone and are kept per L.
+    sigma (the exact nodal covariance) and s_exact are built on first use.
+    The nodal covariance is the d-th Kronecker power of Sigma1, the
+    covariance on one axis, so s_exact is the d-th power of S-tilde1 and
+    spectrum the d-th Kronecker power of the axis pairs, which are closed
+    form (_axis_pairs): no eigensolve is run.  spectrum keeps every
+    eigenvalue and the k leading vectors, so no Q_h x Q_h vector array is
+    formed; a split reads at most rank k.  e1 and e2 depend on L alone and
+    are kept per L.
     """
 
-    def __init__(self, d, n):
+    def __init__(self, d, n, k):
         self.field = fields.KlOracle(d)
         self.space = fem.build_space(d, n)
+        if not 1 <= k <= self.space.dof_count:
+            raise ValueError("k must lie in [1, %d], got %r"
+                             % (self.space.dof_count, k))
+        self.k = k
         self._e1 = {}
         self._e2 = {}
 
@@ -126,24 +183,61 @@ class ExactSide:
         return functools.reduce(np.kron, [axis] * self.space.mesh.dim)
 
     @functools.cached_property
-    def _axis(self):
-        """S-tilde1 of the covariance on one lattice axis."""
+    def s_exact(self):
         x = self.space.mesh.axis_nodes
-        return spectral.transform(self.field.axis_covariance(x),
+        axis = spectral.transform(self.field.axis_covariance(x),
                                   self.mass.axis, spectral.SOURCE_EXACT)
+        return spectral.TransformedStiffness(
+            functools.reduce(np.kron, [axis.matrix] * self.space.mesh.dim),
+            spectral.SOURCE_EXACT, self.mass)
 
     @functools.cached_property
-    def s_exact(self):
-        power = [self._axis.matrix] * self.space.mesh.dim
-        return spectral.TransformedStiffness(
-            functools.reduce(np.kron, power), spectral.SOURCE_EXACT, self.mass)
+    def _axis_eigenvalues(self):
+        """mu_a on one axis, descending, and the node-0 mode's 0 (see
+        _axis_pairs); no mass is assembled."""
+        n = self.space.mesh.elements_per_axis
+        theta = (np.arange(1, n + 1) - 0.5) * (np.pi / n)
+        return np.append(_sine_terms(theta, 1.0 / n)[1], 0.0)
+
+    @functools.cached_property
+    def _axis_pairs(self):
+        """The exact discrete pairs on one axis, descending, with every
+        eigenvalue and the min(k, n + 1) leading vectors, in closed form.
+
+        Node 0 carries no variance.  On nodes 1..n the vectors
+        v_a = sin(j theta_a), theta_a = (a - 1/2) pi / n, satisfy
+        G1 v_a = g_a W v_a and Sigma1^{-1} v_a = sigma_a W v_a with
+        W = diag(1, ..., 1, 1/2), g_a = h (2 + cos theta_a) / 3 and
+        sigma_a = (2 - 2 cos theta_a) / h (a sine transform; Strang, "The
+        discrete cosine transform", SIAM Review 1999), so they are the
+        generalized eigenvectors, with mu_a = g_a / sigma_a.  Phi_a =
+        v_a / N_a, N_a^2 = (2 + cos theta_a) / 6, is G-orthonormal.  The
+        last pair is the node-0 mode of eigenvalue exactly 0, whose tilde
+        vector is L1^{-1} e_0 normalized.  The tilde vectors are L1^T Phi,
+        with eigensolve's canonical signs.
+        """
+        n = self.space.mesh.elements_per_axis
+        axis = self.mass.axis
+        m = min(self.k, n)
+        odd = 2 * np.arange(1, m + 1) - 1
+        # j theta_a = (2a - 1) j pi / (2n), reduced exactly modulo 2 pi
+        arg = np.outer(np.arange(n + 1), odd) % (4 * n)
+        gen = np.sin(arg * (np.pi / (2 * n))) \
+            / np.sqrt((2.0 + np.cos(odd * (np.pi / (2 * n)))) / 6.0)
+        if self.k > n:
+            zero = axis.solve_l(np.eye(n + 1)[:, 0])
+            zero /= np.linalg.norm(zero)
+            gen = np.column_stack([gen, axis.solve_lt(zero)])
+        tilde = axis.lt(gen)
+        signs = spectral.canonical_signs(tilde)
+        return spectral.DiscreteSpectrum(self._axis_eigenvalues,
+                                         tilde * signs, gen * signs,
+                                         spectral.SOURCE_EXACT, axis)
 
     @functools.cached_property
     def spectrum(self):
-        # the axis spectrum is not kept: in 1D its first power is a copy,
-        # and keeping both would hold the Q_h x Q_h vectors twice
-        return spectral.kronecker_power(spectral.eigensolve(self._axis),
-                                        self.mass, self.space.mesh.dim)
+        return spectral.kronecker_power(self._axis_pairs, self.mass,
+                                        self.space.mesh.dim, self.k)
 
     def e1(self, L):
         """Truncation error sqrt(field.tail_sq(L))."""
@@ -152,24 +246,51 @@ class ExactSide:
         return self._e1[L]
 
     def e2(self, L):
-        """Discretization error of the rank-L exact discrete kernel.
+        """Discretization error of the rank-L exact discrete kernel, for
+        1 <= L <= k.
 
-        With analytic pairs (lambda_l, phi_l), exact discrete (mu_m, Phi_m),
-        l, m <= L, and moments s_l = field.moments:
+        With analytic pairs (lambda_l, phi_l) and exact discrete (mu_m,
+        Phi_m) of ranks l, m <= L, and moments s_l = field.moments,
         e2^2 = ||lambda||^2 + ||mu||^2 - 2 sum lambda_l mu_m (s_l . Phi_m)^2.
+        s_l . Phi_m vanishes except where m is the index tuple of l, or the
+        tuple it aliases to (_sine_terms), where it is the product of the
+        axis c.  So e2^2 sums, over the union of the two rank sets,
+        (lambda - mu)^2 + 2 lambda mu (1 - C^2) for a tuple in both, lambda^2
+        or mu^2 for a tuple in one, and -2 lambda mu C^2 for an aliased pair:
+        without cancellation while L <= n.
         """
-        if not 1 <= L <= self.space.dof_count:
-            raise ValueError("truncation rank L=%r must lie in [1, %d]"
-                             % (L, self.space.dof_count))
+        if not 1 <= L <= self.k:
+            raise ValueError("truncation rank L=%r must lie in [1, %d] (the "
+                             "exact vectors kept)" % (L, self.k))
         if L not in self._e2:
-            lams = self.field.eigenvalues(L)
-            mu = self.spectrum.eigenvalues[:L]
-            cross = (self.field.moments(self.space, L)
-                     @ self.spectrum.gen_vectors[:, :L])
-            e2_sq = lams @ lams + mu @ mu - 2.0 * lams @ cross ** 2 @ mu
-            # e2^2 can round below 0
-            self._e2[L] = float(np.sqrt(max(e2_sq, 0.0)))
+            self._e2[L] = float(np.sqrt(max(self._e2_sq(L), 0.0)))
         return self._e2[L]
+
+    def _e2_sq(self, L):
+        n, d = self.space.mesh.elements_per_axis, self.space.mesh.dim
+        lam = self.field.eigenvalues(L)
+        ana = self.field.axis_indices(L)
+        lam_ax, _, lam_mu, c2, one_c2 = _sine_terms(
+            (ana - 0.5) * (np.pi / n), 1.0 / n)
+        # sin(j theta_a) = +-sin(j theta_b) at every node j, for b the alias
+        # of a in 1..n (theta_a = +-theta_b modulo 2 pi)
+        r = (ana - 1) % (2 * n) + 1
+        alias = np.where(r <= n, r, 2 * n + 1 - r)
+        mu_ax = _sine_terms((alias - 0.5) * (np.pi / n), 1.0 / n)[1]
+        mu = np.prod(mu_ax, axis=1)
+        vals, order = spectral.kronecker_order(self._axis_eigenvalues, d)
+        disc = order[:L]
+        flat = np.ravel_multi_index(tuple(alias.T - 1), (n + 1,) * d)
+        own = np.all(ana <= n, axis=1)
+        hit = np.isin(flat, disc)
+        both, cross = own & hit, ~own & hit
+        diff = _telescoped(lam_ax[both], mu_ax[both], lam_mu[both])
+        one_minus = _telescoped(np.ones_like(c2[both]), c2[both], one_c2[both])
+        terms = (lam[~both] ** 2,
+                 vals[:L][~np.isin(disc, flat[both])] ** 2,
+                 diff ** 2 + 2.0 * lam[both] * mu[both] * one_minus,
+                 -2.0 * lam[cross] * mu[cross] * np.prod(c2[cross], axis=1))
+        return math.fsum(np.concatenate(terms))
 
 
 def draw(config, exact, M, seed):
@@ -319,25 +440,14 @@ def run_mesh(config, mesh_index, cells, reps):
     L splits the error of that spectrum and reads the first L gap
     conditions.  One replication's batch and spectra are held at a time.
 
-    A cell stops at its first failure.  A failed exact side fails the
-    mesh's cells before any replication, a failed estimate, eigensolve or
-    diagnostics fails the cells of its M, and a failed error split fails
-    its own cell alone.
+    A cell stops at its first failure.  A failed estimate, eigensolve or
+    diagnostics (which read the exact side's s_exact and spectrum) fails
+    the cells of its M, and a failed error split (which reads its e1 and
+    e2) fails its own cell alone.
     """
-    exact = ExactSide(config.d, config.ns[mesh_index])
     k = max(config.Ls)
+    exact = ExactSide(config.d, config.ns[mesh_index], k)
     tallies = [_Tally() for _ in cells]
-    # the sample-free values come before any draw, although the first split
-    # could set them as it sets tau and p0: deferred, the exact spectrum is
-    # built while a batch and its estimate are alive, and the peak RSS of
-    # the study-fine-projection benchmark study rose by 1.8 MB or more
-    for tally, (_, L, _, _) in zip(tallies, cells):
-        try:
-            tally.e1, tally.e2 = exact.e1(L), exact.e2(L)
-            tally.lambda1_dev = float(abs(exact.spectrum.eigenvalues[0]
-                                          - exact.field.eigenvalues(1)[0]))
-        except NumericError as exc:
-            tally.error = _failure(exc)
     for rep in reps:
         by_M = {}
         for tally, (_, L, _, M) in zip(tallies, cells):
@@ -370,7 +480,11 @@ def _replicate_prefix(config, exact, batch, group, k):
         try:
             errors = error_decomposition(exact, spec, L)
             if tally.p0 is None:
-                # tau and the estimate's M do not depend on the samples
+                # the sample-free values, and tau and the estimate's M, which
+                # do not depend on the samples
+                tally.e1, tally.e2 = errors.e1, errors.e2
+                tally.lambda1_dev = float(abs(exact.spectrum.eigenvalues[0]
+                                              - exact.field.eigenvalues(1)[0]))
                 tally.tau = cov.tau
                 tally.p0 = success_bound(config, exact, cov.tau, cov.M, L)
             tally.totals.append(errors.total)

@@ -7,7 +7,7 @@ back via Phi = (L^G)^{-T} Phi-tilde, which makes the finite element
 functions phi_l = Phi_l . theta exactly L2-orthonormal.  Every action of
 L^G goes through the mass object, which in 2D applies the axis factor along
 both lattice axes; the 2D exact spectrum is the Kronecker square of the 1D
-one (kronecker_power).
+one (kronecker_power), whose pairs mercer.ExactSide forms in closed form.
 
 Diagnostics compare an exact-discrete spectrum against an estimated one:
 Weyl eigenvalue stability, mixed spectral gaps, the spectral-gap condition,
@@ -151,9 +151,7 @@ def eigensolve(ts, k=None):
             raise _dumped_error(
                 ts.matrix, "Lanczos missed a leading eigenvalue",
                 "Ritz values %r against eigenvalues %r" % (theta, vals[:k]))
-    lead = np.argmax(np.abs(vecs), axis=0)
-    signs = np.where(vecs[lead, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
-    vecs = vecs * signs
+    vecs = vecs * canonical_signs(vecs)
     gen = ts.mass.solve_lt(vecs)
     if k is not None:
         # below the switch the dense solve is back-transformed whole, so the
@@ -162,30 +160,49 @@ def eigensolve(ts, k=None):
     return DiscreteSpectrum(vals, vecs, gen, ts.source, ts.mass)
 
 
-def kronecker_power(axis_spec, mass, d):
+def canonical_signs(vecs):
+    """Signs (+-1 per column) that make each column's component of largest
+    magnitude, the first such index on ties, positive."""
+    lead = np.argmax(np.abs(vecs), axis=0)
+    return np.where(vecs[lead, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
+
+
+def kronecker_order(mu, d):
+    """The eigenvalues of the d-th Kronecker power of a matrix with the
+    eigenvalues mu, in stable descending order, and the flat lattice index
+    of the axis index tuple of each: the products mu_i mu_j (likewise for
+    every d), with a tie putting (i, j) before (j, i) (i < j)."""
+    vals = functools.reduce(np.multiply.outer, [mu] * d).ravel()
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], order
+
+
+def kronecker_power(axis_spec, mass, d, k):
     """Spectrum of the d-th Kronecker power of S-tilde1 on the mass of the
-    d-dimensional lattice, from the pairs of S-tilde1 on one axis: no Q_h x
-    Q_h eigensolve.
+    d-dimensional lattice, from the pairs of S-tilde1 on one axis: every
+    eigenvalue (kronecker_order) and the k leading vectors, and no Q_h x Q_h
+    eigensolve or vector array.
 
     Eigenvalue mu_i mu_j has the tilde vector v_i kron v_j and, since
     L^G = L1 kron L1, the generalized vector Phi_i kron Phi_j (likewise for
-    every d).  The stable descending sort puts v_i kron v_j before its tie
-    v_j kron v_i (i < j).  A product of canonically signed vectors is
-    canonically signed: its largest component is the product of the largest.
-    For d = 1 it equals the axis spectrum, bit for bit.
+    every d).  With the axis eigenvalues nonnegative and descending, rank r
+    has no axis index above r, so the axis spectrum needs only its
+    min(k, n + 1) leading vectors.  A product of canonically signed vectors
+    is canonically signed: its largest component is the product of the
+    largest.  For d = 1 it is the axis spectrum with its k leading vectors,
+    bit for bit.
     """
     mu = axis_spec.eigenvalues
-    vals = functools.reduce(np.multiply.outer, [mu] * d).ravel()
-    order = np.argsort(-vals, kind="stable")
-    index = np.unravel_index(order, (mu.size,) * d)
+    vals, order = kronecker_order(mu, d)
+    index = np.unravel_index(order[:k], (mu.size,) * d)
 
     def power(V):
         P = V[:, index[0]]
         for i in index[1:]:
-            P = (P[:, None, :] * V[None, :, i]).reshape(-1, vals.size)
+            P = (P[:, None, :] * V[None, :, i]).reshape(-1, k)
         return P
 
-    return DiscreteSpectrum(vals[order], power(axis_spec.tilde_vectors),
+    return DiscreteSpectrum(vals, power(axis_spec.tilde_vectors),
                             power(axis_spec.gen_vectors), axis_spec.source,
                             mass)
 

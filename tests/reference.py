@@ -448,3 +448,121 @@ def frobenius_rank_l_diff(exact_spec, est_spec, l):
         return (vt * lam) @ vt.T
 
     return float(np.linalg.norm(build(exact_spec) - build(est_spec)))
+
+
+# ---------------------------------------------------------------------------
+# the exact discrete side of Brownian motion
+# ---------------------------------------------------------------------------
+
+def dense_exact_pairs(field, mass):
+    """The exact discrete spectrum by the dense route: the axis S-tilde1 =
+    L1^T Sigma1 L1 as one dense triple product, numpy's eigh with the
+    canonical signs (largest component positive), generalized vectors
+    L1^{-T} v, and the Kronecker products of the axis pairs in stable
+    descending order.  Returns (eigenvalues, tilde vectors, generalized
+    vectors), every one of the Q_h pairs."""
+    L1 = np.asarray(mass.chol)
+    sigma1 = field.axis_covariance(mass.space.mesh.axis_nodes)
+    raw = L1.T @ sigma1 @ L1
+    vals, vecs = np.linalg.eigh(0.5 * (raw + raw.T))
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    lead = np.argmax(np.abs(vecs), axis=0)
+    vecs = vecs * np.sign(vecs[lead, np.arange(vecs.shape[1])])
+    gen = sla.solve_triangular(L1.T, vecs, lower=False)
+    d = mass.dim
+    prod = vals if d == 1 else np.multiply.outer(vals, vals).ravel()
+    order = np.argsort(-prod, kind="stable")
+    if d == 1:
+        return prod[order], vecs[:, order], gen[:, order]
+    return (prod[order], np.kron(vecs, vecs)[:, order],
+            np.kron(gen, gen)[:, order])
+
+
+def e2_mpmath(d, n, Ls, dps=40):
+    """e2 of the rank-L exact discrete Brownian kernel on the n-element
+    mesh, for each L in Ls, as a dps-digit mpmath number, from its definition
+
+      e2^2 = sum_l lambda_l^2 + sum_m mu_m^2
+             - 2 sum_{l, m} lambda_l mu_m (s_l . Phi_m)^2
+
+    over the analytic ranks l <= L (kl_ranks) and the discrete ranks m <= L
+    (products of the axis mu in stable descending order, by brute sort).  s_l are the
+    exact sine moments of the eigenfunctions against the hats and Phi_m the
+    closed-form G-orthonormal vectors, both node by node; in 2D each dot
+    product is the product of two axis dot products."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        h = mpmath.mpf(1) / n
+        half = mpmath.mpf(1) / 2
+        theta = lambda a: (a - half) * mpmath.pi / n
+
+        def mu(b):  # 0-based axis index; b = n is the node-0 mode
+            if b == n:
+                return mpmath.mpf(0)
+            t = theta(b + 1)
+            return h ** 2 * (2 + mpmath.cos(t)) / (12 * mpmath.sin(t / 2) ** 2)
+
+        sines = {}
+
+        def sine(t):  # sin(j t), j = 0..n
+            if t not in sines:
+                sines[t] = [mpmath.sin(j * t) for j in range(n + 1)]
+            return sines[t]
+
+        moments, dots = {}, {}
+
+        def dot(a, b):  # s_a . Phi_b, a 1-based analytic, b 0-based discrete
+            if b == n:  # the node-0 mode has mu = 0: its term vanishes
+                return mpmath.mpf(0)
+            if a not in moments:
+                # interior hats, and half at node n; Phi_b vanishes at node 0
+                w = (a - half) * mpmath.pi
+                scale = mpmath.sqrt(2) * 4 * mpmath.sin(w * h / 2) ** 2 \
+                    / (w * w * h)
+                moments[a] = [scale * v for v in sine(theta(a))]
+                moments[a][n] /= 2
+            if (a, b) not in dots:
+                tb = theta(b + 1)
+                dots[(a, b)] = mpmath.fdot(moments[a], sine(tb)) \
+                    / mpmath.sqrt((2 + mpmath.cos(tb)) / 6)
+            return dots[(a, b)]
+
+        # the axis mu descend, so rank m <= L has no axis index above m - 1:
+        # the box of indices below max(Ls) holds every rank read, and its
+        # lexicographic order is the flat order of the whole lattice
+        box = min(max(Ls), n + 1)
+        axis_mu = [mu(b) for b in range(box)]
+        tuples = [()]
+        for _ in range(d):
+            tuples = [t + (b,) for t in tuples for b in range(box)]
+        prods = [mpmath.fprod(axis_mu[b] for b in t) for t in tuples]
+        # stable descending: ties keep the lexicographic (flat) order
+        order = sorted(range(len(tuples)), key=lambda f: -prods[f])
+        out = []
+        for L in Ls:
+            ana = [tuple(int(a) for a in row)
+                   for row in kl_ranks(d, L, L)[:, :d]]
+            lam = [mpmath.fprod(1 / ((a - half) * mpmath.pi) ** 2 for a in t)
+                   for t in ana]
+            disc = order[:L]
+            cross = mpmath.fsum(
+                lam[i] * prods[f] * mpmath.fprod(
+                    dot(a, b) for a, b in zip(t, tuples[f])) ** 2
+                for i, t in enumerate(ana) for f in disc)
+            e2_sq = (mpmath.fsum(v ** 2 for v in lam)
+                     + mpmath.fsum(prods[f] ** 2 for f in disc) - 2 * cross)
+            out.append(mpmath.sqrt(e2_sq))
+        return out
+
+
+def e2_sq_from_moments(exact, L):
+    """e2^2 by the moment formula ||lambda||^2 + ||mu||^2 - 2 lambda^T
+    (S Phi)^2 mu in floats, with S = field.moments and Phi the exact side's
+    first L generalized vectors, and the scale ||lambda||^2 + ||mu||^2 of
+    its roundoff."""
+    lams = exact.field.eigenvalues(L)
+    mu = exact.spectrum.eigenvalues[:L]
+    cross = exact.field.moments(exact.space, L) @ exact.spectrum.gen_vectors[:, :L]
+    scale = lams @ lams + mu @ mu
+    return scale - 2.0 * lams @ cross ** 2 @ mu, scale

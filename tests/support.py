@@ -12,9 +12,10 @@ from covrecon import mercer
 
 @functools.lru_cache(maxsize=None)
 def exact_side(d, n):
-    """The pipeline's exact side of the Brownian field on the n-element mesh.
-    Cached: brownian_setup returns its parts, and e2 is kept on it."""
-    return mercer.ExactSide(d, n)
+    """The pipeline's exact side of the Brownian field on the n-element mesh,
+    keeping all Q_h exact vectors.  Cached: brownian_setup returns its parts,
+    and e2 is kept on it."""
+    return mercer.ExactSide(d, n, (n + 1) ** d)
 
 
 def brownian_setup(d, n):

@@ -407,7 +407,7 @@ def test_cli_estimate_exact_writes_the_exact_covariance(tmp_path):
     assert run_cli("estimate", "--config", path) == 0
     cov_path = os.path.join(out, "covariance.txt")
     cov = artifacts.read_covariance(cov_path)
-    assert np.array_equal(cov.matrix, mercer.ExactSide(1, 4).sigma)
+    assert np.array_equal(cov.matrix, mercer.ExactSide(1, 4, 1).sigma)
     with open(cov_path) as fh:
         lines = [ln for ln in fh.read().splitlines()
                  if not ln.startswith("#")]
@@ -453,6 +453,9 @@ def test_cli_reconstruct_exact_mode_2d(tmp_path):
     assert report["errors"]["e3"] == 0.0
     assert report["diagnostics"]["weyl_bound"] == 0.0
     assert max(report["diagnostics"]["eigenvalue_dev"]) == 0.0
+    # the closed-form exact spectrum holds the 2n+1 node-0 modes at exactly 0
+    assert report["diagnostics"]["min_eigenvalue"] == 0.0
+    assert report["diagnostics"]["n_negative_eigenvalues"] == 0
     assert report["errors"]["near_degenerate_split"], \
         "modes 2 and 3 of the sheet tie exactly"
     _, rows = artifacts.read_csv(os.path.join(out, "spectrum.csv"))

@@ -61,7 +61,7 @@ def test_mle_operator_error_rate_in_m():
     # fixed Q: mean opnorm error of the MLE decays like M^{-1/2}
     space = fem.build_space(1, 8)
     field = fields.KlOracle(1)
-    sigma = mercer.ExactSide(1, 8).sigma
+    sigma = mercer.ExactSide(1, 8, 1).sigma
     Ms = [500, 2000, 8000]
     means = []
     for i, M in enumerate(Ms):
@@ -277,7 +277,7 @@ def test_tapered_2d_total_falls_with_m():
     for M in (500, 2000, 8000):
         cfg = support.make_config(d=2, estimator="Tapered", alpha=1.0,
                                   ns=[16], Ms=[M], Ls=[3], n_rep=4)
-        exact = mercer.ExactSide(2, 16)
+        exact = mercer.ExactSide(2, 16, 3)
         means.append(np.mean([
             mercer.replicate(cfg, exact, M, 3, mercer.rep_seed(0, 0, r))
             .errors.total for r in range(cfg.n_rep)]))
@@ -302,7 +302,7 @@ def test_decay_constant_grows_with_dof_count():
     # grows ~quadratically in Q -- the field is *not* in a fixed decay class
     ests = []
     for n in (16, 32):
-        sigma = mercer.ExactSide(1, n).sigma
+        sigma = mercer.ExactSide(1, n, 1).sigma
         ests.append(estimators.decay_class_check(sigma, 1.0, 1.0, 2.0, 1).C1_est)
     ratio = ests[1] / ests[0]
     assert 3.4 <= ratio <= 4.8, \

@@ -123,6 +123,98 @@ def test_decomposition_validation():
             exact.e2(L)
 
 
+@pytest.mark.parametrize("d, n", [(1, 32), (1, 512), (1, 4096), (2, 16),
+                                  (2, 64)])
+def test_e2_matches_the_40_digit_definition(d, n):
+    # the closed form, with its Taylor numerators below theta = 0.5, against
+    # the definition summed over sine moments and vectors at 40 digits
+    exact = mercer.ExactSide(d, n, 5)
+    Ls = (1, 3, 5)
+    for L, want in zip(Ls, reference.e2_mpmath(d, n, Ls)):
+        got = exact.e2(L)
+        assert abs(got - want) <= 1e-13 * want, \
+            "%dD n=%d L=%d: e2 %.17e vs 40 digits %s" % (d, n, L, got, want)
+        if (d, n, L) == (1, 512, 5):
+            assert abs(want - 8.4105813668e-07) <= 5e-18
+
+
+@pytest.mark.parametrize("d, n", [(1, 6), (2, 4)])
+def test_e2_up_to_full_rank_matches_the_moment_formula(d, n):
+    # every L up to Q_h, where analytic axis indices above n alias to lower
+    # discrete ones (in 2D at n=4 past 2n, more than once), against the
+    # moment formula within its roundoff
+    exact = support.exact_side(d, n)
+    for L in range(1, exact.space.dof_count + 1):
+        want, scale = reference.e2_sq_from_moments(exact, L)
+        got = exact.e2(L) ** 2
+        assert abs(got - want) <= 16 * np.finfo(float).eps * scale, \
+            "%dD n=%d L=%d: e2^2 %.17e vs %.17e" % (d, n, L, got, want)
+
+
+def test_exact_side_refuses_a_split_above_k():
+    exact = mercer.ExactSide(1, 16, 3)
+    assert exact.spectrum.tilde_vectors.shape == (17, 3)
+    assert exact.spectrum.eigenvalues.shape == (17,)
+    mercer.error_decomposition(exact, exact.spectrum, 3)
+    with pytest.raises(ValueError, match="truncation rank"):
+        mercer.error_decomposition(exact, exact.spectrum, 4)
+    with pytest.raises(ValueError, match="truncation rank"):
+        exact.e2(4)
+    for k in (0, 18):
+        with pytest.raises(ValueError, match="k must lie"):
+            mercer.ExactSide(1, 16, k)
+
+
+def test_exact_side_2d_n128_forms_no_q_by_q_array(monkeypatch):
+    # one Q_h x Q_h float64 array is 2.2 GB at n=128 (Q_h = 16641), and the
+    # exact side runs no eigensolve, in 1D or 2D
+    import tracemalloc
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("the exact side must not eigensolve")
+
+    monkeypatch.setattr(spectral, "eigensolve", no_eigensolve)
+    one = mercer.ExactSide(1, 512, 5)
+    assert one.spectrum.tilde_vectors.shape == (513, 5) and one.e2(5) > 0.0
+    tracemalloc.start()
+    try:
+        exact = mercer.ExactSide(2, 128, 8)
+        e1, e2 = exact.e1(8), exact.e2(8)
+        spec = exact.spectrum
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, "peak %.1f MB" % (peak / 2 ** 20)
+    assert spec.eigenvalues.shape == (129 ** 2,)
+    assert spec.tilde_vectors.shape == spec.gen_vectors.shape == (129 ** 2, 8)
+    assert 0.0 < e2 < e1
+
+
+def test_reconstruct_and_study_keep_k_exact_vectors(tmp_path, monkeypatch):
+    # k is L for reconstruct and max(Ls) for a study, on every mesh
+    from covrecon import cli
+
+    made = []
+    init = mercer.ExactSide.__init__
+
+    def recording_init(self, d, n, k):
+        init(self, d, n, k)
+        made.append(self)
+
+    monkeypatch.setattr(mercer.ExactSide, "__init__", recording_init)
+    path = support.write_yaml(tmp_path / "cfg.yaml", support.basic_yaml(
+        str(tmp_path / "out"), n=8, M=40, L=3))
+    assert cli.main(["reconstruct", "--config", path]) == 0
+    cfg = support.make_config(ns=[6, 8], Ms=[20, 40], Ls=[1, 4], n_rep=2)
+    assert all(c.ok for c in mercer.expected_error_study(cfg))
+    assert [(e.space.mesh.elements_per_axis, e.k) for e in made] == \
+        [(8, 3), (6, 4), (8, 4)]
+    for exact in made:
+        spec = vars(exact)["spectrum"]  # built by the run
+        assert spec.tilde_vectors.shape[1] == spec.gen_vectors.shape[1] \
+            == exact.k
+
+
 def test_decomposition_flags_near_degenerate_2d():
     # the 2d sheet has exact multiplicity-two eigenvalues, and the Kronecker
     # discretization preserves the tie: splitting rank L=2 between them is
@@ -374,7 +466,7 @@ def test_exact_replication_reuses_the_exact_side():
     # the Exact estimate is the exact side's own transform and spectrum: no
     # nodal covariance is formed and the sampling error is exactly 0
     cfg = support.make_config(d=2, estimator="Exact", ns=[6], Ls=[3])
-    exact = mercer.ExactSide(2, 6)
+    exact = mercer.ExactSide(2, 6, 3)
     rep = mercer.replicate(cfg, exact, 50, 3, 0)
     assert rep.spectrum is exact.spectrum
     assert (rep.estimator, rep.tau, rep.M) == ("Exact", 0, 0)
@@ -430,22 +522,21 @@ def test_run_cell_computes_e1_and_p0_once(monkeypatch):
 
 
 def test_run_cell_computes_e2_once(monkeypatch):
-    # e2 depends on the mesh and L only: its moments are taken once per
-    # (mesh, L)
+    # e2 depends on the mesh and L only: it is summed once per (mesh, L)
     calls = []
-    moments = fields.KlOracle.moments
+    e2_sq = mercer.ExactSide._e2_sq
 
-    def counting_moments(self, space, L):
-        calls.append((space.mesh.elements_per_axis, L))
-        return moments(self, space, L)
+    def counting_e2_sq(self, L):
+        calls.append((self.space.mesh.elements_per_axis, L))
+        return e2_sq(self, L)
 
-    monkeypatch.setattr(fields.KlOracle, "moments", counting_moments)
+    monkeypatch.setattr(mercer.ExactSide, "_e2_sq", counting_e2_sq)
     cfg = support.make_config(ns=[6, 8], Ms=[20, 40], Ls=[1, 2], n_rep=4)
     cells = mercer.expected_error_study(cfg)
     assert all(c.ok for c in cells), [c.error for c in cells]
     assert calls == [(6, 1), (6, 2), (8, 1), (8, 2)], calls
     for cell in cells:
-        assert cell.mean_e2 == mercer.ExactSide(1, cell.n).e2(cell.L)
+        assert cell.mean_e2 == mercer.ExactSide(1, cell.n, 2).e2(cell.L)
 
 
 def test_run_cell_holds_one_replication_at_a_time(monkeypatch):
@@ -648,9 +739,9 @@ def test_failed_estimate_fails_only_the_cells_of_its_M(monkeypatch):
 
 
 def test_failed_exact_side_fails_only_its_mesh(monkeypatch):
-    # coverage: a numeric failure of the exact side on n=6 fails that mesh's
-    # cells before any replication, and the n=4 cells are those of an
-    # unfailed run
+    # coverage: a numeric failure of the exact side's e2 on n=6 fails each
+    # of that mesh's cells at its first split, and the n=4 cells are those
+    # of an unfailed run
     from covrecon.errors import NumericError
 
     cfg = support.make_config(ns=[4, 6], Ms=[20, 40], Ls=[1, 2], n_rep=2,

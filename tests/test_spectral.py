@@ -1,5 +1,6 @@
 """Transformed stiffness, eigensolver, sign alignment and stability diagnostics."""
 
+import functools
 import os
 import re
 
@@ -38,7 +39,7 @@ def test_transform_zero_and_mismatch():
 def test_transform_small_grid_triple_product():
     space = fem.build_space(1, 2)
     mass = fem.assemble_mass(space)
-    sigma = mercer.ExactSide(1, 2).sigma
+    sigma = mercer.ExactSide(1, 2, 1).sigma
     ts = spectral.transform(sigma, mass)
     L = mass.chol
     direct = L.T @ sigma @ L
@@ -52,7 +53,7 @@ def test_transform_accepts_covariance_objects():
 
     space = fem.build_space(1, 4)
     mass = fem.assemble_mass(space)
-    sigma = mercer.ExactSide(1, 4).sigma
+    sigma = mercer.ExactSide(1, 4, 1).sigma
     cov = estimators.TaperedCovariance(sigma, tau=0, alpha=None,
                                        estimator_kind="Exact", M=0)
     a = spectral.transform(cov, mass).matrix
@@ -166,9 +167,9 @@ def test_kronecker_exact_side_matches_dense_oracle(n, modes):
 
 def test_kronecker_ties_use_the_product_basis():
     # mu1 mu2 = mu2 mu1 exactly: modes 2 and 3 are v1 (x) v2 then v2 (x) v1
-    exact = mercer.ExactSide(2, 6)
+    exact = support.exact_side(2, 6)
     spec = exact.spectrum
-    axis = mercer.ExactSide(1, 6).spectrum
+    axis = support.exact_side(1, 6).spectrum
     v1, v2 = axis.tilde_vectors[:, 0], axis.tilde_vectors[:, 1]
     assert np.array_equal(spec.eigenvalues[:2],
                           axis.eigenvalues[0] * axis.eigenvalues[:2])
@@ -178,17 +179,53 @@ def test_kronecker_ties_use_the_product_basis():
     assert np.array_equal(exact.s_exact.matrix, exact.s_exact.matrix.T)
 
 
-def test_kronecker_first_power_is_the_axis_eigensolve():
-    # in 1D the exact side takes the same Kronecker-power path as in 2D; its
-    # first power must be the plain transform and eigensolve, bit for bit
-    exact = mercer.ExactSide(1, 9)
-    s1 = spectral.transform(exact.sigma, exact.mass, spectral.SOURCE_EXACT)
-    spec1 = spectral.eigensolve(s1)
-    assert np.array_equal(exact.s_exact.matrix, s1.matrix)
-    spec = exact.spectrum
-    for name in ("eigenvalues", "tilde_vectors", "gen_vectors"):
-        assert np.array_equal(getattr(spec, name), getattr(spec1, name)), name
-    assert spec.mass is exact.mass and spec.source == spectral.SOURCE_EXACT
+def test_closed_form_exact_pairs_match_the_dense_route():
+    # the exact side's closed-form sine pairs against the dense route it
+    # replaced (tests/reference.py): the axis eigh and its Kronecker
+    # products.  Each vector of a nonzero eigenvalue matches up to sign,
+    # within the dense axis solve's roundoff (n eps mu_1 / gap per axis
+    # vector, summed over the axes of a product); the node-0 zero modes,
+    # which the dense route leaves at +-roundoff in any order, span its null
+    # space
+    eps = np.finfo(float).eps
+    for d, n in ((1, 4), (1, 17), (1, 64), (2, 4), (2, 16)):
+        exact = support.exact_side(d, n)
+        spec = exact.spectrum
+        Q = spec.dof_count
+        vals, tilde, gen = reference.dense_exact_pairs(exact.field, exact.mass)
+        assert spec.tilde_vectors.shape == spec.gen_vectors.shape == (Q, Q)
+        assert np.max(np.abs(spec.eigenvalues - vals)) <= Q * eps * vals[0], \
+            "%dD n=%d: eigenvalues off the dense route" % (d, n)
+        zero = spec.eigenvalues == 0.0
+        assert np.count_nonzero(zero) == (2 * n + 1 if d == 2 else 1), \
+            "%dD n=%d: the node-0 modes must be exact zeros" % (d, n)
+        assert np.all(spec.eigenvalues[~zero] > 0.0)
+
+        mu = support.exact_side(1, n).spectrum.eigenvalues
+        gaps = np.array([np.min(np.abs(np.delete(mu, i) - mu[i]))
+                         for i in range(n + 1)])
+        order = np.argsort(-functools.reduce(np.multiply.outer, [mu] * d)
+                           .ravel(), kind="stable")
+        tol = sum((n + 1) * eps * mu[0] / gaps[i]
+                  for i in np.unravel_index(order, (n + 1,) * d))
+        vt, vg = spec.tilde_vectors, spec.gen_vectors
+        signs = np.sign(np.sum(vt * tilde, axis=0))
+        scale = 1.0 / np.sqrt(exact.mass.lambda_min)  # ||L^-T||
+        for got, want, bound in ((vt, tilde, tol), (vg, gen, scale * tol)):
+            err = np.max(np.abs(got - want * signs), axis=0)
+            assert np.all(err[~zero] <= bound[~zero]), \
+                "%dD n=%d: a vector is off the dense route" % (d, n)
+        P = vt[:, zero] @ vt[:, zero].T
+        P_dense = tilde[:, zero] @ tilde[:, zero].T
+        assert np.max(np.abs(P - P_dense)) <= 1e-12, \
+            "%dD n=%d: the zero modes span another space" % (d, n)
+
+        G = reference.dense_mass(exact.mass)
+        assert np.max(np.abs(vg.T @ G @ vg - np.eye(Q))) <= 1e-12, \
+            "%dD n=%d: generalized vectors must be G-orthonormal" % (d, n)
+        lead = np.argmax(np.abs(vt), axis=0)
+        assert np.all(vt[lead, np.arange(Q)] > 0.0), "canonical signs"
+        assert spec.mass is exact.mass and spec.source == spectral.SOURCE_EXACT
 
 
 def test_eigensolve_permutation_invariant_eigenvalues():
