@@ -161,10 +161,12 @@ class MassMatrix:
         inv = np.linalg.inv(self.axis.chol)
         return inv, inv.T, inv.T @ inv
 
-    def _along_axes(self, A, X):
+    def along_axes(self, A, X):
         """(A kron ... kron A) X, one A per lattice axis, for an axis matrix
         A and a (Q_h, k) block or (Q_h,) vector X: A acts on lattice index
-        j of every (batched) line, for j = 0, ..., dim - 1."""
+        j of every (batched) line, for j = 0, ..., dim - 1.  Each entry of
+        (A kron ... kron A) I is the one product of axis entries that
+        np.kron forms, bit for bit."""
         m = A.shape[0]
         Y = X
         for j in range(self.dim):
@@ -173,7 +175,7 @@ class MassMatrix:
 
     def lt(self, B):
         """L^T B for a (Q_h, k) block or a (Q_h,) vector B."""
-        return self._along_axes(self.chol.T, B)
+        return self.along_axes(self.chol.T, B)
 
     def congruence(self, A):
         """L^T A L for a (Q_h, Q_h) matrix A."""
@@ -181,16 +183,16 @@ class MassMatrix:
 
     def solve_l(self, B):
         """L^{-1} B for a (Q_h, k) block or a (Q_h,) vector B."""
-        return self._along_axes(self._axis_inverses[0], B)
+        return self.along_axes(self._axis_inverses[0], B)
 
     def solve_lt(self, B):
         """L^{-T} B for a (Q_h, k) block or a (Q_h,) vector B."""
-        return self._along_axes(self._axis_inverses[1], B)
+        return self.along_axes(self._axis_inverses[1], B)
 
     def solve(self, B):
         """G^{-1} B = L^{-T} L^{-1} B for a (Q_h, k) block or a (Q_h,)
         vector B."""
-        return self._along_axes(self._axis_inverses[2], B)
+        return self.along_axes(self._axis_inverses[2], B)
 
 
 def assemble_mass(space):

@@ -68,13 +68,17 @@ def error_decomposition(exact, est_spec, L):
       e1^2    = sum_{l>L} lambda_l^2                        (ExactSide.e1)
       e2^2    = ||k_L - sum mu Phi (x) Phi||^2              (ExactSide.e2)
       e3      = ||sum mu Phi~ Phi~^T - sum mu^ Phi^~ Phi^~^T||_F
+            = ||R diag(mu, -mu^) R^T||_F
       total^2 = 6^-d - 2 sum mu^_m Phi^_m^T B Phi^_m + ||mu^||^2
 
     with k_L the rank-L truncated KL kernel and B the kernel load form
-    (field.kernel_forms), which is applied and never formed.  Every term is
-    a sum of dyads lambda phi (x) phi, so eigenvector signs drop out.  e1
-    and e2 depend on the mesh and L alone, and the exact side keeps them
-    per L; its e2 checks 1 <= L <= Q_h before any spectrum is read.
+    (field.kernel_forms), which is applied and never formed.  R is the
+    triangular factor of a thin QR of the Q_h x 2L block [Phi~, Phi^~], so
+    e3 takes no Q_h x Q_h product; it is exactly 0.0 when est_spec is the
+    exact spectrum itself.  Every term is a sum of dyads lambda phi (x) phi,
+    so eigenvector signs drop out.  e1 and e2 depend on the mesh and L
+    alone, and the exact side keeps them per L; its e2 checks 1 <= L <= Q_h
+    before any spectrum is read.
     """
     if est_spec.dof_count != exact.space.dof_count:
         raise ValueError("spectra live on different spaces: %d vs %d dofs"
@@ -82,9 +86,12 @@ def error_decomposition(exact, est_spec, L):
     e2, e1 = exact.e2(L), exact.e1(L)  # e2 checks L first
     field, lam = exact.field, exact.spectrum.eigenvalues
     mu, mu_est = lam[:L], est_spec.eigenvalues[:L]
-    vt = exact.spectrum.tilde_vectors[:, :L]
-    vt_est = est_spec.tilde_vectors[:, :L]
-    e3 = float(np.linalg.norm((vt * mu) @ vt.T - (vt_est * mu_est) @ vt_est.T))
+    if est_spec is exact.spectrum:
+        e3 = 0.0
+    else:
+        R = np.linalg.qr(np.hstack([exact.spectrum.tilde_vectors[:, :L],
+                                    est_spec.tilde_vectors[:, :L]]), mode="r")
+        e3 = float(np.linalg.norm((R * np.concatenate([mu, -mu_est])) @ R.T))
     forms = field.kernel_forms(exact.space, est_spec.gen_vectors[:, :L])
     total = float(np.sqrt(field.sum_sq_total() - 2.0 * forms @ mu_est
                           + mu_est @ mu_est))  # rank L: total >= e1 > 0
@@ -155,12 +162,14 @@ class ExactSide:
     field is the Brownian field of dimension d (a fields.KlOracle).  mass,
     sigma (the exact nodal covariance) and s_exact are built on first use.
     The nodal covariance is the d-th Kronecker power of Sigma1, the
-    covariance on one axis, so s_exact is the d-th power of S-tilde1 and
-    spectrum the d-th Kronecker power of the axis pairs, which are closed
-    form (_axis_pairs): no eigensolve is run.  spectrum keeps every
-    eigenvalue and the k leading vectors, so no Q_h x Q_h vector array is
-    formed; a split reads at most rank k.  e1 and e2 depend on L alone and
-    are kept per L.
+    covariance on one axis, so s_exact is the d-th power of S-tilde1, held
+    as S-tilde1 and applied along every axis (spectral.KroneckerStiffness),
+    and spectrum the d-th Kronecker power of the axis pairs, which are
+    closed form (_axis_pairs): no eigensolve is run.  spectrum keeps every
+    eigenvalue and the k leading vectors; a split reads at most rank k.  So
+    the only Q_h x Q_h array formed here is sigma, which only the Exact
+    estimate reads.  e1 and e2 depend on L alone and are kept per L, and
+    lambda1_dev on the mesh alone.
     """
 
     def __init__(self, d, n, k):
@@ -180,16 +189,14 @@ class ExactSide:
     @functools.cached_property
     def sigma(self):
         axis = self.field.axis_covariance(self.space.mesh.axis_nodes)
-        return functools.reduce(np.kron, [axis] * self.space.mesh.dim)
+        return self.mass.along_axes(axis, np.eye(self.space.dof_count))
 
     @functools.cached_property
     def s_exact(self):
         x = self.space.mesh.axis_nodes
         axis = spectral.transform(self.field.axis_covariance(x),
                                   self.mass.axis, spectral.SOURCE_EXACT)
-        return spectral.TransformedStiffness(
-            functools.reduce(np.kron, [axis.matrix] * self.space.mesh.dim),
-            spectral.SOURCE_EXACT, self.mass)
+        return spectral.KroneckerStiffness(axis, self.mass)
 
     @functools.cached_property
     def _axis_eigenvalues(self):
@@ -238,6 +245,16 @@ class ExactSide:
     def spectrum(self):
         return spectral.kronecker_power(self._axis_pairs, self.mass,
                                         self.space.mesh.dim, self.k)
+
+    @functools.cached_property
+    def lambda1_dev(self):
+        """lambda_1 - mu_1 > 0, the distance of the leading exact discrete
+        eigenvalue to the analytic one.  Both are d-th powers of the axis
+        values at theta = pi h / 2 (_sine_terms), and the difference
+        telescopes from the axis lambda - mu without cancellation."""
+        n, d = self.space.mesh.elements_per_axis, self.space.mesh.dim
+        lam, mu, lam_mu = _sine_terms(np.full(d, 0.5 * np.pi / n), 1.0 / n)[:3]
+        return float(_telescoped(lam, mu, lam_mu))
 
     def e1(self, L):
         """Truncation error sqrt(field.tail_sq(L))."""
@@ -321,13 +338,14 @@ def _diagnose(config, exact, s_est, spec, k):
                                 s=config.s)
 
 
-def _estimated(config, exact, batch, k):
-    """The estimate of a batch, its spectrum with every eigenvalue and the
-    k leading eigenvectors, and their diagnostics at rank k."""
-    cov = _estimate_batch(config, batch)
+def _estimated(config, exact, cov, k):
+    """The spectrum of a covariance estimate, with every eigenvalue and the
+    k leading eigenvectors, and its diagnostics at rank k.  It takes the
+    estimate, not the batch, so that a batch no caller keeps is freed
+    before the transform."""
     s_est = spectral.transform(cov, exact.mass, spectral.SOURCE_ESTIMATED)
     spec = spectral.eigensolve(s_est, k=k)
-    return cov, spec, _diagnose(config, exact, s_est, spec, k)
+    return spec, _diagnose(config, exact, s_est, spec, k)
 
 
 Replication = collections.namedtuple(
@@ -343,15 +361,16 @@ def replicate(config, exact, M, L, seed):
     the estimate, and nothing is drawn or formed.
 
     Returns a Replication with the estimate's kind, tau and M; neither the
-    batch nor the covariance is kept.
+    batch nor the covariance is kept, and the batch is freed once it is
+    estimated.
     """
     if config.estimator == "Exact":
         kind, tau, m_est = "Exact", 0, 0
         spec = exact.spectrum
         diag = _diagnose(config, exact, exact.s_exact, spec, L)
     else:
-        cov, spec, diag = _estimated(config, exact,
-                                     draw(config, exact, M, seed), L)
+        cov = _estimate_batch(config, draw(config, exact, M, seed))
+        spec, diag = _estimated(config, exact, cov, L)
         kind, tau, m_est = cov.estimator_kind, cov.tau, cov.M
     return Replication(kind, tau, m_est, spec, diag,
                        error_decomposition(exact, spec, L))
@@ -471,7 +490,8 @@ def _replicate_mesh(config, exact, by_M, k, seed):
 def _replicate_prefix(config, exact, batch, group, k):
     """One replication of the cells (L, tally) of one M from its batch."""
     try:
-        cov, spec, diag = _estimated(config, exact, batch, k)
+        cov = _estimate_batch(config, batch)
+        spec, diag = _estimated(config, exact, cov, k)
     except (ValueError, NumericError) as exc:
         for _, tally in group:
             tally.error = _failure(exc)
@@ -483,8 +503,7 @@ def _replicate_prefix(config, exact, batch, group, k):
                 # the sample-free values, and tau and the estimate's M, which
                 # do not depend on the samples
                 tally.e1, tally.e2 = errors.e1, errors.e2
-                tally.lambda1_dev = float(abs(exact.spectrum.eigenvalues[0]
-                                              - exact.field.eigenvalues(1)[0]))
+                tally.lambda1_dev = exact.lambda1_dev
                 tally.tau = cov.tau
                 tally.p0 = success_bound(config, exact, cov.tau, cov.M, L)
             tally.totals.append(errors.total)

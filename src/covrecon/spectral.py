@@ -49,7 +49,9 @@ _LANCZOS_CHECK_EVERY = 4
 
 
 class TransformedStiffness:
-    """The congruence transform (L^G)^T Sigma L^G of a covariance matrix."""
+    """The congruence transform (L^G)^T Sigma L^G of a covariance matrix,
+    held as one dense matrix; a shape and an @ apply it as operator_norm
+    and diagnostics take it."""
 
     def __init__(self, matrix, source, mass):
         matrix = np.asarray(matrix, dtype=float)
@@ -57,8 +59,31 @@ class TransformedStiffness:
             raise ValueError("transformed stiffness must be exactly symmetric")
         matrix.setflags(write=False)
         self.matrix = matrix
+        self.shape = matrix.shape
         self.source = source
         self.mass = mass
+
+    def __matmul__(self, X):
+        return self.matrix @ X
+
+
+class KroneckerStiffness:
+    """The d-th Kronecker power S-tilde1 kron ... kron S-tilde1 of an axis
+    TransformedStiffness, on the d-dimensional lattice of mass: since
+    L^G = L1 kron ... kron L1, it is the transform of the Kronecker power of
+    the axis covariance.  Only the axis matrix is held; @ applies it along
+    every lattice axis (mass.along_axes), so no Q_h x Q_h array is formed.
+    For d = 1 it is the axis matrix itself.
+    """
+
+    def __init__(self, axis, mass):
+        self.axis = axis
+        self.shape = (mass.dof_count,) * 2
+        self.source = axis.source
+        self.mass = mass
+
+    def __matmul__(self, X):
+        return self.mass.along_axes(self.axis.matrix, X)
 
 
 def transform(cov, mass, tag=SOURCE_EXACT):
@@ -326,9 +351,22 @@ def operator_norm(S):
     return float(max(abs(theta[0]), abs(theta[-1])))
 
 
+class _Difference:
+    """The operator v -> A v - B v of two symmetric operators of one shape,
+    as operator_norm takes it: applied, never formed."""
+
+    def __init__(self, A, B):
+        self.shape = A.shape
+        self._A, self._B = A, B
+
+    def __matmul__(self, X):
+        return self._A @ X - self._B @ X
+
+
 class _InverseCongruence:
-    """The symmetric operator v -> L^{-T} D L^{-1} v of a symmetric D, with
-    L the mass Cholesky factor, as operator_norm takes it: a shape and an @.
+    """The symmetric operator v -> L^{-T} D L^{-1} v of a symmetric operator
+    D, with L the mass Cholesky factor, as operator_norm takes it: a shape
+    and an @.
     """
 
     def __init__(self, D, mass):
@@ -394,13 +432,19 @@ def diagnostics(exact, estimated, s_exact, s_est, oracle, L,
     the calibration constants C1 and s), Davis-Kahan ratios
     C ||S-tilde diff|| / mixed gap, and the mass-spectrum sandwich around
     the Weyl bound.  Failed gap checks are reported, never raised.
+
+    s_exact and s_est are operators with a shape and an @ (a
+    TransformedStiffness or KroneckerStiffness).  Their difference is
+    applied as v -> S-tilde_exact v - S-tilde_est v and never formed: below
+    _LANCZOS_MIN_DOF rows its dense form is the difference of the two
+    matrices, bit for bit, and from there on the norms take only Q_h-vector
+    work beyond the two operators.  An operator against itself gives 0.
     """
     Q = exact.dof_count
     if not 1 <= L <= Q:
         raise ValueError("L must lie in [1, %d], got %r" % (Q, L))
     mass = s_exact.mass
-    # exactly symmetric, as both transformed matrices are
-    diff = s_exact.matrix - s_est.matrix
+    diff = _Difference(s_exact, s_est)
     weyl_bound = operator_norm(diff)
     eigenvalue_dev = np.abs(exact.eigenvalues - estimated.eigenvalues)
     if not np.max(eigenvalue_dev) <= weyl_bound + 1e-10:

@@ -8,6 +8,8 @@ log-space float arithmetic, and closed-form series for the Brownian
 spectrum.  Tests compare package output against these oracles.
 """
 
+import functools
+
 import numpy as np
 import scipy.linalg as sla
 import scipy.special
@@ -348,6 +350,19 @@ def tail_sq_mpmath(L, dps=40):
         return mpmath.zeta(4, mpmath.mpf(L) + mpmath.mpf(1) / 2) / mpmath.pi ** 4
 
 
+def lambda1_dev_mpmath(d, n, dps=40):
+    """lambda_1 - mu_1 of the Brownian field of dimension d on the n-element
+    mesh, as a dps-digit mpmath number: lambda_1 = (4 / pi^2)^d and mu_1 the
+    d-th power of the axis h^2 (2 + cos t) / (12 sin^2(t / 2)), t = pi h / 2."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        h = mpmath.mpf(1) / n
+        t = mpmath.pi * h / 2
+        mu = h ** 2 * (2 + mpmath.cos(t)) / (12 * mpmath.sin(t / 2) ** 2)
+        return (4 / mpmath.pi ** 2) ** d - mu ** d
+
+
 def lambert_wm1(z):
     """scipy's W_{-1} branch (independent of the package's bisection)."""
     return float(scipy.special.lambertw(z, -1).real)
@@ -426,6 +441,15 @@ def dense_transform(sigma, mass):
     return 0.5 * (raw + raw.T)
 
 
+def dense_stiffness(ts):
+    """The matrix of a transformed stiffness: its own for a dense
+    TransformedStiffness, and for a KroneckerStiffness (the exact side's
+    s_exact) the Kronecker power of its axis matrix, formed with np.kron."""
+    if hasattr(ts, "matrix"):
+        return ts.matrix
+    return functools.reduce(np.kron, [ts.axis.matrix] * ts.mass.dim)
+
+
 def dense_eigh(sigma, mass):
     """Descending dense eigenpairs of the transformed stiffness."""
     vals, vecs = np.linalg.eigh(dense_transform(sigma, mass))
@@ -440,8 +464,9 @@ def random_symmetric(rng, q, scale=1.0):
 
 def frobenius_rank_l_diff(exact_spec, est_spec, l):
     """||sum_{ell<=L} lam Phi~ Phi~^T - sum_{ell<=L} lam^M Phi~^M Phi~^{M,T}||_F
-    computed densely; equals the transformed-coordinate L2 distance of the
-    two rank-L reconstructions."""
+    computed densely, from the two Q_h x Q_h rank-L matrices; equals the
+    transformed-coordinate L2 distance of the two rank-L reconstructions
+    (the e3 of mercer.error_decomposition)."""
     def build(spec):
         lam = spec.eigenvalues[:l]
         vt = spec.tilde_vectors[:, :l]

@@ -1,0 +1,81 @@
+"""The artifact comparator of tests/artifact_compare.py."""
+
+import json
+import math
+import os
+import shutil
+
+import pytest
+
+import artifact_compare
+import support
+from covrecon import cli
+
+
+def _reconstruct(tmp_path):
+    out = str(tmp_path / "old")
+    path = support.write_yaml(tmp_path / "cfg.yaml", support.basic_yaml(
+        out, n=6, M=40, L=2, d=2))
+    assert cli.main(["reconstruct", "--config", path]) == 0
+    return out
+
+
+def test_compare_reports_the_largest_move_per_field(tmp_path, capsys):
+    old = _reconstruct(tmp_path)
+    new = str(tmp_path / "new")
+    shutil.copytree(old, new)
+    rows = artifact_compare.compare(old, new)
+    assert {r[0] for r in rows} == {"report.json", "spectrum.csv",
+                                    "spectrum_exact.csv"}
+    assert all(r[3] == 0 and r[4] == 0.0 for r in rows)
+    # one field moved, a vector column folded into v_*, and another version
+    # in the headers, which are skipped
+    report = os.path.join(new, "report.json")
+    with open(report) as fh:
+        doc = json.load(fh)
+    e3 = doc["errors"]["e3"]
+    doc["errors"]["e3"] = e3 * (1.0 + 1e-12)
+    doc["version"] = "0.0.0"
+    with open(report, "w") as fh:
+        json.dump(doc, fh)
+    spectrum = os.path.join(new, "spectrum.csv")
+    with open(spectrum) as fh:
+        lines = fh.read().splitlines()
+    lines[0] = "# covrecon 0.0.0"
+    cells = lines[3].split(",")
+    cells[-1] = cells[-1][1:] if cells[-1].startswith("-") \
+        else "-" + cells[-1]  # node (1, 1), where no vector vanishes
+    lines[3] = ",".join(cells)
+    with open(spectrum, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    moved = {(r[0], r[1]): r[2:] for r in artifact_compare.compare(old, new)
+             if r[3]}
+    assert set(moved) == {("report.json", "errors.e3"),
+                          ("spectrum.csv", "v_*")}
+    count, changed, worst = moved[("report.json", "errors.e3")]
+    assert (count, changed) == (1, 1)
+    assert worst == pytest.approx(1e-12, rel=1e-3)
+    assert moved[("spectrum.csv", "v_*")][1:] == (1, 2.0)
+    capsys.readouterr()
+    assert artifact_compare.main([old, new, "--moved"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[2:] == ["| report.json | errors.e3 | 1 | 1 | 1e-12 |",
+                           "| spectrum.csv | v_* | 98 | 1 | 2 |"]
+
+
+def test_relative_move():
+    move = artifact_compare.relative_move
+    assert move(2.0, 2.0) == move("a", "a") == move(None, None) == 0.0
+    assert move(1.0, -1.0) == 2.0 and move("1.5", 1.0) == 0.5 / 1.5
+    assert move(math.nan, math.nan) == 0.0
+    assert move(math.nan, 1.0) == move("a", "b") == move(True, False) \
+        == math.inf
+
+
+def test_compare_refuses_a_missing_file(tmp_path):
+    old = _reconstruct(tmp_path)
+    new = str(tmp_path / "new")
+    shutil.copytree(old, new)
+    os.remove(os.path.join(new, "spectrum.csv"))
+    with pytest.raises(ValueError, match="missing"):
+        artifact_compare.compare(old, new)

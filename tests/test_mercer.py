@@ -110,6 +110,33 @@ def test_decomposition_with_sampled_estimate():
         "closed-form e3 %.6e vs spectral-identity e3 %.6e" % (report.e3, frob)
 
 
+@pytest.mark.parametrize("d, n", [(1, 32), (2, 16)])
+def test_e3_from_the_thin_qr_matches_the_dense_difference(d, n):
+    # e3 from the triangular factor of [Phi~, Phi^~] against the Frobenius
+    # norm of the two formed Q_h x Q_h rank-L matrices (tests/reference.py)
+    exact = support.exact_side(d, n)
+    batch = fields.draw_batch(exact.field, exact.space, 2000, seed=1)
+    s_est = spectral.transform(estimators.mle_covariance(batch), exact.mass,
+                               spectral.SOURCE_ESTIMATED)
+    est = spectral.eigensolve(s_est, k=5)
+    for L in (1, 3, 5):
+        got = mercer.error_decomposition(exact, est, L).e3
+        want = reference.frobenius_rank_l_diff(exact.spectrum, est, L)
+        assert abs(got - want) <= 1e-13 * want, \
+            "%dD n=%d L=%d: e3 %.17e vs dense %.17e" % (d, n, L, got, want)
+
+
+@pytest.mark.parametrize("d, n", [(1, 32), (1, 512), (2, 16)])
+def test_lambda1_dev_matches_the_40_digit_value(d, n):
+    # lambda_1 - mu_1 telescoped from the axis difference, without the
+    # cancellation of |mu_1 - lambda_1| (7e-13, 2e-10 and 6e-14 relative off
+    # at these meshes)
+    got = mercer.ExactSide(d, n, 1).lambda1_dev
+    want = reference.lambda1_dev_mpmath(d, n)
+    assert abs(got - want) <= 1e-15 * want, \
+        "%dD n=%d: lambda1_dev %.17e vs 40 digits %s" % (d, n, got, want)
+
+
 def test_decomposition_validation():
     exact = support.exact_side(1, 8)
     *_, other = support.brownian_setup(1, 4)
@@ -167,7 +194,8 @@ def test_exact_side_refuses_a_split_above_k():
 
 def test_exact_side_2d_n128_forms_no_q_by_q_array(monkeypatch):
     # one Q_h x Q_h float64 array is 2.2 GB at n=128 (Q_h = 16641), and the
-    # exact side runs no eigensolve, in 1D or 2D
+    # exact side runs no eigensolve, in 1D or 2D; s_exact holds and applies
+    # its axis matrix only
     import tracemalloc
 
     def no_eigensolve(*args, **kwargs):
@@ -181,6 +209,7 @@ def test_exact_side_2d_n128_forms_no_q_by_q_array(monkeypatch):
         exact = mercer.ExactSide(2, 128, 8)
         e1, e2 = exact.e1(8), exact.e2(8)
         spec = exact.spectrum
+        applied = exact.s_exact @ spec.tilde_vectors[:, 0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -188,6 +217,9 @@ def test_exact_side_2d_n128_forms_no_q_by_q_array(monkeypatch):
     assert spec.eigenvalues.shape == (129 ** 2,)
     assert spec.tilde_vectors.shape == spec.gen_vectors.shape == (129 ** 2, 8)
     assert 0.0 < e2 < e1
+    # the leading tilde vector is an eigenvector of S-tilde_exact
+    assert np.max(np.abs(applied - spec.eigenvalues[0]
+                         * spec.tilde_vectors[:, 0])) <= 1e-15
 
 
 def test_reconstruct_and_study_keep_k_exact_vectors(tmp_path, monkeypatch):
@@ -475,6 +507,35 @@ def test_exact_replication_reuses_the_exact_side():
         "an Exact replication must not build the dense nodal covariance"
     with pytest.raises(ValueError, match="MLE or Tapered"):
         mercer.expected_error_study(cfg)
+
+
+def test_replicate_frees_the_batch_before_the_transform(monkeypatch):
+    # replicate estimates the batch and keeps only the covariance, so the
+    # batch is freed (by reference counting, no collection) before the
+    # congruence transform and the diagnostics run
+    import weakref
+
+    exact = mercer.ExactSide(2, 6, 3)
+    exact.s_exact  # the exact side's own (axis) transform
+    refs, alive = [], []
+    draw, transform = mercer.draw, spectral.transform
+
+    def watching_draw(*args):
+        batch = draw(*args)
+        refs.append(weakref.ref(batch))
+        refs.append(weakref.ref(batch.coeffs))
+        return batch
+
+    def watching_transform(*args):
+        alive.append([ref() is not None for ref in refs])
+        return transform(*args)
+
+    monkeypatch.setattr(mercer, "draw", watching_draw)
+    monkeypatch.setattr(spectral, "transform", watching_transform)
+    cfg = support.make_config(d=2, ns=[6], Ms=[50], Ls=[3])
+    rep = mercer.replicate(cfg, exact, 50, 3, 0)
+    assert rep.errors.e3 > 0.0
+    assert alive == [[False, False]], alive
 
 
 def test_run_cell_builds_one_field_object(monkeypatch):

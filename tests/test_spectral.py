@@ -147,7 +147,7 @@ def test_kronecker_exact_side_matches_dense_oracle(n, modes):
     # the 2D exact side is built from the axis problem alone; the dense
     # factor, triple product and eigh of tests/reference.py are the oracle
     _, _, mass, sigma, s_exact, spec = support.brownian_setup(2, n)
-    assert np.max(np.abs(s_exact.matrix
+    assert np.max(np.abs(reference.dense_stiffness(s_exact)
                          - reference.dense_transform(sigma, mass))) <= 1e-17
     vals, vecs = reference.dense_eigh(sigma, mass)
     assert np.max(np.abs(spec.eigenvalues - vals)) <= 1e-15
@@ -176,7 +176,8 @@ def test_kronecker_ties_use_the_product_basis():
     assert spec.eigenvalues[1] == spec.eigenvalues[2]
     assert np.array_equal(spec.tilde_vectors[:, 1], np.kron(v1, v2))
     assert np.array_equal(spec.tilde_vectors[:, 2], np.kron(v2, v1))
-    assert np.array_equal(exact.s_exact.matrix, exact.s_exact.matrix.T)
+    S = reference.dense_stiffness(exact.s_exact)
+    assert np.array_equal(S, S.T)
 
 
 def test_closed_form_exact_pairs_match_the_dense_route():
@@ -603,7 +604,7 @@ def test_diagnostics_above_lanczos_switch():
     s_est = spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED)
     est = spectral.eigensolve(s_est)
     diag = spectral.diagnostics(spec, est, s_exact, s_est, field, 5)
-    want = _dense_norm(s_exact.matrix - s_est.matrix)
+    want = _dense_norm(reference.dense_stiffness(s_exact) - s_est.matrix)
     assert abs(diag.weyl_bound - want) <= 1e-13 * want
     # the recovered difference is sigma - cov up to the two triangular solves
     want = _dense_norm(sigma - cov.matrix)
@@ -630,10 +631,61 @@ def test_cov_diff_norm_matches_the_formed_recovered_difference(d, n):
     diag = spectral.diagnostics(spec, est, s_exact, s_est, field, 3)
     L_inv = sla.solve_triangular(reference.dense_chol(mass),
                                  np.eye(space.dof_count), lower=True)
-    want = _dense_norm(L_inv.T @ (s_exact.matrix - s_est.matrix) @ L_inv)
+    D = reference.dense_stiffness(s_exact) - s_est.matrix
+    want = _dense_norm(L_inv.T @ D @ L_inv)
     assert abs(diag.cov_diff_norm - want) <= 1e-13 * want, \
         "Q=%d: %r against the formed difference %r" % (
             space.dof_count, diag.cov_diff_norm, want)
+
+
+@pytest.mark.parametrize("d, n", [(1, 32), (2, 8)])
+def test_diagnostics_densifies_the_difference_bit_for_bit(d, n, monkeypatch):
+    # below the Lanczos switch the Weyl bound is the dense eigvalsh of the
+    # applied difference, which is S-tilde_exact - S-tilde_est as formed
+    # with np.kron (tests/reference.py), bit for bit
+    from covrecon import estimators
+
+    field, space, mass, _, s_exact, spec = support.brownian_setup(d, n)
+    assert space.dof_count < spectral._LANCZOS_MIN_DOF
+    batch = fields.draw_batch(field, space, 200, seed=3)
+    s_est = spectral.transform(estimators.estimate_covariance(batch), mass,
+                               spectral.SOURCE_ESTIMATED)
+    est = spectral.eigensolve(s_est)
+    seen, eigvalsh = [], np.linalg.eigvalsh
+
+    def recording_eigvalsh(A):
+        seen.append(np.array(A))
+        return eigvalsh(A)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    spectral.diagnostics(spec, est, s_exact, s_est, field, 3)
+    assert np.array_equal(seen[0], reference.dense_stiffness(s_exact)
+                          - s_est.matrix)
+
+
+def test_diagnostics_2d_n64_forms_no_q_by_q_difference():
+    # at Q_h = 4225 one Q_h x Q_h float64 array is 143 MB: the diagnostics
+    # apply S-tilde_exact per axis and the difference to vectors, so they
+    # allocate less than one such array beyond their inputs
+    import tracemalloc
+
+    exact = mercer.ExactSide(2, 64, 3)
+    Q = exact.space.dof_count
+    dense = reference.dense_stiffness(exact.s_exact)
+    dense[0, 0] += 0.01  # a rank-one estimate error of norm 0.01
+    s_est = spectral.TransformedStiffness(dense, spectral.SOURCE_ESTIMATED,
+                                          exact.mass)
+    spec = exact.spectrum
+    exact.field.gaps(3), exact.field.eigenvalues(4)  # inputs, built first
+    tracemalloc.start()
+    try:
+        diag = spectral.diagnostics(spec, spec, exact.s_exact, s_est,
+                                    exact.field, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < Q * Q * 8, "peak %.1f MB" % (peak / 1e6)
+    assert abs(diag.weyl_bound - 0.01) <= 1e-13
 
 
 def test_diagnostics_validates_rank():
