@@ -36,8 +36,6 @@ def _number(value):
     """value as a float, or None when it is not a number."""
     if isinstance(value, bool) or value is None:
         return None
-    if isinstance(value, (int, float)):
-        return float(value)
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -130,7 +128,7 @@ def compare(old_dir, new_dir):
             move = relative_move(a, b)
             stats[field] = (count + 1, changed + (move > 0.0),
                             max(worst, move))
-        rows.extend((rel,) + (field,) + stats[field] for field in stats)
+        rows.extend((rel, field) + stats[field] for field in stats)
     return rows
 
 

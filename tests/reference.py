@@ -442,11 +442,8 @@ def dense_transform(sigma, mass):
 
 
 def dense_stiffness(ts):
-    """The matrix of a transformed stiffness: its own for a dense
-    TransformedStiffness, and for a KroneckerStiffness (the exact side's
-    s_exact) the Kronecker power of its axis matrix, formed with np.kron."""
-    if hasattr(ts, "matrix"):
-        return ts.matrix
+    """The dense matrix of a KroneckerStiffness (the exact side's s_exact):
+    the Kronecker power of its axis matrix, formed with np.kron."""
     return functools.reduce(np.kron, [ts.axis.matrix] * ts.mass.dim)
 
 
