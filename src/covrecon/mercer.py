@@ -67,18 +67,21 @@ def error_decomposition(exact, est_spec, L):
 
       e1^2    = sum_{l>L} lambda_l^2                        (ExactSide.e1)
       e2^2    = ||k_L - sum mu Phi (x) Phi||^2              (ExactSide.e2)
-      e3      = ||sum mu Phi~ Phi~^T - sum mu^ Phi^~ Phi^~^T||_F
-            = ||R diag(mu, -mu^) R^T||_F
+      e3^2    = ||sum mu Phi~ Phi~^T - sum mu^ Phi^~ Phi^~^T||_F^2
+              = ||diag(mu) - C E C^T||_F^2 + 2 tr(C E H E C^T) + tr(E H E H)
       total^2 = 6^-d - 2 sum mu^_m Phi^_m^T B Phi^_m + ||mu^||^2
 
     with k_L the rank-L truncated KL kernel and B the kernel load form
-    (field.kernel_forms), which is applied and never formed.  R is the
-    triangular factor of a thin QR of the Q_h x 2L block [Phi~, Phi^~], so
-    e3 takes no Q_h x Q_h product; it is exactly 0.0 when est_spec is the
-    exact spectrum itself.  Every term is a sum of dyads lambda phi (x) phi,
-    so eigenvector signs drop out.  e1 and e2 depend on the mesh and L
-    alone, and the exact side keeps them per L; its e2 checks 1 <= L <= Q_h
-    before any spectrum is read.
+    (field.kernel_forms), which is applied and never formed.  e3 splits
+    Phi^~ = Phi~ C + P with Phi~^T P = 0 (block Gram-Schmidt, run twice),
+    E = diag(mu^) and H = P^T P: its three terms are the Frobenius norms of
+    the blocks of the difference on span(Phi~) and its complement, each a
+    sum of squares from L x L matrices, so e3 takes no Q_h x Q_h product
+    and, apart from diag(mu) - C E C^T, no difference of large terms.  It
+    is exactly 0.0 when est_spec is the exact spectrum itself.  Every term
+    is a sum of dyads lambda phi (x) phi, so eigenvector signs drop out.  e1
+    and e2 depend on the mesh and L alone, and the exact side keeps them
+    per L; its e2 checks 1 <= L <= Q_h before any spectrum is read.
     """
     if est_spec.dof_count != exact.space.dof_count:
         raise ValueError("spectra live on different spaces: %d vs %d dofs"
@@ -89,9 +92,19 @@ def error_decomposition(exact, est_spec, L):
     if est_spec is exact.spectrum:
         e3 = 0.0
     else:
-        R = np.linalg.qr(np.hstack([exact.spectrum.tilde_vectors[:, :L],
-                                    est_spec.tilde_vectors[:, :L]]), mode="r")
-        e3 = float(np.linalg.norm((R * np.concatenate([mu, -mu_est])) @ R.T))
+        V = exact.spectrum.tilde_vectors[:, :L]
+        W = est_spec.tilde_vectors[:, :L]
+        C = V.T @ W
+        P = W - V @ C
+        C2 = V.T @ P
+        P -= V @ C2
+        C += C2
+        CE, H = C * mu_est, P.T @ P
+        # the last term is a sum of squares too (||P E P^T||_F^2), so below
+        # 0 only by roundoff of an estimate equal to the exact spectrum
+        e3 = math.sqrt(max(np.sum((np.diag(mu) - CE @ C.T) ** 2)
+                           + 2.0 * np.sum((CE @ H) * CE)
+                           + np.sum(np.outer(mu_est, mu_est) * H ** 2), 0.0))
     forms = field.kernel_forms(exact.space, est_spec.gen_vectors[:, :L])
     total = float(np.sqrt(field.sum_sq_total() - 2.0 * forms @ mu_est
                           + mu_est @ mu_est))  # rank L: total >= e1 > 0
