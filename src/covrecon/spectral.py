@@ -154,9 +154,8 @@ def eigensolve(ts, k=None):
     that raises NumericError with the matrix dumped, as a failed dense solve
     does.
 
-    The sign of each tilde eigenvector is fixed so its component of largest
-    magnitude (first such index on ties) is positive; the generalized
-    vectors inherit the same flips.
+    The sign of each tilde eigenvector is fixed by canonical_signs; the
+    generalized vectors inherit the same flips.
     """
     Q = ts.matrix.shape[0]
     if k is not None and not 1 <= k <= Q:
@@ -185,10 +184,20 @@ def eigensolve(ts, k=None):
     return DiscreteSpectrum(vals, vecs, gen, ts.source, ts.mass)
 
 
+# canonical_signs: a component leads when its magnitude is within this
+# relative distance of the largest
+_SIGN_TIE_RTOL = 1e-12
+
+
 def canonical_signs(vecs):
-    """Signs (+-1 per column) that make each column's component of largest
-    magnitude, the first such index on ties, positive."""
-    lead = np.argmax(np.abs(vecs), axis=0)
+    """Signs (+-1 per column) that make each column's lead component
+    positive: the first index whose magnitude is at least (1 -
+    _SIGN_TIE_RTOL) times the largest.  Two components that tie in exact
+    arithmetic, as the peaks of a sine mode can, thus pick the same lead
+    whichever roundoff separates them."""
+    mags = np.abs(vecs)
+    lead = np.argmax(mags >= (1.0 - _SIGN_TIE_RTOL) * mags.max(axis=0),
+                     axis=0)
     return np.where(vecs[lead, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
 
 
@@ -213,7 +222,10 @@ def kronecker_power(axis_spec, mass, d, k):
     every d).  With the axis eigenvalues nonnegative and descending, rank r
     has no axis index above r, so the axis spectrum needs only its
     min(k, n + 1) leading vectors.  A product of canonically signed vectors
-    is canonically signed: its largest component is the product of the
+    is canonically signed, with the product of their leads as its lead,
+    when the factors' leads fall short of their largest magnitudes by
+    relative amounts summing to at most _SIGN_TIE_RTOL, as exact ties and
+    roundoff do: no earlier index of the product comes as close to its
     largest.  For d = 1 it is the axis spectrum with its k leading vectors,
     bit for bit.
     """
@@ -435,16 +447,20 @@ def diagnostics(exact, estimated, s_exact, s_est, oracle, L,
 
     s_exact and s_est are operators with a shape and an @ (a
     TransformedStiffness or KroneckerStiffness).  Their difference is
-    applied as v -> S-tilde_exact v - S-tilde_est v and never formed: below
-    _LANCZOS_MIN_DOF rows its dense form is the difference of the two
-    matrices, bit for bit, and from there on the norms take only Q_h-vector
-    work beyond the two operators.  An operator against itself gives 0.
+    applied as v -> S-tilde_exact v - S-tilde_est v.  Below
+    _LANCZOS_MIN_DOF rows, where both norms are dense, it is formed once as
+    the difference of the two matrices, bit for bit, and both norms take
+    it; from there on it is never formed, and the norms take only
+    Q_h-vector work beyond the two operators.  An operator against itself
+    gives 0.
     """
     Q = exact.dof_count
     if not 1 <= L <= Q:
         raise ValueError("L must lie in [1, %d], got %r" % (Q, L))
     mass = s_exact.mass
     diff = _Difference(s_exact, s_est)
+    if Q < _LANCZOS_MIN_DOF:
+        diff = diff @ np.eye(Q)
     weyl_bound = operator_norm(diff)
     eigenvalue_dev = np.abs(exact.eigenvalues - estimated.eigenvalues)
     if not np.max(eigenvalue_dev) <= weyl_bound + 1e-10:

@@ -1,6 +1,6 @@
 """Field-by-field comparison of two covrecon artifact directories.
 
-    python tests/artifact_compare.py OLD_DIR NEW_DIR
+    python tests/artifact_compare.py OLD_DIR NEW_DIR [--moved] [--max-rel X]
 
 Every primary artifact found under OLD_DIR (all files but the *.meta.json
 sidecars) is read with the artifacts.read_* readers, as is its namesake
@@ -12,7 +12,9 @@ value count, how many values differ and the largest relative move
 |a - b| / max(|a|, |b|).  Fields are JSON key paths (list elements folded
 into "[]") and CSV columns (numbered columns such as v_1, v_2, ... folded
 into "v_*").  A value that is not a number moves by 0 when equal and by inf
-otherwise, as does a NaN against a number; two NaNs are equal.
+otherwise, as does a NaN against a number; two NaNs are equal.  A sign flip
+moves by 2.  With --max-rel X the exit code is 1, and every field that moves
+by more than X is named on standard error, when any does.
 """
 
 import argparse
@@ -138,15 +140,22 @@ def main(argv=None):
     parser.add_argument("new_dir")
     parser.add_argument("--moved", action="store_true",
                         help="print only the fields with a changed value")
+    parser.add_argument("--max-rel", type=float, default=None, metavar="X",
+                        help="exit 1 when a field moves by more than X")
     args = parser.parse_args(argv)
     print("| file | field | values | changed | largest relative move |")
     print("|---|---|---|---|---|")
+    beyond = []
     for rel, field, count, changed, worst in compare(args.old_dir,
                                                      args.new_dir):
         if changed or not args.moved:
             print("| %s | %s | %d | %d | %.2g |"
                   % (rel, field, count, changed, worst))
-    return 0
+        if args.max_rel is not None and not worst <= args.max_rel:
+            beyond.append("%s %s (%.2g)" % (rel, field, worst))
+    for line in beyond:
+        print("moved beyond %g: %s" % (args.max_rel, line), file=sys.stderr)
+    return 1 if beyond else 0
 
 
 if __name__ == "__main__":

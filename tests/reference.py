@@ -428,10 +428,10 @@ def dense_mass(mass):
 
 
 def dense_chol(mass):
-    """The mass Cholesky factor as one dense matrix: L1 in 1D, the
-    Kronecker square L1 kron L1 in 2D."""
-    L1 = np.asarray(mass.chol)
-    return L1 if mass.dim == 1 else np.kron(L1, L1)
+    """The mass Cholesky factor as one dense matrix, from numpy's dense
+    Cholesky of the dense mass (L1 in 1D, in 2D the factor of G1 kron G1),
+    independent of the band factor of fem.MassMatrix."""
+    return np.linalg.cholesky(dense_mass(mass))
 
 
 def dense_transform(sigma, mass):
@@ -483,7 +483,7 @@ def dense_exact_pairs(field, mass):
     L1^{-T} v, and the Kronecker products of the axis pairs in stable
     descending order.  Returns (eigenvalues, tilde vectors, generalized
     vectors), every one of the Q_h pairs."""
-    L1 = np.asarray(mass.chol)
+    L1 = dense_chol(mass.axis)
     sigma1 = field.axis_covariance(mass.space.mesh.axis_nodes)
     raw = L1.T @ sigma1 @ L1
     vals, vecs = np.linalg.eigh(0.5 * (raw + raw.T))

@@ -63,6 +63,27 @@ def test_compare_reports_the_largest_move_per_field(tmp_path, capsys):
                            "| spectrum.csv | v_* | 98 | 1 | 2 |"]
 
 
+def test_max_rel_names_every_field_beyond_it(tmp_path, capsys):
+    old = _reconstruct(tmp_path)
+    new = str(tmp_path / "new")
+    shutil.copytree(old, new)
+    assert artifact_compare.main([old, new, "--max-rel", "0"]) == 0
+    report = os.path.join(new, "report.json")
+    with open(report) as fh:
+        doc = json.load(fh)
+    doc["errors"]["e3"] *= 1.0 + 1e-10
+    doc["errors"]["e1"] *= -1.0  # a sign flip moves by 2
+    doc["errors"]["e2"] *= 1.0 + 1e-14
+    with open(report, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert artifact_compare.main([old, new, "--max-rel", "1e-12"]) == 1
+    named = capsys.readouterr().err.splitlines()
+    assert named == ["moved beyond 1e-12: report.json errors.e1 (2)",
+                     "moved beyond 1e-12: report.json errors.e3 (1e-10)"]
+    assert artifact_compare.main([old, new, "--max-rel", "2"]) == 0
+
+
 def test_relative_move():
     move = artifact_compare.relative_move
     assert move(2.0, 2.0) == move("a", "a") == move(None, None) == 0.0

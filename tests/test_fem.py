@@ -154,21 +154,28 @@ def test_mass_symmetry_cholesky_and_extremes():
 
 
 def test_mass_actions_match_the_dense_factor():
-    # 2D factors only the axis mass; every action of L = L1 kron L1 runs
-    # along the lattice axes, in 1D as in 2D, and must agree with the dense
-    # factor
+    # 2D factors only the axis mass; the bands of L1 and every action of
+    # L = L1 kron L1, which run along the lattice axes in 1D as in 2D, must
+    # agree with numpy's dense Cholesky factor of the dense mass
     rng = np.random.default_rng(29)
-    for d, n in ((1, 7), (2, 5), (2, 8)):
+    for d, n in ((1, 2), (1, 7), (1, 8), (1, 32), (1, 255), (1, 512),
+                 (2, 5), (2, 8)):
         mass = fem.assemble_mass(fem.build_space(d, n))
-        assert mass.chol.shape == (n + 1, n + 1)
+        diag, sub = mass.chol_bands
+        assert diag.shape == (n + 1,) and sub.shape == (n,)
+        L1 = np.linalg.cholesky(mass.axis.matrix)
+        for got, want in ((diag, np.diag(L1)), (sub, np.diag(L1, -1))):
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15, \
+                "d=%d n=%d: the bands disagree with the dense factor" % (d, n)
         L = reference.dense_chol(mass)
         X = rng.standard_normal((mass.dof_count, 6))
         x = rng.standard_normal(mass.dof_count)
         A = reference.random_symmetric(rng, mass.dof_count)
         cases = [("congruence", mass.congruence(A), L.T @ A @ L)]
-        # the solves take a block or a single vector (Lanczos matvecs)
+        # every action takes a block or a single vector (Lanczos matvecs)
         for B in (X, x):
             cases += [
+                ("lt", mass.lt(B), L.T @ B),
                 ("solve_l", mass.solve_l(B),
                  sla.solve_triangular(L, B, lower=True)),
                 ("solve_lt", mass.solve_lt(B),
@@ -177,15 +184,60 @@ def test_mass_actions_match_the_dense_factor():
         for name, got, want in cases:
             assert got.shape == want.shape, \
                 "d=%d n=%d: %s changes the shape" % (d, n, name)
-            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), \
+            assert np.max(np.abs(got - want)) \
+                <= 1e-15 * np.max(np.abs(want)), \
                 "d=%d n=%d: %s disagrees with the dense factor" % (d, n, name)
+
+
+def test_mass_builds_without_dense_factorizations(monkeypatch):
+    # the factor comes from its bands and the inverses from substitutions
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense factorization was called")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    for d in (1, 2):
+        mass = fem.MassMatrix(fem.build_space(d, 16))
+        x = np.ones(mass.dof_count)
+        assert np.allclose(mass.solve_lt(mass.solve_l(x)), mass.solve(x),
+                           rtol=1e-13, atol=0.0)
+        assert np.allclose(mass.lt(mass.solve_lt(x)), x, rtol=1e-13, atol=0.0)
+
+
+def test_mass_inverses_hold_no_subnormal():
+    # the axis inverses decay like (2 - sqrt 3)^|i - j| and underflow from
+    # about 540 nodes off the diagonal on; those entries are exact zeros
+    inverses = fem.MassMatrix(fem.build_space(1, 2048))._axis_inverses
+    tiny = np.finfo(float).tiny
+    for inv in inverses:
+        assert not np.any((inv != 0.0) & (np.abs(inv) < tiny))
+    assert np.count_nonzero(inverses[0] == 0.0) > 2049 * 2050 // 2, \
+        "entries far below the diagonal must be flushed to zero"
+
+
+def test_congruence_allocates_one_array():
+    # L^T A L runs on the bands in place on one copy of A; a second
+    # Q x Q array (a dense product, or an unblocked shifted term) fails
+    import tracemalloc
+
+    mass = fem.assemble_mass(fem.build_space(1, 1024))
+    A = reference.random_symmetric(np.random.default_rng(3), 1025)
+    tracemalloc.start()
+    try:
+        mass.congruence(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * A.nbytes, "peak %.1f MB" % (peak / 1e6)
 
 
 def test_mass_2d_shares_the_axis_factor():
     mass = fem.assemble_mass(fem.build_space(2, 6))
     axis = fem.assemble_mass(fem.build_space(1, 6))
-    assert mass.axis.dof_count == 7 and mass.chol is mass.axis.chol
-    assert np.array_equal(mass.chol, axis.chol)
+    assert mass.axis.dof_count == 7 \
+        and mass.chol_bands is mass.axis.chol_bands
+    assert all(np.array_equal(a, b)
+               for a, b in zip(mass.chol_bands, axis.chol_bands))
     assert mass.lambda_max == axis.lambda_max ** 2
     assert not hasattr(mass, "matrix"), \
         "the dense 2D Gram matrix is never formed"

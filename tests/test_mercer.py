@@ -394,7 +394,8 @@ def test_invariants_raise_under_python_O():
         " 'Estimated', None)\n"
         "except ValueError:\n"
         "    print('asymmetric stiffness rejected')\n"
-        "for g1 in (np.triu(np.ones((3, 3))), -np.eye(3)):\n"
+        "for g1 in (np.triu(np.ones((3, 3))), -np.eye(3),\n"
+        "           np.eye(3) + 0.5 * np.eye(3)[::-1]):\n"
         "    fem._mass_1d = lambda n: g1\n"
         "    try:\n"
         "        fem.MassMatrix(fem.build_space(1, 2))\n"
@@ -439,12 +440,13 @@ def test_invariants_raise_under_python_O():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split("\n")[:13] == ["asymmetric rejected",
+    assert out.split("\n")[:14] == ["asymmetric rejected",
                                      "triangle rejected",
                                      "batch 3x4 rejected",
                                      "batch 0x5 rejected",
                                      "asymmetric stiffness rejected",
                                      "mass rejected", "mass rejected",
+                                     "mass rejected",
                                      "Weyl violation rejected",
                                      "sandwich violation rejected",
                                      "threshold postcondition rejected",

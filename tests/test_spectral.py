@@ -41,7 +41,7 @@ def test_transform_small_grid_triple_product():
     mass = fem.assemble_mass(space)
     sigma = mercer.ExactSide(1, 2, 1).sigma
     ts = spectral.transform(sigma, mass)
-    L = mass.chol
+    L = reference.dense_chol(mass)
     direct = L.T @ sigma @ L
     assert np.max(np.abs(ts.matrix - direct)) <= 1e-12, \
         "n=2 transform must match the dense triple product"
@@ -178,6 +178,32 @@ def test_kronecker_ties_use_the_product_basis():
     assert np.array_equal(spec.tilde_vectors[:, 2], np.kron(v2, v1))
     S = reference.dense_stiffness(exact.s_exact)
     assert np.array_equal(S, S.T)
+
+
+def test_canonical_signs_ignore_roundoff_between_tied_components():
+    # components within 1e-12 of the largest magnitude tie: the first leads,
+    # whichever of them roundoff made the largest
+    for top in ([-1.0, 1.0 + 2e-16], [-1.0 - 2e-16, 1.0], [-1.0, 1.0]):
+        vecs = np.array([[0.3]] + [[t] for t in top])
+        assert spectral.canonical_signs(vecs).tolist() == [-1.0]
+    assert spectral.canonical_signs(np.array([[0.3], [-1.0], [1.001]])) \
+        .tolist() == [1.0]
+    assert spectral.canonical_signs(np.zeros((3, 1))).tolist() == [1.0]
+
+
+def test_exact_signs_agree_between_the_band_and_the_dense_factor():
+    # the peaks of a sine mode tie exactly, so the tilde vectors L1^T Phi
+    # from the band factor and from numpy's dense factor, which differ by
+    # roundoff, must get the same signs (the largest-component rule flipped
+    # mode 6 at n=33, among others)
+    for n in range(8, 80):
+        exact = mercer.ExactSide(1, n, n + 1)
+        gen = exact.spectrum.gen_vectors
+        band = exact.mass.lt(gen)
+        dense = np.linalg.cholesky(exact.mass.matrix).T @ gen
+        assert np.array_equal(spectral.canonical_signs(band),
+                              spectral.canonical_signs(dense)), \
+            "n=%d: a sign depends on the factor's roundoff" % n
 
 
 def test_closed_form_exact_pairs_match_the_dense_route():
@@ -422,9 +448,10 @@ def test_opnorm_sandwich_bounds():
 def test_transformed_norm_inside_sandwich():
     rng = np.random.default_rng(59)
     mass = fem.assemble_mass(fem.build_space(1, 16))
+    L = reference.dense_chol(mass)
     for _ in range(100):
         E = reference.random_symmetric(rng, 17)
-        ts_norm = np.linalg.norm(mass.chol.T @ E @ mass.chol, 2)
+        ts_norm = np.linalg.norm(L.T @ E @ L, 2)
         v = np.linalg.norm(E, 2)
         lo, hi = spectral.opnorm_sandwich(mass, v)
         assert lo - 1e-12 <= ts_norm <= hi + 1e-12, \
