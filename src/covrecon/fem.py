@@ -193,29 +193,20 @@ class MassMatrix:
         """L1^{-1}, L1^{-T} and G1^{-1} = L1^{-T} L1^{-1} as (n+1) x (n+1)
         matrices: L1^{-1} by forward substitution on the bands, G1^{-1} by
         back substitution on it, a row at a time.  G1 has condition number
-        below 4, so all three are accurate.  Their entries decay like
-        (2 - sqrt 3)^|i - j|: each entry below the smallest normal float is
-        set to exactly zero, so the rest of its column is exact zeros and no
-        subnormal reaches the substitutions or the products that apply
-        them."""
+        below 4, so all three are accurate."""
         d, e = self.axis.chol_bands
         m = d.size
-        tiny = np.finfo(float).tiny
         inv = np.zeros((m, m))
         inv[0, 0] = 1.0 / d[0]
         for i in range(1, m):
-            row = inv[i - 1, :i] * -e[i - 1]
-            row /= d[i]
-            row[np.abs(row) < tiny] = 0.0
-            inv[i, :i] = row
+            inv[i, :i] = inv[i - 1, :i] * -e[i - 1]
+            inv[i, :i] /= d[i]
             inv[i, i] = 1.0 / d[i]
         gram = np.zeros((m, m))
         gram[-1] = inv[-1] / d[-1]
         for i in range(m - 2, -1, -1):
-            row = inv[i] - e[i] * gram[i + 1]
-            row /= d[i]
-            row[np.abs(row) < tiny] = 0.0
-            gram[i] = row
+            gram[i] = inv[i] - e[i] * gram[i + 1]
+            gram[i] /= d[i]
         return inv, inv.T, gram
 
     def along_axes(self, A, X):

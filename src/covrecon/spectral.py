@@ -447,20 +447,16 @@ def diagnostics(exact, estimated, s_exact, s_est, oracle, L,
 
     s_exact and s_est are operators with a shape and an @ (a
     TransformedStiffness or KroneckerStiffness).  Their difference is
-    applied as v -> S-tilde_exact v - S-tilde_est v.  Below
-    _LANCZOS_MIN_DOF rows, where both norms are dense, it is formed once as
-    the difference of the two matrices, bit for bit, and both norms take
-    it; from there on it is never formed, and the norms take only
-    Q_h-vector work beyond the two operators.  An operator against itself
-    gives 0.
+    applied as v -> S-tilde_exact v - S-tilde_est v and never formed: below
+    _LANCZOS_MIN_DOF rows its dense form is the difference of the two
+    matrices, bit for bit, and from there on the norms take only Q_h-vector
+    work beyond the two operators.  An operator against itself gives 0.
     """
     Q = exact.dof_count
     if not 1 <= L <= Q:
         raise ValueError("L must lie in [1, %d], got %r" % (Q, L))
     mass = s_exact.mass
     diff = _Difference(s_exact, s_est)
-    if Q < _LANCZOS_MIN_DOF:
-        diff = diff @ np.eye(Q)
     weyl_bound = operator_norm(diff)
     eigenvalue_dev = np.abs(exact.eigenvalues - estimated.eigenvalues)
     if not np.max(eigenvalue_dev) <= weyl_bound + 1e-10:
