@@ -133,9 +133,9 @@ class MassMatrix:
     columns to the (n+1, ..., n+1) lattice and applies the 1D operation
     along every axis in turn (Van Loan, "The ubiquitous Kronecker product",
     2000).  L^T runs on the bands, d_i x_i + e_{i+1} x_{i+1}.  The solves,
-    in 1D too, are products with the explicit axis inverses L1^{-1},
-    L1^{-T} and G1^{-1}: a band recurrence per vector is slower than such a
-    product.  Every action takes a (Q_h, k) block or a single (Q_h,) vector.
+    in 1D too, are products with the explicit axis inverses L1^{-T} and
+    G1^{-1}: a band recurrence per vector is slower than such a product.
+    Every action takes a (Q_h, k) block or a single (Q_h,) vector.
 
     Attributes
     ----------
@@ -190,10 +190,10 @@ class MassMatrix:
 
     @functools.cached_property
     def _axis_inverses(self):
-        """L1^{-1}, L1^{-T} and G1^{-1} = L1^{-T} L1^{-1} as (n+1) x (n+1)
-        matrices: L1^{-1} by forward substitution on the bands, G1^{-1} by
-        back substitution on it, a row at a time.  G1 has condition number
-        below 4, so all three are accurate."""
+        """L1^{-T} and G1^{-1} = L1^{-T} L1^{-1} as (n+1) x (n+1) matrices:
+        L1^{-1} by forward substitution on the bands, G1^{-1} by back
+        substitution on it, a row at a time.  G1 has condition number below
+        4, so both are accurate."""
         d, e = self.axis.chol_bands
         m = d.size
         inv = np.zeros((m, m))
@@ -207,7 +207,7 @@ class MassMatrix:
         for i in range(m - 2, -1, -1):
             gram[i] = inv[i] - e[i] * gram[i + 1]
             gram[i] /= d[i]
-        return inv, inv.T, gram
+        return inv.T, gram
 
     def along_axes(self, A, X):
         """(A kron ... kron A) X, one A per lattice axis, for an axis matrix
@@ -243,18 +243,14 @@ class MassMatrix:
         self._lt_in_place(Y, Y.shape[0])
         return Y
 
-    def solve_l(self, B):
-        """L^{-1} B for a (Q_h, k) block or a (Q_h,) vector B."""
-        return self.along_axes(self._axis_inverses[0], B)
-
     def solve_lt(self, B):
         """L^{-T} B for a (Q_h, k) block or a (Q_h,) vector B."""
-        return self.along_axes(self._axis_inverses[1], B)
+        return self.along_axes(self._axis_inverses[0], B)
 
     def solve(self, B):
         """G^{-1} B = L^{-T} L^{-1} B for a (Q_h, k) block or a (Q_h,)
         vector B."""
-        return self.along_axes(self._axis_inverses[2], B)
+        return self.along_axes(self._axis_inverses[1], B)
 
 
 def assemble_mass(space):

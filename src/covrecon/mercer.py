@@ -173,16 +173,17 @@ class ExactSide:
     k leading exact discrete pairs.
 
     field is the Brownian field of dimension d (a fields.KlOracle).  mass,
-    sigma (the exact nodal covariance) and s_exact are built on first use.
-    The nodal covariance is the d-th Kronecker power of Sigma1, the
-    covariance on one axis, so s_exact is the d-th power of S-tilde1, held
-    as S-tilde1 and applied along every axis (spectral.KroneckerStiffness),
-    and spectrum the d-th Kronecker power of the axis pairs, which are
-    closed form (_axis_pairs): no eigensolve is run.  spectrum keeps every
-    eigenvalue and the k leading vectors; a split reads at most rank k.  So
-    the only Q_h x Q_h array formed here is sigma, which only the Exact
-    estimate reads.  e1 and e2 depend on L alone and are kept per L, and
-    lambda1_dev on the mesh alone.
+    covariance (the exact nodal covariance), sigma and s_exact are built on
+    first use.  The nodal covariance is the d-th Kronecker power of Sigma1,
+    the covariance on one axis, held as Sigma1 and applied along every axis
+    (spectral.KroneckerOperator).  So s_exact is the d-th power of
+    S-tilde1, held the same way, and spectrum the d-th Kronecker power of
+    the axis pairs, which are closed form (_axis_pairs): no eigensolve is
+    run.  spectrum keeps every eigenvalue and the k leading vectors; a split
+    reads at most rank k.  The only Q_h x Q_h array formed here is sigma,
+    the covariance as one matrix, which only the Exact estimate reads.  e1
+    and e2 depend on L alone and are kept per L, and lambda1_dev on the mesh
+    alone.
     """
 
     def __init__(self, d, n, k):
@@ -200,16 +201,18 @@ class ExactSide:
         return fem.assemble_mass(self.space)
 
     @functools.cached_property
-    def sigma(self):
+    def covariance(self):
         axis = self.field.axis_covariance(self.space.mesh.axis_nodes)
-        return self.mass.along_axes(axis, np.eye(self.space.dof_count))
+        return spectral.KroneckerOperator(axis, self.mass)
+
+    @functools.cached_property
+    def sigma(self):
+        return self.covariance @ np.eye(self.space.dof_count)
 
     @functools.cached_property
     def s_exact(self):
-        x = self.space.mesh.axis_nodes
-        axis = spectral.transform(self.field.axis_covariance(x),
-                                  self.mass.axis, spectral.SOURCE_EXACT)
-        return spectral.KroneckerStiffness(axis, self.mass)
+        axis = spectral.transform(self.covariance.axis_matrix, self.mass.axis)
+        return spectral.KroneckerOperator(axis.matrix, self.mass)
 
     @functools.cached_property
     def _axis_eigenvalues(self):
@@ -233,8 +236,9 @@ class ExactSide:
         generalized eigenvectors, with mu_a = g_a / sigma_a.  Phi_a =
         v_a / N_a, N_a^2 = (2 + cos theta_a) / 6, is G-orthonormal.  The
         last pair is the node-0 mode of eigenvalue exactly 0, whose tilde
-        vector is L1^{-1} e_0 normalized.  The tilde vectors are L1^T Phi,
-        with eigensolve's canonical signs.
+        vector is L1^{-1} e_0 normalized: Phi = z / sqrt(z_0) with
+        z = G1^{-1} e_0, since ||L1^{-1} e_0||^2 = (G1^{-1})_00.  The tilde
+        vectors are L1^T Phi, with eigensolve's canonical signs.
         """
         n = self.space.mesh.elements_per_axis
         axis = self.mass.axis
@@ -245,9 +249,8 @@ class ExactSide:
         gen = np.sin(arg * (np.pi / (2 * n))) \
             / np.sqrt((2.0 + np.cos(odd * (np.pi / (2 * n)))) / 6.0)
         if self.k > n:
-            zero = axis.solve_l(np.eye(n + 1)[:, 0])
-            zero /= np.linalg.norm(zero)
-            gen = np.column_stack([gen, axis.solve_lt(zero)])
+            z = axis.solve(np.eye(n + 1)[:, 0])
+            gen = np.column_stack([gen, z / np.sqrt(z[0])])
         tilde = axis.lt(gen)
         signs = spectral.canonical_signs(tilde)
         return spectral.DiscreteSpectrum(self._axis_eigenvalues,
@@ -344,11 +347,11 @@ def estimate(config, exact, M, seed):
     return batch, _estimate_batch(config, batch)
 
 
-def _diagnose(config, exact, s_est, spec, k):
+def _diagnose(config, exact, s_est, cov_est, spec, k):
     cal = config.calibration
     return spectral.diagnostics(exact.spectrum, spec, exact.s_exact, s_est,
-                                exact.field, k, C1=cal["C1"], C=cal["C"],
-                                s=config.s)
+                                exact.covariance, cov_est, exact.field, k,
+                                C1=cal["C1"], C=cal["C"], s=config.s)
 
 
 def _estimated(config, exact, cov, k):
@@ -358,7 +361,7 @@ def _estimated(config, exact, cov, k):
     before the transform."""
     s_est = spectral.transform(cov, exact.mass, spectral.SOURCE_ESTIMATED)
     spec = spectral.eigensolve(s_est, k=k)
-    return spec, _diagnose(config, exact, s_est, spec, k)
+    return spec, _diagnose(config, exact, s_est, cov.matrix, spec, k)
 
 
 Replication = collections.namedtuple(
@@ -370,8 +373,8 @@ def replicate(config, exact, M, L, seed):
     exact side and split the error at rank L.  The estimate's eigensolve
     finds every eigenvalue (the diagnostics read them all) and only the L
     leading eigenvectors (the error split reads no others).  The Exact
-    estimator is the exact side itself: its s_exact and spectrum serve as
-    the estimate, and nothing is drawn or formed.
+    estimator is the exact side itself: its covariance, s_exact and
+    spectrum serve as the estimate, and nothing is drawn or formed.
 
     Returns a Replication with the estimate's kind, tau and M; neither the
     batch nor the covariance is kept, and the batch is freed once it is
@@ -380,7 +383,8 @@ def replicate(config, exact, M, L, seed):
     if config.estimator == "Exact":
         kind, tau, m_est = "Exact", 0, 0
         spec = exact.spectrum
-        diag = _diagnose(config, exact, exact.s_exact, spec, L)
+        diag = _diagnose(config, exact, exact.s_exact, exact.covariance,
+                         spec, L)
     else:
         cov = _estimate_batch(config, draw(config, exact, M, seed))
         spec, diag = _estimated(config, exact, cov, L)
@@ -473,9 +477,9 @@ def run_mesh(config, mesh_index, cells, reps):
     conditions.  One replication's batch and spectra are held at a time.
 
     A cell stops at its first failure.  A failed estimate, eigensolve or
-    diagnostics (which read the exact side's s_exact and spectrum) fails
-    the cells of its M, and a failed error split (which reads its e1 and
-    e2) fails its own cell alone.
+    diagnostics (which read the exact side's covariance, s_exact and
+    spectrum) fails the cells of its M, and a failed error split (which
+    reads its e1 and e2) fails its own cell alone.
     """
     k = max(config.Ls)
     exact = ExactSide(config.d, config.ns[mesh_index], k)

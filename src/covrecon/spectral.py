@@ -11,8 +11,8 @@ one (kronecker_power), whose pairs mercer.ExactSide forms in closed form.
 
 Diagnostics compare an exact-discrete spectrum against an estimated one:
 Weyl eigenvalue stability, mixed spectral gaps, the spectral-gap condition,
-Davis-Kahan subspace ratios, and the mass-spectrum sandwich on the
-transformed perturbation norm.
+Davis-Kahan subspace ratios, and the mass-spectrum sandwich that relates
+the transformed perturbation norm to that of the covariance difference.
 """
 
 import functools
@@ -67,23 +67,22 @@ class TransformedStiffness:
         return self.matrix @ X
 
 
-class KroneckerStiffness:
-    """The d-th Kronecker power S-tilde1 kron ... kron S-tilde1 of an axis
-    TransformedStiffness, on the d-dimensional lattice of mass: since
-    L^G = L1 kron ... kron L1, it is the transform of the Kronecker power of
-    the axis covariance.  Only the axis matrix is held; @ applies it along
-    every lattice axis (mass.along_axes), so no Q_h x Q_h array is formed.
-    For d = 1 it is the axis matrix itself.
+class KroneckerOperator:
+    """The d-th Kronecker power A kron ... kron A of an axis matrix A on the
+    d-dimensional lattice of mass.  Only A is held; @ applies it along every
+    lattice axis (mass.along_axes), so no Q_h x Q_h array is formed.  For
+    d = 1 it is A itself.  The exact side holds its nodal covariance (A =
+    Sigma1) and, since L^G = L1 kron ... kron L1, its transform (A =
+    S-tilde1) this way.
     """
 
-    def __init__(self, axis, mass):
-        self.axis = axis
+    def __init__(self, axis_matrix, mass):
+        self.axis_matrix = axis_matrix
         self.shape = (mass.dof_count,) * 2
-        self.source = axis.source
         self.mass = mass
 
     def __matmul__(self, X):
-        return self.mass.along_axes(self.axis.matrix, X)
+        return self.mass.along_axes(self.axis_matrix, X)
 
 
 def transform(cov, mass, tag=SOURCE_EXACT):
@@ -138,29 +137,27 @@ def _dense(solver, matrix):
                             "converge", exc)
 
 
-def eigensolve(ts, k=None):
+def eigensolve(ts, k):
     """Symmetric eigendecomposition of S-tilde, descending, canonical signs.
 
-    Without k every eigenpair comes from one dense eigh.  With k all Q
-    eigenvalues are still found, but only the leading k eigenvectors:
-    below _EIGENSOLVE_K_MIN_DOF rows as the columns of the dense solve,
-    from there on with the eigenvalues from eigvalsh and the vectors from the
-    Lanczos iteration of operator_norm.  It stops once each of the k
-    leading Ritz pairs has a residual beta_j |s_ji| <= _LANCZOS_RTOL
-    |theta_1|, solving its tridiagonal every _LANCZOS_CHECK_EVERY steps.
-    Each of the k Ritz values must then lie within its residual, plus the
-    Q eps |theta_1| roundoff of eigvalsh, of the eigvalsh eigenvalue of its
-    rank: one start vector can miss a copy of a repeated eigenvalue, and
-    that raises NumericError with the matrix dumped, as a failed dense solve
-    does.
+    All Q eigenvalues are found, but only the leading k eigenvectors: below
+    _EIGENSOLVE_K_MIN_DOF rows as the columns of one dense eigh, from there
+    on with the eigenvalues from eigvalsh and the vectors from the Lanczos
+    iteration of operator_norm.  It stops once each of the k leading Ritz
+    pairs has a residual beta_j |s_ji| <= _LANCZOS_RTOL |theta_1|, solving
+    its tridiagonal every _LANCZOS_CHECK_EVERY steps.  Each of the k Ritz
+    values must then lie within its residual, plus the Q eps |theta_1|
+    roundoff of eigvalsh, of the eigvalsh eigenvalue of its rank: one start
+    vector can miss a copy of a repeated eigenvalue, and that raises
+    NumericError with the matrix dumped, as a failed dense solve does.
 
     The sign of each tilde eigenvector is fixed by canonical_signs; the
     generalized vectors inherit the same flips.
     """
     Q = ts.matrix.shape[0]
-    if k is not None and not 1 <= k <= Q:
+    if not 1 <= k <= Q:
         raise ValueError("k must lie in [1, %d], got %r" % (Q, k))
-    if k is None or Q < _EIGENSOLVE_K_MIN_DOF:
+    if Q < _EIGENSOLVE_K_MIN_DOF:
         vals, vecs = _dense(np.linalg.eigh, ts.matrix)
         order = np.argsort(-vals, kind="stable")
         vals = vals[order]
@@ -176,11 +173,11 @@ def eigensolve(ts, k=None):
                 ts.matrix, "Lanczos missed a leading eigenvalue",
                 "Ritz values %r against eigenvalues %r" % (theta, vals[:k]))
     vecs = vecs * canonical_signs(vecs)
+    # below the switch the dense solve is back-transformed whole and sliced
+    # afterwards: slicing first keeps the bits for k >= 2, but a one-column
+    # product rounds differently
     gen = ts.mass.solve_lt(vecs)
-    if k is not None:
-        # below the switch the dense solve is back-transformed whole, so the
-        # columns keep the bits of eigensolve(ts)
-        vecs, gen = vecs[:, :k], gen[:, :k]
+    vecs, gen = vecs[:, :k], gen[:, :k]
     return DiscreteSpectrum(vals, vecs, gen, ts.source, ts.mass)
 
 
@@ -375,21 +372,6 @@ class _Difference:
         return self._A @ X - self._B @ X
 
 
-class _InverseCongruence:
-    """The symmetric operator v -> L^{-T} D L^{-1} v of a symmetric operator
-    D, with L the mass Cholesky factor, as operator_norm takes it: a shape
-    and an @.
-    """
-
-    def __init__(self, D, mass):
-        self.shape = D.shape
-        self._D = D
-        self._mass = mass
-
-    def __matmul__(self, X):
-        return self._mass.solve_lt(self._D @ self._mass.solve_l(X))
-
-
 def _mixed_gaps(exact_vals, est_vals, L):
     """Mixed gaps min{est_{l-1} - exact_l, exact_l - est_{l+1}} in magnitude.
 
@@ -434,30 +416,32 @@ class SpectralDiagnostics:
             ~gap_condition_per_ell | quarter_gap_per_ell))
 
 
-def diagnostics(exact, estimated, s_exact, s_est, oracle, L,
-                C1=1.0, C=1.0, s=0.5):
+def diagnostics(exact, estimated, s_exact, s_est, cov_exact, cov_est, oracle,
+                L, C1=1.0, C=1.0, s=0.5):
     """Compare an estimated spectrum against the exact discrete one.
 
     Computes the exact operator norm of S-tilde_exact - S-tilde_est (the
     Weyl bound), per-index eigenvalue deviations, mixed and continuous
     spectral gaps for l <= L, the gap condition (gap_condition_margins with
     the calibration constants C1 and s), Davis-Kahan ratios
-    C ||S-tilde diff|| / mixed gap, and the mass-spectrum sandwich around
-    the Weyl bound.  Failed gap checks are reported, never raised.
+    C ||S-tilde diff|| / mixed gap, the norm of the covariance difference
+    Sigma_exact - Sigma_est, and the mass-spectrum sandwich
+    (opnorm_sandwich) on it, which must contain the Weyl bound.  Failed gap
+    checks are reported, never raised.
 
-    s_exact and s_est are operators with a shape and an @ (a
-    TransformedStiffness or KroneckerStiffness).  Their difference is
-    applied as v -> S-tilde_exact v - S-tilde_est v and never formed: below
-    _LANCZOS_MIN_DOF rows its dense form is the difference of the two
-    matrices, bit for bit, and from there on the norms take only Q_h-vector
-    work beyond the two operators.  An operator against itself gives 0.
+    s_exact and s_est are the transforms of the covariances cov_exact and
+    cov_est.  All four are operators with a shape and an @ (a matrix, a
+    TransformedStiffness or a KroneckerOperator).  Each difference is
+    applied as v -> A v - B v and never formed: below _LANCZOS_MIN_DOF rows
+    its dense form is the difference of the two matrices, bit for bit, and
+    from there on the norms take only Q_h-vector work beyond the operators.
+    No mass solve runs, and an operator against itself gives 0.
     """
     Q = exact.dof_count
     if not 1 <= L <= Q:
         raise ValueError("L must lie in [1, %d], got %r" % (Q, L))
     mass = s_exact.mass
-    diff = _Difference(s_exact, s_est)
-    weyl_bound = operator_norm(diff)
+    weyl_bound = operator_norm(_Difference(s_exact, s_est))
     eigenvalue_dev = np.abs(exact.eigenvalues - estimated.eigenvalues)
     if not np.max(eigenvalue_dev) <= weyl_bound + 1e-10:
         raise NumericError("eigenvalue deviation %.3e exceeds the Weyl bound "
@@ -473,10 +457,10 @@ def diagnostics(exact, estimated, s_exact, s_est, oracle, L,
     pos = discrete_gaps > 0
     davis_kahan[pos] = C * weyl_bound / discrete_gaps[pos]
 
-    # the norm of the covariance-space perturbation L^{-T} D L^{-1}, from its
-    # action on vectors, and a check that the sandwich contains the
-    # transformed norm
-    cov_diff_norm = operator_norm(_InverseCongruence(diff, mass))
+    # the norm comes from the covariances, not from the transformed
+    # difference, so the sandwich can catch an s_est that is not the
+    # transform of cov_est
+    cov_diff_norm = operator_norm(_Difference(cov_exact, cov_est))
     lo, hi = opnorm_sandwich(mass, cov_diff_norm)
     slack = 1e-10 * max(1.0, hi)
     if not lo - slack <= weyl_bound <= hi + slack:

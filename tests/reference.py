@@ -417,7 +417,7 @@ class IdentityMass:
     def congruence(self, X):
         return np.array(X, dtype=float)
 
-    solve_l = solve_lt = solve = congruence
+    solve_lt = solve = congruence
 
 
 def dense_mass(mass):
@@ -441,10 +441,11 @@ def dense_transform(sigma, mass):
     return 0.5 * (raw + raw.T)
 
 
-def dense_stiffness(ts):
-    """The dense matrix of a KroneckerStiffness (the exact side's s_exact):
-    the Kronecker power of its axis matrix, formed with np.kron."""
-    return functools.reduce(np.kron, [ts.axis.matrix] * ts.mass.dim)
+def dense_stiffness(op):
+    """The dense matrix of a KroneckerOperator (the exact side's s_exact or
+    covariance): the Kronecker power of its axis matrix, formed with
+    np.kron."""
+    return functools.reduce(np.kron, [op.axis_matrix] * op.mass.dim)
 
 
 def dense_eigh(sigma, mass):

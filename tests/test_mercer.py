@@ -98,7 +98,7 @@ def test_decomposition_with_sampled_estimate():
     batch = fields.draw_batch(field, space, 2000, seed=0)
     cov = estimators.estimate_covariance(batch, alpha=1.0)
     s_est = spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED)
-    est = spectral.eigensolve(s_est)
+    est = spectral.eigensolve(s_est, 3)
     report = mercer.error_decomposition(support.exact_side(1, 16), est, 3)
     assert report.e3 > 0.0 and report.total > 0.0
     assert report.total <= report.e1 + report.e2 + report.e3 + 1e-8
@@ -272,7 +272,8 @@ def _sampled_spectrum(d, n, M, seed):
     cov = estimators.estimate_covariance(
         fields.draw_batch(field, space, M, seed=seed))
     return spectral.eigensolve(
-        spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED))
+        spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED),
+        space.dof_count)
 
 
 def _truncated_kl(oracle, L):
@@ -401,17 +402,21 @@ def test_invariants_raise_under_python_O():
         "        fem.MassMatrix(fem.build_space(1, 2))\n"
         "    except NumericError:\n"
         "        print('mass rejected')\n"
-        "class Mass:\n"
-        "    solve_l = solve_lt = staticmethod(np.array)\n"
+        "class Mass:\n"  # G = 2 I, so S-tilde = 2 Sigma
+        "    solve_lt = staticmethod(np.array)\n"
         "    space = space\n"
         "    lambda_min = lambda_max = 2.0\n"
-        "a, b = (spectral.TransformedStiffness(np.diag([v, 0.5, 0.2]), 'x',"
-        " Mass) for v in (1.0, 1.1))\n"
-        "spec_a, spec_b = spectral.eigensolve(a), spectral.eigensolve(b)\n"
+        "cov_a, cov_b = (np.diag([v, 0.25, 0.1]) for v in (0.5, 0.55))\n"
+        "a, b = (spectral.TransformedStiffness(2.0 * c, 'x', Mass)"
+        " for c in (cov_a, cov_b))\n"
+        "spec_a, spec_b = spectral.eigensolve(a, 3), spectral.eigensolve(b, 3)\n"
         "oracle = fields.KlOracle(1)\n"
+        # spec_b against s_est = a breaks Weyl; s_est = b with cov_est =
+        # cov_a breaks the sandwich (a Weyl bound of 0.1 against [0, 0])
         "for s_b, what in ((a, 'Weyl'), (b, 'sandwich')):\n"
         "    try:\n"
-        "        spectral.diagnostics(spec_a, spec_b, a, s_b, oracle, 2)\n"
+        "        spectral.diagnostics(spec_a, spec_b, a, s_b, cov_a, cov_a,"
+        " oracle, 2)\n"
         "    except NumericError:\n"
         "        print(what + ' violation rejected')\n"
         "seen = set()\n"
@@ -628,7 +633,7 @@ def test_run_cell_holds_one_replication_at_a_time(monkeypatch):
         refs["batch"].append(weakref.ref(batch.coeffs))  # prefixes view it
         return batch
 
-    def watching_eigensolve(ts, k=None):
+    def watching_eigensolve(ts, k):
         if ts.source != spectral.SOURCE_ESTIMATED:
             return eigensolve(ts, k)
         released("spectrum")

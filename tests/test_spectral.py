@@ -69,7 +69,7 @@ def test_eigensolve_diagonal_matrix():
     mass = reference.IdentityMass(3)
     ts = spectral.TransformedStiffness(np.diag([3.0, 1.0, 2.0]),
                                        spectral.SOURCE_EXACT, mass)
-    spec = spectral.eigensolve(ts)
+    spec = spectral.eigensolve(ts, 3)
     assert np.array_equal(spec.eigenvalues, [3.0, 2.0, 1.0])
     # canonical sign: the largest-magnitude component is positive
     assert np.array_equal(np.abs(spec.tilde_vectors),
@@ -85,7 +85,7 @@ def test_eigensolve_random_matrix_invariants():
     mass = fem.assemble_mass(space)
     for trial in range(50):
         sigma = reference.random_symmetric(rng, 12)
-        spec = spectral.eigensolve(spectral.transform(sigma, mass))
+        spec = spectral.eigensolve(spectral.transform(sigma, mass), 12)
         lam, vt, vg = spec.eigenvalues, spec.tilde_vectors, spec.gen_vectors
         assert np.all(np.diff(lam) <= 0.0), "eigenvalues must descend"
         S = spectral.transform(sigma, mass).matrix
@@ -261,9 +261,9 @@ def test_eigensolve_permutation_invariant_eigenvalues():
     A = reference.random_symmetric(rng, 10)
     P = np.eye(10)[rng.permutation(10)]
     a = spectral.eigensolve(spectral.TransformedStiffness(
-        A, spectral.SOURCE_EXACT, mass)).eigenvalues
+        A, spectral.SOURCE_EXACT, mass), 10).eigenvalues
     b = spectral.eigensolve(spectral.TransformedStiffness(
-        P @ A @ P.T, spectral.SOURCE_EXACT, mass)).eigenvalues
+        P @ A @ P.T, spectral.SOURCE_EXACT, mass), 10).eigenvalues
     assert np.max(np.abs(a - b)) <= 1e-12, \
         "a symmetric permutation must not move the spectrum"
 
@@ -278,7 +278,7 @@ def test_eigensolve_failure_dumps_matrix(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", boom)
     with pytest.raises(NumericError, match="saved to") as err:
-        spectral.eigensolve(ts)
+        spectral.eigensolve(ts, 3)
     path = re.search(r"saved to (\S+):", str(err.value)).group(1)
     try:
         assert np.array_equal(np.load(path), matrix), \
@@ -337,8 +337,8 @@ def test_eigensolve_k_below_switch_is_the_dense_solve_sliced():
         ts = _estimated_stiffness(d, n, alpha, M)
         Q = ts.matrix.shape[0]
         assert Q < spectral._EIGENSOLVE_K_MIN_DOF
-        full = spectral.eigensolve(ts)
-        for k in (1, 3, Q):
+        full = spectral.eigensolve(ts, Q)
+        for k in (1, 3):
             spec = spectral.eigensolve(ts, k=k)
             assert np.array_equal(spec.eigenvalues, full.eigenvalues)
             assert np.array_equal(spec.tilde_vectors,
@@ -353,7 +353,7 @@ def test_eigensolve_k_raises_on_a_missed_tie():
     # one start vector spans one direction of a repeated eigenvalue: on this
     # rank-3 matrix the Krylov space is exhausted after three steps, and the
     # second Ritz value converges to 0.5 before roundoff brings in the second
-    # copy of 1.  The k route must raise, and the dense route still solves it
+    # copy of 1.  The k route must raise, though a dense solve finds both
     q = spectral._EIGENSOLVE_K_MIN_DOF + 2
     U = np.linalg.qr(np.random.default_rng(5).standard_normal((q, 3)))[0]
     A = (U * [1.0, 1.0, 0.5]) @ U.T
@@ -367,8 +367,8 @@ def test_eigensolve_k_raises_on_a_missed_tie():
         assert np.array_equal(np.load(path), A)
     finally:
         os.remove(path)
-    spec = spectral.eigensolve(ts)
-    assert np.max(np.abs(spec.eigenvalues[:3] - [1.0, 1.0, 0.5])) <= 1e-14
+    vals = np.linalg.eigvalsh(A)[::-1]
+    assert np.max(np.abs(vals[:3] - [1.0, 1.0, 0.5])) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +380,7 @@ def test_align_signs_recovers_flips():
     mass = reference.IdentityMass(8)
     A = reference.random_symmetric(rng, 8)
     spec = spectral.eigensolve(spectral.TransformedStiffness(
-        A, spectral.SOURCE_EXACT, mass))
+        A, spectral.SOURCE_EXACT, mass), 8)
     flips = np.where(rng.random(8) < 0.5, -1.0, 1.0)
     flipped = spectral.DiscreteSpectrum(
         spec.eigenvalues.copy(), spec.tilde_vectors * flips,
@@ -402,10 +402,10 @@ def test_align_signs_minimizes_distance_per_mode():
     rng = np.random.default_rng(53)
     mass = fem.assemble_mass(fem.build_space(1, 9))
     base = reference.random_symmetric(rng, 10)
-    ref = spectral.eigensolve(spectral.transform(base, mass))
+    ref = spectral.eigensolve(spectral.transform(base, mass), 10)
     pert = spectral.eigensolve(spectral.transform(
         base + 0.05 * reference.random_symmetric(rng, 10), mass,
-        spectral.SOURCE_ESTIMATED))
+        spectral.SOURCE_ESTIMATED), 10)
     aligned = spectral.align_signs(ref, pert)
     for ell in range(10):
         a = ref.tilde_vectors[:, ell]
@@ -417,7 +417,7 @@ def test_align_signs_minimizes_distance_per_mode():
 def test_align_signs_zero_dot_and_mismatch():
     mass = reference.IdentityMass(2)
     spec = spectral.eigensolve(spectral.TransformedStiffness(
-        np.diag([2.0, 1.0]), spectral.SOURCE_EXACT, mass))
+        np.diag([2.0, 1.0]), spectral.SOURCE_EXACT, mass), 2)
     # orthogonal columns: dot products are exactly zero, nothing may change
     other = spectral.DiscreteSpectrum(
         spec.eigenvalues.copy(),
@@ -427,7 +427,7 @@ def test_align_signs_zero_dot_and_mismatch():
     out = spectral.align_signs(spec, other)
     assert np.array_equal(out.tilde_vectors, other.tilde_vectors)
     big = spectral.eigensolve(spectral.TransformedStiffness(
-        np.eye(3), spectral.SOURCE_EXACT, reference.IdentityMass(3)))
+        np.eye(3), spectral.SOURCE_EXACT, reference.IdentityMass(3)), 3)
     with pytest.raises(ValueError):
         spectral.align_signs(spec, big)
 
@@ -465,9 +465,9 @@ def test_weyl_bound_random_pairs():
         A = reference.random_symmetric(rng, 15)
         E = reference.random_symmetric(rng, 15, scale=rng.random())
         sa = spectral.eigensolve(spectral.TransformedStiffness(
-            A, spectral.SOURCE_EXACT, mass))
+            A, spectral.SOURCE_EXACT, mass), 15)
         sb = spectral.eigensolve(spectral.TransformedStiffness(
-            A + E, spectral.SOURCE_ESTIMATED, mass))
+            A + E, spectral.SOURCE_ESTIMATED, mass), 15)
         bound = np.linalg.norm(E, 2)
         dev = np.abs(sa.eigenvalues - sb.eigenvalues)
         assert np.max(dev) <= bound + 1e-10, \
@@ -554,12 +554,27 @@ def test_operator_norm_lanczos_never_falls_back_to_dense(monkeypatch):
 # joint diagnostics
 # ---------------------------------------------------------------------------
 
+def _mle_case(d, n, M=200, seed=3):
+    """The exact side (every exact vector kept), an MLE estimate from M
+    nodal draws, its transform and its spectrum with the 3 leading
+    vectors."""
+    from covrecon import estimators
+
+    exact = support.exact_side(d, n)
+    batch = fields.draw_batch(exact.field, exact.space, M, seed=seed)
+    cov = estimators.estimate_covariance(batch)
+    s_est = spectral.transform(cov, exact.mass, spectral.SOURCE_ESTIMATED)
+    return exact, cov, s_est, spectral.eigensolve(s_est, 3)
+
+
 def test_diagnostics_identical_spectra():
-    field, _, _, _, s_exact, spec = support.brownian_setup(1, 32)
-    diag = spectral.diagnostics(spec, spec, s_exact, s_exact, field, 3)
+    exact = support.exact_side(1, 32)
+    spec, s_exact, cov = exact.spectrum, exact.s_exact, exact.covariance
+    diag = spectral.diagnostics(spec, spec, s_exact, s_exact, cov, cov,
+                                exact.field, 3)
     assert diag.weyl_bound == 0.0
     assert np.max(diag.eigenvalue_dev) == 0.0
-    assert diag.cov_diff_norm <= 1e-14
+    assert diag.cov_diff_norm == 0.0
     assert diag.theorem_consistent
     # mixed gaps of a spectrum against itself reduce to its own gaps
     lam = spec.eigenvalues
@@ -569,6 +584,7 @@ def test_diagnostics_identical_spectra():
 
 
 def test_diagnostics_rank_one_perturbation():
+    # with the identity mass each stiffness is its own covariance
     eps = 1e-3
     mass = reference.IdentityMass(6)
     base = np.diag([0.9, 0.7, 0.5, 0.3, 0.2, 0.1])
@@ -576,12 +592,14 @@ def test_diagnostics_rank_one_perturbation():
     bumped[0, 0] += eps
     s_a = spectral.TransformedStiffness(base, spectral.SOURCE_EXACT, mass)
     s_b = spectral.TransformedStiffness(bumped, spectral.SOURCE_ESTIMATED, mass)
-    spec_a = spectral.eigensolve(s_a)
-    spec_b = spectral.eigensolve(s_b)
+    spec_a = spectral.eigensolve(s_a, 6)
+    spec_b = spectral.eigensolve(s_b, 6)
     oracle = fields.KlOracle(1)
-    diag = spectral.diagnostics(spec_a, spec_b, s_a, s_b, oracle, 2)
+    diag = spectral.diagnostics(spec_a, spec_b, s_a, s_b, base, bumped,
+                                oracle, 2)
     assert abs(diag.weyl_bound - eps) <= 1e-12, \
         "a rank-one epsilon bump has operator norm epsilon"
+    assert abs(diag.cov_diff_norm - eps) <= 1e-12
     assert abs(diag.eigenvalue_dev[0] - eps) <= 1e-12
     assert np.max(diag.eigenvalue_dev[1:]) <= 1e-12
     assert np.all(diag.davis_kahan_bounds >= 0.0)
@@ -594,13 +612,15 @@ def test_diagnostics_gap_condition_and_quarter_gap():
     # the 20-seed version lives in the acceptance suite)
     from covrecon import estimators
 
-    field, space, mass, sigma, s_exact, spec = support.brownian_setup(1, 32)
+    exact = support.exact_side(1, 32)
+    field, space, spec = exact.field, exact.space, exact.spectrum
     for seed in (0, 1, 2):
         batch = fields.draw_batch(field, space, 10_000, seed=seed)
         cov = estimators.mle_covariance(batch)
-        s_est = spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED)
-        est = spectral.eigensolve(s_est)
-        diag = spectral.diagnostics(spec, est, s_exact, s_est, field, 3,
+        s_est = spectral.transform(cov, exact.mass, spectral.SOURCE_ESTIMATED)
+        est = spectral.eigensolve(s_est, 3)
+        diag = spectral.diagnostics(spec, est, exact.s_exact, s_est,
+                                    exact.covariance, cov.matrix, field, 3,
                                     C1=1.3e-3)
         assert diag.theorem_consistent, \
             "quarter-gap failed under a passing gap condition (seed %d)" % seed
@@ -622,47 +642,76 @@ def test_diagnostics_above_lanczos_switch():
     # norms go through Lanczos and must agree with the dense oracle
     from covrecon import estimators
 
-    field, space, mass, sigma, s_exact, spec = support.brownian_setup(1, 256)
+    exact = support.exact_side(1, 256)
+    field, space, spec = exact.field, exact.space, exact.spectrum
     assert space.dof_count >= spectral._LANCZOS_MIN_DOF
     batch = fields.draw_batch(field, space, 200, mode=fields.MODE_PROJECTION,
                               seed=0, kl_trunc=400)
     cov = estimators.estimate_covariance(batch, alpha=1.0)
     assert cov.estimator_kind == "Tapered"
-    s_est = spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED)
-    est = spectral.eigensolve(s_est)
-    diag = spectral.diagnostics(spec, est, s_exact, s_est, field, 5)
-    want = _dense_norm(reference.dense_stiffness(s_exact) - s_est.matrix)
+    s_est = spectral.transform(cov, exact.mass, spectral.SOURCE_ESTIMATED)
+    est = spectral.eigensolve(s_est, 5)
+    diag = spectral.diagnostics(spec, est, exact.s_exact, s_est,
+                                exact.covariance, cov.matrix, field, 5)
+    want = _dense_norm(reference.dense_stiffness(exact.s_exact) - s_est.matrix)
     assert abs(diag.weyl_bound - want) <= 1e-13 * want
-    # the recovered difference is sigma - cov up to the two triangular solves
-    want = _dense_norm(sigma - cov.matrix)
-    assert abs(diag.cov_diff_norm - want) <= 1e-10 * want
+    want = _dense_norm(exact.sigma - cov.matrix)
+    assert abs(diag.cov_diff_norm - want) <= 1e-13 * want
     lo, hi = diag.sandwich_interval
     assert lo <= diag.weyl_bound <= hi
     assert np.max(diag.eigenvalue_dev) <= diag.weyl_bound
-    assert spectral.diagnostics(spec, spec, s_exact, s_exact, field,
+    assert spectral.diagnostics(spec, spec, exact.s_exact, exact.s_exact,
+                                exact.covariance, exact.covariance, field,
                                 5).weyl_bound == 0.0
 
 
 @pytest.mark.parametrize("d, n", [(1, 32), (1, 256), (2, 32)])
 def test_cov_diff_norm_matches_the_formed_recovered_difference(d, n):
-    # diagnostics takes the norm of L^{-T} D L^{-1} from its action on
-    # vectors (Q_h = 33 below the Lanczos switch, 257 and 1089 above); the
-    # oracle forms it with the dense factor
-    from covrecon import estimators
-
-    field, space, mass, _, s_exact, spec = support.brownian_setup(d, n)
-    batch = fields.draw_batch(field, space, 200, seed=3)
-    cov = estimators.estimate_covariance(batch)
-    s_est = spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED)
-    est = spectral.eigensolve(s_est)
-    diag = spectral.diagnostics(spec, est, s_exact, s_est, field, 3)
-    L_inv = sla.solve_triangular(reference.dense_chol(mass),
-                                 np.eye(space.dof_count), lower=True)
-    D = reference.dense_stiffness(s_exact) - s_est.matrix
-    want = _dense_norm(L_inv.T @ D @ L_inv)
+    # diagnostics takes the norm of Sigma_exact - Sigma_est from its action
+    # on vectors (Q_h = 33 below the Lanczos switch, 257 and 1089 above);
+    # the oracle forms the difference of the two dense covariances
+    exact, cov, s_est, est = _mle_case(d, n)
+    diag = spectral.diagnostics(exact.spectrum, est, exact.s_exact, s_est,
+                                exact.covariance, cov.matrix, exact.field, 3)
+    want = _dense_norm(exact.sigma - cov.matrix)
     assert abs(diag.cov_diff_norm - want) <= 1e-13 * want, \
         "Q=%d: %r against the formed difference %r" % (
-            space.dof_count, diag.cov_diff_norm, want)
+            exact.space.dof_count, diag.cov_diff_norm, want)
+
+
+@pytest.mark.parametrize("d, n", [(1, 32), (2, 32)])
+def test_diagnostics_run_no_mass_solve(d, n, monkeypatch):
+    # both norms come from operators already at hand: the two stiffnesses
+    # and the two covariances
+    exact, cov, s_est, est = _mle_case(d, n)
+    exact.spectrum, exact.s_exact, exact.covariance  # inputs, built first
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the diagnostics ran a mass solve")
+
+    for name in ("solve_lt", "solve"):
+        monkeypatch.setattr(fem.MassMatrix, name, no_solve)
+    monkeypatch.setattr(fem.MassMatrix, "_axis_inverses", property(no_solve))
+    diag = spectral.diagnostics(exact.spectrum, est, exact.s_exact, s_est,
+                                exact.covariance, cov.matrix, exact.field, 3)
+    assert diag.cov_diff_norm > 0.0
+    lo, hi = diag.sandwich_interval
+    assert lo <= diag.weyl_bound <= hi
+
+
+@pytest.mark.parametrize("d, n", [(1, 32), (2, 8), (1, 256)])
+def test_sandwich_catches_a_stiffness_without_the_mass_factor(d, n):
+    # the estimate passed untransformed as its own stiffness: Weyl's
+    # inequality holds for any two symmetric matrices, but the distance of
+    # that matrix to S-tilde_exact is far outside the mass-spectrum interval
+    # of the covariance difference
+    exact, cov, _, _ = _mle_case(d, n)
+    s_est = spectral.TransformedStiffness(
+        cov.matrix, spectral.SOURCE_ESTIMATED, exact.mass)
+    est = spectral.eigensolve(s_est, 3)
+    with pytest.raises(NumericError, match="escapes the sandwich"):
+        spectral.diagnostics(exact.spectrum, est, exact.s_exact, s_est,
+                             exact.covariance, cov.matrix, exact.field, 3)
 
 
 @pytest.mark.parametrize("d, n", [(1, 32), (2, 8)])
@@ -670,14 +719,8 @@ def test_diagnostics_densifies_the_difference_bit_for_bit(d, n, monkeypatch):
     # below the Lanczos switch the Weyl bound is the dense eigvalsh of the
     # applied difference, which is S-tilde_exact - S-tilde_est as formed
     # with np.kron (tests/reference.py), bit for bit
-    from covrecon import estimators
-
-    field, space, mass, _, s_exact, spec = support.brownian_setup(d, n)
-    assert space.dof_count < spectral._LANCZOS_MIN_DOF
-    batch = fields.draw_batch(field, space, 200, seed=3)
-    s_est = spectral.transform(estimators.estimate_covariance(batch), mass,
-                               spectral.SOURCE_ESTIMATED)
-    est = spectral.eigensolve(s_est)
+    exact, cov, s_est, est = _mle_case(d, n)
+    assert exact.space.dof_count < spectral._LANCZOS_MIN_DOF
     seen, eigvalsh = [], np.linalg.eigvalsh
 
     def recording_eigvalsh(A):
@@ -685,15 +728,28 @@ def test_diagnostics_densifies_the_difference_bit_for_bit(d, n, monkeypatch):
         return eigvalsh(A)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
-    spectral.diagnostics(spec, est, s_exact, s_est, field, 3)
-    assert np.array_equal(seen[0], reference.dense_stiffness(s_exact)
+    spectral.diagnostics(exact.spectrum, est, exact.s_exact, s_est,
+                         exact.covariance, cov.matrix, exact.field, 3)
+    assert np.array_equal(seen[0], reference.dense_stiffness(exact.s_exact)
                           - s_est.matrix)
+
+
+class _RankOneUpdate:
+    """The operator v -> A v + c z (z . v), applied, never formed."""
+
+    def __init__(self, A, c, z):
+        self.shape = A.shape
+        self._A, self._c, self._z = A, c, z
+
+    def __matmul__(self, X):
+        return self._A @ X + self._c * np.multiply.outer(self._z, self._z @ X)
 
 
 def test_diagnostics_2d_n64_forms_no_q_by_q_difference():
     # at Q_h = 4225 one Q_h x Q_h float64 array is 143 MB: the diagnostics
-    # apply S-tilde_exact per axis and the difference to vectors, so they
-    # allocate less than one such array beyond their inputs
+    # apply S-tilde_exact and the exact covariance per axis and the
+    # differences to vectors, so they allocate less than one such array
+    # beyond their inputs
     import tracemalloc
 
     exact = mercer.ExactSide(2, 64, 3)
@@ -702,22 +758,28 @@ def test_diagnostics_2d_n64_forms_no_q_by_q_difference():
     dense[0, 0] += 0.01  # a rank-one estimate error of norm 0.01
     s_est = spectral.TransformedStiffness(dense, spectral.SOURCE_ESTIMATED,
                                           exact.mass)
+    # its covariance: the error 0.01 e_0 e_0^T transformed back, z z^T with
+    # z = 0.1 L^{-T} e_0
+    z = 0.1 * exact.mass.solve_lt(np.eye(Q)[:, 0])
+    cov_est = _RankOneUpdate(exact.covariance, 1.0, z)
     spec = exact.spectrum
     exact.field.gaps(3), exact.field.eigenvalues(4)  # inputs, built first
     tracemalloc.start()
     try:
         diag = spectral.diagnostics(spec, spec, exact.s_exact, s_est,
-                                    exact.field, 3)
+                                    exact.covariance, cov_est, exact.field, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < Q * Q * 8, "peak %.1f MB" % (peak / 1e6)
     assert abs(diag.weyl_bound - 0.01) <= 1e-13
+    assert abs(diag.cov_diff_norm - z @ z) <= 1e-13 * (z @ z)
 
 
 def test_diagnostics_validates_rank():
-    field, _, _, _, s_exact, spec = support.brownian_setup(1, 8)
-    with pytest.raises(ValueError):
-        spectral.diagnostics(spec, spec, s_exact, s_exact, field, 0)
-    with pytest.raises(ValueError):
-        spectral.diagnostics(spec, spec, s_exact, s_exact, field, 10)
+    exact = support.exact_side(1, 8)
+    spec, s_exact, cov = exact.spectrum, exact.s_exact, exact.covariance
+    for L in (0, 10):
+        with pytest.raises(ValueError):
+            spectral.diagnostics(spec, spec, s_exact, s_exact, cov, cov,
+                                 exact.field, L)
