@@ -91,11 +91,10 @@ class StudyConfig:
         if self.estimator not in _ESTIMATORS:
             raise ConfigError("estimator.kind: must be one of %s, got %r"
                               % ("/".join(_ESTIMATORS), self.estimator))
-        if self.estimator == "Tapered" and not (
-                (_is_int(self.alpha) or isinstance(self.alpha, float))
+        if not ((_is_int(self.alpha) or isinstance(self.alpha, float))
                 and 0 < self.alpha < math.inf):
-            raise ConfigError("estimator.alpha: tapering needs a finite "
-                              "alpha > 0, got %r" % (self.alpha,))
+            raise ConfigError("estimator.alpha: must be a finite alpha > 0, "
+                              "got %r" % (self.alpha,))
         for name, lst, low in (("study.ns", self.ns, 2),
                                ("study.Ms", self.Ms, 1),
                                ("study.Ls", self.Ls, 1)):

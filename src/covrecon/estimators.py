@@ -11,6 +11,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class TaperedCovariance:
@@ -76,13 +77,6 @@ def _lattice_side(Q, dim):
     return m
 
 
-def _weight_matrix(Q, tau, dim):
-    """Per-axis taper of the lattice: the dim-th Kronecker power of W1."""
-    idx = np.arange(_lattice_side(Q, dim))
-    W1 = tapering_weights(tau, idx[:, None], idx[None, :])
-    return functools.reduce(np.kron, [W1] * dim)
-
-
 def _lattice_offsets(Q, dim):
     """Chebyshev offsets max_k |i_k - i'_k| between the Q lattice nodes."""
     coords = np.unravel_index(np.arange(Q), (_lattice_side(Q, dim),) * dim)
@@ -96,7 +90,7 @@ def taper_bandwidth(M, alpha):
     return max(2 * math.ceil(M ** (1.0 / (2.0 * alpha + 1.0)) / 2.0), 2)
 
 
-def taper(cov, alpha, dim, weights=None):
+def taper(cov, alpha, dim):
     """Taper an MLE covariance at the rate-optimal bandwidth for alpha.
 
     tau is taper_bandwidth(M, alpha), clamped to the largest even integer
@@ -104,9 +98,10 @@ def taper(cov, alpha, dim, weights=None):
     plain MLE already attains the rate and cov is returned unchanged.  The
     Q dofs are the lexicographic nodes of a dim-dimensional lattice, tapered
     per axis: in 2D the weight of a node pair is the product of the weights
-    of its two axis offsets.  weights, when given, keeps the read-only
-    weight matrix of each tau for this lattice (FeSpace.taper_weights), so
-    the tapers of one space build it once.
+    of its two axis offsets.  The covariance, seen as its (m,) * 2 dim
+    lattice array, is multiplied by the m x m axis weight W1 along each axis
+    pair (k, dim + k), in place after the first; W1 is a read-only Toeplitz
+    view of the 2m - 1 offset weights, so no Q x Q weight is built.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive, got %r" % (alpha,))
@@ -114,22 +109,28 @@ def taper(cov, alpha, dim, weights=None):
     if Q < cov.M ** (1.0 / (2.0 * alpha + 1.0)):
         return cov
     tau = min(taper_bandwidth(cov.M, alpha), Q - Q % 2)
-    if weights is None:
-        weights = {}
-    if tau not in weights:
-        weights[tau] = _weight_matrix(Q, tau, dim)
-        weights[tau].setflags(write=False)
-    return TaperedCovariance(cov.matrix * weights[tau], tau=tau, alpha=alpha,
+    m = _lattice_side(Q, dim)
+    # W1[i, j] = w(|j - i|): row i is the window of offsets -i .. m - 1 - i
+    W1 = sliding_window_view(tapering_weights(tau, 0, np.arange(1 - m, m)),
+                             m)[::-1]
+
+    def along(k):  # W1 on lattice axes k (row) and dim + k (column)
+        return W1.reshape([m if a % dim == k else 1 for a in range(2 * dim)])
+
+    out = cov.matrix.reshape((m,) * (2 * dim)) * along(0)
+    for k in range(1, dim):
+        out *= along(k)
+    return TaperedCovariance(out.reshape(Q, Q), tau=tau, alpha=alpha,
                              estimator_kind="Tapered", M=cov.M)
 
 
 def estimate_covariance(batch, alpha=None):
     """MLE covariance of a batch, tapered at the optimal bandwidth if alpha
-    given, with the taper weights kept on the batch's space."""
+    given."""
     cov = mle_covariance(batch)
     if alpha is None:
         return cov
-    return taper(cov, alpha, batch.space.mesh.dim, batch.space.taper_weights)
+    return taper(cov, alpha, batch.space.mesh.dim)
 
 
 def rho_tilde(h, M, alpha, d):

@@ -66,9 +66,6 @@ class FeSpace:
         # KL projection maps by kl_trunc, once a projection draw has built
         # them (fields._draw_projected)
         self.kl_projections = {}
-        # taper weight matrices by bandwidth tau, once a tapered estimate has
-        # built them (estimators.taper)
-        self.taper_weights = {}
 
     def __repr__(self):
         return "FeSpace(%r)" % (self.mesh,)
@@ -213,8 +210,8 @@ class MassMatrix:
         """(A kron ... kron A) X, one A per lattice axis, for an axis matrix
         A and a (Q_h, k) block or (Q_h,) vector X: A acts on lattice index
         j of every (batched) line, for j = 0, ..., dim - 1.  Each entry of
-        (A kron ... kron A) I is the one product of axis entries that
-        np.kron forms, bit for bit."""
+        (A kron ... kron A) I is the one product of axis entries that the
+        Kronecker product forms, bit for bit."""
         m = A.shape[0]
         Y = X
         for j in range(self.dim):

@@ -13,8 +13,12 @@ value count, how many values differ and the largest relative move
 into "[]") and CSV columns (numbered columns such as v_1, v_2, ... folded
 into "v_*").  A value that is not a number moves by 0 when equal and by inf
 otherwise, as does a NaN against a number; two NaNs are equal.  A sign flip
-moves by 2.  With --max-rel X the exit code is 1, and every field that moves
-by more than X is named on standard error, when any does.
+moves by 2.  The v_* columns of spectrum*.csv, whose rows are eigenvectors,
+move instead by |a - b| over the largest |component| of the row in either
+file, so that a component at roundoff, say 1e-17 against -1e-17, moves by as
+little as it is small against its vector.  With --max-rel X the exit code is
+1, and every field that moves by more than X is named on standard error,
+when any does.
 """
 
 import argparse
@@ -44,9 +48,10 @@ def _number(value):
         return None
 
 
-def relative_move(a, b):
-    """|a - b| / max(|a|, |b|) of two scalars; 0 for equal values, inf for
-    unequal non-numbers and for a NaN against a number."""
+def relative_move(a, b, scale=None):
+    """|a - b| / max(|a|, |b|) of two scalars, or |a - b| / scale when a
+    scale is given; 0 for equal values, inf for unequal non-numbers and for
+    a NaN against a number."""
     x, y = _number(a), _number(b)
     if x is None or y is None:
         return 0.0 if a == b else math.inf
@@ -54,11 +59,16 @@ def relative_move(a, b):
         return 0.0 if math.isnan(x) and math.isnan(y) else math.inf
     if x == y:
         return 0.0
-    return abs(x - y) / max(abs(x), abs(y))
+    return abs(x - y) / (max(abs(x), abs(y)) if scale is None else scale)
+
+
+def _magnitude(value):
+    x = _number(value)
+    return 0.0 if x is None or math.isnan(x) else abs(x)
 
 
 def _json_fields(doc, path=""):
-    """(field, value) pairs of the leaves of a JSON document."""
+    """(field, value, None) triples of the leaves of a JSON document."""
     if isinstance(doc, dict):
         for key in sorted(doc):
             if path or key not in _HEADER_KEYS:
@@ -68,30 +78,35 @@ def _json_fields(doc, path=""):
         for item in doc:
             yield from _json_fields(item, path + "[]")
     else:
-        yield path, doc
+        yield path, doc, None
 
 
 def _csv_fields(path):
     columns, rows = artifacts.read_csv(path)
     names = [_NUMBERED.sub(r"\1_*", c) for c in columns]
-    for row in rows:
-        yield from zip(names, row)
+    vectors = os.path.basename(path).startswith("spectrum")
+    for i, row in enumerate(rows):
+        for name, value in zip(names, row):
+            yield name, value, i if vectors and name == "v_*" else None
 
 
 def _covariance_fields(path):
     cov = artifacts.read_covariance(path)
-    yield "header", (cov.dof_count, cov.estimator_kind, cov.tau, cov.alpha)
+    yield ("header", (cov.dof_count, cov.estimator_kind, cov.tau, cov.alpha),
+           None)
     for v in cov.matrix.ravel():
-        yield "matrix", float(v)
+        yield "matrix", float(v), None
 
 
 def _batch_fields(path):
     for v in artifacts.read_batch_csv(path).ravel():
-        yield "coeffs", float(v)
+        yield "coeffs", float(v), None
 
 
 def fields_of(path):
-    """The (field, value) pairs of one primary artifact, in file order."""
+    """The (field, value, vector) triples of one primary artifact, in file
+    order; vector is the row of an eigenvector component (the v_* columns
+    of spectrum*.csv), and None for every other value."""
     name = os.path.basename(path)
     if name.endswith(".json"):
         return list(_json_fields(artifacts.read_json(path)))
@@ -122,12 +137,18 @@ def compare(old_dir, new_dir):
         if not os.path.exists(new_path):
             raise ValueError("%s is missing under %s" % (rel, new_dir))
         old, new = fields_of(os.path.join(old_dir, rel)), fields_of(new_path)
-        if [f for f, _ in old] != [f for f, _ in new]:
+        if [f[0] for f in old] != [f[0] for f in new]:
             raise ValueError("%s: the two files hold different fields" % rel)
+        # the largest |component| of each eigenvector in either file
+        scale = {}
+        for (_, a, row), (_, b, _) in zip(old, new):
+            if row is not None:
+                scale[row] = max(scale.get(row, 0.0), _magnitude(a),
+                                 _magnitude(b))
         stats = {}
-        for (field, a), (_, b) in zip(old, new):
+        for (field, a, row), (_, b, _) in zip(old, new):
             count, changed, worst = stats.get(field, (0, 0, 0.0))
-            move = relative_move(a, b)
+            move = relative_move(a, b, scale.get(row))
             stats[field] = (count + 1, changed + (move > 0.0),
                             max(worst, move))
         rows.extend((rel, field) + stats[field] for field in stats)

@@ -247,16 +247,6 @@ def min_kernel_norm_trapezoid(npts=4001):
     return np.sqrt(w @ k2 @ w)
 
 
-def kernel_norm_trapezoid_1d(k, npts=2001):
-    """Generic fine-trapezoid L2(DxD) norm of a 1d kernel callable k(X, Y)."""
-    x = np.linspace(0.0, 1.0, npts)[:, None]
-    w = np.full(npts, 1.0 / (npts - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    vals = k(x, x) ** 2
-    return np.sqrt(max(w @ vals @ w, 0.0))
-
-
 # ---------------------------------------------------------------------------
 # Field oracles
 # ---------------------------------------------------------------------------

@@ -43,8 +43,10 @@ def test_compare_reports_the_largest_move_per_field(tmp_path, capsys):
         lines = fh.read().splitlines()
     lines[0] = "# covrecon 0.0.0"
     cells = lines[3].split(",")
+    vector = [abs(float(c)) for c in cells[2:]]
     cells[-1] = cells[-1][1:] if cells[-1].startswith("-") \
         else "-" + cells[-1]  # node (1, 1), where no vector vanishes
+    flip = 2.0 * vector[-1] / max(vector)  # against the vector's largest
     lines[3] = ",".join(cells)
     with open(spectrum, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -55,12 +57,40 @@ def test_compare_reports_the_largest_move_per_field(tmp_path, capsys):
     count, changed, worst = moved[("report.json", "errors.e3")]
     assert (count, changed) == (1, 1)
     assert worst == pytest.approx(1e-12, rel=1e-3)
-    assert moved[("spectrum.csv", "v_*")][1:] == (1, 2.0)
+    assert moved[("spectrum.csv", "v_*")][1:] == (1, flip)
     capsys.readouterr()
     assert artifact_compare.main([old, new, "--moved"]) == 0
     printed = capsys.readouterr().out.splitlines()
     assert printed[2:] == ["| report.json | errors.e3 | 1 | 1 | 1e-12 |",
-                           "| spectrum.csv | v_* | 98 | 1 | 2 |"]
+                           "| spectrum.csv | v_* | 98 | 1 | %.2g |" % flip]
+
+
+def _set_component(spectrum, column, text):
+    """Write text as eigenvector component v_column of the first row."""
+    with open(spectrum) as fh:
+        lines = fh.read().splitlines()
+    cells = lines[3].split(",")
+    cells[1 + column] = text
+    lines[3] = ",".join(cells)
+    with open(spectrum, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return [abs(float(c)) for c in cells[2:]]
+
+
+def test_vector_components_move_against_their_vector(tmp_path):
+    # a null-space component that changes sign at roundoff moves by its size
+    # against the vector's largest component, not by 2
+    old = _reconstruct(tmp_path)
+    new = str(tmp_path / "new")
+    shutil.copytree(old, new)
+    for name in ("spectrum.csv", "spectrum_exact.csv"):
+        _set_component(os.path.join(old, name), 1, "1e-17")
+        vector = _set_component(os.path.join(new, name), 1, "-1e-17")
+        moved = {r[0]: r[2:] for r in artifact_compare.compare(old, new)
+                 if r[3]}
+        assert moved[name] == (98, 1, 2e-17 / max(vector)), moved
+        assert artifact_compare.relative_move(1e-17, -1e-17) == 2.0
+        shutil.copy(os.path.join(old, name), os.path.join(new, name))
 
 
 def test_max_rel_names_every_field_beyond_it(tmp_path, capsys):

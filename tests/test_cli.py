@@ -69,6 +69,11 @@ def test_config_validation_names_the_field():
         (dict(mode="projection"), "sampling.kl_trunc"),
         (dict(estimator="Banded"), "estimator.kind"),
         (dict(estimator="Tapered", alpha=-1.0), "estimator.alpha"),
+        # plan and estimate read alpha whatever the estimator
+        (dict(estimator="MLE", alpha=-0.5), "estimator.alpha"),
+        (dict(estimator="MLE", alpha=0.0), "estimator.alpha"),
+        (dict(estimator="Exact", alpha=-1.0), "estimator.alpha"),
+        (dict(estimator="MLE", alpha=math.nan), "estimator.alpha"),
         (dict(ns=[]), "study.ns"),
         (dict(ns=[1]), "study.ns"),
         (dict(Ms=[0]), "study.Ms"),
@@ -523,6 +528,22 @@ def test_cli_yaml_and_section_errors(tmp_path, capsys):
         cal = support.write_yaml(tmp_path / "c.yaml", text)
         assert run_cli("reconstruct", "--config", cal) == 2
         assert "calibration.%s" % (key,) in capsys.readouterr().err
+
+
+def test_cli_nonpositive_alpha_is_a_config_error_for_every_estimator(
+        tmp_path, capsys):
+    # plan's thresholds and estimate's decay check and rate read alpha
+    # whatever the estimator: a bad one is refused before any artifact
+    for kind, alpha in (("MLE", "-0.5"), ("MLE", "-1"), ("Exact", "0")):
+        out = str(tmp_path / kind / alpha)
+        text = support.basic_yaml(out, n=8, M=50, estimator=kind)
+        path = support.write_yaml(tmp_path / "a.yaml", text.replace(
+            "alpha: 1.0", "alpha: %s" % (alpha,)))
+        for argv in (["plan", "--epsilon", "0.4"], ["estimate"]):
+            assert run_cli(*(argv + ["--config", path])) == 2
+            err = capsys.readouterr().err
+            assert "estimator.alpha" in err and "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "covariance.txt"))
 
 
 def test_cli_single_sample_estimate_is_a_config_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Sample means, MLE and tapered covariances, decay class, rate helpers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,34 +164,31 @@ def test_estimate_covariance_dispatch():
 # theoretical rate and decay class
 # ---------------------------------------------------------------------------
 
-def test_tapers_of_one_cell_share_the_weight(monkeypatch):
-    # every replication of a study cell tapers at one bandwidth: its weight
-    # is built once and kept read-only on the space, and a taper through
-    # the kept weight keeps the bits of one that builds its own
-    built = []
-    weight_matrix = estimators._weight_matrix
+def test_a_study_tapers_as_a_standalone_taper(monkeypatch):
+    # every replication of a study cell is the standalone taper of the MLE
+    # of its draw, bit for bit, and the space it tapers on keeps no taper
+    # state
+    got = []
+    estimate = estimators.estimate_covariance
 
-    def counting(Q, tau, dim):
-        built.append((Q, tau, dim))
-        return weight_matrix(Q, tau, dim)
+    def recording(batch, alpha=None):
+        cov = estimate(batch, alpha=alpha)
+        got.append((batch.space, cov))
+        return cov
 
-    monkeypatch.setattr(estimators, "_weight_matrix", counting)
+    monkeypatch.setattr(estimators, "estimate_covariance", recording)
     cfg = support.make_config(estimator="Tapered", ns=[16], Ms=[200],
                               Ls=[2], n_rep=3)
     cell, = mercer.expected_error_study(cfg)
     assert cell.ok and cell.tau == 6, cell.error
-    assert built == [(17, 6, 1)], built
-
-    space = fem.build_space(1, 16)
-    batch = fields.draw_batch(fields.KlOracle(1), space, 200, seed=4)
-    first = estimators.estimate_covariance(batch, alpha=1.0)
-    kept = space.taper_weights[6]
-    assert not kept.flags.writeable
-    again = estimators.estimate_covariance(batch, alpha=1.0)
-    assert space.taper_weights[6] is kept
-    alone = estimators.taper(estimators.mle_covariance(batch), 1.0, 1)
-    assert np.array_equal(first.matrix, alone.matrix)
-    assert np.array_equal(again.matrix, alone.matrix)
+    assert len(got) == cfg.n_rep
+    exact = mercer.ExactSide(1, 16, 2)
+    fresh = set(vars(fem.build_space(1, 16)))
+    for rep, (space, cov) in enumerate(got):
+        batch = mercer.draw(cfg, exact, 200, mercer.rep_seed(0, 0, rep))
+        alone = estimators.taper(estimators.mle_covariance(batch), 1.0, 1)
+        assert np.array_equal(cov.matrix, alone.matrix)
+        assert set(vars(space)) == fresh, "the space must hold no taper state"
 
 
 def test_rho_tilde_branches():
@@ -267,6 +265,35 @@ def test_taper_2d_is_the_product_of_axis_tapers():
                       for k in range(m * m)] for j in range(m * m)])
     assert np.array_equal(tap.matrix, want), \
         "a node pair must get the product of its two axis weights"
+
+    # a 1D n=512 estimate: each entry times its offset's weight, bit for bit
+    batch = fields.draw_batch(fields.KlOracle(1), fem.build_space(1, 512),
+                              200, seed=5)
+    mle = estimators.mle_covariance(batch)
+    tap = estimators.taper(mle, alpha=1.0, dim=1)
+    assert tap.tau == 6
+    by_offset = np.array([reference.taper_weight_brute(6, k)
+                          for k in range(mle.dof_count)])
+    idx = np.arange(mle.dof_count)
+    want = mle.matrix * by_offset[np.abs(idx[:, None] - idx[None, :])]
+    assert np.array_equal(tap.matrix, want)
+
+
+def test_taper_2d_builds_no_weight_matrix():
+    # the 2D taper multiplies along each lattice axis, in place after the
+    # first: its result is the one Q x Q array it allocates
+    Q = 33 ** 2
+    ones = estimators.TaperedCovariance(np.ones((Q, Q)), tau=0, alpha=None,
+                                        estimator_kind="MLE", M=2000)
+    tracemalloc.start()
+    try:
+        tap = estimators.taper(ones, alpha=1.0, dim=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tap.tau == 14
+    assert peak <= 1.25 * Q * Q * 8, \
+        "taper allocated %.1f Q^2 doubles" % (peak / (Q * Q * 8.0),)
 
 
 def test_tapered_2d_total_falls_with_m():

@@ -549,7 +549,7 @@ def test_replicate_frees_the_batch_before_the_transform(monkeypatch):
     assert alive == [[False, False]], alive
 
 
-def test_run_cell_builds_one_field_object(monkeypatch):
+def test_run_mesh_builds_one_field_object(monkeypatch):
     # a mesh's exact side and its field serve sampling, the error split and
     # p0 of every cell and replication on it; no layer builds a KL oracle of
     # its own
@@ -568,7 +568,7 @@ def test_run_cell_builds_one_field_object(monkeypatch):
     assert calls == [2, 2], "one KlOracle per mesh, got %d" % (len(calls),)
 
 
-def test_run_cell_computes_e1_and_p0_once(monkeypatch):
+def test_run_mesh_computes_e1_and_p0_once(monkeypatch):
     # e1 depends on L only and p0 on (Q_h, tau, M, L): one e1 per (mesh, L)
     # and one p0 per cell
     calls = {"tail_sq": 0, "p0_bound": 0}
@@ -593,7 +593,7 @@ def test_run_cell_computes_e1_and_p0_once(monkeypatch):
             cell.L)))
 
 
-def test_run_cell_computes_e2_once(monkeypatch):
+def test_run_mesh_computes_e2_once(monkeypatch):
     # e2 depends on the mesh and L only: it is summed once per (mesh, L)
     calls = []
     e2_sq = mercer.ExactSide._e2_sq
@@ -611,7 +611,7 @@ def test_run_cell_computes_e2_once(monkeypatch):
         assert cell.mean_e2 == mercer.ExactSide(1, cell.n, 2).e2(cell.L)
 
 
-def test_run_cell_holds_one_replication_at_a_time(monkeypatch):
+def test_run_mesh_holds_one_replication_at_a_time(monkeypatch):
     # a replication's batch is released before the next one is drawn, and
     # each estimated spectrum before the next is solved, so a mesh's peak
     # memory is that of one replication at its largest M
