@@ -2,10 +2,12 @@
 
 Uniform lattice meshes of (0,1)^d for d in {1,2}, nodal hat-function bases,
 and exact mass matrices with the actions of their Cholesky factors: for
-d = 1 and d = 2 alike, 1D axis operations (the two bands of the factor, or
-its explicit inverses for the solves) applied along every lattice axis.
-Only the MassMatrix constructor (1D factorizes the axis mass, d > 1 holds
-the 1D MassMatrix of one axis) differs by dimension.  Nothing here
+d = 1 and d = 2 alike, 1D axis actions (on the two bands of the factor, or
+products with its explicit inverses for the solves) applied along every
+lattice axis.  Only the MassMatrix constructor (1D factorizes the bands of
+the axis mass and takes its extremes in closed form, d > 1 holds the 1D
+MassMatrix of one axis) differs by dimension.  No (n+1) x (n+1) array is
+formed but the inverses, on the first solve.  Nothing here
 integrates by quadrature: sampling and the error split use closed forms of
 the kernel against the basis (see `fields.KlOracle`).
 
@@ -76,22 +78,89 @@ def build_space(dim, n):
     return FeSpace(Mesh(dim, n))
 
 
+def _mass_bands(n):
+    """The diagonal a (n+1 entries) and subdiagonal b (n entries) of the 1D
+    P1 mass G1 on the uniform n-element mesh, from the stencil h/6 [1, 4, 1]
+    with h/3 on the two end nodes: h/3 at the ends, 2h/3 inside, h/6 off
+    the diagonal."""
+    h = 1.0 / n
+    a = np.full(n + 1, 2.0 * h / 3.0)
+    a[[0, -1]] = h / 3.0
+    return a, np.full(n, h / 6.0)
+
+
 def _axis_mass_action(Y):
     """G1 Y along the last axis of Y, whose length n+1 is that of an axis of
-    the uniform n-element mesh: the P1 mass stencil h/6 [1, 4, 1], with h/3
-    on the two end nodes.  O(n) per line; G1 is not formed."""
-    h = 1.0 / (Y.shape[-1] - 1)
-    GY = (2.0 * h / 3.0) * Y
-    GY[..., 0] *= 0.5
-    GY[..., -1] *= 0.5
-    GY[..., 1:] += (h / 6.0) * Y[..., :-1]
-    GY[..., :-1] += (h / 6.0) * Y[..., 1:]
+    the uniform n-element mesh, on the bands of G1.  O(n) per line; G1 is
+    not formed."""
+    a, b = _mass_bands(Y.shape[-1] - 1)
+    GY = a * Y
+    GY[..., 1:] += b * Y[..., :-1]
+    GY[..., :-1] += b * Y[..., 1:]
     return GY
 
 
-def _mass_1d(n):
-    """Exact 1D P1 mass matrix on the uniform n-element mesh."""
-    return _axis_mass_action(np.eye(n + 1))
+def _bisect(f, lo, hi):
+    """The root of an increasing f with f(lo) < 0 <= f(hi), bisected until
+    lo and hi are adjacent floats."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _mass_extremes(n):
+    """lambda_min and lambda_max of G1 = (h/6) T on the n-element mesh, in
+    closed form.
+
+    T = tridiag(1, [2, 4, ..., 4, 2], 1) is the Toeplitz stencil [1, 4, 1]
+    with modified ends: extending the stencil past node 0 asks x_{-1} =
+    -2 x_0, and likewise past node n (Strang, "The discrete cosine
+    transform", SIAM Review 1999).  With c = n/2, the mode symmetric about
+    the centre x_j = cos((j - c) theta) has eigenvalue 4 + 2 cos theta, and
+    its end condition is cos((c+1) theta) + 2 cos(c theta) = 0.  The
+    Perron vector is this mode at the smallest root theta, which lies in
+    (0, pi / (2c)), where the left side decreases.  Below the band [2, 6]
+    the modes x_j = (-1)^j cosh((j - c) phi) and (-1)^j sinh((j - c) phi)
+    have eigenvalue 4 - 2 cosh phi and the end conditions
+    cosh phi + tanh(c phi) sinh phi = 2 and cosh phi + coth(c phi) sinh phi
+    = 2, whose left sides increase with phi; since tanh < coth, the larger
+    root phi, the lowest eigenvalue, solves the tanh form, in (ln 2,
+    acosh 2).  Both forms stay finite where cosh((c+1) phi) overflows.
+    Each root is bisected to the last bit, O(1) work per evaluation.
+    """
+    c = 0.5 * n
+    theta = _bisect(lambda t: -math.cos((c + 1.0) * t) - 2.0 * math.cos(c * t),
+                    0.0, 0.5 * math.pi / c)
+    phi = _bisect(lambda p: math.cosh(p) + math.tanh(c * p) * math.sinh(p) - 2.0,
+                  math.log(2.0), math.acosh(2.0))
+    h = 1.0 / n
+    return h * (4.0 - 2.0 * math.cosh(phi)) / 6.0, \
+        h * (4.0 + 2.0 * math.cos(theta)) / 6.0
+
+
+# a zero pivot of _sturm_count becomes this negative one
+_TINY = np.finfo(float).tiny
+# relative offset of the four Sturm shifts around the closed-form extremes
+_EXTREME_RTOL = 1e-12
+
+
+def _sturm_count(a, b2, x):
+    """The number of eigenvalues below x of the symmetric tridiagonal
+    matrix with diagonal a and squared subdiagonal b2 (lists of floats): the
+    negative pivots of the LDL^T factorization of it minus x I (Golub & Van
+    Loan, Matrix Computations, 8.4).  O(n)."""
+    count, q = 0, 1.0
+    for ai, bi2 in zip(a, [0.0] + b2):
+        q = ai - x - bi2 / q
+        if q == 0.0:
+            q = -_TINY
+        count += q < 0.0
+    return count
 
 
 # entries of the largest temporary of the band action _bidiagonal_lt
@@ -123,8 +192,12 @@ class MassMatrix:
 
     In 1D G is the tridiagonal axis mass G1 = L1 L1^T, and L1 is lower
     bidiagonal (Golub & Van Loan, Matrix Computations, 4.3): with a and b the
-    diagonal and subdiagonal of G1, its diagonal is d_0 = sqrt(a_0),
-    d_i = sqrt(a_i - e_i^2) and its subdiagonal e_i = b_i / d_{i-1}.  In 2D
+    diagonal and subdiagonal of G1, taken from the stencil (_mass_bands),
+    its diagonal is d_0 = sqrt(a_0), d_i = sqrt(a_i - e_i^2) and its
+    subdiagonal e_i = b_i / d_{i-1}.  Every pivot a_i - e_i^2 must be
+    positive and the round trip on the bands within 1e-12 lambda_max.  The
+    extremes of G1 are closed forms (_mass_extremes), certified against
+    the bands by four Sturm counts; G1 itself is never formed.  In 2D
     G = G1 kron G1, so its Cholesky factor is L = L1 kron L1 and only the
     bands of L1 are ever formed: each action of L reshapes a block of
     columns to the (n+1, ..., n+1) lattice and applies the 1D operation
@@ -139,8 +212,6 @@ class MassMatrix:
     axis : the MassMatrix of one lattice axis (the object itself in 1D)
     chol_bands : (d, e), the diagonal (n+1 entries) and subdiagonal (n
         entries, e[i] = e_{i+1}) of the axis factor L1 (read-only)
-    matrix : the dense axis mass G1 (read-only; 1D only, the 2D G is never
-        formed)
     lambda_min, lambda_max : extreme eigenvalues of G
     """
 
@@ -155,30 +226,41 @@ class MassMatrix:
             self.lambda_min = self.axis.lambda_min ** mesh.dim
             self.lambda_max = self.axis.lambda_max ** mesh.dim
             return
-        G = _mass_1d(mesh.elements_per_axis)
-        ev = np.linalg.eigvalsh(G)
-        self.lambda_min = float(ev[0])
-        self.lambda_max = float(ev[-1])
-        if not (np.array_equal(G, G.T) and self.lambda_min > 0.0):
-            raise NumericError("mass matrix not symmetric positive definite")
-        if np.any(np.triu(G, 2)):
-            raise NumericError("mass matrix not tridiagonal")
-        # the pivots a_i - e_i^2 are at least lambda_min > 0
-        a, b = np.diagonal(G), np.diagonal(G, -1)
-        d, e = [math.sqrt(a[0])], []
-        for ai, bi in zip(a[1:].tolist(), b.tolist()):
-            e.append(bi / d[-1])
-            d.append(math.sqrt(ai - e[-1] * e[-1]))
+        n = mesh.elements_per_axis
+        a, b = _mass_bands(n)
+        a_list, b_list = a.tolist(), b.tolist()
+        d, e = [], []
+        for i, (ai, bi) in enumerate(zip(a_list, [0.0] + b_list)):
+            if i:
+                e.append(bi / d[-1])
+                ai -= e[-1] * e[-1]
+            if not ai > 0.0:
+                raise NumericError("mass matrix not positive definite: pivot "
+                                   "%d is %r" % (i, ai))
+            d.append(math.sqrt(ai))
         d, e = np.array(d), np.array(e)
+        self.lambda_min, self.lambda_max = _mass_extremes(n)
         resid = max(np.max(np.abs(d * d + np.append(0.0, e * e) - a)),
                     np.max(np.abs(e * d[:-1] - b)))
         if not resid <= 1e-12 * self.lambda_max:
             raise NumericError("Cholesky round trip residual %.3e exceeds "
                                "tolerance" % (resid,))
-        for arr in (G, d, e):
+        # the closed forms are those of the stencil: certify them against
+        # the bands, with no eigenvalue below lambda_min (1 - r) or above
+        # lambda_max (1 + r), and one below each times (1 + r) and (1 - r)
+        b2 = [bi * bi for bi in b_list]
+        counts = [_sturm_count(a_list, b2, lam * (1.0 + s * _EXTREME_RTOL))
+                  for lam in (self.lambda_min, self.lambda_max)
+                  for s in (-1.0, 1.0)]
+        if not (counts[0] == 0 and counts[1] >= 1 and counts[2] <= n
+                and counts[3] == n + 1):
+            raise NumericError(
+                "mass extremes [%r, %r] fail their Sturm certificate: %r "
+                "eigenvalues below the four shifts" % (
+                    self.lambda_min, self.lambda_max, counts))
+        for arr in (d, e):
             arr.setflags(write=False)
         self.axis = self
-        self.matrix = G
         self.chol_bands = (d, e)
 
     @property
@@ -206,17 +288,34 @@ class MassMatrix:
             gram[i] /= d[i]
         return inv.T, gram
 
-    def along_axes(self, A, X):
-        """(A kron ... kron A) X, one A per lattice axis, for an axis matrix
-        A and a (Q_h, k) block or (Q_h,) vector X: A acts on lattice index
-        j of every (batched) line, for j = 0, ..., dim - 1.  Each entry of
-        (A kron ... kron A) I is the one product of axis entries that the
-        Kronecker product forms, bit for bit."""
-        m = A.shape[0]
+    def along_axes(self, action, X):
+        """(A kron ... kron A) X, one A per lattice axis, for an axis action
+        of A and a (Q_h, k) block or (Q_h,) vector X.  action(Y) returns A Y
+        along axis 1 of a (p, n+1, r) array Y; it acts on lattice index j of
+        every (batched) line, for j = 0, ..., dim - 1.  For the action of a
+        matrix, each entry of (A kron ... kron A) I is the one product of
+        axis entries that the Kronecker product forms, bit for bit."""
+        m = self.chol_bands[0].size
         Y = X
         for j in range(self.dim):
-            Y = A @ Y.reshape(m ** j, m, -1)
+            Y = action(Y.reshape(m ** j, m, -1))
         return Y.reshape(X.shape)
+
+    def axis_congruence(self, action):
+        """The axis action Y -> L1^T A L1 Y of the axis action of A, on the
+        bands in O(n) per line, for an action that returns a new array.
+        Along every axis (along_axes) it applies L^T (A kron ... kron A) L,
+        since L = L1 kron ... kron L1."""
+        d, e = self.chol_bands
+
+        def apply(Y):
+            LY = Y * d[:, None]
+            LY[:, 1:] += Y[:, :-1] * e[:, None]
+            Z = action(LY)
+            _bidiagonal_lt(d, e, Z)
+            return Z
+
+        return apply
 
     def _lt_in_place(self, Y, lines=1):
         """Y <- L^T along the lattice index that follows the first `lines`
@@ -242,12 +341,14 @@ class MassMatrix:
 
     def solve_lt(self, B):
         """L^{-T} B for a (Q_h, k) block or a (Q_h,) vector B."""
-        return self.along_axes(self._axis_inverses[0], B)
+        return self.along_axes(
+            functools.partial(np.matmul, self._axis_inverses[0]), B)
 
     def solve(self, B):
         """G^{-1} B = L^{-T} L^{-1} B for a (Q_h, k) block or a (Q_h,)
         vector B."""
-        return self.along_axes(self._axis_inverses[1], B)
+        return self.along_axes(
+            functools.partial(np.matmul, self._axis_inverses[1]), B)
 
 
 def assemble_mass(space):

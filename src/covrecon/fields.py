@@ -85,6 +85,13 @@ class KlOracle:
         dim-th Kronecker power."""
         return np.minimum.outer(x, x)
 
+    def axis_covariance_action(self, Y):
+        """Sigma1 Y along axis 1 of a (p, n+1, r) array Y, for the covariance
+        Sigma1 of the n+1 nodes of a uniform lattice axis, as
+        fem.MassMatrix.along_axes takes it: two cumulative sums
+        (_apply_axis_covariance), and Sigma1 is not formed."""
+        return _apply_axis_covariance(Y, 1)
+
     # -- enumeration ----------------------------------------------------
     def _extend_pairs(self, P):
         """Table the axis-index tuples of odd product prod_k (2 l_k - 1) <= P
@@ -215,25 +222,38 @@ def _sine_moments(n, ells):
     return s
 
 
+def _apply_axis_covariance(Y, axis):
+    """Sigma1 Y along one axis of Y, whose length n+1 is that of an axis of
+    the uniform n-element mesh, for Sigma1_ij = min(x_i, x_j).  Sigma1 acts
+    as two cumulative sums: min(x_i, x_j) = h #{1 <= k <= min(i, j)}, so
+    Sigma1 z is h times the prefix sums of the suffix sums z_k + ... + z_n,
+    k >= 1, and 0 at node 0.  O(n) per line."""
+    lead = (slice(None),) * (axis % Y.ndim)
+    n = Y.shape[axis] - 1
+    suffix = np.cumsum(Y[lead + (slice(None, 0, -1),)], axis=axis)
+    sums = np.zeros_like(Y)
+    np.cumsum(suffix[lead + (slice(None, None, -1),)], axis=axis,
+              out=sums[lead + (slice(1, None),)])
+    sums /= n
+    return sums
+
+
 def _apply_axis_load(Y, axis):
     """B1 Y along one axis of Y, for the axis load matrix
     B1_ij = double integral of min(x, y) theta_i(x) theta_j(y) on [0,1]^2.
 
     min(x, y) equals its bilinear nodal interpolant except on the n diagonal
     cells, where it exceeds it by h (min(s, t) - s t) in local coordinates.
-    So B1 = G Sigma G (G the mass matrix, Sigma_ij = min(x_i, x_j)) plus
-    h^3 / 360 [[8, 7], [7, 8]] assembled over the cells, which is
-    h^2 G / 15 plus h^3 / 120 on the first off-diagonals.  Sigma acts as two
-    cumulative sums: min(x_i, x_j) = h #{1 <= k <= min(i, j)}, so Sigma z is
-    h times the prefix sums of the suffix sums z_k + ... + z_n, k >= 1.
+    So B1 = G Sigma1 G (G the mass matrix, Sigma1_ij = min(x_i, x_j), applied
+    by _apply_axis_covariance) plus h^3 / 360 [[8, 7], [7, 8]] assembled
+    over the cells, which is h^2 G / 15 plus h^3 / 120 on the first
+    off-diagonals.
     """
     Y = np.moveaxis(Y, axis, -1)
     n = Y.shape[-1] - 1
     GY = fem._axis_mass_action(Y)
-    suffix = np.cumsum(GY[..., :0:-1], axis=-1)[..., ::-1]
-    sigma_gy = np.zeros_like(GY)
-    np.cumsum(suffix, axis=-1, out=sigma_gy[..., 1:])
-    BY = fem._axis_mass_action(sigma_gy / n) + GY / (15.0 * n * n)
+    BY = fem._axis_mass_action(_apply_axis_covariance(GY, -1)) \
+        + GY / (15.0 * n * n)
     off = Y / (120.0 * n ** 3)
     BY[..., 1:] += off[..., :-1]
     BY[..., :-1] += off[..., 1:]

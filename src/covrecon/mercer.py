@@ -175,15 +175,17 @@ class ExactSide:
     field is the Brownian field of dimension d (a fields.KlOracle).  mass,
     covariance (the exact nodal covariance), sigma and s_exact are built on
     first use.  The nodal covariance is the d-th Kronecker power of Sigma1,
-    the covariance on one axis, held as Sigma1 and applied along every axis
-    (spectral.KroneckerOperator).  So s_exact is the d-th power of
-    S-tilde1, held the same way, and spectrum the d-th Kronecker power of
-    the axis pairs, which are closed form (_axis_pairs): no eigensolve is
-    run.  spectrum keeps every eigenvalue and the k leading vectors; a split
-    reads at most rank k.  The only Q_h x Q_h array formed here is sigma,
-    the covariance as one matrix, which only the Exact estimate reads.  e1
-    and e2 depend on L alone and are kept per L, and lambda1_dev on the mesh
-    alone.
+    the covariance on one axis, held as the action of Sigma1 (two cumulative
+    sums) and applied along every axis (spectral.KroneckerOperator).  So
+    s_exact is the d-th power of S-tilde1 = L1^T Sigma1 L1, held as its
+    action on the bands of L1, and spectrum the d-th Kronecker power of the
+    axis pairs, which are closed form (_axis_pairs): no eigensolve is run.
+    spectrum keeps every eigenvalue and the k leading vectors; a split reads
+    at most rank k.  The only Q_h x Q_h array formed here is sigma, the
+    covariance as one matrix, which only the Exact estimate reads; in 1D
+    with k <= n, mass, spectrum, e1, e2, lambda1_dev, covariance and
+    s_exact take O(n) memory.  e1 and e2 depend on L alone and are kept per
+    L, and lambda1_dev on the mesh alone.
     """
 
     def __init__(self, d, n, k):
@@ -202,17 +204,21 @@ class ExactSide:
 
     @functools.cached_property
     def covariance(self):
-        axis = self.field.axis_covariance(self.space.mesh.axis_nodes)
-        return spectral.KroneckerOperator(axis, self.mass)
+        return spectral.KroneckerOperator(self.field.axis_covariance_action,
+                                          self.mass)
 
     @functools.cached_property
     def sigma(self):
-        return self.covariance @ np.eye(self.space.dof_count)
+        # the Kronecker power of the axis matrix, bit for bit
+        axis = self.field.axis_covariance(self.space.mesh.axis_nodes)
+        return self.mass.along_axes(functools.partial(np.matmul, axis),
+                                    np.eye(self.space.dof_count))
 
     @functools.cached_property
     def s_exact(self):
-        axis = spectral.transform(self.covariance.axis_matrix, self.mass.axis)
-        return spectral.KroneckerOperator(axis.matrix, self.mass)
+        return spectral.KroneckerOperator(
+            self.mass.axis_congruence(self.field.axis_covariance_action),
+            self.mass)
 
     @functools.cached_property
     def _axis_eigenvalues(self):

@@ -68,21 +68,23 @@ class TransformedStiffness:
 
 
 class KroneckerOperator:
-    """The d-th Kronecker power A kron ... kron A of an axis matrix A on the
-    d-dimensional lattice of mass.  Only A is held; @ applies it along every
-    lattice axis (mass.along_axes), so no Q_h x Q_h array is formed.  For
-    d = 1 it is A itself.  The exact side holds its nodal covariance (A =
-    Sigma1) and, since L^G = L1 kron ... kron L1, its transform (A =
-    S-tilde1) this way.
+    """The d-th Kronecker power A kron ... kron A of an axis operator A on
+    the d-dimensional lattice of mass.  Only the action of A is held (a
+    callable as mass.along_axes takes it); @ applies it along every lattice
+    axis, so no Q_h x Q_h array, and for an O(n) action no (n+1) x (n+1)
+    one, is formed.  For d = 1 it is A itself.  The exact side holds its
+    nodal covariance (A = Sigma1, two cumulative sums) and, since
+    L^G = L1 kron ... kron L1, its transform (A = S-tilde1 = L1^T Sigma1 L1,
+    mass.axis_congruence on the bands) this way.
     """
 
-    def __init__(self, axis_matrix, mass):
-        self.axis_matrix = axis_matrix
+    def __init__(self, axis_action, mass):
+        self.axis_action = axis_action
         self.shape = (mass.dof_count,) * 2
         self.mass = mass
 
     def __matmul__(self, X):
-        return self.mass.along_axes(self.axis_matrix, X)
+        return self.mass.along_axes(self.axis_action, X)
 
 
 def transform(cov, mass, tag=SOURCE_EXACT):

@@ -107,17 +107,30 @@ def test_mass_stencil_n2_exact():
     expected = np.array([[1 / 6, 1 / 12, 0.0],
                          [1 / 12, 1 / 3, 1 / 12],
                          [0.0, 1 / 12, 1 / 6]])
-    assert np.array_equal(mass.matrix, expected), \
+    assert np.array_equal(reference.dense_mass(mass), expected), \
         "n=2 mass matrix must match the exact h/6 stencil bit for bit"
+
+
+def test_mass_bands_match_the_stencil_oracle():
+    # the library's bands of G1, the stencil action and the oracle's dense
+    # G1 agree bit for bit
+    for n in (2, 3, 7, 64, 255, 512):
+        G1 = reference.dense_mass(fem.assemble_mass(fem.build_space(1, n)))
+        a, b = fem._mass_bands(n)
+        assert np.array_equal(a, np.diag(G1)) \
+            and np.array_equal(b, np.diag(G1, -1)), "n=%d: bands" % n
+        assert np.array_equal(fem._axis_mass_action(np.eye(n + 1)), G1), \
+            "n=%d: stencil action" % n
 
 
 def test_mass_row_sums_and_total():
     mass = fem.assemble_mass(fem.build_space(1, 6))
     h = 1.0 / 6
-    sums = mass.matrix.sum(axis=1)
+    G1 = reference.dense_mass(mass)
+    sums = G1.sum(axis=1)
     assert np.allclose(sums[1:-1], h, rtol=1e-14, atol=0.0)
     assert np.allclose(sums[[0, -1]], h / 2, rtol=1e-14, atol=0.0)
-    assert abs(mass.matrix.sum() - 1.0) <= 1e-12
+    assert abs(G1.sum() - 1.0) <= 1e-12
     mass2 = fem.assemble_mass(fem.build_space(2, 4))
     assert abs(reference.dense_mass(mass2).sum() - 1.0) <= 1e-12, \
         "2d mass entries must sum to the domain volume 1"
@@ -125,8 +138,9 @@ def test_mass_row_sums_and_total():
 
 def test_mass_2d_is_kron_and_matches_quadrature():
     mass = fem.assemble_mass(fem.build_space(2, 3))
-    one = fem.assemble_mass(fem.build_space(1, 3)).matrix
-    assert np.array_equal(mass.axis.matrix, one)
+    one = fem.assemble_mass(fem.build_space(1, 3))
+    assert all(np.array_equal(x, y)
+               for x, y in zip(mass.axis.chol_bands, one.chol_bands))
     ref = reference.mass_quadrature(2, 3, q=4)
     assert np.max(np.abs(reference.dense_mass(mass) - ref)) <= 1e-15, \
         "stencil mass must agree with quadrature-assembled reference"
@@ -136,7 +150,10 @@ def test_mass_1d_matches_quadrature_reference():
     for n in (2, 5, 9):
         mass = fem.assemble_mass(fem.build_space(1, n))
         ref = reference.mass_quadrature_1d(n, q=4)
-        assert np.max(np.abs(mass.matrix - ref)) <= 1e-15
+        assert np.max(np.abs(reference.dense_mass(mass) - ref)) <= 1e-15
+        a, b = fem._mass_bands(n)
+        assert np.max(np.abs(a - np.diag(ref))) <= 1e-15
+        assert np.max(np.abs(b - np.diag(ref, -1))) <= 1e-15
 
 
 def test_mass_symmetry_cholesky_and_extremes():
@@ -146,7 +163,7 @@ def test_mass_symmetry_cholesky_and_extremes():
         assert np.array_equal(G, G.T), "mass matrix must be exactly symmetric"
         # the bands of L1 must reproduce the diagonal and subdiagonal of G1
         diag, sub = mass.chol_bands
-        G1 = mass.axis.matrix
+        G1 = reference.dense_mass(mass.axis)
         resid = max(
             np.max(np.abs(diag ** 2 + np.append(0.0, sub ** 2) - np.diag(G1))),
             np.max(np.abs(sub * diag[:-1] - np.diag(G1, -1))))
@@ -192,18 +209,44 @@ def test_mass_actions_match_the_dense_factor():
 
 
 def test_mass_builds_without_dense_factorizations(monkeypatch):
-    # the factor comes from its bands and the inverses from substitutions
+    # the factor comes from its bands, the extremes from closed forms and
+    # the inverses from substitutions
     def refuse(*args, **kwargs):
         raise AssertionError("a dense factorization was called")
 
-    monkeypatch.setattr(np.linalg, "cholesky", refuse)
-    monkeypatch.setattr(np.linalg, "inv", refuse)
+    for name in ("cholesky", "inv", "eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
     for d in (1, 2):
         mass = fem.MassMatrix(fem.build_space(d, 16))
         x = np.ones(mass.dof_count)
-        assert np.allclose(mass.along_axes(mass.axis.matrix, mass.solve(x)),
+        assert np.allclose(reference.dense_mass(mass) @ mass.solve(x),
                            x, rtol=1e-13, atol=0.0)
         assert np.allclose(mass.lt(mass.solve_lt(x)), x, rtol=1e-13, atol=0.0)
+
+
+def test_closed_form_extremes_match_the_dense_eigenvalues():
+    # lambda_min and lambda_max of G1 from the closed forms (bisected roots
+    # of the end conditions) against numpy's eigvalsh of the oracle's G1
+    for n in range(2, 601):
+        mass = fem.assemble_mass(fem.build_space(1, n))
+        vals = np.linalg.eigvalsh(reference.dense_mass(mass))
+        for got, want in ((mass.lambda_min, vals[0]),
+                          (mass.lambda_max, vals[-1])):
+            assert abs(got - want) <= 2e-14 * want, \
+                "n=%d: %r against eigvalsh %r" % (n, got, want)
+
+
+def test_sturm_count_brackets_every_eigenvalue():
+    # the count below x is the number of eigenvalues below x, at shifts
+    # between and just around the eigenvalues of the oracle's G1
+    for n in (2, 5, 16, 33):
+        G1 = reference.dense_mass(fem.assemble_mass(fem.build_space(1, n)))
+        vals = np.linalg.eigvalsh(G1)
+        a, b2 = np.diag(G1).tolist(), (np.diag(G1, -1) ** 2).tolist()
+        mids = np.concatenate(([0.5 * vals[0]], 0.5 * (vals[1:] + vals[:-1]),
+                               [2.0 * vals[-1]]))
+        assert [fem._sturm_count(a, b2, x) for x in mids] \
+            == list(range(n + 2)), "n=%d" % n
 
 
 def test_congruence_allocates_one_array():

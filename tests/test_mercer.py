@@ -226,6 +226,35 @@ def test_exact_side_2d_n128_forms_no_q_by_q_array(monkeypatch):
                          * spec.tilde_vectors[:, 0])) <= 1e-15
 
 
+def test_exact_side_1d_n4096_allocates_no_axis_square():
+    # one (n+1) x (n+1) float64 array is 134 MB at n=4096: the mass (bands
+    # and closed-form extremes), the closed-form spectrum, e2, lambda1_dev
+    # and the actions of s_exact and the covariance all take O(n) memory
+    import tracemalloc
+
+    v = np.random.default_rng(7).standard_normal(4097)
+    tracemalloc.start()
+    try:
+        exact = mercer.ExactSide(1, 4096, 5)
+        mass, spec = exact.mass, exact.spectrum
+        e2, dev = exact.e2(5), exact.lambda1_dev
+        sv, cv = exact.s_exact @ v, exact.covariance @ v
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, "peak %.1f MB" % (peak / 1e6)
+    assert 0.0 < mass.lambda_min < mass.lambda_max and 0.0 < dev and 0.0 < e2
+    assert sv.shape == cv.shape == (4097,)
+    # the leading tilde vector is an eigenvector of S-tilde_exact
+    t = spec.tilde_vectors[:, 0]
+    assert np.max(np.abs(exact.s_exact @ t - spec.eigenvalues[0] * t)) \
+        <= 1e-15
+    # Sigma1 v against min(x_i, x_j) on a few nodes
+    x = exact.space.mesh.axis_nodes
+    for i in (0, 1, 2048, 4096):
+        assert abs(cv[i] - np.minimum(x[i], x) @ v) <= 1e-12 * np.abs(v).sum()
+
+
 def test_reconstruct_and_study_keep_k_exact_vectors(tmp_path, monkeypatch):
     # k is L for reconstruct and max(Ls) for a study, on every mesh
     from covrecon import cli
@@ -395,13 +424,24 @@ def test_invariants_raise_under_python_O():
         " 'Estimated', None)\n"
         "except ValueError:\n"
         "    print('asymmetric stiffness rejected')\n"
-        "for g1 in (np.triu(np.ones((3, 3))), -np.eye(3),\n"
-        "           np.eye(3) + 0.5 * np.eye(3)[::-1]):\n"
-        "    fem._mass_1d = lambda n: g1\n"
+        # bands with a negative pivot, with an infinite entry (the round
+        # trip reads nan), or not those of the stencil (its closed-form
+        # extremes fail their Sturm certificate), and the true bands with a
+        # wrong extreme, which only the certificate catches
+        "a, b = fem._mass_bands(4)\n"
+        "lo, hi = fem._mass_extremes(4)\n"
+        "for bands, extremes, check in (\n"
+        "        ((-a, b), (lo, hi), 'positive definite'),\n"
+        "        ((np.append(np.inf, a[1:]), b), (lo, hi), 'round trip'),\n"
+        "        ((2.0 * a, b), (lo, hi), 'Sturm certificate'),\n"
+        "        ((a, b), (lo, hi * (1.0 + 1e-9)), 'Sturm certificate')):\n"
+        "    fem._mass_bands = lambda n: bands\n"
+        "    fem._mass_extremes = lambda n: extremes\n"
         "    try:\n"
-        "        fem.MassMatrix(fem.build_space(1, 2))\n"
-        "    except NumericError:\n"
-        "        print('mass rejected')\n"
+        "        fem.MassMatrix(fem.build_space(1, 4))\n"
+        "    except NumericError as exc:\n"
+        "        print('mass rejected: ' + (check if check in str(exc)"
+        " else str(exc)))\n"
         "class Mass:\n"  # G = 2 I, so S-tilde = 2 Sigma
         "    solve_lt = staticmethod(np.array)\n"
         "    space = space\n"
@@ -445,13 +485,15 @@ def test_invariants_raise_under_python_O():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split("\n")[:14] == ["asymmetric rejected",
+    assert out.split("\n")[:15] == ["asymmetric rejected",
                                      "triangle rejected",
                                      "batch 3x4 rejected",
                                      "batch 0x5 rejected",
                                      "asymmetric stiffness rejected",
-                                     "mass rejected", "mass rejected",
-                                     "mass rejected",
+                                     "mass rejected: positive definite",
+                                     "mass rejected: round trip",
+                                     "mass rejected: Sturm certificate",
+                                     "mass rejected: Sturm certificate",
                                      "Weyl violation rejected",
                                      "sandwich violation rejected",
                                      "threshold postcondition rejected",

@@ -23,7 +23,7 @@ def test_transform_identity_covariance():
     ts = spectral.transform(np.eye(7), mass)
     # L^T I L = L^T L shares its spectrum with G = L L^T
     got = np.sort(np.linalg.eigvalsh(ts.matrix))
-    want = np.sort(np.linalg.eigvalsh(mass.matrix))
+    want = np.sort(np.linalg.eigvalsh(reference.dense_mass(mass)))
     assert np.max(np.abs(got - want)) <= 1e-12, \
         "transform of the identity must be cospectral with the mass matrix"
 
@@ -93,7 +93,8 @@ def test_eigensolve_random_matrix_invariants():
         assert np.max(np.abs(S @ vt - vt * lam)) <= 1e-10 * scale, \
             "trial %d: eigen residual too large" % trial
         assert np.max(np.abs(vt.T @ vt - np.eye(12))) <= 1e-10
-        assert np.max(np.abs(vg.T @ mass.matrix @ vg - np.eye(12))) <= 1e-10, \
+        G = reference.dense_mass(mass)
+        assert np.max(np.abs(vg.T @ G @ vg - np.eye(12))) <= 1e-10, \
             "generalized vectors must be G-orthonormal"
         lead = np.argmax(np.abs(vt), axis=0)
         assert np.all(vt[lead, np.arange(12)] > 0.0), \
@@ -102,7 +103,8 @@ def test_eigensolve_random_matrix_invariants():
 
 def test_eigensolve_matches_generalized_reference():
     _, space, mass, sigma, _, spec = support.brownian_setup(1, 16)
-    ref_vals, ref_vecs = reference.generalized_eigh(sigma, mass.matrix)
+    ref_vals, ref_vecs = reference.generalized_eigh(
+        sigma, reference.dense_mass(mass))
     assert np.max(np.abs(spec.eigenvalues - ref_vals)) \
         <= 1e-10 * max(1.0, ref_vals[0]), \
         "Cholesky route and scipy generalized route disagree on eigenvalues"
@@ -119,8 +121,8 @@ def test_eigensolve_brownian_bracket():
 def test_eigensolve_generalized_equation_residual():
     # the transformed route must solve S Phi = lambda G Phi with S = G Sigma G
     _, space, mass, sigma, _, spec = support.brownian_setup(1, 16)
-    S = mass.matrix @ sigma @ mass.matrix
-    G = mass.matrix
+    G = reference.dense_mass(mass)
+    S = G @ sigma @ G
     for ell in range(5):
         lam = spec.eigenvalues[ell]
         phi = spec.gen_vectors[:, ell]
@@ -176,8 +178,14 @@ def test_kronecker_ties_use_the_product_basis():
     assert spec.eigenvalues[1] == spec.eigenvalues[2]
     assert np.array_equal(spec.tilde_vectors[:, 1], np.kron(v1, v2))
     assert np.array_equal(spec.tilde_vectors[:, 2], np.kron(v2, v1))
+    # s_exact is applied on the bands, so it is symmetric to roundoff, and
+    # both product vectors are its eigenvectors of mu1 mu2
     S = reference.dense_stiffness(exact.s_exact)
-    assert np.array_equal(S, S.T)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(S - S.T)) <= 4 * eps * np.max(np.abs(S))
+    for v in (np.kron(v1, v2), np.kron(v2, v1)):
+        assert np.max(np.abs(S @ v - spec.eigenvalues[1] * v)) \
+            <= 8 * eps * spec.eigenvalues[0]
 
 
 def test_canonical_signs_ignore_roundoff_between_tied_components():
@@ -754,7 +762,11 @@ def test_diagnostics_2d_n64_forms_no_q_by_q_difference():
 
     exact = mercer.ExactSide(2, 64, 3)
     Q = exact.space.dof_count
-    dense = reference.dense_stiffness(exact.s_exact)
+    # S-tilde_exact formed densely and exactly symmetric: the Kronecker
+    # square of the oracle's axis transform
+    sigma1 = exact.field.axis_covariance(exact.space.mesh.axis_nodes)
+    s1 = reference.dense_transform(sigma1, exact.mass.axis)
+    dense = np.kron(s1, s1)
     dense[0, 0] += 0.01  # a rank-one estimate error of norm 0.01
     s_est = spectral.TransformedStiffness(dense, spectral.SOURCE_ESTIMATED,
                                           exact.mass)
