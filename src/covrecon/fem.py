@@ -247,7 +247,8 @@ class MassMatrix:
                                "tolerance" % (resid,))
         # the closed forms are those of the stencil: certify them against
         # the bands, with no eigenvalue below lambda_min (1 - r) or above
-        # lambda_max (1 + r), and one below each times (1 + r) and (1 - r)
+        # lambda_max (1 + r), one below lambda_min (1 + r) and one above
+        # lambda_max (1 - r)
         b2 = [bi * bi for bi in b_list]
         counts = [_sturm_count(a_list, b2, lam * (1.0 + s * _EXTREME_RTOL))
                   for lam in (self.lambda_min, self.lambda_max)
