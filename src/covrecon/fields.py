@@ -85,13 +85,6 @@ class KlOracle:
         dim-th Kronecker power."""
         return np.minimum.outer(x, x)
 
-    def axis_covariance_action(self, Y):
-        """Sigma1 Y along axis 1 of a (p, n+1, r) array Y, for the covariance
-        Sigma1 of the n+1 nodes of a uniform lattice axis, as
-        fem.MassMatrix.along_axes takes it: two cumulative sums
-        (_apply_axis_covariance), and Sigma1 is not formed."""
-        return _apply_axis_covariance(Y, 1)
-
     # -- enumeration ----------------------------------------------------
     def _extend_pairs(self, P):
         """Table the axis-index tuples of odd product prod_k (2 l_k - 1) <= P

@@ -75,7 +75,8 @@ class KroneckerOperator:
     one, is formed.  For d = 1 it is A itself.  The exact side holds its
     nodal covariance (A = Sigma1, two cumulative sums) and, since
     L^G = L1 kron ... kron L1, its transform (A = S-tilde1 = L1^T Sigma1 L1,
-    mass.axis_congruence on the bands) this way.
+    mass.axis_congruence on the bands) this way, and on a short axis the
+    product with the matrix of either action (mercer.ExactSide).
     """
 
     def __init__(self, axis_action, mass):

@@ -436,11 +436,21 @@ def dense_transform(sigma, mass):
     return 0.5 * (raw + raw.T)
 
 
-def dense_stiffness(op):
-    """The dense matrix of an operator with a shape and an @ (the exact
-    side's s_exact or covariance): the operator applied to the identity,
-    as the diagnostics densify it below their Lanczos switch."""
-    return op @ np.eye(op.shape[0])
+def dense_axis_covariance(n):
+    """The Brownian covariance min(x_i, x_j) of the n+1 nodes i / n of one
+    axis of the uniform n-element mesh."""
+    x = np.arange(n + 1) / n
+    return np.minimum.outer(x, x)
+
+
+def dense_stiffness(mass):
+    """S-tilde_exact of the Brownian field on the mesh of a fem.MassMatrix
+    as one dense matrix, independently of the library: the dense transform
+    of the axis covariance (dense_axis_covariance, dense_transform), and
+    in 2D its Kronecker square, formed with np.kron."""
+    s1 = dense_transform(
+        dense_axis_covariance(mass.space.mesh.elements_per_axis), mass.axis)
+    return s1 if mass.dim == 1 else np.kron(s1, s1)
 
 
 def dense_eigh(sigma, mass):
@@ -472,7 +482,7 @@ def frobenius_rank_l_diff(exact_spec, est_spec, l):
 # the exact discrete side of Brownian motion
 # ---------------------------------------------------------------------------
 
-def dense_exact_pairs(field, mass):
+def dense_exact_pairs(mass):
     """The exact discrete spectrum by the dense route: the axis S-tilde1 =
     L1^T Sigma1 L1 as one dense triple product, numpy's eigh with the
     canonical signs (largest component positive), generalized vectors
@@ -480,7 +490,7 @@ def dense_exact_pairs(field, mass):
     descending order.  Returns (eigenvalues, tilde vectors, generalized
     vectors), every one of the Q_h pairs."""
     L1 = dense_chol(mass.axis)
-    sigma1 = field.axis_covariance(mass.space.mesh.axis_nodes)
+    sigma1 = dense_axis_covariance(mass.space.mesh.elements_per_axis)
     raw = L1.T @ sigma1 @ L1
     vals, vecs = np.linalg.eigh(0.5 * (raw + raw.T))
     vals, vecs = vals[::-1], vecs[:, ::-1]

@@ -149,8 +149,8 @@ def test_kronecker_exact_side_matches_dense_oracle(n, modes):
     # the 2D exact side is built from the axis problem alone; the dense
     # factor, triple product and eigh of tests/reference.py are the oracle
     _, _, mass, sigma, s_exact, spec = support.brownian_setup(2, n)
-    assert np.max(np.abs(reference.dense_stiffness(s_exact)
-                         - reference.dense_transform(sigma, mass))) <= 1e-17
+    assert np.max(np.abs(s_exact @ np.eye(mass.dof_count)
+                         - reference.dense_stiffness(mass))) <= 1e-17
     vals, vecs = reference.dense_eigh(sigma, mass)
     assert np.max(np.abs(spec.eigenvalues - vals)) <= 1e-15
     vt, vg = spec.tilde_vectors, spec.gen_vectors
@@ -178,14 +178,8 @@ def test_kronecker_ties_use_the_product_basis():
     assert spec.eigenvalues[1] == spec.eigenvalues[2]
     assert np.array_equal(spec.tilde_vectors[:, 1], np.kron(v1, v2))
     assert np.array_equal(spec.tilde_vectors[:, 2], np.kron(v2, v1))
-    # s_exact is applied on the bands, so it is symmetric to roundoff, and
-    # both product vectors are its eigenvectors of mu1 mu2
-    S = reference.dense_stiffness(exact.s_exact)
-    eps = np.finfo(float).eps
-    assert np.max(np.abs(S - S.T)) <= 4 * eps * np.max(np.abs(S))
-    for v in (np.kron(v1, v2), np.kron(v2, v1)):
-        assert np.max(np.abs(S @ v - spec.eigenvalues[1] * v)) \
-            <= 8 * eps * spec.eigenvalues[0]
+    S = exact.s_exact @ np.eye(exact.space.dof_count)
+    assert np.array_equal(S, S.T)
 
 
 def test_canonical_signs_ignore_roundoff_between_tied_components():
@@ -227,7 +221,7 @@ def test_closed_form_exact_pairs_match_the_dense_route():
         exact = support.exact_side(d, n)
         spec = exact.spectrum
         Q = spec.dof_count
-        vals, tilde, gen = reference.dense_exact_pairs(exact.field, exact.mass)
+        vals, tilde, gen = reference.dense_exact_pairs(exact.mass)
         assert spec.tilde_vectors.shape == spec.gen_vectors.shape == (Q, Q)
         assert np.max(np.abs(spec.eigenvalues - vals)) <= Q * eps * vals[0], \
             "%dD n=%d: eigenvalues off the dense route" % (d, n)
@@ -661,7 +655,7 @@ def test_diagnostics_above_lanczos_switch():
     est = spectral.eigensolve(s_est, 5)
     diag = spectral.diagnostics(spec, est, exact.s_exact, s_est,
                                 exact.covariance, cov.matrix, field, 5)
-    want = _dense_norm(reference.dense_stiffness(exact.s_exact) - s_est.matrix)
+    want = _dense_norm(reference.dense_stiffness(exact.mass) - s_est.matrix)
     assert abs(diag.weyl_bound - want) <= 1e-13 * want
     want = _dense_norm(exact.sigma - cov.matrix)
     assert abs(diag.cov_diff_norm - want) <= 1e-13 * want
@@ -725,10 +719,12 @@ def test_sandwich_catches_a_stiffness_without_the_mass_factor(d, n):
 @pytest.mark.parametrize("d, n", [(1, 32), (2, 8)])
 def test_diagnostics_densifies_the_difference_bit_for_bit(d, n, monkeypatch):
     # below the Lanczos switch the Weyl bound is the dense eigvalsh of the
-    # applied difference, which is S-tilde_exact - S-tilde_est as formed
-    # with np.kron (tests/reference.py), bit for bit
+    # applied difference, which is the difference of the two dense
+    # stiffnesses bit for bit, and S-tilde_exact - S-tilde_est within
+    # roundoff of the oracle's dense transform (tests/reference.py)
     exact, cov, s_est, est = _mle_case(d, n)
-    assert exact.space.dof_count < spectral._LANCZOS_MIN_DOF
+    Q = exact.space.dof_count
+    assert Q < spectral._LANCZOS_MIN_DOF
     seen, eigvalsh = [], np.linalg.eigvalsh
 
     def recording_eigvalsh(A):
@@ -738,8 +734,10 @@ def test_diagnostics_densifies_the_difference_bit_for_bit(d, n, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
     spectral.diagnostics(exact.spectrum, est, exact.s_exact, s_est,
                          exact.covariance, cov.matrix, exact.field, 3)
-    assert np.array_equal(seen[0], reference.dense_stiffness(exact.s_exact)
-                          - s_est.matrix)
+    assert np.array_equal(seen[0], exact.s_exact @ np.eye(Q) - s_est.matrix)
+    want = reference.dense_stiffness(exact.mass)
+    assert np.max(np.abs(seen[0] - (want - s_est.matrix))) \
+        <= 16 * np.finfo(float).eps * np.max(np.abs(want))
 
 
 class _RankOneUpdate:
@@ -762,11 +760,8 @@ def test_diagnostics_2d_n64_forms_no_q_by_q_difference():
 
     exact = mercer.ExactSide(2, 64, 3)
     Q = exact.space.dof_count
-    # S-tilde_exact formed densely and exactly symmetric: the Kronecker
-    # square of the oracle's axis transform
-    sigma1 = exact.field.axis_covariance(exact.space.mesh.axis_nodes)
-    s1 = reference.dense_transform(sigma1, exact.mass.axis)
-    dense = np.kron(s1, s1)
+    # S-tilde_exact formed densely and exactly symmetric by the oracle
+    dense = reference.dense_stiffness(exact.mass)
     dense[0, 0] += 0.01  # a rank-one estimate error of norm 0.01
     s_est = spectral.TransformedStiffness(dense, spectral.SOURCE_ESTIMATED,
                                           exact.mass)
