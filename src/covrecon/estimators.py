@@ -2,9 +2,11 @@
 
 The tapering estimator multiplies the MLE sample covariance entrywise by
 trapezoidal weights that vanish beyond a bandwidth tau chosen from the
-sample count and the off-diagonal decay exponent alpha; on a 2D lattice the
-weight is the product of the two axis weights.  The rate function
-rho_tilde gives the theoretical squared-error level of that choice.
+sample count and the off-diagonal decay exponent alpha.  In 1D the estimate
+is the band of its tau kept diagonals, formed from the samples
+(band_taper); on a 2D lattice the weight of a node pair is the product of
+its two axis weights (taper).  The rate function rho_tilde gives the
+theoretical squared-error level of that choice.
 """
 
 import functools
@@ -13,28 +15,53 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .bands import SymmetricBand
+
+
+def _symmetric(matrix):
+    """matrix as a float array, which must be square and exactly
+    symmetric."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or not np.array_equal(matrix, matrix.T):
+        raise ValueError("covariance matrix must be square and exactly "
+                         "symmetric, got shape %r" % (matrix.shape,))
+    return matrix
+
 
 class TaperedCovariance:
     """A symmetric covariance estimate with its estimator metadata.
 
+    matrix is the estimate as one exactly symmetric array, or, for a 1D
+    Tapered estimate, a bands.SymmetricBand.  band holds that band (None
+    for an array), and matrix then forms the dense array on first read:
+    only covariance.txt and the decay check read it.  shape and @ apply
+    the band, or the array, as spectral.diagnostics takes an operator.
     estimator_kind is "MLE" (tau = 0, alpha = None) or "Tapered" (even
     bandwidth tau >= 2); M is the sample count the estimate came from.
     """
 
     def __init__(self, matrix, tau, alpha, estimator_kind, M):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or not np.array_equal(matrix, matrix.T):
-            raise ValueError("covariance matrix must be square and exactly "
-                             "symmetric, got shape %r" % (matrix.shape,))
-        self.matrix = matrix
+        if isinstance(matrix, SymmetricBand):
+            self.band = matrix
+        else:
+            self.band = None
+            self.matrix = matrix = _symmetric(matrix)
+        self.shape = matrix.shape
         self.tau = int(tau)
         self.alpha = alpha
         self.estimator_kind = estimator_kind
         self.M = int(M)
 
+    @functools.cached_property
+    def matrix(self):
+        return _symmetric(self.band.dense())
+
     @property
     def dof_count(self):
-        return self.matrix.shape[0]
+        return self.shape[0]
+
+    def __matmul__(self, X):
+        return (self.matrix if self.band is None else self.band) @ X
 
 
 def sample_mean(batch):
@@ -44,12 +71,17 @@ def sample_mean(batch):
     return np.mean(batch.coeffs, axis=0)
 
 
-def mle_covariance(batch):
-    """Centered second-moment matrix with divisor M (the Gaussian MLE)."""
+def _centred(batch):
+    """The samples minus their mean, with the sample count M >= 2."""
     M = batch.sample_count
     if M < 2:
         raise ValueError("MLE covariance needs at least 2 samples, got %d" % (M,))
-    Xc = batch.coeffs - sample_mean(batch)
+    return batch.coeffs - sample_mean(batch), M
+
+
+def mle_covariance(batch):
+    """Centered second-moment matrix with divisor M (the Gaussian MLE)."""
+    Xc, M = _centred(batch)
     # numpy computes Xc^T Xc as a symmetric rank-k update: exactly symmetric
     return TaperedCovariance((Xc.T @ Xc) / M, tau=0, alpha=None,
                              estimator_kind="MLE", M=M)
@@ -90,25 +122,61 @@ def taper_bandwidth(M, alpha):
     return max(2 * math.ceil(M ** (1.0 / (2.0 * alpha + 1.0)) / 2.0), 2)
 
 
-def taper(cov, alpha, dim):
-    """Taper an MLE covariance at the rate-optimal bandwidth for alpha.
+def _clamped_bandwidth(Q, M, alpha):
+    """taper_bandwidth(M, alpha) clamped to the largest even integer <= Q,
+    or None if Q < M^{1/(2 alpha + 1)}: the matrix is then so small that
+    the plain MLE already attains the rate, and is not tapered."""
+    if not alpha > 0:
+        raise ValueError("alpha must be positive, got %r" % (alpha,))
+    if Q < M ** (1.0 / (2.0 * alpha + 1.0)):
+        return None
+    return min(taper_bandwidth(M, alpha), Q - Q % 2)
 
-    tau is taper_bandwidth(M, alpha), clamped to the largest even integer
-    <= Q.  If Q < M^{1/(2 alpha + 1)} the matrix is so small that the
-    plain MLE already attains the rate and cov is returned unchanged.  The
-    Q dofs are the lexicographic nodes of a dim-dimensional lattice, tapered
-    per axis: in 2D the weight of a node pair is the product of the weights
-    of its two axis offsets.  The covariance, seen as its (m,) * 2 dim
+
+def band_taper(batch, alpha):
+    """The tapered estimate of a batch of 1D samples at the rate-optimal
+    bandwidth for alpha, as the band of its tau kept diagonals.
+
+    tau is that of _clamped_bandwidth; an undersized matrix gets the MLE.
+    Diagonal o < tau is w(o) sum_m Xc[m, i] Xc[m, i + o] / M, with Xc the
+    centred samples and w the taper weight (tapering_weights): each entry
+    of the MLE the taper keeps, times its weight.  It takes O(M Q tau) work
+    and no Q x Q array.
+    """
+    Q = batch.coeffs.shape[1]
+    tau = _clamped_bandwidth(Q, batch.sample_count, alpha)
+    if tau is None:
+        return mle_covariance(batch)
+    Xc, M = _centred(batch)
+    weights = tapering_weights(tau, 0, np.arange(tau))
+    upper = np.zeros((tau, Q))
+    for o, w in enumerate(weights):
+        upper[o, :Q - o] = np.einsum("mi,mi->i", Xc[:, :Q - o], Xc[:, o:]) \
+            / M * w
+    return TaperedCovariance(SymmetricBand(upper), tau=tau, alpha=alpha,
+                             estimator_kind="Tapered", M=M)
+
+
+def taper(cov, alpha, dim):
+    """Taper a dense MLE covariance on a dim-dimensional lattice, dim >= 2,
+    at the rate-optimal bandwidth for alpha (a 1D estimate is tapered from
+    its samples: band_taper).
+
+    tau is that of _clamped_bandwidth, and an undersized cov is returned
+    unchanged.  The Q dofs are the lexicographic nodes of the lattice,
+    tapered per axis: the weight of a node pair is the product of the
+    weights of its axis offsets.  The covariance, seen as its (m,) * 2 dim
     lattice array, is multiplied by the m x m axis weight W1 along each axis
     pair (k, dim + k), in place after the first; W1 is a read-only Toeplitz
     view of the 2m - 1 offset weights, so no Q x Q weight is built.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive, got %r" % (alpha,))
+    if dim < 2:
+        raise ValueError("a 1D estimate is tapered from its samples "
+                         "(band_taper), got dim %r" % (dim,))
     Q = cov.dof_count
-    if Q < cov.M ** (1.0 / (2.0 * alpha + 1.0)):
+    tau = _clamped_bandwidth(Q, cov.M, alpha)
+    if tau is None:
         return cov
-    tau = min(taper_bandwidth(cov.M, alpha), Q - Q % 2)
     m = _lattice_side(Q, dim)
     # W1[i, j] = w(|j - i|): row i is the window of offsets -i .. m - 1 - i
     W1 = sliding_window_view(tapering_weights(tau, 0, np.arange(1 - m, m)),
@@ -126,11 +194,13 @@ def taper(cov, alpha, dim):
 
 def estimate_covariance(batch, alpha=None):
     """MLE covariance of a batch, tapered at the optimal bandwidth if alpha
-    given."""
-    cov = mle_covariance(batch)
+    given: in 1D as a band (band_taper), on a lattice by taper."""
     if alpha is None:
-        return cov
-    return taper(cov, alpha, batch.space.mesh.dim)
+        return mle_covariance(batch)
+    dim = batch.space.mesh.dim
+    if dim == 1:
+        return band_taper(batch, alpha)
+    return taper(mle_covariance(batch), alpha, dim)
 
 
 def rho_tilde(h, M, alpha, d):

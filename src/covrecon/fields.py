@@ -380,7 +380,11 @@ def _draw_projected(field, space, M, seed, kl_trunc):
     is c = psi P with the sample-free P = diag(sqrt(lambda)) S G^{-1}, S the
     closed-form moments.  P is built on the first draw and kept on the space.
     Each sample is its own (1, K) x (K, Q_h) product, which rounds the same
-    whatever the number of samples beside it.
+    whatever the number of samples beside it.  Do not merge them into one
+    (64, K) x (K, Q_h) block product: it is about 4 times faster, but its
+    rows came out different at 1 and 2 OpenBLAS threads at Q_h in {257,
+    513, 1089}, where the per-sample product came out identical, so the
+    (seed, m) sampling contract would depend on the thread count.
     """
     P = space.kl_projections.get(kl_trunc)
     if P is None:

@@ -398,7 +398,7 @@ def _estimated(config, exact, cov, k):
     before the transform."""
     s_est = spectral.transform(cov, exact.mass, spectral.SOURCE_ESTIMATED)
     spec = spectral.eigensolve(s_est, k=k)
-    return spec, _diagnose(config, exact, s_est, cov.matrix, spec, k)
+    return spec, _diagnose(config, exact, s_est, cov, spec, k)
 
 
 Replication = collections.namedtuple(

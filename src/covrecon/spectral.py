@@ -21,6 +21,7 @@ import tempfile
 
 import numpy as np
 
+from .bands import SymmetricBand
 from .errors import NumericError
 
 SOURCE_EXACT = "ExactDiscrete"
@@ -33,12 +34,14 @@ SOURCE_ESTIMATED = "Estimated"
 # against 0.7-1.1 ms at Q=257.
 _LANCZOS_MIN_DOF = 128
 # eigensolve(ts, k): the dense eigh below this many rows, eigvalsh plus
-# Lanczos from it on.  Same machine, k=5 of a tapered 1D projection estimate
-# at M=200 (36-68 steps), dense against the k route: 2.1 against 3.0 ms at
-# Q=129, 4.6 against 5.3 ms at Q=193, 7.2-7.8 against 7.9-8.0 ms at Q=241,
-# even at Q=257 (7.6-9.4 against 8.5-9.5 ms over three measurements), and
-# 52 against 34 ms at Q=513; k=3 of a 2D MLE estimate at M=2000 (16 steps)
-# takes 0.17 s against 0.29 s at Q=1089.
+# Lanczos from it on.  Same machine, k=5 of a 1D tapered projection estimate
+# at M=200 (its band operator, 36-68 steps), medians of three estimates,
+# dense against the k route: 1.4 against 1.8-2.0 ms at Q=129, 3.0 against
+# 3.3-3.6 ms at Q=193, even at Q=241 (4.8-5.2 against 4.7-5.3 ms), 5.7-6.1
+# against 5.4-5.8 ms at Q=257, 10 against 8 ms at Q=321 and 32-34 against
+# 21 ms at Q=513.  A 1D MLE at M=200 takes 5.1 against 3.1 ms at Q=257; k=3
+# of a 2D MLE estimate at M=2000 (16 steps) takes 0.17 s against 0.29 s at
+# Q=1089.
 _EIGENSOLVE_K_MIN_DOF = 257
 _LANCZOS_RTOL = 1e-14
 # Lanczos vectors allocated before the basis first doubles
@@ -50,11 +53,16 @@ _LANCZOS_CHECK_EVERY = 4
 
 class TransformedStiffness:
     """The congruence transform (L^G)^T Sigma L^G of a covariance matrix,
-    held as one dense matrix; a shape and an @ apply it as operator_norm
-    and diagnostics take it."""
+    held as one dense matrix, or, for a band Sigma, as the band of it
+    (bands.SymmetricBand) together with its dense form, which the eigvalsh
+    of eigensolve reads.  A shape and an @ apply the band if there is one,
+    the matrix otherwise, as _lanczos, operator_norm and diagnostics take
+    it."""
 
     def __init__(self, matrix, source, mass):
-        matrix = np.asarray(matrix, dtype=float)
+        band = matrix if isinstance(matrix, SymmetricBand) else None
+        matrix = np.asarray(matrix if band is None else band.dense(),
+                            dtype=float)
         if not np.array_equal(matrix, matrix.T):
             raise ValueError("transformed stiffness must be exactly symmetric")
         matrix.setflags(write=False)
@@ -62,9 +70,10 @@ class TransformedStiffness:
         self.shape = matrix.shape
         self.source = source
         self.mass = mass
+        self._operator = matrix if band is None else band
 
     def __matmul__(self, X):
-        return self.matrix @ X
+        return self._operator @ X
 
 
 class KroneckerOperator:
@@ -89,12 +98,26 @@ class KroneckerOperator:
 
 
 def transform(cov, mass, tag=SOURCE_EXACT):
-    """Form the symmetrized triple product (L^G)^T Sigma L^G."""
-    sigma = cov.matrix if hasattr(cov, "matrix") else np.asarray(cov, dtype=float)
+    """Form (L^G)^T Sigma L^G.  A band estimate (cov.band) maps to the band
+    of it on the bands of the 1D factor (SymmetricBand.congruence), exactly
+    symmetric as it is formed; any other covariance, as one matrix, to the
+    symmetrized dense triple product."""
+    if getattr(cov, "band", None) is not None:
+        sigma = cov.band
+    elif hasattr(cov, "matrix"):
+        sigma = cov.matrix
+    else:
+        sigma = np.asarray(cov, dtype=float)
     Q = mass.dof_count
     if sigma.shape != (Q, Q):
         raise ValueError("covariance shape %r does not match dof count %d"
                          % (sigma.shape, Q))
+    if isinstance(sigma, SymmetricBand):
+        if mass.dim != 1:
+            raise ValueError("a band covariance needs a 1D mass, got %dD"
+                             % (mass.dim,))
+        return TransformedStiffness(sigma.congruence(*mass.chol_bands), tag,
+                                    mass)
     raw = mass.congruence(sigma)
     return TransformedStiffness(0.5 * (raw + raw.T), tag, mass)
 
@@ -146,18 +169,19 @@ def eigensolve(ts, k):
     All Q eigenvalues are found, but only the leading k eigenvectors: below
     _EIGENSOLVE_K_MIN_DOF rows as the columns of one dense eigh, from there
     on with the eigenvalues from eigvalsh and the vectors from the Lanczos
-    iteration of operator_norm.  It stops once each of the k leading Ritz
-    pairs has a residual beta_j |s_ji| <= _LANCZOS_RTOL |theta_1|, solving
-    its tridiagonal every _LANCZOS_CHECK_EVERY steps.  Each of the k Ritz
-    values must then lie within its residual, plus the Q eps |theta_1|
-    roundoff of eigvalsh, of the eigvalsh eigenvalue of its rank: one start
-    vector can miss a copy of a repeated eigenvalue, and that raises
-    NumericError with the matrix dumped, as a failed dense solve does.
+    iteration of operator_norm on ts itself, whose @ applies its band if it
+    has one.  It stops once each of the k leading Ritz pairs has a residual
+    beta_j |s_ji| <= _LANCZOS_RTOL |theta_1|, solving its tridiagonal every
+    _LANCZOS_CHECK_EVERY steps.  Each of the k Ritz values must then lie
+    within its residual, plus the Q eps |theta_1| roundoff of eigvalsh, of
+    the eigvalsh eigenvalue of its rank: one start vector can miss a copy of
+    a repeated eigenvalue, and that raises NumericError with the matrix
+    dumped, as a failed dense solve does.
 
     The sign of each tilde eigenvector is fixed by canonical_signs; the
     generalized vectors inherit the same flips.
     """
-    Q = ts.matrix.shape[0]
+    Q = ts.shape[0]
     if not 1 <= k <= Q:
         raise ValueError("k must lie in [1, %d], got %r" % (Q, k))
     if Q < _EIGENSOLVE_K_MIN_DOF:
@@ -167,7 +191,7 @@ def eigensolve(ts, k):
         vecs = vecs[:, order]
     else:
         vals = _dense(np.linalg.eigvalsh, ts.matrix)[::-1]
-        theta, resid, vecs = _leading_pairs(ts.matrix, k)
+        theta, resid, vecs = _leading_pairs(ts, k)
         # an eigenvalue lies within resid of each Ritz value, and eigvalsh
         # rounds by up to about Q eps |lambda_1|
         tol = resid + Q * np.finfo(float).eps * abs(theta[0])
@@ -433,11 +457,13 @@ def diagnostics(exact, estimated, s_exact, s_est, cov_exact, cov_est, oracle,
     checks are reported, never raised.
 
     s_exact and s_est are the transforms of the covariances cov_exact and
-    cov_est.  All four are operators with a shape and an @ (a matrix, a
-    TransformedStiffness or a KroneckerOperator).  Each difference is
-    applied as v -> A v - B v and never formed: below _LANCZOS_MIN_DOF rows
-    its dense form is the difference of the two matrices, bit for bit, and
-    from there on the norms take only Q_h-vector work beyond the operators.
+    cov_est.  All four are operators with a shape and an @ (a matrix, an
+    estimators.TaperedCovariance, a TransformedStiffness or a
+    KroneckerOperator; the 1D tapered ones apply their bands).  Each
+    difference is applied as v -> A v - B v and never formed: below
+    _LANCZOS_MIN_DOF rows its dense form is the difference of the two
+    matrices, bit for bit, and from there on the norms take only
+    Q_h-vector work beyond the operators.
     No mass solve runs, and an operator against itself gives 0.
     """
     Q = exact.dof_count

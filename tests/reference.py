@@ -280,6 +280,19 @@ def bandwidth(A, tol=0.0):
     return int(np.max(offs[nz])) if np.any(nz) else 0
 
 
+def dense_taper_1d(coeffs, tau):
+    """The 1D tapered estimate of an (M, Q) sample array at width tau as one
+    dense matrix, independently of the library's band: the MLE
+    Xc^T Xc / M of the centred samples, each entry times the weight
+    taper_weight_brute(tau, i - j) of its offset."""
+    X = np.asarray(coeffs, dtype=float)
+    M, Q = X.shape
+    Xc = X - X.mean(axis=0)
+    by_offset = np.array([taper_weight_brute(tau, k) for k in range(Q)])
+    idx = np.arange(Q)
+    return (Xc.T @ Xc) / M * by_offset[np.abs(idx[:, None] - idx[None, :])]
+
+
 def banded_tail_brute(matrix, c):
     """max_j sum_{j': |j'-j| > c} |A[j, j']| by explicit masking."""
     a = np.abs(np.asarray(matrix, dtype=float))
@@ -408,17 +421,22 @@ class IdentityMass:
     solve_lt = solve = congruence
 
 
-def dense_mass(mass):
-    """The mass matrix G of a fem.MassMatrix as one dense matrix, built from
-    the P1 stencil on its mesh, h/6 [1, 4, 1] with h/3 at the two ends,
-    independently of the library: G1 in 1D, the Kronecker square
-    G1 kron G1 in 2D."""
-    n = mass.space.mesh.elements_per_axis
+def dense_axis_mass(n):
+    """The 1D P1 mass G1 on the uniform n-element mesh (n >= 1) as one dense
+    matrix, built from the stencil h/6 [1, 4, 1] with h/3 at the two ends,
+    independently of the library."""
     h = 1.0 / n
     G1 = np.diag(np.full(n + 1, 2.0 * h / 3.0))
     G1[0, 0] = G1[n, n] = h / 3.0
     off = np.full(n, h / 6.0)
-    G1 += np.diag(off, 1) + np.diag(off, -1)
+    return G1 + np.diag(off, 1) + np.diag(off, -1)
+
+
+def dense_mass(mass):
+    """The mass matrix G of a fem.MassMatrix as one dense matrix
+    (dense_axis_mass on its mesh): G1 in 1D, the Kronecker square
+    G1 kron G1 in 2D."""
+    G1 = dense_axis_mass(mass.space.mesh.elements_per_axis)
     return G1 if mass.dim == 1 else np.kron(G1, G1)
 
 

@@ -80,9 +80,7 @@ def test_criterion_03():
     for M in Ms:
         errs = []
         for rep in range(20):
-            cov = estimators.taper(
-                estimators.mle_covariance(_gaussian_batch(rng, M, chol)), 1.0,
-                1)
+            cov = estimators.band_taper(_gaussian_batch(rng, M, chol), 1.0)
             errs.append(spectral.operator_norm(cov.matrix - sigma) ** 2)
         mean_sq.append(float(np.mean(errs)))
     m_slope = reference.loglog_slope(np.array(Ms, float), np.array(mean_sq))

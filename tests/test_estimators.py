@@ -117,14 +117,21 @@ def test_taper_bandwidth_selection():
 
 
 def test_taper_small_matrix_returned_unchanged():
-    space = fem.build_space(1, 2)  # Q=3 < 1e6^{1/3}=100
     field = fields.KlOracle(1)
-    batch = fields.draw_batch(field, space, 8, seed=1)
+    # Q=3 < 100^{1/3}=4.6: an undersized 1D batch gets its MLE
+    batch = fields.draw_batch(field, fem.build_space(1, 2), 100, seed=1)
+    out = estimators.estimate_covariance(batch, alpha=1.0)
+    assert out.estimator_kind == "MLE" and out.band is None
+    assert np.array_equal(out.matrix,
+                          estimators.mle_covariance(batch).matrix)
+    # a 2D MLE with a huge sample count: Q=9 < M^{1/(2a+1)} leaves it
+    # untouched
+    batch = fields.draw_batch(fields.KlOracle(2), fem.build_space(2, 2), 8,
+                              seed=1)
     mle = estimators.mle_covariance(batch)
-    # fake a huge sample count: Q < M^{1/(2a+1)} leaves the MLE untouched
     big = estimators.TaperedCovariance(mle.matrix.copy(), tau=0, alpha=None,
                                        estimator_kind="MLE", M=10 ** 6)
-    out = estimators.taper(big, alpha=1.0, dim=1)
+    out = estimators.taper(big, alpha=1.0, dim=2)
     assert out is big, "undersized matrices must pass through untapered"
     assert out.estimator_kind == "MLE"
 
@@ -140,15 +147,21 @@ def test_taper_clamps_to_matrix_size():
 
 
 def test_taper_never_increases_magnitudes():
-    space = fem.build_space(1, 20)
-    field = fields.KlOracle(1)
-    batch = fields.draw_batch(field, space, 200, seed=8)
+    space = fem.build_space(2, 8)
+    batch = fields.draw_batch(fields.KlOracle(2), space, 200, seed=8)
     mle = estimators.mle_covariance(batch)
-    tap = estimators.taper(mle, alpha=1.0, dim=1)
+    tap = estimators.taper(mle, alpha=1.0, dim=2)
+    assert tap.tau == 6
     assert np.all(np.abs(tap.matrix) <= np.abs(mle.matrix) + 1e-300), \
         "taper weights lie in [0, 1], entries cannot grow"
     with pytest.raises(ValueError):
-        estimators.taper(mle, alpha=0.0, dim=1)
+        estimators.taper(mle, alpha=0.0, dim=2)
+    with pytest.raises(ValueError):
+        estimators.taper(mle, alpha=1.0, dim=1)
+    batch = fields.draw_batch(fields.KlOracle(1), fem.build_space(1, 20),
+                              200, seed=8)
+    with pytest.raises(ValueError):
+        estimators.estimate_covariance(batch, alpha=0.0)
 
 
 def test_estimate_covariance_dispatch():
@@ -186,7 +199,9 @@ def test_a_study_tapers_as_a_standalone_taper(monkeypatch):
     fresh = set(vars(fem.build_space(1, 16)))
     for rep, (space, cov) in enumerate(got):
         batch = mercer.draw(cfg, exact, 200, mercer.rep_seed(0, 0, rep))
-        alone = estimators.taper(estimators.mle_covariance(batch), 1.0, 1)
+        alone = estimate(batch, 1.0)
+        assert cov.band is not None
+        assert np.array_equal(cov.band.upper, alone.band.upper)
         assert np.array_equal(cov.matrix, alone.matrix)
         assert set(vars(space)) == fresh, "the space must hold no taper state"
 
@@ -265,18 +280,6 @@ def test_taper_2d_is_the_product_of_axis_tapers():
                       for k in range(m * m)] for j in range(m * m)])
     assert np.array_equal(tap.matrix, want), \
         "a node pair must get the product of its two axis weights"
-
-    # a 1D n=512 estimate: each entry times its offset's weight, bit for bit
-    batch = fields.draw_batch(fields.KlOracle(1), fem.build_space(1, 512),
-                              200, seed=5)
-    mle = estimators.mle_covariance(batch)
-    tap = estimators.taper(mle, alpha=1.0, dim=1)
-    assert tap.tau == 6
-    by_offset = np.array([reference.taper_weight_brute(6, k)
-                          for k in range(mle.dof_count)])
-    idx = np.arange(mle.dof_count)
-    want = mle.matrix * by_offset[np.abs(idx[:, None] - idx[None, :])]
-    assert np.array_equal(tap.matrix, want)
 
 
 def test_taper_2d_builds_no_weight_matrix():
