@@ -4,7 +4,8 @@ A taper zeroes every entry beyond index offset tau (Cai, Zhang & Zhou,
 Ann. Statist. 38, 2010), so a 1D tapered estimate is a band of tau
 diagonals, and its congruence with the bidiagonal mass factor L1 a band of
 tau + 1.  SymmetricBand holds such a matrix as its upper diagonals, applies
-it in O(Q w) per vector and forms its dense form only on request.
+it in O(Q w) per vector and forms its dense form only on request
+(dense_form).
 """
 
 import numpy as np
@@ -103,3 +104,11 @@ class SymmetricBand:
         di, ei = d, e_pad[:Q]
         return SymmetricBand(dj * (di * a + ei * a_down)
                              + ej * (di * a_right + ei * a_diag))
+
+
+def dense_form(operator):
+    """An operator as one float array: a SymmetricBand's dense(), anything
+    else np.asarray(operator, dtype=float), which copies no float array."""
+    if isinstance(operator, SymmetricBand):
+        return operator.dense()
+    return np.asarray(operator, dtype=float)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bands import SymmetricBand
+from .bands import SymmetricBand, dense_form
 
 
 def _symmetric(matrix):
@@ -31,22 +31,21 @@ def _symmetric(matrix):
 class TaperedCovariance:
     """A symmetric covariance estimate with its estimator metadata.
 
-    matrix is the estimate as one exactly symmetric array, or, for a 1D
-    Tapered estimate, a bands.SymmetricBand.  band holds that band (None
-    for an array), and matrix then forms the dense array on first read:
-    only covariance.txt and the decay check read it.  shape and @ apply
-    the band, or the array, as spectral.diagnostics takes an operator.
-    estimator_kind is "MLE" (tau = 0, alpha = None) or "Tapered" (even
-    bandwidth tau >= 2); M is the sample count the estimate came from.
+    operator is the estimate: one exactly symmetric array, or, for a 1D
+    Tapered estimate, a bands.SymmetricBand.  shape and @ apply it, as
+    spectral.transform and spectral.diagnostics take it; matrix is its
+    dense form, which for a band is formed on first read (only
+    covariance.txt and the decay check read it).  estimator_kind is "MLE"
+    (tau = 0, alpha = None), "Tapered" (even bandwidth tau >= 2) or, as
+    mercer.estimate serves the exact nodal covariance, "Exact" (tau = 0,
+    alpha = None, M = 0); M is the sample count the estimate came from.
     """
 
-    def __init__(self, matrix, tau, alpha, estimator_kind, M):
-        if isinstance(matrix, SymmetricBand):
-            self.band = matrix
-        else:
-            self.band = None
-            self.matrix = matrix = _symmetric(matrix)
-        self.shape = matrix.shape
+    def __init__(self, operator, tau, alpha, estimator_kind, M):
+        if not isinstance(operator, SymmetricBand):
+            operator = _symmetric(operator)
+        self.operator = operator
+        self.shape = operator.shape
         self.tau = int(tau)
         self.alpha = alpha
         self.estimator_kind = estimator_kind
@@ -54,14 +53,14 @@ class TaperedCovariance:
 
     @functools.cached_property
     def matrix(self):
-        return _symmetric(self.band.dense())
+        return dense_form(self.operator)
 
     @property
     def dof_count(self):
         return self.shape[0]
 
     def __matmul__(self, X):
-        return (self.matrix if self.band is None else self.band) @ X
+        return self.operator @ X
 
 
 def sample_mean(batch):

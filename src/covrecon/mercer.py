@@ -396,8 +396,8 @@ def _estimated(config, exact, cov, k):
     k leading eigenvectors, and its diagnostics at rank k.  It takes the
     estimate, not the batch, so that a batch no caller keeps is freed
     before the transform."""
-    s_est = spectral.transform(cov, exact.mass, spectral.SOURCE_ESTIMATED)
-    spec = spectral.eigensolve(s_est, k=k)
+    s_est = spectral.transform(cov, exact.mass)
+    spec = spectral.eigensolve(s_est, exact.mass, k=k)
     return spec, _diagnose(config, exact, s_est, cov, spec, k)
 
 

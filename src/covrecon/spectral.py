@@ -21,7 +21,7 @@ import tempfile
 
 import numpy as np
 
-from .bands import SymmetricBand
+from .bands import SymmetricBand, dense_form
 from .errors import NumericError
 
 SOURCE_EXACT = "ExactDiscrete"
@@ -33,7 +33,7 @@ SOURCE_ESTIMATED = "Estimated"
 # 0.6 ms at Q=33, breaks even near Q=97-129 (0.4-0.7 ms), and takes 3-3.8 ms
 # against 0.7-1.1 ms at Q=257.
 _LANCZOS_MIN_DOF = 128
-# eigensolve(ts, k): the dense eigh below this many rows, eigvalsh plus
+# eigensolve: the dense eigh below this many rows, eigvalsh plus
 # Lanczos from it on.  Same machine, k=5 of a 1D tapered projection estimate
 # at M=200 (its band operator, 36-68 steps), medians of three estimates,
 # dense against the k route: 1.4 against 1.8-2.0 ms at Q=129, 3.0 against
@@ -46,34 +46,9 @@ _EIGENSOLVE_K_MIN_DOF = 257
 _LANCZOS_RTOL = 1e-14
 # Lanczos vectors allocated before the basis first doubles
 _LANCZOS_BASIS = 16
-# eigensolve(ts, k): steps between solves of the tridiagonal.  At Q=513
+# eigensolve: steps between solves of the tridiagonal.  At Q=513
 # (k=5) its Lanczos took 30 ms solving every step and 15 ms every fourth.
 _LANCZOS_CHECK_EVERY = 4
-
-
-class TransformedStiffness:
-    """The congruence transform (L^G)^T Sigma L^G of a covariance matrix,
-    held as one dense matrix, or, for a band Sigma, as the band of it
-    (bands.SymmetricBand) together with its dense form, which the eigvalsh
-    of eigensolve reads.  A shape and an @ apply the band if there is one,
-    the matrix otherwise, as _lanczos, operator_norm and diagnostics take
-    it."""
-
-    def __init__(self, matrix, source, mass):
-        band = matrix if isinstance(matrix, SymmetricBand) else None
-        matrix = np.asarray(matrix if band is None else band.dense(),
-                            dtype=float)
-        if not np.array_equal(matrix, matrix.T):
-            raise ValueError("transformed stiffness must be exactly symmetric")
-        matrix.setflags(write=False)
-        self.matrix = matrix
-        self.shape = matrix.shape
-        self.source = source
-        self.mass = mass
-        self._operator = matrix if band is None else band
-
-    def __matmul__(self, X):
-        return self._operator @ X
 
 
 class KroneckerOperator:
@@ -97,17 +72,17 @@ class KroneckerOperator:
         return self.mass.along_axes(self.axis_action, X)
 
 
-def transform(cov, mass, tag=SOURCE_EXACT):
-    """Form (L^G)^T Sigma L^G.  A band estimate (cov.band) maps to the band
-    of it on the bands of the 1D factor (SymmetricBand.congruence), exactly
-    symmetric as it is formed; any other covariance, as one matrix, to the
-    symmetrized dense triple product."""
-    if getattr(cov, "band", None) is not None:
-        sigma = cov.band
-    elif hasattr(cov, "matrix"):
-        sigma = cov.matrix
-    else:
-        sigma = np.asarray(cov, dtype=float)
+def transform(cov, mass):
+    """The stiffness (L^G)^T Sigma L^G of a covariance Sigma, given as an
+    array or as an estimate (estimators.TaperedCovariance) whose operator
+    is read.  A band Sigma (bands.SymmetricBand, a 1D tapered estimate)
+    gives the band of it on the bands of the 1D factor
+    (SymmetricBand.congruence), exactly symmetric as it is formed; any
+    other Sigma gives the symmetrized dense triple product as one read-only
+    array.  No dense form of a band is formed."""
+    sigma = getattr(cov, "operator", cov)
+    if not isinstance(sigma, SymmetricBand):
+        sigma = np.asarray(sigma, dtype=float)
     Q = mass.dof_count
     if sigma.shape != (Q, Q):
         raise ValueError("covariance shape %r does not match dof count %d"
@@ -116,10 +91,11 @@ def transform(cov, mass, tag=SOURCE_EXACT):
         if mass.dim != 1:
             raise ValueError("a band covariance needs a 1D mass, got %dD"
                              % (mass.dim,))
-        return TransformedStiffness(sigma.congruence(*mass.chol_bands), tag,
-                                    mass)
+        return sigma.congruence(*mass.chol_bands)
     raw = mass.congruence(sigma)
-    return TransformedStiffness(0.5 * (raw + raw.T), tag, mass)
+    stiffness = 0.5 * (raw + raw.T)
+    stiffness.setflags(write=False)
+    return stiffness
 
 
 class DiscreteSpectrum:
@@ -163,49 +139,59 @@ def _dense(solver, matrix):
                             "converge", exc)
 
 
-def eigensolve(ts, k):
+def eigensolve(stiffness, mass, k):
     """Symmetric eigendecomposition of S-tilde, descending, canonical signs.
 
+    stiffness is S-tilde as transform returns it, an array or a
+    bands.SymmetricBand, and mass the mass it was transformed with.  Its
+    dense form (bands.dense_form; for a band, formed here and freed on
+    return), which the dense solvers read, must be exactly symmetric, or
+    ValueError is raised.
     All Q eigenvalues are found, but only the leading k eigenvectors: below
     _EIGENSOLVE_K_MIN_DOF rows as the columns of one dense eigh, from there
     on with the eigenvalues from eigvalsh and the vectors from the Lanczos
-    iteration of operator_norm on ts itself, whose @ applies its band if it
-    has one.  It stops once each of the k leading Ritz pairs has a residual
-    beta_j |s_ji| <= _LANCZOS_RTOL |theta_1|, solving its tridiagonal every
-    _LANCZOS_CHECK_EVERY steps.  Each of the k Ritz values must then lie
-    within its residual, plus the Q eps |theta_1| roundoff of eigvalsh, of
-    the eigvalsh eigenvalue of its rank: one start vector can miss a copy of
-    a repeated eigenvalue, and that raises NumericError with the matrix
-    dumped, as a failed dense solve does.
+    iteration of operator_norm on stiffness itself, whose @ applies a band
+    as its band.  It stops once each of the k leading Ritz pairs has a
+    residual beta_j |s_ji| <= _LANCZOS_RTOL |theta_1|, solving its
+    tridiagonal every _LANCZOS_CHECK_EVERY steps.  Each of the k Ritz values
+    must then lie within its residual, plus the Q eps |theta_1| roundoff of
+    eigvalsh, of the eigvalsh eigenvalue of its rank: one start vector can
+    miss a copy of a repeated eigenvalue, and that raises NumericError with
+    the matrix dumped, as a failed dense solve does.
 
     The sign of each tilde eigenvector is fixed by canonical_signs; the
-    generalized vectors inherit the same flips.
+    generalized vectors inherit the same flips.  The spectrum is tagged
+    SOURCE_ESTIMATED, since every stiffness solved here is an estimate's.
     """
-    Q = ts.shape[0]
+    matrix = dense_form(stiffness)
+    if not np.array_equal(matrix, matrix.T):
+        raise ValueError("transformed stiffness must be exactly symmetric")
+    Q = matrix.shape[0]
     if not 1 <= k <= Q:
         raise ValueError("k must lie in [1, %d], got %r" % (Q, k))
     if Q < _EIGENSOLVE_K_MIN_DOF:
-        vals, vecs = _dense(np.linalg.eigh, ts.matrix)
+        vals, vecs = _dense(np.linalg.eigh, matrix)
         order = np.argsort(-vals, kind="stable")
         vals = vals[order]
         vecs = vecs[:, order]
     else:
-        vals = _dense(np.linalg.eigvalsh, ts.matrix)[::-1]
-        theta, resid, vecs = _leading_pairs(ts, k)
+        vals = _dense(np.linalg.eigvalsh, matrix)[::-1]
+        theta, resid, vecs = _leading_pairs(
+            stiffness if isinstance(stiffness, SymmetricBand) else matrix, k)
         # an eigenvalue lies within resid of each Ritz value, and eigvalsh
         # rounds by up to about Q eps |lambda_1|
         tol = resid + Q * np.finfo(float).eps * abs(theta[0])
         if not np.all(np.abs(theta - vals[:k]) <= tol):
             raise _dumped_error(
-                ts.matrix, "Lanczos missed a leading eigenvalue",
+                matrix, "Lanczos missed a leading eigenvalue",
                 "Ritz values %r against eigenvalues %r" % (theta, vals[:k]))
     vecs = vecs * canonical_signs(vecs)
     # below the switch the dense solve is back-transformed whole and sliced
     # afterwards: slicing first keeps the bits for k >= 2, but a one-column
     # product rounds differently
-    gen = ts.mass.solve_lt(vecs)
+    gen = mass.solve_lt(vecs)
     vecs, gen = vecs[:, :k], gen[:, :k]
-    return DiscreteSpectrum(vals, vecs, gen, ts.source, ts.mass)
+    return DiscreteSpectrum(vals, vecs, gen, SOURCE_ESTIMATED, mass)
 
 
 # canonical_signs: a component leads when its magnitude is within this
@@ -272,7 +258,7 @@ def align_signs(reference, target):
     """Flip target eigenvectors so each pairs nonnegatively with the reference.
 
     The k target columns pair with the first k reference columns; the
-    target may hold fewer vectors than the reference (eigensolve(ts, k)).
+    target may hold fewer vectors than the reference (eigensolve's k).
     Columns with an exactly zero dot product are left unchanged.  Returns a
     new spectrum; eigenvalues are shared.
     """
@@ -458,7 +444,7 @@ def diagnostics(exact, estimated, s_exact, s_est, cov_exact, cov_est, oracle,
 
     s_exact and s_est are the transforms of the covariances cov_exact and
     cov_est.  All four are operators with a shape and an @ (a matrix, an
-    estimators.TaperedCovariance, a TransformedStiffness or a
+    estimators.TaperedCovariance, a bands.SymmetricBand or a
     KroneckerOperator; the 1D tapered ones apply their bands).  Each
     difference is applied as v -> A v - B v and never formed: below
     _LANCZOS_MIN_DOF rows its dense form is the difference of the two
@@ -469,7 +455,7 @@ def diagnostics(exact, estimated, s_exact, s_est, cov_exact, cov_est, oracle,
     Q = exact.dof_count
     if not 1 <= L <= Q:
         raise ValueError("L must lie in [1, %d], got %r" % (Q, L))
-    mass = s_exact.mass
+    mass = exact.mass
     weyl_bound = operator_norm(_Difference(s_exact, s_est))
     eigenvalue_dev = np.abs(exact.eigenvalues - estimated.eigenvalues)
     if not np.max(eigenvalue_dev) <= weyl_bound + 1e-10:

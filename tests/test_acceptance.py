@@ -116,10 +116,8 @@ def test_criterion_04():
         A = reference.random_symmetric(rng, Q)
         E = reference.random_symmetric(rng, Q,
                                        scale=10.0 ** rng.uniform(-6.0, 1.0))
-        sa = spectral.eigensolve(spectral.TransformedStiffness(
-            A, spectral.SOURCE_EXACT, mass), Q)
-        sb = spectral.eigensolve(spectral.TransformedStiffness(
-            A + E, spectral.SOURCE_ESTIMATED, mass), Q)
+        sa = spectral.eigensolve(A, mass, Q)
+        sb = spectral.eigensolve(A + E, mass, Q)
         dev = np.abs(sa.eigenvalues - sb.eigenvalues)
         worst = max(worst, float(np.max(dev) - np.linalg.norm(E, 2)))
         comparisons += Q
@@ -139,8 +137,8 @@ def test_criterion_05():
     for seed in range(20):
         batch = fields.draw_batch(field, space, 10_000, seed=seed)
         cov = estimators.mle_covariance(batch)
-        s_est = spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED)
-        est = spectral.eigensolve(s_est, 3)
+        s_est = spectral.transform(cov, mass)
+        est = spectral.eigensolve(s_est, mass, 3)
         diag = spectral.diagnostics(spec, est, s_exact, s_est,
                                     exact.covariance, cov.matrix, field, 3,
                                     C1=1.3e-3)

@@ -109,17 +109,18 @@ def test_band_estimate_matches_the_dense_taper_oracle(n):
     for tau in _taus(Q):
         cov = estimators.band_taper(batch, _alpha_for(tau, M))
         assert cov.estimator_kind == "Tapered" and cov.tau == tau
-        assert cov.band.half_width == tau - 1
+        assert cov.operator.half_width == tau - 1
         want = reference.dense_taper_1d(batch.coeffs, tau)
         assert reference.bandwidth(cov.matrix) <= tau - 1
         assert np.max(np.abs(cov.matrix - want)) \
             <= 1e-14 * np.max(np.abs(want)), (n, tau)
         x = rng.standard_normal(Q)
-        assert np.array_equal(cov @ x, cov.band @ x)
+        assert np.array_equal(cov @ x, cov.operator @ x)
     # Q < M^{1/(2 alpha + 1)}: the undersized matrix gets the MLE unchanged
     small = estimators.band_taper(batch, 0.5 * (math.log(M)
                                                 / math.log(Q + 0.5) - 1.0))
-    assert small.estimator_kind == "MLE" and small.band is None
+    assert small.estimator_kind == "MLE"
+    assert small.matrix is small.operator
     assert np.array_equal(small.matrix,
                           estimators.mle_covariance(batch).matrix)
 
@@ -132,14 +133,16 @@ def test_transform_of_a_band_estimate_is_its_band_congruence(n):
                               mode=fields.MODE_PROJECTION, seed=n,
                               kl_trunc=400)
     cov = estimators.estimate_covariance(batch, alpha=1.0)
-    assert cov.band is not None and cov.tau == 6
-    ts = spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED)
-    assert np.array_equal(ts.matrix, cov.band.congruence(
+    assert isinstance(cov.operator, bands.SymmetricBand) and cov.tau == 6
+    stiffness = spectral.transform(cov, mass)
+    assert isinstance(stiffness, bands.SymmetricBand)
+    assert np.array_equal(stiffness.dense(), cov.operator.congruence(
         *mass.chol_bands).dense())
     want = reference.dense_transform(cov.matrix, mass)
-    assert np.max(np.abs(ts.matrix - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(stiffness.dense() - want)) \
+        <= 1e-14 * np.max(np.abs(want))
     X = np.random.default_rng(n).standard_normal((n + 1, 3))
-    assert np.max(np.abs(ts @ X - want @ X)) \
+    assert np.max(np.abs(stiffness @ X - want @ X)) \
         <= 1e-13 * np.max(np.abs(want @ X))
     # a band needs the bidiagonal factor of a 1D mass
     square = estimators.TaperedCovariance(
@@ -149,17 +152,41 @@ def test_transform_of_a_band_estimate_is_its_band_congruence(n):
         spectral.transform(square, fem.assemble_mass(fem.build_space(2, 4)))
 
 
+def _batch_4096():
+    """200 nodal draws on the 1D mesh of 4096 elements."""
+    return fields.draw_batch(fields.KlOracle(1), fem.build_space(1, 4096),
+                             200, seed=3)
+
+
 def test_band_estimate_forms_no_q_by_q_array():
     # a dense 1D estimate at n=4096 takes 134 MB; the band of its tau=6
     # diagonals is formed from the 6.6 MB of centred samples
-    n, M = 4096, 200
-    batch = fields.draw_batch(fields.KlOracle(1), fem.build_space(1, n), M,
-                              seed=3)
+    n = 4096
+    batch = _batch_4096()
     tracemalloc.start()
     try:
         cov = estimators.estimate_covariance(batch, alpha=1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cov.tau == 6 and cov.band.shape == (n + 1, n + 1)
+    assert cov.tau == 6 and cov.operator.shape == (n + 1, n + 1)
+    assert isinstance(cov.operator, bands.SymmetricBand)
     assert peak <= 32e6, "the estimate peaked at %.1f MB" % (peak / 1e6,)
+
+
+def test_transform_of_a_band_estimate_forms_no_q_by_q_array():
+    # the stiffness of the n=4096 band estimate is the band of its tau + 1
+    # diagonals, 0.2 MB; its dense form would take 134 MB
+    batch = _batch_4096()
+    cov = estimators.estimate_covariance(batch, alpha=1.0)
+    mass = fem.assemble_mass(batch.space)
+    mass.chol_bands  # an input, built first
+    tracemalloc.start()
+    try:
+        stiffness = spectral.transform(cov, mass)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(stiffness, bands.SymmetricBand)
+    assert stiffness.half_width == cov.tau
+    assert peak < 16e6, "the transform peaked at %.1f MB" % (peak / 1e6,)

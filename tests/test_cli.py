@@ -557,7 +557,7 @@ def test_cli_single_sample_estimate_is_a_config_error(tmp_path, capsys):
 def test_cli_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     path, _ = write_cfg(tmp_path, n=4)
 
-    def boom(s_tilde, k=None):
+    def boom(stiffness, mass, k=None):
         raise NumericError("synthetic eigensolver failure")
 
     monkeypatch.setattr(cli.spectral, "eigensolve", boom)

@@ -8,7 +8,7 @@ import pytest
 
 import reference
 import support
-from covrecon import estimators, fem, fields, mercer, spectral
+from covrecon import bands, estimators, fem, fields, mercer, spectral
 
 
 def _batch_from(space, coeffs, seed=0):
@@ -121,7 +121,7 @@ def test_taper_small_matrix_returned_unchanged():
     # Q=3 < 100^{1/3}=4.6: an undersized 1D batch gets its MLE
     batch = fields.draw_batch(field, fem.build_space(1, 2), 100, seed=1)
     out = estimators.estimate_covariance(batch, alpha=1.0)
-    assert out.estimator_kind == "MLE" and out.band is None
+    assert out.estimator_kind == "MLE" and out.matrix is out.operator
     assert np.array_equal(out.matrix,
                           estimators.mle_covariance(batch).matrix)
     # a 2D MLE with a huge sample count: Q=9 < M^{1/(2a+1)} leaves it
@@ -200,8 +200,8 @@ def test_a_study_tapers_as_a_standalone_taper(monkeypatch):
     for rep, (space, cov) in enumerate(got):
         batch = mercer.draw(cfg, exact, 200, mercer.rep_seed(0, 0, rep))
         alone = estimate(batch, 1.0)
-        assert cov.band is not None
-        assert np.array_equal(cov.band.upper, alone.band.upper)
+        assert isinstance(cov.operator, bands.SymmetricBand)
+        assert np.array_equal(cov.operator.upper, alone.operator.upper)
         assert np.array_equal(cov.matrix, alone.matrix)
         assert set(vars(space)) == fresh, "the space must hold no taper state"
 

@@ -97,8 +97,8 @@ def test_decomposition_with_sampled_estimate():
     field, space, mass, _, s_exact, spec = support.brownian_setup(1, 16)
     batch = fields.draw_batch(field, space, 2000, seed=0)
     cov = estimators.estimate_covariance(batch, alpha=1.0)
-    s_est = spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED)
-    est = spectral.eigensolve(s_est, 3)
+    s_est = spectral.transform(cov, mass)
+    est = spectral.eigensolve(s_est, mass, 3)
     report = mercer.error_decomposition(support.exact_side(1, 16), est, 3)
     assert report.e3 > 0.0 and report.total > 0.0
     assert report.total <= report.e1 + report.e2 + report.e3 + 1e-8
@@ -120,9 +120,8 @@ def test_e3_from_l_by_l_blocks_matches_the_dense_difference(d, n):
     copy = spectral.align_signs(exact.spectrum, exact.spectrum)
     assert mercer.error_decomposition(exact, copy, 5).e3 <= 1e-15
     batch = fields.draw_batch(exact.field, exact.space, 2000, seed=1)
-    s_est = spectral.transform(estimators.mle_covariance(batch), exact.mass,
-                               spectral.SOURCE_ESTIMATED)
-    est = spectral.eigensolve(s_est, k=5)
+    s_est = spectral.transform(estimators.mle_covariance(batch), exact.mass)
+    est = spectral.eigensolve(s_est, exact.mass, k=5)
     for L in (1, 3, 5):
         got = mercer.error_decomposition(exact, est, L).e3
         want = reference.frobenius_rank_l_diff(exact.spectrum, est, L)
@@ -300,9 +299,8 @@ def _sampled_spectrum(d, n, M, seed):
     field, space, mass, *_ = support.brownian_setup(d, n)
     cov = estimators.estimate_covariance(
         fields.draw_batch(field, space, M, seed=seed))
-    return spectral.eigensolve(
-        spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED),
-        space.dof_count)
+    return spectral.eigensolve(spectral.transform(cov, mass), mass,
+                               space.dof_count)
 
 
 def _truncated_kl(oracle, L):
@@ -420,8 +418,7 @@ def test_invariants_raise_under_python_O():
         "    except ValueError:\n"
         "        print('batch %dx%d rejected' % shape)\n"
         "try:\n"
-        "    spectral.TransformedStiffness(np.array([[1.0, 2.0], [0.0, 1.0]]),"
-        " 'Estimated', None)\n"
+        "    spectral.eigensolve(np.array([[1.0, 2.0], [0.0, 1.0]]), None, 1)\n"
         "except ValueError:\n"
         "    print('asymmetric stiffness rejected')\n"
         # bands with a negative pivot, with an infinite entry (the round
@@ -447,9 +444,8 @@ def test_invariants_raise_under_python_O():
         "    space = space\n"
         "    lambda_min = lambda_max = 2.0\n"
         "cov_a, cov_b = (np.diag([v, 0.25, 0.1]) for v in (0.5, 0.55))\n"
-        "a, b = (spectral.TransformedStiffness(2.0 * c, 'x', Mass)"
-        " for c in (cov_a, cov_b))\n"
-        "spec_a, spec_b = spectral.eigensolve(a, 3), spectral.eigensolve(b, 3)\n"
+        "a, b = (2.0 * c for c in (cov_a, cov_b))\n"
+        "spec_a, spec_b = (spectral.eigensolve(s, Mass, 3) for s in (a, b))\n"
         "oracle = fields.KlOracle(1)\n"
         # spec_b against s_est = a breaks Weyl; s_est = b with cov_est =
         # cov_a breaks the sandwich (a Weyl bound of 0.1 against [0, 0])
@@ -675,11 +671,9 @@ def test_run_mesh_holds_one_replication_at_a_time(monkeypatch):
         refs["batch"].append(weakref.ref(batch.coeffs))  # prefixes view it
         return batch
 
-    def watching_eigensolve(ts, k):
-        if ts.source != spectral.SOURCE_ESTIMATED:
-            return eigensolve(ts, k)
+    def watching_eigensolve(stiffness, mass, k):
         released("spectrum")
-        spec = eigensolve(ts, k)
+        spec = eigensolve(stiffness, mass, k)
         refs["spectrum"].append(weakref.ref(spec))
         return spec
 

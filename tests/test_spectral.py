@@ -10,7 +10,7 @@ import scipy.linalg as sla
 
 import reference
 import support
-from covrecon import fem, fields, mercer, spectral
+from covrecon import bands, fem, fields, mercer, spectral
 from covrecon.errors import NumericError
 
 
@@ -20,9 +20,9 @@ from covrecon.errors import NumericError
 
 def test_transform_identity_covariance():
     mass = fem.assemble_mass(fem.build_space(1, 6))
-    ts = spectral.transform(np.eye(7), mass)
+    stiffness = spectral.transform(np.eye(7), mass)
     # L^T I L = L^T L shares its spectrum with G = L L^T
-    got = np.sort(np.linalg.eigvalsh(ts.matrix))
+    got = np.sort(np.linalg.eigvalsh(stiffness))
     want = np.sort(np.linalg.eigvalsh(reference.dense_mass(mass)))
     assert np.max(np.abs(got - want)) <= 1e-12, \
         "transform of the identity must be cospectral with the mass matrix"
@@ -30,7 +30,7 @@ def test_transform_identity_covariance():
 
 def test_transform_zero_and_mismatch():
     mass = fem.assemble_mass(fem.build_space(1, 4))
-    assert np.array_equal(spectral.transform(np.zeros((5, 5)), mass).matrix,
+    assert np.array_equal(spectral.transform(np.zeros((5, 5)), mass),
                           np.zeros((5, 5)))
     with pytest.raises(ValueError):
         spectral.transform(np.zeros((4, 4)), mass)
@@ -40,12 +40,13 @@ def test_transform_small_grid_triple_product():
     space = fem.build_space(1, 2)
     mass = fem.assemble_mass(space)
     sigma = mercer.ExactSide(1, 2, 1).sigma
-    ts = spectral.transform(sigma, mass)
+    stiffness = spectral.transform(sigma, mass)
     L = reference.dense_chol(mass)
     direct = L.T @ sigma @ L
-    assert np.max(np.abs(ts.matrix - direct)) <= 1e-12, \
+    assert np.max(np.abs(stiffness - direct)) <= 1e-12, \
         "n=2 transform must match the dense triple product"
-    assert np.array_equal(ts.matrix, ts.matrix.T)
+    assert np.array_equal(stiffness, stiffness.T)
+    assert not stiffness.flags.writeable
 
 
 def test_transform_accepts_covariance_objects():
@@ -56,8 +57,8 @@ def test_transform_accepts_covariance_objects():
     sigma = mercer.ExactSide(1, 4, 1).sigma
     cov = estimators.TaperedCovariance(sigma, tau=0, alpha=None,
                                        estimator_kind="Exact", M=0)
-    a = spectral.transform(cov, mass).matrix
-    b = spectral.transform(sigma, mass).matrix
+    a = spectral.transform(cov, mass)
+    b = spectral.transform(sigma, mass)
     assert np.array_equal(a, b)
 
 
@@ -67,9 +68,7 @@ def test_transform_accepts_covariance_objects():
 
 def test_eigensolve_diagonal_matrix():
     mass = reference.IdentityMass(3)
-    ts = spectral.TransformedStiffness(np.diag([3.0, 1.0, 2.0]),
-                                       spectral.SOURCE_EXACT, mass)
-    spec = spectral.eigensolve(ts, 3)
+    spec = spectral.eigensolve(np.diag([3.0, 1.0, 2.0]), mass, 3)
     assert np.array_equal(spec.eigenvalues, [3.0, 2.0, 1.0])
     # canonical sign: the largest-magnitude component is positive
     assert np.array_equal(np.abs(spec.tilde_vectors),
@@ -85,10 +84,10 @@ def test_eigensolve_random_matrix_invariants():
     mass = fem.assemble_mass(space)
     for trial in range(50):
         sigma = reference.random_symmetric(rng, 12)
-        spec = spectral.eigensolve(spectral.transform(sigma, mass), 12)
+        S = spectral.transform(sigma, mass)
+        spec = spectral.eigensolve(S, mass, 12)
         lam, vt, vg = spec.eigenvalues, spec.tilde_vectors, spec.gen_vectors
         assert np.all(np.diff(lam) <= 0.0), "eigenvalues must descend"
-        S = spectral.transform(sigma, mass).matrix
         scale = max(1.0, np.abs(lam).max())
         assert np.max(np.abs(S @ vt - vt * lam)) <= 1e-10 * scale, \
             "trial %d: eigen residual too large" % trial
@@ -262,10 +261,8 @@ def test_eigensolve_permutation_invariant_eigenvalues():
     mass = reference.IdentityMass(10)
     A = reference.random_symmetric(rng, 10)
     P = np.eye(10)[rng.permutation(10)]
-    a = spectral.eigensolve(spectral.TransformedStiffness(
-        A, spectral.SOURCE_EXACT, mass), 10).eigenvalues
-    b = spectral.eigensolve(spectral.TransformedStiffness(
-        P @ A @ P.T, spectral.SOURCE_EXACT, mass), 10).eigenvalues
+    a = spectral.eigensolve(A, mass, 10).eigenvalues
+    b = spectral.eigensolve(P @ A @ P.T, mass, 10).eigenvalues
     assert np.max(np.abs(a - b)) <= 1e-12, \
         "a symmetric permutation must not move the spectrum"
 
@@ -273,14 +270,13 @@ def test_eigensolve_permutation_invariant_eigenvalues():
 def test_eigensolve_failure_dumps_matrix(monkeypatch):
     mass = reference.IdentityMass(3)
     matrix = np.diag([1.0, 2.0, 3.0])
-    ts = spectral.TransformedStiffness(matrix, spectral.SOURCE_EXACT, mass)
 
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("synthetic non-convergence")
 
     monkeypatch.setattr(np.linalg, "eigh", boom)
     with pytest.raises(NumericError, match="saved to") as err:
-        spectral.eigensolve(ts, 3)
+        spectral.eigensolve(matrix, mass, 3)
     path = re.search(r"saved to (\S+):", str(err.value)).group(1)
     try:
         assert np.array_equal(np.load(path), matrix), \
@@ -290,8 +286,9 @@ def test_eigensolve_failure_dumps_matrix(monkeypatch):
 
 
 def _estimated_stiffness(d, n, alpha, M, seed=0):
-    """S-tilde of a sampled estimate: projection draws when alpha is given
-    (the tapered 1D fine-mesh case), nodal draws otherwise."""
+    """S-tilde of a sampled estimate and its mass: projection draws when
+    alpha is given (the tapered 1D fine-mesh case, a band), nodal draws
+    otherwise."""
     from covrecon import estimators
 
     field, space, mass, *_ = support.brownian_setup(d, n)
@@ -301,7 +298,7 @@ def _estimated_stiffness(d, n, alpha, M, seed=0):
         batch = fields.draw_batch(field, space, M, mode=fields.MODE_PROJECTION,
                                   seed=seed, kl_trunc=400)
     cov = estimators.estimate_covariance(batch, alpha=alpha)
-    return spectral.transform(cov, mass, spectral.SOURCE_ESTIMATED)
+    return spectral.transform(cov, mass), mass
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
@@ -310,11 +307,11 @@ def _estimated_stiffness(d, n, alpha, M, seed=0):
 def test_eigensolve_k_matches_the_dense_oracle(d, n, alpha, M, k):
     # above the Lanczos switch: eigvalsh for all Q eigenvalues, Lanczos for
     # the k leading vectors; np.linalg.eigh of the same matrix is the oracle
-    ts = _estimated_stiffness(d, n, alpha, M)
-    Q = ts.matrix.shape[0]
+    stiffness, mass = _estimated_stiffness(d, n, alpha, M)
+    Q = stiffness.shape[0]
     assert Q >= spectral._EIGENSOLVE_K_MIN_DOF
-    spec = spectral.eigensolve(ts, k=k)
-    vals, vecs = np.linalg.eigh(ts.matrix)
+    spec = spectral.eigensolve(stiffness, mass, k=k)
+    vals, vecs = np.linalg.eigh(bands.dense_form(stiffness))
     vals, vecs = vals[::-1], vecs[:, ::-1]
     assert spec.eigenvalues.shape == (Q,)
     assert spec.tilde_vectors.shape == spec.gen_vectors.shape == (Q, k)
@@ -327,7 +324,7 @@ def test_eigensolve_k_matches_the_dense_oracle(d, n, alpha, M, k):
     lead = np.argmax(np.abs(vt), axis=0)
     assert np.all(vt[lead, np.arange(k)] > 0.0), "canonical signs"
     vg = spec.gen_vectors
-    G = reference.dense_mass(ts.mass)
+    G = reference.dense_mass(mass)
     assert np.max(np.abs(vg.T @ G @ vg - np.eye(k))) <= 1e-12, \
         "generalized vectors must be G-orthonormal"
 
@@ -336,19 +333,19 @@ def test_eigensolve_k_below_switch_is_the_dense_solve_sliced():
     # Q=33 and Q=193: below the k route's switch, though Q=193 is above
     # operator_norm's
     for d, n, alpha, M in ((1, 32, None, 500), (1, 192, 1.0, 200)):
-        ts = _estimated_stiffness(d, n, alpha, M)
-        Q = ts.matrix.shape[0]
+        stiffness, mass = _estimated_stiffness(d, n, alpha, M)
+        Q = stiffness.shape[0]
         assert Q < spectral._EIGENSOLVE_K_MIN_DOF
-        full = spectral.eigensolve(ts, Q)
+        full = spectral.eigensolve(stiffness, mass, Q)
         for k in (1, 3):
-            spec = spectral.eigensolve(ts, k=k)
+            spec = spectral.eigensolve(stiffness, mass, k=k)
             assert np.array_equal(spec.eigenvalues, full.eigenvalues)
             assert np.array_equal(spec.tilde_vectors,
                                   full.tilde_vectors[:, :k])
             assert np.array_equal(spec.gen_vectors, full.gen_vectors[:, :k])
         for k in (0, Q + 1):
             with pytest.raises(ValueError):
-                spectral.eigensolve(ts, k=k)
+                spectral.eigensolve(stiffness, mass, k=k)
 
 
 def test_eigensolve_k_raises_on_a_missed_tie():
@@ -360,10 +357,8 @@ def test_eigensolve_k_raises_on_a_missed_tie():
     U = np.linalg.qr(np.random.default_rng(5).standard_normal((q, 3)))[0]
     A = (U * [1.0, 1.0, 0.5]) @ U.T
     A = 0.5 * (A + A.T)
-    ts = spectral.TransformedStiffness(A, spectral.SOURCE_ESTIMATED,
-                                       reference.IdentityMass(q))
     with pytest.raises(NumericError, match="missed") as err:
-        spectral.eigensolve(ts, k=2)
+        spectral.eigensolve(A, reference.IdentityMass(q), k=2)
     path = re.search(r"saved to (\S+):", str(err.value)).group(1)
     try:
         assert np.array_equal(np.load(path), A)
@@ -381,8 +376,7 @@ def test_align_signs_recovers_flips():
     rng = np.random.default_rng(51)
     mass = reference.IdentityMass(8)
     A = reference.random_symmetric(rng, 8)
-    spec = spectral.eigensolve(spectral.TransformedStiffness(
-        A, spectral.SOURCE_EXACT, mass), 8)
+    spec = spectral.eigensolve(A, mass, 8)
     flips = np.where(rng.random(8) < 0.5, -1.0, 1.0)
     flipped = spectral.DiscreteSpectrum(
         spec.eigenvalues.copy(), spec.tilde_vectors * flips,
@@ -404,10 +398,9 @@ def test_align_signs_minimizes_distance_per_mode():
     rng = np.random.default_rng(53)
     mass = fem.assemble_mass(fem.build_space(1, 9))
     base = reference.random_symmetric(rng, 10)
-    ref = spectral.eigensolve(spectral.transform(base, mass), 10)
+    ref = spectral.eigensolve(spectral.transform(base, mass), mass, 10)
     pert = spectral.eigensolve(spectral.transform(
-        base + 0.05 * reference.random_symmetric(rng, 10), mass,
-        spectral.SOURCE_ESTIMATED), 10)
+        base + 0.05 * reference.random_symmetric(rng, 10), mass), mass, 10)
     aligned = spectral.align_signs(ref, pert)
     for ell in range(10):
         a = ref.tilde_vectors[:, ell]
@@ -418,8 +411,7 @@ def test_align_signs_minimizes_distance_per_mode():
 
 def test_align_signs_zero_dot_and_mismatch():
     mass = reference.IdentityMass(2)
-    spec = spectral.eigensolve(spectral.TransformedStiffness(
-        np.diag([2.0, 1.0]), spectral.SOURCE_EXACT, mass), 2)
+    spec = spectral.eigensolve(np.diag([2.0, 1.0]), mass, 2)
     # orthogonal columns: dot products are exactly zero, nothing may change
     other = spectral.DiscreteSpectrum(
         spec.eigenvalues.copy(),
@@ -428,8 +420,7 @@ def test_align_signs_zero_dot_and_mismatch():
         spectral.SOURCE_ESTIMATED, mass)
     out = spectral.align_signs(spec, other)
     assert np.array_equal(out.tilde_vectors, other.tilde_vectors)
-    big = spectral.eigensolve(spectral.TransformedStiffness(
-        np.eye(3), spectral.SOURCE_EXACT, reference.IdentityMass(3)), 3)
+    big = spectral.eigensolve(np.eye(3), reference.IdentityMass(3), 3)
     with pytest.raises(ValueError):
         spectral.align_signs(spec, big)
 
@@ -466,10 +457,8 @@ def test_weyl_bound_random_pairs():
     for _ in range(20):
         A = reference.random_symmetric(rng, 15)
         E = reference.random_symmetric(rng, 15, scale=rng.random())
-        sa = spectral.eigensolve(spectral.TransformedStiffness(
-            A, spectral.SOURCE_EXACT, mass), 15)
-        sb = spectral.eigensolve(spectral.TransformedStiffness(
-            A + E, spectral.SOURCE_ESTIMATED, mass), 15)
+        sa = spectral.eigensolve(A, mass, 15)
+        sb = spectral.eigensolve(A + E, mass, 15)
         bound = np.linalg.norm(E, 2)
         dev = np.abs(sa.eigenvalues - sb.eigenvalues)
         assert np.max(dev) <= bound + 1e-10, \
@@ -565,8 +554,8 @@ def _mle_case(d, n, M=200, seed=3):
     exact = support.exact_side(d, n)
     batch = fields.draw_batch(exact.field, exact.space, M, seed=seed)
     cov = estimators.estimate_covariance(batch)
-    s_est = spectral.transform(cov, exact.mass, spectral.SOURCE_ESTIMATED)
-    return exact, cov, s_est, spectral.eigensolve(s_est, 3)
+    s_est = spectral.transform(cov, exact.mass)
+    return exact, cov, s_est, spectral.eigensolve(s_est, exact.mass, 3)
 
 
 def test_diagnostics_identical_spectra():
@@ -592,12 +581,10 @@ def test_diagnostics_rank_one_perturbation():
     base = np.diag([0.9, 0.7, 0.5, 0.3, 0.2, 0.1])
     bumped = base.copy()
     bumped[0, 0] += eps
-    s_a = spectral.TransformedStiffness(base, spectral.SOURCE_EXACT, mass)
-    s_b = spectral.TransformedStiffness(bumped, spectral.SOURCE_ESTIMATED, mass)
-    spec_a = spectral.eigensolve(s_a, 6)
-    spec_b = spectral.eigensolve(s_b, 6)
+    spec_a = spectral.eigensolve(base, mass, 6)
+    spec_b = spectral.eigensolve(bumped, mass, 6)
     oracle = fields.KlOracle(1)
-    diag = spectral.diagnostics(spec_a, spec_b, s_a, s_b, base, bumped,
+    diag = spectral.diagnostics(spec_a, spec_b, base, bumped, base, bumped,
                                 oracle, 2)
     assert abs(diag.weyl_bound - eps) <= 1e-12, \
         "a rank-one epsilon bump has operator norm epsilon"
@@ -619,8 +606,8 @@ def test_diagnostics_gap_condition_and_quarter_gap():
     for seed in (0, 1, 2):
         batch = fields.draw_batch(field, space, 10_000, seed=seed)
         cov = estimators.mle_covariance(batch)
-        s_est = spectral.transform(cov, exact.mass, spectral.SOURCE_ESTIMATED)
-        est = spectral.eigensolve(s_est, 3)
+        s_est = spectral.transform(cov, exact.mass)
+        est = spectral.eigensolve(s_est, exact.mass, 3)
         diag = spectral.diagnostics(spec, est, exact.s_exact, s_est,
                                     exact.covariance, cov.matrix, field, 3,
                                     C1=1.3e-3)
@@ -651,11 +638,12 @@ def test_diagnostics_above_lanczos_switch():
                               seed=0, kl_trunc=400)
     cov = estimators.estimate_covariance(batch, alpha=1.0)
     assert cov.estimator_kind == "Tapered"
-    s_est = spectral.transform(cov, exact.mass, spectral.SOURCE_ESTIMATED)
-    est = spectral.eigensolve(s_est, 5)
+    s_est = spectral.transform(cov, exact.mass)
+    assert isinstance(s_est, bands.SymmetricBand)
+    est = spectral.eigensolve(s_est, exact.mass, 5)
     diag = spectral.diagnostics(spec, est, exact.s_exact, s_est,
                                 exact.covariance, cov.matrix, field, 5)
-    want = _dense_norm(reference.dense_stiffness(exact.mass) - s_est.matrix)
+    want = _dense_norm(reference.dense_stiffness(exact.mass) - s_est.dense())
     assert abs(diag.weyl_bound - want) <= 1e-13 * want
     want = _dense_norm(exact.sigma - cov.matrix)
     assert abs(diag.cov_diff_norm - want) <= 1e-13 * want
@@ -708,9 +696,8 @@ def test_sandwich_catches_a_stiffness_without_the_mass_factor(d, n):
     # that matrix to S-tilde_exact is far outside the mass-spectrum interval
     # of the covariance difference
     exact, cov, _, _ = _mle_case(d, n)
-    s_est = spectral.TransformedStiffness(
-        cov.matrix, spectral.SOURCE_ESTIMATED, exact.mass)
-    est = spectral.eigensolve(s_est, 3)
+    s_est = cov.matrix
+    est = spectral.eigensolve(s_est, exact.mass, 3)
     with pytest.raises(NumericError, match="escapes the sandwich"):
         spectral.diagnostics(exact.spectrum, est, exact.s_exact, s_est,
                              exact.covariance, cov.matrix, exact.field, 3)
@@ -734,9 +721,9 @@ def test_diagnostics_densifies_the_difference_bit_for_bit(d, n, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
     spectral.diagnostics(exact.spectrum, est, exact.s_exact, s_est,
                          exact.covariance, cov.matrix, exact.field, 3)
-    assert np.array_equal(seen[0], exact.s_exact @ np.eye(Q) - s_est.matrix)
+    assert np.array_equal(seen[0], exact.s_exact @ np.eye(Q) - s_est)
     want = reference.dense_stiffness(exact.mass)
-    assert np.max(np.abs(seen[0] - (want - s_est.matrix))) \
+    assert np.max(np.abs(seen[0] - (want - s_est))) \
         <= 16 * np.finfo(float).eps * np.max(np.abs(want))
 
 
@@ -763,8 +750,8 @@ def test_diagnostics_2d_n64_forms_no_q_by_q_difference():
     # S-tilde_exact formed densely and exactly symmetric by the oracle
     dense = reference.dense_stiffness(exact.mass)
     dense[0, 0] += 0.01  # a rank-one estimate error of norm 0.01
-    s_est = spectral.TransformedStiffness(dense, spectral.SOURCE_ESTIMATED,
-                                          exact.mass)
+    assert np.array_equal(dense, dense.T)
+    s_est = dense
     # its covariance: the error 0.01 e_0 e_0^T transformed back, z z^T with
     # z = 0.1 L^{-T} e_0
     z = 0.1 * exact.mass.solve_lt(np.eye(Q)[:, 0])
