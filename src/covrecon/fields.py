@@ -6,10 +6,12 @@ min-kernel covariance, its exact Karhunen-Loeve eigenpairs and gaps, and
 closed forms of the kernel against the P1 basis, each written once as a
 product or a per-axis action over the lattice axes, in the rank order of one
 table of axis indices for every dimension.  Only the squared-eigenvalue
-tail is per dimension, because there the series differ.  Batch sampling
-draws finite element coefficient vectors of the field: its nodal values, or
-the exact L2 projection of its truncated KL series, which the closed-form
-sine moments give without quadrature.
+tail is per dimension, because there the series differ.  The oracle also
+holds the closed forms of the exact discrete side (axis pairs, lambda_1 -
+mu_1, e2), which mercer.ExactSide only assembles.  Batch sampling draws
+finite element coefficient vectors of the field: its nodal values, or the
+exact L2 projection of its truncated KL series, which the closed-form sine
+moments give without quadrature.
 
 Sampling reproducibility contract: sample m of a batch with seed s is row
 m % B of block m // B, and block b is drawn from the substream
@@ -29,7 +31,7 @@ import math
 
 import numpy as np
 
-from . import fem
+from . import fem, spectral
 
 MODE_NODAL = "NodalInterpolation"
 MODE_PROJECTION = "L2ProjectionOfTruncatedKL"
@@ -196,6 +198,84 @@ class KlOracle:
             BV = _apply_axis_load(BV, axis)
         return np.sum(V * BV, axis=tuple(range(1, V.ndim)))
 
+    # -- closed forms of the exact discrete side: the P1 pencil (Sigma1, G1)
+    def axis_covariance_action(self, Y):
+        """Sigma1 Y along axis 1 of a (p, n+1, r) array (an axis action)."""
+        return _apply_axis_covariance(Y, 1)
+
+    def exact_axis_pairs(self, axis_mass, k):
+        """The exact discrete pairs on the axis of axis_mass (a 1D MassMatrix),
+        descending: every eigenvalue and the min(k, n + 1) leading vectors.
+
+        Node 0 carries no variance.  On nodes 1..n the vectors
+        v_a = sin(j theta_a), theta_a = (a - 1/2) pi / n, satisfy
+        G1 v_a = g_a W v_a and Sigma1^{-1} v_a = sigma_a W v_a with
+        W = diag(1, ..., 1, 1/2), g_a = h (2 + cos theta_a) / 3 and
+        sigma_a = (2 - 2 cos theta_a) / h (a sine transform; Strang, "The
+        discrete cosine transform", SIAM Review 1999), so they are the
+        generalized eigenvectors, with mu_a = g_a / sigma_a.  Phi_a =
+        v_a / N_a, N_a^2 = (2 + cos theta_a) / 6, is G-orthonormal.  The
+        last pair is the node-0 mode of eigenvalue exactly 0, whose tilde
+        vector is L1^{-1} e_0 normalized: Phi = z / sqrt(z_0) with
+        z = G1^{-1} e_0, since ||L1^{-1} e_0||^2 = (G1^{-1})_00.
+        """
+        n = axis_mass.space.mesh.elements_per_axis
+        odd = 2 * np.arange(1, min(k, n) + 1) - 1
+        # j theta_a = (2a - 1) j pi / (2n), reduced exactly modulo 2 pi
+        arg = np.outer(np.arange(n + 1), odd) % (4 * n)
+        gen = np.sin(arg * (np.pi / (2 * n))) \
+            / np.sqrt((2.0 + np.cos(odd * (np.pi / (2 * n)))) / 6.0)
+        if k > n:
+            z = axis_mass.solve(np.eye(n + 1)[:, 0])
+            gen = np.column_stack([gen, z / np.sqrt(z[0])])
+        return _axis_mu(n), gen
+
+    def lambda1_dev(self, n):
+        """lambda_1 - mu_1 > 0 on the n-element mesh: both are dim-th powers
+        of the axis values at theta = pi h / 2, and the difference telescopes
+        from the axis lambda - mu without cancellation."""
+        theta = np.full(self.dim, 0.5 * np.pi / n)
+        mu, lam_mu = _sine_terms(theta, 1.0 / n)[:2]
+        return float(_telescoped(self._axis_lam[[1] * self.dim], mu, lam_mu))
+
+    def e2_sq(self, n, L):
+        """e2^2, the squared discretization error of the rank-L exact discrete
+        kernel on the n-element mesh, for 1 <= L <= (n + 1)^dim.
+
+        With analytic pairs (lambda_l, phi_l) and exact discrete (mu_m,
+        Phi_m) of ranks l, m <= L, and moments s_l (moments),
+        e2^2 = ||lambda||^2 + ||mu||^2 - 2 sum lambda_l mu_m (s_l . Phi_m)^2.
+        s_l . Phi_m vanishes except where m is the index tuple of l, or the
+        tuple it aliases to (_sine_terms), where it is the product of the
+        axis c.  So e2^2 sums, over the union of the two rank sets,
+        (lambda - mu)^2 + 2 lambda mu (1 - C^2) for a tuple in both, lambda^2
+        or mu^2 for a tuple in one, and -2 lambda mu C^2 for an aliased pair:
+        without cancellation while L <= n.
+        """
+        lam = self.eigenvalues(L)  # may extend _axis_lam
+        ana = self.axis_indices(L)
+        _, lam_mu, c2, one_c2 = _sine_terms((ana - 0.5) * (np.pi / n), 1.0 / n)
+        # sin(j theta_a) = +-sin(j theta_b) at every node j, for b the alias
+        # of a in 1..n (theta_a = +-theta_b modulo 2 pi)
+        r = (ana - 1) % (2 * n) + 1
+        alias = np.where(r <= n, r, 2 * n + 1 - r)
+        mu_ax = _sine_terms((alias - 0.5) * (np.pi / n), 1.0 / n)[0]
+        mu = np.prod(mu_ax, axis=1)
+        vals, order = spectral.kronecker_order(_axis_mu(n), self.dim)
+        disc = order[:L]
+        flat = np.ravel_multi_index(tuple(alias.T - 1), (n + 1,) * self.dim)
+        own = np.all(ana <= n, axis=1)
+        hit = np.isin(flat, disc)
+        both, cross = own & hit, ~own & hit
+        diff = _telescoped(self._axis_lam[ana[both]], mu_ax[both],
+                           lam_mu[both])
+        one_minus = _telescoped(np.ones_like(c2[both]), c2[both], one_c2[both])
+        terms = (lam[~both] ** 2,
+                 vals[:L][~np.isin(disc, flat[both])] ** 2,
+                 diff ** 2 + 2.0 * lam[both] * mu[both] * one_minus,
+                 -2.0 * lam[cross] * mu[cross] * np.prod(c2[cross], axis=1))
+        return math.fsum(np.concatenate(terms))
+
 
 def _sine_moments(n, ells):
     """Moments of phi_l = sqrt(2) sin(w x), w = (l - 1/2) pi, against the hats.
@@ -213,6 +293,56 @@ def _sine_moments(n, ells):
     s[:, 0] = np.sqrt(2.0) * (w[:, 0] * h - np.sin(w[:, 0] * h)) \
         / (w[:, 0] ** 2 * h)
     return s
+
+
+# Taylor coefficients, in t = theta^2 and highest power first, of the two
+# numerators that cancel in _sine_terms:
+#   12 sin^2(theta/2) - theta^2 (2 + cos theta)
+#     = sum_{k>=2} (-1)^(k+1) (6 - 2k (2k-1)) t^k / (2k)!   (theta^4/4 - ...)
+#   theta^4 (2 + cos theta) - 48 sin^4(theta/2)
+#     = sum_{k>=4} (-1)^k ((2k)!/(2k-4)! - 6 4^k + 24) t^k / (2k)!
+#                                                          (theta^8/240 - ...)
+# Cut at k = 20, they are within 1.5e-15 and 2.5e-16 relative of 50-digit
+# values for theta up to pi; the direct forms lose up to 1.6e-14 and 2.2e-12
+# there (both near theta = 0.5).  (A quotient of Python ints rounds once.)
+_SERIES_A = [(-1) ** (k + 1) * (6 - 2 * k * (2 * k - 1)) / math.factorial(2 * k)
+             for k in range(20, 1, -1)]
+_SERIES_B = [(-1) ** k * (math.perm(2 * k, 4) - 6 * 4 ** k + 24)
+             / math.factorial(2 * k) for k in range(20, 3, -1)]
+
+
+def _sine_terms(theta, h):
+    """Closed forms of the discrete Brownian pencil on one axis at
+    theta = (a - 1/2) pi h, a >= 1, beside lambda_a = _lam1(a) = h^2 / theta^2:
+    the exact discrete mu_a = h^2 (2 + cos theta) / (12 sin^2(theta / 2))
+    (a <= n), lambda_a - mu_a, and c_a^2 = 48 sin^4(theta / 2) / (theta^4
+    (2 + cos theta)) with 1 - c_a^2.  c_a is the moment s_a . Phi_b of the
+    analytic eigenfunction against the exact discrete vector it aliases to
+    (b = a when a <= n).  The two differences come from the series above,
+    without cancellation for theta <= pi (a <= n), the only theta at which
+    they are read."""
+    t = theta * theta
+    s2 = np.sin(0.5 * theta) ** 2
+    g = 2.0 + np.cos(theta)
+    hh = h * h
+    return (hh * g / (12.0 * s2),
+            hh * (t * t * np.polyval(_SERIES_A, t)) / (12.0 * t * s2),
+            48.0 * s2 * s2 / (t * t * g),
+            t ** 4 * np.polyval(_SERIES_B, t) / (t * t * g))
+
+
+def _telescoped(a, b, diff):
+    """prod_k a_k - prod_k b_k over the last axis, from diff = a - b per
+    factor: sum_k (prod_{j<k} b_j) diff_k (prod_{j>k} a_j), which has no
+    cancellation when diff has none and a, b > 0."""
+    return sum(np.prod(b[..., :k], axis=-1) * diff[..., k]
+               * np.prod(a[..., k + 1:], axis=-1) for k in range(a.shape[-1]))
+
+
+def _axis_mu(n):
+    """mu_1 > ... > mu_n on one axis and the node-0 mode's 0; no mass."""
+    theta = (np.arange(1, n + 1) - 0.5) * (np.pi / n)
+    return np.append(_sine_terms(theta, 1.0 / n)[0], 0.0)
 
 
 def _apply_axis_covariance(Y, axis):

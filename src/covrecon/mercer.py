@@ -5,7 +5,7 @@ K(x, x') = sum_{l<=L} lambda_l (Phi_l . theta(x)) (Phi_l . theta(x')).
 The distance of an estimated reconstruction to the analytic covariance
 splits into truncation (e1), spatial discretization (e2) and sampling (e3)
 parts, all measured in L2 of the product domain and computed exactly from
-closed forms of the Brownian kernel against the P1 basis:
+closed forms that the field owns (fields.KlOracle); none is evaluated here.
 error_decomposition(exact, spectrum, L) splits an estimated spectrum's
 error against the ExactSide of its mesh, which keeps e1 and e2 per L.
 
@@ -77,10 +77,10 @@ def error_decomposition(exact, est_spec, L):
       e2^2    = ||k_L - sum mu Phi (x) Phi||^2              (ExactSide.e2)
       e3^2    = ||sum mu Phi~ Phi~^T - sum mu^ Phi^~ Phi^~^T||_F^2
               = ||diag(mu) - C E C^T||_F^2 + 2 tr(C E H E C^T) + tr(E H E H)
-      total^2 = 6^-d - 2 sum mu^_m Phi^_m^T B Phi^_m + ||mu^||^2
+      total^2 = ||k||^2 - 2 sum mu^_m Phi^_m^T B Phi^_m + ||mu^||^2
 
-    with k_L the rank-L truncated KL kernel and B the kernel load form
-    (field.kernel_forms), which is applied and never formed.  e3 splits
+    with k_L the rank-L truncated KL kernel, ||k||^2 = field.sum_sq_total()
+    and B the kernel load form (field.kernel_forms), never formed.  e3 splits
     Phi^~ = Phi~ C + P with Phi~^T P = 0 (block Gram-Schmidt, run twice),
     E = diag(mu^) and H = P^T P: its three terms are the Frobenius norms of
     the blocks of the difference on span(Phi~) and its complement, each a
@@ -127,80 +127,25 @@ def error_decomposition(exact, est_spec, L):
 # one replication
 
 
-# Taylor coefficients, in t = theta^2 and highest power first, of the two
-# numerators that cancel at small theta in _sine_terms:
-#   12 sin^2(theta/2) - theta^2 (2 + cos theta)
-#     = sum_{k>=2} (-1)^(k+1) (6 - 2k (2k-1)) t^k / (2k)!   (theta^4/4 - ...)
-#   theta^4 (2 + cos theta) - 48 sin^4(theta/2)
-#     = sum_{k>=4} (-1)^k ((2k)!/(2k-4)! - 6 4^k + 24) t^k / (2k)!
-#                                                          (theta^8/240 - ...)
-# Cut at k = 9 and k = 12, they are below 1e-20 relative off for theta up
-# to _SERIES_BELOW (checked against 50-digit values).
-_SERIES_BELOW = 0.5
-# (A quotient of Python ints rounds once.)
-_SERIES_A = [(-1) ** (k + 1) * (6 - 2 * k * (2 * k - 1)) / math.factorial(2 * k)
-             for k in range(9, 1, -1)]
-_SERIES_B = [(-1) ** k * (math.perm(2 * k, 4) - 6 * 4 ** k + 24)
-             / math.factorial(2 * k) for k in range(12, 3, -1)]
-
-
-def _sine_terms(theta, h):
-    """Closed forms of the discrete Brownian pencil on one axis at
-    theta = (a - 1/2) pi h, a >= 1: the analytic eigenvalue lambda_a =
-    h^2 / theta^2, the exact discrete mu_a = h^2 (2 + cos theta) /
-    (12 sin^2(theta / 2)) (a <= n), lambda_a - mu_a, and c_a^2 =
-    48 sin^4(theta / 2) / (theta^4 (2 + cos theta)) with 1 - c_a^2.  c_a is
-    the moment s_a . Phi_b of the analytic eigenfunction against the exact
-    discrete vector it aliases to (b = a when a <= n).  The differences are
-    taken without cancellation: below theta = _SERIES_BELOW their numerators
-    come from the Taylor series above."""
-    t = theta * theta
-    s2 = np.sin(0.5 * theta) ** 2
-    g = 2.0 + np.cos(theta)
-    small = theta < _SERIES_BELOW
-    ts = np.where(small, t, 0.0)
-    lam_mu = np.where(small, ts * ts * np.polyval(_SERIES_A, ts),
-                      12.0 * s2 - t * g)
-    one_c2 = np.where(small, ts ** 4 * np.polyval(_SERIES_B, ts),
-                      t * t * g - 48.0 * s2 * s2)
-    hh = h * h
-    return (hh / t, hh * g / (12.0 * s2), hh * lam_mu / (12.0 * t * s2),
-            48.0 * s2 * s2 / (t * t * g), one_c2 / (t * t * g))
-
-
-def _telescoped(a, b, diff):
-    """prod_k a_k - prod_k b_k over the last axis, from diff = a - b per
-    factor: sum_k (prod_{j<k} b_j) diff_k (prod_{j>k} a_j), which has no
-    cancellation when diff has none and a, b > 0."""
-    return sum(np.prod(b[..., :k], axis=-1) * diff[..., k]
-               * np.prod(a[..., k + 1:], axis=-1) for k in range(a.shape[-1]))
-
-
-# Sigma1 Y along axis 1 of a (p, n+1, r) array, as fem.MassMatrix.along_axes
-# takes an axis action
-_AXIS_COVARIANCE = functools.partial(fields._apply_axis_covariance, axis=1)
-
-
 class ExactSide:
     """The sample-free half of a replication on the n-element mesh, with the
     k leading exact discrete pairs.
 
-    field is the Brownian field of dimension d (a fields.KlOracle).  mass,
-    covariance (the exact nodal covariance), sigma and s_exact are built on
-    first use.  The nodal covariance is the d-th Kronecker power of Sigma1,
-    the covariance on one axis, held as the action of Sigma1 (two cumulative
-    sums) and applied along every axis (spectral.KroneckerOperator).  So
-    s_exact is the d-th power of S-tilde1 = L1^T Sigma1 L1, held as its
-    action on the bands of L1, and spectrum the d-th Kronecker power of the
-    axis pairs, which are closed form (_axis_pairs): no eigensolve is run.
-    On a short axis both actions are replaced by their axis matrices
-    (_axis_operator).  spectrum keeps every eigenvalue and the k leading
-    vectors; a split reads at most rank k.  The only Q_h x Q_h array formed
-    here is sigma, the covariance as one matrix, which only the Exact
-    estimate reads; in 1D with k <= n, mass, spectrum, e1, e2, lambda1_dev,
-    covariance and s_exact take O(n) memory from _AXIS_MATRIX_MAX_NODES
-    nodes on.  e1 and e2 depend on L alone and are kept per L, and
-    lambda1_dev on the mesh alone.
+    field is the Brownian field of dimension d (a fields.KlOracle), which
+    owns every closed form read here.  mass, covariance (the exact nodal
+    covariance), sigma and s_exact are built on first use.  The nodal
+    covariance is the d-th Kronecker power of Sigma1, the covariance on one
+    axis, held as its action (field.axis_covariance_action) and applied
+    along every axis (spectral.KroneckerOperator).  So s_exact is the d-th
+    power of S-tilde1 = L1^T Sigma1 L1, held as its action on the bands of
+    L1, and spectrum the d-th Kronecker power of the axis pairs
+    (field.exact_axis_pairs, with tilde vectors L1^T Phi in eigensolve's
+    canonical signs): no eigensolve is run.  On a short axis both actions
+    are replaced by their axis matrices (_axis_operator).  spectrum keeps
+    every eigenvalue and the k leading vectors.  The only Q_h x Q_h array
+    formed here is sigma, which only the Exact estimate reads; in 1D with
+    k <= n, everything else takes O(n) memory from _AXIS_MATRIX_MAX_NODES
+    nodes on.  e1 and e2 are kept per L, and lambda1_dev per mesh.
     """
 
     def __init__(self, d, n, k):
@@ -233,7 +178,7 @@ class ExactSide:
     @functools.cached_property
     def covariance(self):
         return spectral.KroneckerOperator(
-            self._axis_operator(_AXIS_COVARIANCE), self.mass)
+            self._axis_operator(self.field.axis_covariance_action), self.mass)
 
     @functools.cached_property
     def sigma(self):
@@ -249,65 +194,23 @@ class ExactSide:
     @functools.cached_property
     def s_exact(self):
         return spectral.KroneckerOperator(self._axis_operator(
-            self.mass.axis_congruence(_AXIS_COVARIANCE)), self.mass)
-
-    @functools.cached_property
-    def _axis_eigenvalues(self):
-        """mu_a on one axis, descending, and the node-0 mode's 0 (see
-        _axis_pairs); no mass is assembled."""
-        n = self.space.mesh.elements_per_axis
-        theta = (np.arange(1, n + 1) - 0.5) * (np.pi / n)
-        return np.append(_sine_terms(theta, 1.0 / n)[1], 0.0)
-
-    @functools.cached_property
-    def _axis_pairs(self):
-        """The exact discrete pairs on one axis, descending, with every
-        eigenvalue and the min(k, n + 1) leading vectors, in closed form.
-
-        Node 0 carries no variance.  On nodes 1..n the vectors
-        v_a = sin(j theta_a), theta_a = (a - 1/2) pi / n, satisfy
-        G1 v_a = g_a W v_a and Sigma1^{-1} v_a = sigma_a W v_a with
-        W = diag(1, ..., 1, 1/2), g_a = h (2 + cos theta_a) / 3 and
-        sigma_a = (2 - 2 cos theta_a) / h (a sine transform; Strang, "The
-        discrete cosine transform", SIAM Review 1999), so they are the
-        generalized eigenvectors, with mu_a = g_a / sigma_a.  Phi_a =
-        v_a / N_a, N_a^2 = (2 + cos theta_a) / 6, is G-orthonormal.  The
-        last pair is the node-0 mode of eigenvalue exactly 0, whose tilde
-        vector is L1^{-1} e_0 normalized: Phi = z / sqrt(z_0) with
-        z = G1^{-1} e_0, since ||L1^{-1} e_0||^2 = (G1^{-1})_00.  The tilde
-        vectors are L1^T Phi, with eigensolve's canonical signs.
-        """
-        n = self.space.mesh.elements_per_axis
-        axis = self.mass.axis
-        m = min(self.k, n)
-        odd = 2 * np.arange(1, m + 1) - 1
-        # j theta_a = (2a - 1) j pi / (2n), reduced exactly modulo 2 pi
-        arg = np.outer(np.arange(n + 1), odd) % (4 * n)
-        gen = np.sin(arg * (np.pi / (2 * n))) \
-            / np.sqrt((2.0 + np.cos(odd * (np.pi / (2 * n)))) / 6.0)
-        if self.k > n:
-            z = axis.solve(np.eye(n + 1)[:, 0])
-            gen = np.column_stack([gen, z / np.sqrt(z[0])])
-        tilde = axis.lt(gen)
-        signs = spectral.canonical_signs(tilde)
-        return spectral.DiscreteSpectrum(self._axis_eigenvalues,
-                                         tilde * signs, gen * signs,
-                                         spectral.SOURCE_EXACT, axis)
+            self.mass.axis_congruence(self.field.axis_covariance_action)),
+            self.mass)
 
     @functools.cached_property
     def spectrum(self):
-        return spectral.kronecker_power(self._axis_pairs, self.mass,
-                                        self.space.mesh.dim, self.k)
+        axis = self.mass.axis
+        mu, gen = self.field.exact_axis_pairs(axis, self.k)
+        tilde = axis.lt(gen)
+        signs = spectral.canonical_signs(tilde)
+        return spectral.kronecker_power(
+            spectral.DiscreteSpectrum(mu, tilde * signs, gen * signs,
+                                      spectral.SOURCE_EXACT, axis),
+            self.mass, self.space.mesh.dim, self.k)
 
     @functools.cached_property
     def lambda1_dev(self):
-        """lambda_1 - mu_1 > 0, the distance of the leading exact discrete
-        eigenvalue to the analytic one.  Both are d-th powers of the axis
-        values at theta = pi h / 2 (_sine_terms), and the difference
-        telescopes from the axis lambda - mu without cancellation."""
-        n, d = self.space.mesh.elements_per_axis, self.space.mesh.dim
-        lam, mu, lam_mu = _sine_terms(np.full(d, 0.5 * np.pi / n), 1.0 / n)[:3]
-        return float(_telescoped(lam, mu, lam_mu))
+        return self.field.lambda1_dev(self.space.mesh.elements_per_axis)
 
     def e1(self, L):
         """Truncation error sqrt(field.tail_sq(L))."""
@@ -316,51 +219,14 @@ class ExactSide:
         return self._e1[L]
 
     def e2(self, L):
-        """Discretization error of the rank-L exact discrete kernel, for
-        1 <= L <= k.
-
-        With analytic pairs (lambda_l, phi_l) and exact discrete (mu_m,
-        Phi_m) of ranks l, m <= L, and moments s_l = field.moments,
-        e2^2 = ||lambda||^2 + ||mu||^2 - 2 sum lambda_l mu_m (s_l . Phi_m)^2.
-        s_l . Phi_m vanishes except where m is the index tuple of l, or the
-        tuple it aliases to (_sine_terms), where it is the product of the
-        axis c.  So e2^2 sums, over the union of the two rank sets,
-        (lambda - mu)^2 + 2 lambda mu (1 - C^2) for a tuple in both, lambda^2
-        or mu^2 for a tuple in one, and -2 lambda mu C^2 for an aliased pair:
-        without cancellation while L <= n.
-        """
+        """Discretization error sqrt(field.e2_sq(n, L)), for 1 <= L <= k."""
         if not 1 <= L <= self.k:
             raise ValueError("truncation rank L=%r must lie in [1, %d] (the "
                              "exact vectors kept)" % (L, self.k))
         if L not in self._e2:
-            self._e2[L] = float(np.sqrt(max(self._e2_sq(L), 0.0)))
+            self._e2[L] = float(np.sqrt(max(self.field.e2_sq(
+                self.space.mesh.elements_per_axis, L), 0.0)))
         return self._e2[L]
-
-    def _e2_sq(self, L):
-        n, d = self.space.mesh.elements_per_axis, self.space.mesh.dim
-        lam = self.field.eigenvalues(L)
-        ana = self.field.axis_indices(L)
-        lam_ax, _, lam_mu, c2, one_c2 = _sine_terms(
-            (ana - 0.5) * (np.pi / n), 1.0 / n)
-        # sin(j theta_a) = +-sin(j theta_b) at every node j, for b the alias
-        # of a in 1..n (theta_a = +-theta_b modulo 2 pi)
-        r = (ana - 1) % (2 * n) + 1
-        alias = np.where(r <= n, r, 2 * n + 1 - r)
-        mu_ax = _sine_terms((alias - 0.5) * (np.pi / n), 1.0 / n)[1]
-        mu = np.prod(mu_ax, axis=1)
-        vals, order = spectral.kronecker_order(self._axis_eigenvalues, d)
-        disc = order[:L]
-        flat = np.ravel_multi_index(tuple(alias.T - 1), (n + 1,) * d)
-        own = np.all(ana <= n, axis=1)
-        hit = np.isin(flat, disc)
-        both, cross = own & hit, ~own & hit
-        diff = _telescoped(lam_ax[both], mu_ax[both], lam_mu[both])
-        one_minus = _telescoped(np.ones_like(c2[both]), c2[both], one_c2[both])
-        terms = (lam[~both] ** 2,
-                 vals[:L][~np.isin(disc, flat[both])] ** 2,
-                 diff ** 2 + 2.0 * lam[both] * mu[both] * one_minus,
-                 -2.0 * lam[cross] * mu[cross] * np.prod(c2[cross], axis=1))
-        return math.fsum(np.concatenate(terms))
 
 
 def draw(config, exact, M, seed):

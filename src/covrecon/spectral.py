@@ -7,7 +7,7 @@ back via Phi = (L^G)^{-T} Phi-tilde, which makes the finite element
 functions phi_l = Phi_l . theta exactly L2-orthonormal.  Every action of
 L^G goes through the mass object, which in 2D applies the axis factor along
 both lattice axes; the 2D exact spectrum is the Kronecker square of the 1D
-one (kronecker_power), whose pairs mercer.ExactSide forms in closed form.
+one (kronecker_power) of the closed-form axis pairs of fields.KlOracle.
 
 Diagnostics compare an exact-discrete spectrum against an estimated one:
 Weyl eigenvalue stability, mixed spectral gaps, the spectral-gap condition,

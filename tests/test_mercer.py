@@ -129,11 +129,15 @@ def test_e3_from_l_by_l_blocks_matches_the_dense_difference(d, n):
             "%dD n=%d L=%d: e3 %.17e vs dense %.17e" % (d, n, L, got, want)
 
 
-@pytest.mark.parametrize("d, n", [(1, 32), (1, 512), (2, 16)])
+@pytest.mark.parametrize("d, n", [(1, 2), (1, 32), (1, 512), (2, 3),
+                                  (2, 10), (2, 16)])
 def test_lambda1_dev_matches_the_40_digit_value(d, n):
     # lambda_1 - mu_1 telescoped from the axis difference, without the
-    # cancellation of |mu_1 - lambda_1| (7e-13, 2e-10 and 6e-14 relative off
-    # at these meshes)
+    # cancellation of |mu_1 - lambda_1| (7e-13, 2e-10, 8e-14 and 6e-14
+    # relative off at n = 32, 512, 10 and 16); at 2D n=10 h^2 / theta^2 and
+    # the field's axis eigenvalue differ by an ulp, and only the latter is
+    # read; at n = 2 and 3 (theta >= 0.5) a direct lambda - mu put it
+    # 1.4e-15 and 1.2e-15 off
     got = mercer.ExactSide(d, n, 1).lambda1_dev
     want = reference.lambda1_dev_mpmath(d, n)
     assert abs(got - want) <= 1e-15 * want, \
@@ -153,11 +157,13 @@ def test_decomposition_validation():
             exact.e2(L)
 
 
-@pytest.mark.parametrize("d, n", [(1, 32), (1, 512), (1, 4096), (2, 16),
-                                  (2, 64)])
+@pytest.mark.parametrize("d, n", [(1, 8), (1, 32), (1, 512), (1, 4096),
+                                  (2, 8), (2, 10), (2, 16), (2, 64)])
 def test_e2_matches_the_40_digit_definition(d, n):
-    # the closed form, with its Taylor numerators below theta = 0.5, against
-    # the definition summed over sine moments and vectors at 40 digits
+    # the closed form, with its Taylor numerators up to theta = pi, against
+    # the definition summed over sine moments and vectors at 40 digits; at
+    # n=8 a direct 1 - c^2 from theta = 0.5 on put L=3 1.3e-13 (1D) and
+    # 1.4e-13 (2D) off
     exact = mercer.ExactSide(d, n, 5)
     Ls = (1, 3, 5)
     for L, want in zip(Ls, reference.e2_mpmath(d, n, Ls)):
@@ -634,13 +640,13 @@ def test_run_mesh_computes_e1_and_p0_once(monkeypatch):
 def test_run_mesh_computes_e2_once(monkeypatch):
     # e2 depends on the mesh and L only: it is summed once per (mesh, L)
     calls = []
-    e2_sq = mercer.ExactSide._e2_sq
+    e2_sq = fields.KlOracle.e2_sq
 
-    def counting_e2_sq(self, L):
-        calls.append((self.space.mesh.elements_per_axis, L))
-        return e2_sq(self, L)
+    def counting_e2_sq(self, n, L):
+        calls.append((n, L))
+        return e2_sq(self, n, L)
 
-    monkeypatch.setattr(mercer.ExactSide, "_e2_sq", counting_e2_sq)
+    monkeypatch.setattr(fields.KlOracle, "e2_sq", counting_e2_sq)
     cfg = support.make_config(ns=[6, 8], Ms=[20, 40], Ls=[1, 2], n_rep=4)
     cells = mercer.expected_error_study(cfg)
     assert all(c.ok for c in cells), [c.error for c in cells]
