@@ -1,15 +1,15 @@
 """P1 finite element spaces on the unit interval/square.
 
 Uniform lattice meshes of (0,1)^d for d in {1,2}, nodal hat-function bases,
-and exact mass matrices with the actions of their Cholesky factors: for
-d = 1 and d = 2 alike, 1D axis actions (on the two bands of the factor, or
-products with its explicit inverses for the solves) applied along every
-lattice axis.  Only the MassMatrix constructor (1D factorizes the bands of
-the axis mass and takes its extremes in closed form, d > 1 holds the 1D
-MassMatrix of one axis) differs by dimension.  No (n+1) x (n+1) array is
-formed but the inverses, on the first solve.  Nothing here
-integrates by quadrature: sampling and the error split use closed forms of
-the kernel against the basis (see `fields.KlOracle`).
+and exact mass matrices with the actions of their Cholesky factors.  An
+axis action returns A Y, a new array, along axis 1 of a (p, n+1, r) array
+Y; FeSpace.along_axes, applying it along every lattice axis, applies the
+d-th Kronecker power of A.  Only the MassMatrix constructor (1D
+factorizes the bands of the axis mass and takes its extremes in closed
+form, d > 1 holds the 1D MassMatrix of one axis) differs by dimension.  No
+(n+1) x (n+1) array is formed but the inverses, on the first solve.
+Nothing here integrates by quadrature: sampling and the error split use
+closed forms of the kernel against the basis (see `fields.KlOracle`).
 
 Conventions
 -----------
@@ -72,6 +72,19 @@ class FeSpace:
     def __repr__(self):
         return "FeSpace(%r)" % (self.mesh,)
 
+    def along_axes(self, action, X):
+        """(A kron ... kron A) X, one A per lattice axis, for an axis action
+        of A and a (Q_h, k) block or (Q_h,) vector X: the action runs on
+        lattice index j of every (batched) line, for j = 0, ..., dim - 1.
+        For the action of a matrix, each entry of (A kron ... kron A) I is
+        the one product of axis entries that the Kronecker product forms,
+        bit for bit."""
+        m = self.mesh.elements_per_axis + 1
+        Y = X
+        for j in range(self.mesh.dim):
+            Y = action(Y.reshape(m ** j, m, -1))
+        return Y.reshape(X.shape)
+
 
 def build_space(dim, n):
     """Convenience constructor: FeSpace on a fresh uniform mesh."""
@@ -90,13 +103,12 @@ def _mass_bands(n):
 
 
 def _axis_mass_action(Y):
-    """G1 Y along the last axis of Y, whose length n+1 is that of an axis of
-    the uniform n-element mesh, on the bands of G1.  O(n) per line; G1 is
-    not formed."""
-    a, b = _mass_bands(Y.shape[-1] - 1)
-    GY = a * Y
-    GY[..., 1:] += b * Y[..., :-1]
-    GY[..., :-1] += b * Y[..., 1:]
+    """G1 Y along axis 1 of a (p, n+1, r) array Y (an axis action), on the
+    bands of G1.  O(n) per line; G1 is not formed."""
+    a, b = _mass_bands(Y.shape[1] - 1)
+    GY = Y * a[:, None]
+    GY[:, 1:] += Y[:, :-1] * b[:, None]
+    GY[:, :-1] += Y[:, 1:] * b[:, None]
     return GY
 
 
@@ -289,24 +301,10 @@ class MassMatrix:
             gram[i] /= d[i]
         return inv.T, gram
 
-    def along_axes(self, action, X):
-        """(A kron ... kron A) X, one A per lattice axis, for an axis action
-        of A and a (Q_h, k) block or (Q_h,) vector X.  action(Y) returns A Y
-        along axis 1 of a (p, n+1, r) array Y; it acts on lattice index j of
-        every (batched) line, for j = 0, ..., dim - 1.  For the action of a
-        matrix, each entry of (A kron ... kron A) I is the one product of
-        axis entries that the Kronecker product forms, bit for bit."""
-        m = self.chol_bands[0].size
-        Y = X
-        for j in range(self.dim):
-            Y = action(Y.reshape(m ** j, m, -1))
-        return Y.reshape(X.shape)
-
     def axis_congruence(self, action):
         """The axis action Y -> L1^T A L1 Y of the axis action of A, on the
-        bands in O(n) per line, for an action that returns a new array.
-        Along every axis (along_axes) it applies L^T (A kron ... kron A) L,
-        since L = L1 kron ... kron L1."""
+        bands in O(n) per line.  Along every axis (FeSpace.along_axes) it
+        applies L^T (A kron ... kron A) L, since L = L1 kron ... kron L1."""
         d, e = self.chol_bands
 
         def apply(Y):
@@ -342,13 +340,13 @@ class MassMatrix:
 
     def solve_lt(self, B):
         """L^{-T} B for a (Q_h, k) block or a (Q_h,) vector B."""
-        return self.along_axes(
+        return self.space.along_axes(
             functools.partial(np.matmul, self._axis_inverses[0]), B)
 
     def solve(self, B):
         """G^{-1} B = L^{-T} L^{-1} B for a (Q_h, k) block or a (Q_h,)
         vector B."""
-        return self.along_axes(
+        return self.space.along_axes(
             functools.partial(np.matmul, self._axis_inverses[1]), B)
 
 

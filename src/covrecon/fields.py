@@ -4,14 +4,15 @@ Centered Brownian motion on (0,1) and the Brownian sheet on (0,1)^2, its
 tensor square.  One KlOracle per dimension is the whole field: its
 min-kernel covariance, its exact Karhunen-Loeve eigenpairs and gaps, and
 closed forms of the kernel against the P1 basis, each written once as a
-product or a per-axis action over the lattice axes, in the rank order of one
-table of axis indices for every dimension.  Only the squared-eigenvalue
-tail is per dimension, because there the series differ.  The oracle also
-holds the closed forms of the exact discrete side (axis pairs, lambda_1 -
-mu_1, e2), which mercer.ExactSide only assembles.  Batch sampling draws
-finite element coefficient vectors of the field: its nodal values, or the
-exact L2 projection of its truncated KL series, which the closed-form sine
-moments give without quadrature.
+product over the axis indices of a rank (in the rank order of one table
+for every dimension) or as an axis action, which the space applies along
+every lattice axis (fem.FeSpace.along_axes).  Only the squared-eigenvalue
+tail is per dimension: the 2D one sums 1D tails over the head.  The
+oracle also holds the closed forms of the exact discrete side (axis pairs,
+lambda_1 - mu_1, e2), which mercer.ExactSide only assembles.  Batch
+sampling draws finite element coefficient vectors of the field: its nodal
+values, or the exact L2 projection of its truncated KL series, which the
+closed-form sine moments give without quadrature.
 
 Sampling reproducibility contract: sample m of a batch with seed s is row
 m % B of block m // B, and block b is drawn from the substream
@@ -26,7 +27,6 @@ block instead of building a generator per block (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC'11).
 """
 
-import functools
 import math
 
 import numpy as np
@@ -40,7 +40,7 @@ MODE_PROJECTION = "L2ProjectionOfTruncatedKL"
 _SAMPLE_BLOCK = 64
 # samples per sampler call; whole blocks, so that no block is drawn twice
 _SAMPLE_CHUNK = 64 * _SAMPLE_BLOCK
-# explicit terms of the Euler-Maclaurin sum for zeta(4, a) in tail_sq
+# explicit terms of the Euler-Maclaurin sum for zeta(4, a) in _tail1_sq
 _ZETA_HEAD = 24
 _KINDS = {1: "BrownianMotion1D", 2: "BrownianSheet2D"}
 
@@ -152,56 +152,43 @@ class KlOracle:
         return 6.0 ** -self.dim
 
     def tail_sq(self, L):
-        """Sum of squared eigenvalues beyond index L.
+        """Sum of squared eigenvalues beyond rank L, as a sum of positive
+        terms: nothing cancels, unlike a total minus the head.
 
-        1D: pi^-4 sum_{k>=0} (L + 1/2 + k)^-4 = zeta(4, L + 1/2) / pi^4, by
-        Euler-Maclaurin (DLMF 25.11, 2.10): the first _ZETA_HEAD terms, then
-        at x = L + 1/2 + _ZETA_HEAD the integral x^-3/3, the half term x^-4/2
-        and the Bernoulli terms B_2..B_8, whose coefficients
-        B_2j (4)_(2j-1) / (2j)! are 1/3, -1/6, 2/9, -1/2.  The next term,
-        5/3 x^-13, is below 1e-18 of the sum.  Every term is positive or
-        small, so nothing cancels, unlike a total minus the head.
-        2D: partial sums telescope against the exact total (1/36).
+        1D: the axis tail t(L) (_tail1_sq).  2D: the head of ranks 1..L is
+        downward closed, so it holds (a, b) exactly for b <= c_a, with
+        c_a > 0 for a <= A and 0 beyond, and the tail is
+        sum_{a<=A} lambda_a^2 t(c_a) + t(A) / 6 (the axis total is 1/6).
         """
         if L < 0:
             raise ValueError("L must be >= 0, got %r" % (L,))
         if self.dim == 1:
-            a = L + 0.5
-            x = a + _ZETA_HEAD
-            terms = [(a + k) ** -4.0 for k in range(_ZETA_HEAD)]
-            terms += [x ** -3 / 3.0, x ** -4 / 2.0, x ** -5 / 3.0,
-                      -x ** -7 / 6.0, 2.0 * x ** -9 / 9.0, -x ** -11 / 2.0]
-            return math.fsum(terms) * np.pi ** -4
-        head = sum(lam ** 2 for lam in self.eigenvalues(L).tolist())
-        return max(self.sum_sq_total() - head, 0.0)
+            return _tail1_sq(L)
+        c = np.bincount(self.axis_indices(L)[:, 0])[1:].tolist()
+        return math.fsum([lam * lam * _tail1_sq(c_a) for lam, c_a in zip(
+            self._axis_lam[1:].tolist(), c)] + [_tail1_sq(len(c)) / 6.0])
 
     def moments(self, space, L):
         """Rows s_l = (integral of phi_l theta_j)_j, l <= L, shape (L, Q_h):
         Kronecker products of the 1D moments over the axis indices."""
         n = space.mesh.elements_per_axis
-        return functools.reduce(
-            lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(L, -1),
-            [_sine_moments(n, axis) for axis in self.axis_indices(L).T])
+        return spectral.kronecker_columns(
+            [_sine_moments(n, axis).T for axis in self.axis_indices(L).T]).T
 
     def kernel_forms(self, space, vectors):
         """v^T B v per column v of vectors, B_ij = <R, theta_i (x) theta_j>.
 
-        B is the d-th Kronecker power of the axis load B1 (_apply_axis_load),
-        so a column reshaped to its (n+1)^d lattice is V -> V B1 in 1D and
-        V -> B1 V B1 in 2D: B1 acts along every lattice axis in O(n) per
+        B is the d-th Kronecker power of the axis load B1, so its action is
+        that of B1 (_apply_axis_load) along every lattice axis, in O(n) per
         line, and neither B nor B1 is formed.
         """
-        n = space.mesh.elements_per_axis
-        V = vectors.T.reshape((-1,) + (n + 1,) * self.dim)
-        BV = V
-        for axis in range(1, V.ndim):
-            BV = _apply_axis_load(BV, axis)
-        return np.sum(V * BV, axis=tuple(range(1, V.ndim)))
+        return np.sum(vectors * space.along_axes(_apply_axis_load, vectors),
+                      axis=0)
 
     # -- closed forms of the exact discrete side: the P1 pencil (Sigma1, G1)
     def axis_covariance_action(self, Y):
         """Sigma1 Y along axis 1 of a (p, n+1, r) array (an axis action)."""
-        return _apply_axis_covariance(Y, 1)
+        return _apply_axis_covariance(Y)
 
     def exact_axis_pairs(self, axis_mass, k):
         """The exact discrete pairs on the axis of axis_mass (a 1D MassMatrix),
@@ -277,6 +264,21 @@ class KlOracle:
         return math.fsum(np.concatenate(terms))
 
 
+def _tail1_sq(L):
+    """The 1D tail pi^-4 sum_{k>=0} (L + 1/2 + k)^-4 = zeta(4, L + 1/2) /
+    pi^4 by Euler-Maclaurin (DLMF 25.11, 2.10): the first _ZETA_HEAD terms,
+    then at x = L + 1/2 + _ZETA_HEAD the integral x^-3/3, the half term
+    x^-4/2 and the Bernoulli terms B_2..B_8 (coefficients B_2j (4)_(2j-1) /
+    (2j)! = 1/3, -1/6, 2/9, -1/2); the next, 5/3 x^-13, is below 1e-18 of
+    the sum.  Every term is positive or small, so nothing cancels."""
+    a = L + 0.5
+    x = a + _ZETA_HEAD
+    terms = [(a + k) ** -4.0 for k in range(_ZETA_HEAD)]
+    terms += [x ** -3 / 3.0, x ** -4 / 2.0, x ** -5 / 3.0,
+              -x ** -7 / 6.0, 2.0 * x ** -9 / 9.0, -x ** -11 / 2.0]
+    return math.fsum(terms) * np.pi ** -4
+
+
 def _sine_moments(n, ells):
     """Moments of phi_l = sqrt(2) sin(w x), w = (l - 1/2) pi, against the hats.
 
@@ -345,25 +347,23 @@ def _axis_mu(n):
     return np.append(_sine_terms(theta, 1.0 / n)[0], 0.0)
 
 
-def _apply_axis_covariance(Y, axis):
-    """Sigma1 Y along one axis of Y, whose length n+1 is that of an axis of
-    the uniform n-element mesh, for Sigma1_ij = min(x_i, x_j).  Sigma1 acts
-    as two cumulative sums: min(x_i, x_j) = h #{1 <= k <= min(i, j)}, so
-    Sigma1 z is h times the prefix sums of the suffix sums z_k + ... + z_n,
-    k >= 1, and 0 at node 0.  O(n) per line."""
-    lead = (slice(None),) * (axis % Y.ndim)
-    n = Y.shape[axis] - 1
-    suffix = np.cumsum(Y[lead + (slice(None, 0, -1),)], axis=axis)
+def _apply_axis_covariance(Y):
+    """Sigma1 Y along axis 1 of a (p, n+1, r) array Y (an axis action), for
+    Sigma1_ij = min(x_i, x_j).  Sigma1 acts as two cumulative sums:
+    min(x_i, x_j) = h #{1 <= k <= min(i, j)}, so Sigma1 z is h times the
+    prefix sums of the suffix sums z_k + ... + z_n, k >= 1, and 0 at node 0.
+    O(n) per line."""
+    suffix = np.cumsum(Y[:, :0:-1], axis=1)
     sums = np.zeros_like(Y)
-    np.cumsum(suffix[lead + (slice(None, None, -1),)], axis=axis,
-              out=sums[lead + (slice(1, None),)])
-    sums /= n
+    np.cumsum(suffix[:, ::-1], axis=1, out=sums[:, 1:])
+    sums /= Y.shape[1] - 1
     return sums
 
 
-def _apply_axis_load(Y, axis):
-    """B1 Y along one axis of Y, for the axis load matrix
-    B1_ij = double integral of min(x, y) theta_i(x) theta_j(y) on [0,1]^2.
+def _apply_axis_load(Y):
+    """B1 Y along axis 1 of a (p, n+1, r) array Y (an axis action), for the
+    axis load matrix B1_ij = double integral of min(x, y) theta_i(x)
+    theta_j(y) on [0,1]^2.
 
     min(x, y) equals its bilinear nodal interpolant except on the n diagonal
     cells, where it exceeds it by h (min(s, t) - s t) in local coordinates.
@@ -372,15 +372,14 @@ def _apply_axis_load(Y, axis):
     over the cells, which is h^2 G / 15 plus h^3 / 120 on the first
     off-diagonals.
     """
-    Y = np.moveaxis(Y, axis, -1)
-    n = Y.shape[-1] - 1
+    n = Y.shape[1] - 1
     GY = fem._axis_mass_action(Y)
-    BY = fem._axis_mass_action(_apply_axis_covariance(GY, -1)) \
+    BY = fem._axis_mass_action(_apply_axis_covariance(GY)) \
         + GY / (15.0 * n * n)
     off = Y / (120.0 * n ** 3)
-    BY[..., 1:] += off[..., :-1]
-    BY[..., :-1] += off[..., 1:]
-    return np.moveaxis(BY, -1, axis)
+    BY[:, 1:] += off[:, :-1]
+    BY[:, :-1] += off[:, 1:]
+    return BY
 
 
 class SampleBatch:

@@ -139,13 +139,13 @@ class ExactSide:
     along every axis (spectral.KroneckerOperator).  So s_exact is the d-th
     power of S-tilde1 = L1^T Sigma1 L1, held as its action on the bands of
     L1, and spectrum the d-th Kronecker power of the axis pairs
-    (field.exact_axis_pairs, with tilde vectors L1^T Phi in eigensolve's
-    canonical signs): no eigensolve is run.  On a short axis both actions
-    are replaced by their axis matrices (_axis_operator).  spectrum keeps
-    every eigenvalue and the k leading vectors.  The only Q_h x Q_h array
-    formed here is sigma, which only the Exact estimate reads; in 1D with
-    k <= n, everything else takes O(n) memory from _AXIS_MATRIX_MAX_NODES
-    nodes on.  e1 and e2 are kept per L, and lambda1_dev per mesh.
+    (field.exact_axis_pairs, spectral.kronecker_power): no eigensolve is
+    run.  On a short axis both actions are replaced by their axis matrices
+    (_axis_operator).  spectrum keeps every eigenvalue and the k leading
+    vectors.  The only Q_h x Q_h array formed here is sigma, which only the
+    Exact estimate reads; in 1D with k <= n, everything else takes O(n)
+    memory from _AXIS_MATRIX_MAX_NODES nodes on.  e1 and e2 are kept per L,
+    and lambda1_dev per mesh.
     """
 
     def __init__(self, d, n, k):
@@ -178,7 +178,7 @@ class ExactSide:
     @functools.cached_property
     def covariance(self):
         return spectral.KroneckerOperator(
-            self._axis_operator(self.field.axis_covariance_action), self.mass)
+            self._axis_operator(self.field.axis_covariance_action), self.space)
 
     @functools.cached_property
     def sigma(self):
@@ -188,25 +188,20 @@ class ExactSide:
         # nodes by an ulp at most n that are not powers of two, so it does
         # not form sigma.
         axis = self.field.axis_covariance(self.space.mesh.axis_nodes)
-        return self.mass.along_axes(functools.partial(np.matmul, axis),
-                                    np.eye(self.space.dof_count))
+        return self.space.along_axes(functools.partial(np.matmul, axis),
+                                     np.eye(self.space.dof_count))
 
     @functools.cached_property
     def s_exact(self):
         return spectral.KroneckerOperator(self._axis_operator(
             self.mass.axis_congruence(self.field.axis_covariance_action)),
-            self.mass)
+            self.space)
 
     @functools.cached_property
     def spectrum(self):
-        axis = self.mass.axis
-        mu, gen = self.field.exact_axis_pairs(axis, self.k)
-        tilde = axis.lt(gen)
-        signs = spectral.canonical_signs(tilde)
         return spectral.kronecker_power(
-            spectral.DiscreteSpectrum(mu, tilde * signs, gen * signs,
-                                      spectral.SOURCE_EXACT, axis),
-            self.mass, self.space.mesh.dim, self.k)
+            *self.field.exact_axis_pairs(self.mass.axis, self.k), self.mass,
+            self.k)
 
     @functools.cached_property
     def lambda1_dev(self):

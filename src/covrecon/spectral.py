@@ -6,8 +6,9 @@ G = L^G (L^G)^T is the mass Cholesky factorization.  Eigenvectors transform
 back via Phi = (L^G)^{-T} Phi-tilde, which makes the finite element
 functions phi_l = Phi_l . theta exactly L2-orthonormal.  Every action of
 L^G goes through the mass object, which in 2D applies the axis factor along
-both lattice axes; the 2D exact spectrum is the Kronecker square of the 1D
-one (kronecker_power) of the closed-form axis pairs of fields.KlOracle.
+both lattice axes.  The exact side's operators apply an axis action along
+every lattice axis (KroneckerOperator), and its spectrum is the Kronecker
+power (kronecker_power) of the closed-form axis pairs of fields.KlOracle.
 
 Diagnostics compare an exact-discrete spectrum against an estimated one:
 Weyl eigenvalue stability, mixed spectral gaps, the spectral-gap condition,
@@ -53,8 +54,8 @@ _LANCZOS_CHECK_EVERY = 4
 
 class KroneckerOperator:
     """The d-th Kronecker power A kron ... kron A of an axis operator A on
-    the d-dimensional lattice of mass.  Only the action of A is held (a
-    callable as mass.along_axes takes it); @ applies it along every lattice
+    the d-dimensional lattice of space.  Only the axis action of A is held
+    (as fem.FeSpace.along_axes takes it); @ applies it along every lattice
     axis, so no Q_h x Q_h array, and for an O(n) action no (n+1) x (n+1)
     one, is formed.  For d = 1 it is A itself.  The exact side holds its
     nodal covariance (A = Sigma1, two cumulative sums) and, since
@@ -63,13 +64,13 @@ class KroneckerOperator:
     product with the matrix of either action (mercer.ExactSide).
     """
 
-    def __init__(self, axis_action, mass):
+    def __init__(self, axis_action, space):
         self.axis_action = axis_action
-        self.shape = (mass.dof_count,) * 2
-        self.mass = mass
+        self.shape = (space.dof_count,) * 2
+        self.space = space
 
     def __matmul__(self, X):
-        return self.mass.along_axes(self.axis_action, X)
+        return self.space.along_axes(self.axis_action, X)
 
 
 def transform(cov, mass):
@@ -221,37 +222,43 @@ def kronecker_order(mu, d):
     return vals[order], order
 
 
-def kronecker_power(axis_spec, mass, d, k):
-    """Spectrum of the d-th Kronecker power of S-tilde1 on the mass of the
-    d-dimensional lattice, from the pairs of S-tilde1 on one axis: every
-    eigenvalue (kronecker_order) and the k leading vectors, and no Q_h x Q_h
-    eigensolve or vector array.
+def kronecker_columns(factors):
+    """The column-wise Kronecker (Khatri-Rao) product of (m_j, k) arrays:
+    the (m_1 ... m_d, k) array whose column i is the Kronecker product of
+    the factors' columns i, each entry the one product np.kron forms."""
+    P = factors[0]
+    for F in factors[1:]:
+        P = (P[:, None, :] * F[None, :, :]).reshape(-1, P.shape[1])
+    return P
+
+
+def kronecker_power(mu, gen, mass, k):
+    """The exact spectrum on the lattice of mass, SOURCE_EXACT: the d-th
+    Kronecker power of the exact pairs of one axis, every axis eigenvalue mu
+    (nonnegative, descending) and at least min(k, n + 1) leading generalized
+    axis vectors gen, with tilde vectors L1^T gen (mass.axis.lt), each in
+    eigensolve's canonical signs.  Every eigenvalue (kronecker_order) and
+    the k leading vectors are formed, and no Q_h x Q_h eigensolve or vector
+    array.
 
     Eigenvalue mu_i mu_j has the tilde vector v_i kron v_j and, since
     L^G = L1 kron L1, the generalized vector Phi_i kron Phi_j (likewise for
-    every d).  With the axis eigenvalues nonnegative and descending, rank r
-    has no axis index above r, so the axis spectrum needs only its
-    min(k, n + 1) leading vectors.  A product of canonically signed vectors
-    is canonically signed, with the product of their leads as its lead,
-    when the factors' leads fall short of their largest magnitudes by
-    relative amounts summing to at most _SIGN_TIE_RTOL, as exact ties and
-    roundoff do: no earlier index of the product comes as close to its
-    largest.  For d = 1 it is the axis spectrum with its k leading vectors,
-    bit for bit.
+    every d), and rank r has no axis index above r.  A product of
+    canonically signed vectors is canonically signed, with the product of
+    their leads as its lead, when the factors' leads fall short of their
+    largest magnitudes by relative amounts summing to at most
+    _SIGN_TIE_RTOL, as exact ties and roundoff do: no earlier index of the
+    product comes as close to its largest.  For d = 1 it is the axis
+    spectrum with its k leading vectors, bit for bit.
     """
-    mu = axis_spec.eigenvalues
-    vals, order = kronecker_order(mu, d)
-    index = np.unravel_index(order[:k], (mu.size,) * d)
-
-    def power(V):
-        P = V[:, index[0]]
-        for i in index[1:]:
-            P = (P[:, None, :] * V[None, :, i]).reshape(-1, k)
-        return P
-
-    return DiscreteSpectrum(vals, power(axis_spec.tilde_vectors),
-                            power(axis_spec.gen_vectors), axis_spec.source,
-                            mass)
+    tilde = mass.axis.lt(gen)
+    signs = canonical_signs(tilde)
+    vals, order = kronecker_order(mu, mass.dim)
+    index = np.unravel_index(order[:k], (mu.size,) * mass.dim)
+    return DiscreteSpectrum(
+        vals, kronecker_columns([tilde[:, i] * signs[i] for i in index]),
+        kronecker_columns([gen[:, i] * signs[i] for i in index]),
+        SOURCE_EXACT, mass)
 
 
 def align_signs(reference, target):

@@ -351,6 +351,21 @@ def tail_sq_mpmath(L, dps=40):
         return mpmath.zeta(4, mpmath.mpf(L) + mpmath.mpf(1) / 2) / mpmath.pi ** 4
 
 
+def tail_sq_2d_mpmath(L, dps=40):
+    """2D sum of squared eigenvalues beyond rank L, as a dps-digit mpmath
+    number: the total 1/36 minus the head of ranks 1..L (kl_ranks), each
+    squared eigenvalue pi^-8 ((l_1 - 1/2) (l_2 - 1/2))^-4 summed in
+    mpmath, so the cancellation costs no digit that matters."""
+    import mpmath
+
+    rows = kl_ranks(2, L, L + 1).tolist()
+    with mpmath.workdps(dps):
+        half = mpmath.mpf(1) / 2
+        head = mpmath.fsum(((a - half) * (b - half)) ** -4
+                           for a, b, _ in rows) / mpmath.pi ** 8
+        return mpmath.mpf(1) / 36 - head
+
+
 def lambda1_dev_mpmath(d, n, dps=40):
     """lambda_1 - mu_1 of the Brownian field of dimension d on the n-element
     mesh, as a dps-digit mpmath number: lambda_1 = (4 / pi^2)^d and mu_1 the

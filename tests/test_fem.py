@@ -119,7 +119,8 @@ def test_mass_bands_match_the_stencil_oracle():
         a, b = fem._mass_bands(n)
         assert np.array_equal(a, np.diag(G1)) \
             and np.array_equal(b, np.diag(G1, -1)), "n=%d: bands" % n
-        assert np.array_equal(fem._axis_mass_action(np.eye(n + 1)), G1), \
+        assert np.array_equal(fem._axis_mass_action(np.eye(n + 1)[None])[0],
+                              G1), \
             "n=%d: stencil action" % n
 
 

@@ -196,12 +196,17 @@ def test_tail_sq_1d_matches_hurwitz_zeta(L):
         % (L, rel)
 
 
-def test_tail_sq_2d_is_the_telescoped_sum():
-    # the 2D tail is the exact total minus the head, bit for bit as in 0.2.1
-    o2 = fields.KlOracle(2)
-    pinned = {1: "0x1.a24bf04200ce0p-11", 3: "0x1.141fb9db9cc80p-13",
-              10: "0x1.60fd619c3f800p-17", 40: "0x1.d607c6d2f0000p-22"}
-    assert {L: o2.tail_sq(L).hex() for L in pinned} == pinned
+@pytest.mark.parametrize("L", [1, 3, 10, 40, 400])
+def test_tail_sq_2d_matches_the_40_digit_tail(L):
+    import mpmath
+
+    want = reference.tail_sq_2d_mpmath(L)
+    got = fields.KlOracle(2).tail_sq(L)
+    assert isinstance(got, float)
+    with mpmath.workdps(40):
+        rel = float(abs(mpmath.mpf(got) - want) / want)
+    assert rel <= 1e-15, "2D tail_sq(%d) is %.2e relative off 40 digits" \
+        % (L, rel)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,18 @@ def test_kronecker_ties_use_the_product_basis():
     assert np.array_equal(S, S.T)
 
 
+def test_kronecker_columns_are_the_kron_of_the_columns():
+    # one, two and three factors of unequal lengths, bit for bit
+    rng = np.random.default_rng(3)
+    factors = [rng.standard_normal((m, 4)) for m in (3, 5, 2)]
+    for d in (1, 2, 3):
+        got = spectral.kronecker_columns(factors[:d])
+        want = np.column_stack([
+            functools.reduce(np.kron, [F[:, i] for F in factors[:d]])
+            for i in range(4)])
+        assert np.array_equal(got, want), "%d factors" % d
+
+
 def test_canonical_signs_ignore_roundoff_between_tied_components():
     # components within 1e-12 of the largest magnitude tie: the first leads,
     # whichever of them roundoff made the largest
