@@ -1,7 +1,7 @@
 """Covariance operator reconstruction from finitely many sampled Gaussian
 field realizations on P1 finite element meshes of the unit interval/square.
 
-Pipeline: draw or load discretized samples (fields), estimate the nodal
+Pipeline: draw discretized samples (fields), estimate the nodal
 covariance with MLE or tapering (estimators), solve the mass-transformed
 symmetric eigenproblem (spectral), rebuild a truncated Mercer kernel and
 split its error into truncation + discretization + sampling parts

@@ -55,14 +55,14 @@ class StudyConfig:
         self.field_kind = field_kind
         self.d = d
         self.delta = delta
-        self.s = s if s is not None else 0.5 - delta
+        self.s = s  # None: 0.5 - delta, once delta is validated
         self.mode = mode
         self.kl_trunc = kl_trunc
         self.estimator = estimator
         self.alpha = alpha
-        self.ns = list(ns)
-        self.Ms = list(Ms)
-        self.Ls = list(Ls)
+        self.ns = ns
+        self.Ms = Ms
+        self.Ls = Ls
         self.n_rep = n_rep
         self.calibration = calibration
         self.seed = seed
@@ -78,9 +78,11 @@ class StudyConfig:
         if not (isinstance(self.delta, float) and 0.0 < self.delta < 0.5):
             raise ConfigError("field.delta: must be a float in (0, 0.5), got %r"
                               % (self.delta,))
-        if not 0.0 < self.s <= 0.5:
+        if self.s is None:
+            self.s = 0.5 - self.delta
+        if not (isinstance(self.s, float) and 0.0 < self.s <= 0.5):
             raise ConfigError("field.s: must lie in (0, 0.5], got %r" % (self.s,))
-        if self.mode not in _MODES:
+        if not (isinstance(self.mode, str) and self.mode in _MODES):
             raise ConfigError("sampling.mode: must be 'nodal' or 'projection', "
                               "got %r" % (self.mode,))
         self.mode = _MODES[self.mode]
@@ -95,11 +97,13 @@ class StudyConfig:
                 and 0 < self.alpha < math.inf):
             raise ConfigError("estimator.alpha: must be a finite alpha > 0, "
                               "got %r" % (self.alpha,))
-        for name, lst, low in (("study.ns", self.ns, 2),
-                               ("study.Ms", self.Ms, 1),
-                               ("study.Ls", self.Ls, 1)):
-            if not lst:
-                raise ConfigError("%s: list must be nonempty" % (name,))
+        for name, attr, low in (("study.ns", "ns", 2), ("study.Ms", "Ms", 1),
+                                ("study.Ls", "Ls", 1)):
+            lst = getattr(self, attr)
+            if not (isinstance(lst, (list, tuple, range)) and lst):
+                raise ConfigError("%s: must be a nonempty list, got %r"
+                                  % (name, lst))
+            setattr(self, attr, list(lst))
             for v in lst:
                 if not (_is_int(v) and v >= low):
                     raise ConfigError("%s: entries must be integers >= %d, "

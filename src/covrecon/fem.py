@@ -4,10 +4,10 @@ Uniform lattice meshes of (0,1)^d for d in {1,2}, nodal hat-function bases,
 and exact mass matrices with the actions of their Cholesky factors.  An
 axis action returns A Y, a new array, along axis 1 of a (p, n+1, r) array
 Y; FeSpace.along_axes, applying it along every lattice axis, applies the
-d-th Kronecker power of A.  Only the MassMatrix constructor (1D
-factorizes the bands of the axis mass and takes its extremes in closed
-form, d > 1 holds the 1D MassMatrix of one axis) differs by dimension.  No
-(n+1) x (n+1) array is formed but the inverses, on the first solve.
+d-th Kronecker power of A.  A MassMatrix of any d factors the bands of the
+axis mass and takes its extremes in closed form; nothing here differs by
+dimension.  No (n+1) x (n+1) array is formed but the inverses, on the
+first solve.
 Nothing here integrates by quadrature: sampling and the error split use
 closed forms of the kernel against the basis (see `fields.KlOracle`).
 
@@ -202,26 +202,25 @@ class MassMatrix:
     """Gram matrix G of the nodal basis, held through the two bands of its
     axis Cholesky factor.
 
-    In 1D G is the tridiagonal axis mass G1 = L1 L1^T, and L1 is lower
-    bidiagonal (Golub & Van Loan, Matrix Computations, 4.3): with a and b the
-    diagonal and subdiagonal of G1, taken from the stencil (_mass_bands),
-    its diagonal is d_0 = sqrt(a_0), d_i = sqrt(a_i - e_i^2) and its
-    subdiagonal e_i = b_i / d_{i-1}.  Every pivot a_i - e_i^2 must be
-    positive and the round trip on the bands within 1e-12 lambda_max.  The
-    extremes of G1 are closed forms (_mass_extremes), certified against
-    the bands by four Sturm counts; G1 itself is never formed.  In 2D
-    G = G1 kron G1, so its Cholesky factor is L = L1 kron L1 and only the
-    bands of L1 are ever formed: each action of L reshapes a block of
-    columns to the (n+1, ..., n+1) lattice and applies the 1D operation
-    along every axis in turn (Van Loan, "The ubiquitous Kronecker product",
-    2000).  L^T runs on the bands, d_i x_i + e_{i+1} x_{i+1}.  The solves,
-    in 1D too, are products with the explicit axis inverses L1^{-T} and
-    G1^{-1}: a band recurrence per vector is slower than such a product.
-    Every action takes a (Q_h, k) block or a single (Q_h,) vector.
+    G is the d-th Kronecker power of the tridiagonal axis mass G1 = L1 L1^T,
+    and L1 is lower bidiagonal (Golub & Van Loan, Matrix Computations, 4.3):
+    with a and b the diagonal and subdiagonal of G1, taken from the stencil
+    (_mass_bands), its diagonal is d_0 = sqrt(a_0), d_i = sqrt(a_i - e_i^2)
+    and its subdiagonal e_i = b_i / d_{i-1}.  Every pivot a_i - e_i^2 must
+    be positive and the round trip on the bands within 1e-12 of the axis
+    lambda_max.  The extremes of G1 are closed forms (_mass_extremes),
+    certified against the bands by four Sturm counts; G1 itself is never
+    formed.  Those of G are their d-th powers, and its Cholesky factor is
+    L = L1 kron ... kron L1: each action of L reshapes a block of columns
+    to the (n+1, ..., n+1) lattice and applies the axis operation along
+    every axis in turn (Van Loan, "The ubiquitous Kronecker product", 2000).
+    L^T runs on the bands, d_i x_i + e_{i+1} x_{i+1}.  The solves are
+    products with the explicit axis inverses L1^{-T} and G1^{-1}: a band
+    recurrence per vector is slower than such a product.  Every action
+    takes a (Q_h, k) block or a single (Q_h,) vector.
 
     Attributes
     ----------
-    axis : the MassMatrix of one lattice axis (the object itself in 1D)
     chol_bands : (d, e), the diagonal (n+1 entries) and subdiagonal (n
         entries, e[i] = e_{i+1}) of the axis factor L1 (read-only)
     lambda_min, lambda_max : extreme eigenvalues of G
@@ -231,13 +230,6 @@ class MassMatrix:
         mesh = space.mesh
         self.space = space
         self.dim = mesh.dim
-        if mesh.dim > 1:
-            # the spectrum of a Kronecker power is the set of its products
-            self.axis = MassMatrix(FeSpace(Mesh(1, mesh.elements_per_axis)))
-            self.chol_bands = self.axis.chol_bands
-            self.lambda_min = self.axis.lambda_min ** mesh.dim
-            self.lambda_max = self.axis.lambda_max ** mesh.dim
-            return
         n = mesh.elements_per_axis
         a, b = _mass_bands(n)
         a_list, b_list = a.tolist(), b.tolist()
@@ -251,30 +243,27 @@ class MassMatrix:
                                    "%d is %r" % (i, ai))
             d.append(math.sqrt(ai))
         d, e = np.array(d), np.array(e)
-        self.lambda_min, self.lambda_max = _mass_extremes(n)
+        lo, hi = _mass_extremes(n)
         resid = max(np.max(np.abs(d * d + np.append(0.0, e * e) - a)),
                     np.max(np.abs(e * d[:-1] - b)))
-        if not resid <= 1e-12 * self.lambda_max:
+        if not resid <= 1e-12 * hi:
             raise NumericError("Cholesky round trip residual %.3e exceeds "
                                "tolerance" % (resid,))
         # the closed forms are those of the stencil: certify them against
-        # the bands, with no eigenvalue below lambda_min (1 - r) or above
-        # lambda_max (1 + r), one below lambda_min (1 + r) and one above
-        # lambda_max (1 - r)
+        # the bands, with no eigenvalue below lo (1 - r) or above hi (1 + r),
+        # one below lo (1 + r) and one above hi (1 - r)
         b2 = [bi * bi for bi in b_list]
         counts = [_sturm_count(a_list, b2, lam * (1.0 + s * _EXTREME_RTOL))
-                  for lam in (self.lambda_min, self.lambda_max)
-                  for s in (-1.0, 1.0)]
+                  for lam in (lo, hi) for s in (-1.0, 1.0)]
         if not (counts[0] == 0 and counts[1] >= 1 and counts[2] <= n
                 and counts[3] == n + 1):
             raise NumericError(
                 "mass extremes [%r, %r] fail their Sturm certificate: %r "
-                "eigenvalues below the four shifts" % (
-                    self.lambda_min, self.lambda_max, counts))
+                "eigenvalues below the four shifts" % (lo, hi, counts))
         for arr in (d, e):
             arr.setflags(write=False)
-        self.axis = self
         self.chol_bands = (d, e)
+        self.lambda_min, self.lambda_max = lo ** self.dim, hi ** self.dim
 
     @property
     def dof_count(self):
@@ -286,7 +275,7 @@ class MassMatrix:
         L1^{-1} by forward substitution on the bands, G1^{-1} by back
         substitution on it, a row at a time.  G1 has condition number below
         4, so both are accurate."""
-        d, e = self.axis.chol_bands
+        d, e = self.chol_bands
         m = d.size
         inv = np.zeros((m, m))
         inv[0, 0] = 1.0 / d[0]
@@ -351,7 +340,7 @@ class MassMatrix:
 
 
 def assemble_mass(space):
-    """Exact P1 mass matrix of the space (2D is the Kronecker square of 1D).
+    """Exact P1 mass matrix of the space (the d-th Kronecker power of 1D).
 
     Built on the first call and kept on the space; later calls return it.
     """

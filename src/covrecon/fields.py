@@ -190,9 +190,9 @@ class KlOracle:
         """Sigma1 Y along axis 1 of a (p, n+1, r) array (an axis action)."""
         return _apply_axis_covariance(Y)
 
-    def exact_axis_pairs(self, axis_mass, k):
-        """The exact discrete pairs on the axis of axis_mass (a 1D MassMatrix),
-        descending: every eigenvalue and the min(k, n + 1) leading vectors.
+    def exact_axis_pairs(self, mass, k):
+        """The exact discrete pairs on one lattice axis of mass, descending:
+        every eigenvalue and the min(k, n + 1) leading vectors.
 
         Node 0 carries no variance.  On nodes 1..n the vectors
         v_a = sin(j theta_a), theta_a = (a - 1/2) pi / n, satisfy
@@ -204,16 +204,17 @@ class KlOracle:
         v_a / N_a, N_a^2 = (2 + cos theta_a) / 6, is G-orthonormal.  The
         last pair is the node-0 mode of eigenvalue exactly 0, whose tilde
         vector is L1^{-1} e_0 normalized: Phi = z / sqrt(z_0) with
-        z = G1^{-1} e_0, since ||L1^{-1} e_0||^2 = (G1^{-1})_00.
+        z = G1^{-1} e_0 (column 0 of the mass's axis inverse), since
+        ||L1^{-1} e_0||^2 = (G1^{-1})_00.
         """
-        n = axis_mass.space.mesh.elements_per_axis
+        n = mass.space.mesh.elements_per_axis
         odd = 2 * np.arange(1, min(k, n) + 1) - 1
         # j theta_a = (2a - 1) j pi / (2n), reduced exactly modulo 2 pi
         arg = np.outer(np.arange(n + 1), odd) % (4 * n)
         gen = np.sin(arg * (np.pi / (2 * n))) \
             / np.sqrt((2.0 + np.cos(odd * (np.pi / (2 * n)))) / 6.0)
         if k > n:
-            z = axis_mass.solve(np.eye(n + 1)[:, 0])
+            z = mass._axis_inverses[1][:, 0]
             gen = np.column_stack([gen, z / np.sqrt(z[0])])
         return _axis_mu(n), gen
 

@@ -200,7 +200,7 @@ class ExactSide:
     @functools.cached_property
     def spectrum(self):
         return spectral.kronecker_power(
-            *self.field.exact_axis_pairs(self.mass.axis, self.k), self.mass,
+            *self.field.exact_axis_pairs(self.mass, self.k), self.mass,
             self.k)
 
     @functools.cached_property

@@ -22,6 +22,7 @@ import tempfile
 
 import numpy as np
 
+from . import fem
 from .bands import SymmetricBand, dense_form
 from .errors import NumericError
 
@@ -236,8 +237,8 @@ def kronecker_power(mu, gen, mass, k):
     """The exact spectrum on the lattice of mass, SOURCE_EXACT: the d-th
     Kronecker power of the exact pairs of one axis, every axis eigenvalue mu
     (nonnegative, descending) and at least min(k, n + 1) leading generalized
-    axis vectors gen, with tilde vectors L1^T gen (mass.axis.lt), each in
-    eigensolve's canonical signs.  Every eigenvalue (kronecker_order) and
+    axis vectors gen, with tilde vectors L1^T gen (on mass.chol_bands), each
+    in eigensolve's canonical signs.  Every eigenvalue (kronecker_order) and
     the k leading vectors are formed, and no Q_h x Q_h eigensolve or vector
     array.
 
@@ -251,7 +252,8 @@ def kronecker_power(mu, gen, mass, k):
     product comes as close to its largest.  For d = 1 it is the axis
     spectrum with its k leading vectors, bit for bit.
     """
-    tilde = mass.axis.lt(gen)
+    tilde = np.array(gen, dtype=float)
+    fem._bidiagonal_lt(*mass.chol_bands, tilde[None])
     signs = canonical_signs(tilde)
     vals, order = kronecker_order(mu, mass.dim)
     index = np.unravel_index(order[:k], (mu.size,) * mass.dim)

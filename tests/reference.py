@@ -455,6 +455,12 @@ def dense_mass(mass):
     return G1 if mass.dim == 1 else np.kron(G1, G1)
 
 
+def dense_axis_chol(n):
+    """The Cholesky factor L1 of the 1D P1 mass on n elements, from numpy's
+    dense Cholesky of dense_axis_mass(n), independently of fem.MassMatrix."""
+    return np.linalg.cholesky(dense_axis_mass(n))
+
+
 def dense_chol(mass):
     """The mass Cholesky factor as one dense matrix, from numpy's dense
     Cholesky of the dense mass (L1 in 1D, in 2D the factor of G1 kron G1),
@@ -476,13 +482,21 @@ def dense_axis_covariance(n):
     return np.minimum.outer(x, x)
 
 
+def _dense_axis_stiffness(n):
+    """L1 (dense_axis_chol) and the symmetrized dense triple product
+    S-tilde1 = L1^T Sigma1 L1 of the Brownian field on one axis of the
+    n-element mesh."""
+    L1 = dense_axis_chol(n)
+    raw = L1.T @ dense_axis_covariance(n) @ L1
+    return L1, 0.5 * (raw + raw.T)
+
+
 def dense_stiffness(mass):
     """S-tilde_exact of the Brownian field on the mesh of a fem.MassMatrix
-    as one dense matrix, independently of the library: the dense transform
-    of the axis covariance (dense_axis_covariance, dense_transform), and
-    in 2D its Kronecker square, formed with np.kron."""
-    s1 = dense_transform(
-        dense_axis_covariance(mass.space.mesh.elements_per_axis), mass.axis)
+    as one dense matrix, independently of the library: the axis S-tilde1
+    (_dense_axis_stiffness), and in 2D its Kronecker square, formed with
+    np.kron."""
+    s1 = _dense_axis_stiffness(mass.space.mesh.elements_per_axis)[1]
     return s1 if mass.dim == 1 else np.kron(s1, s1)
 
 
@@ -522,10 +536,8 @@ def dense_exact_pairs(mass):
     L1^{-T} v, and the Kronecker products of the axis pairs in stable
     descending order.  Returns (eigenvalues, tilde vectors, generalized
     vectors), every one of the Q_h pairs."""
-    L1 = dense_chol(mass.axis)
-    sigma1 = dense_axis_covariance(mass.space.mesh.elements_per_axis)
-    raw = L1.T @ sigma1 @ L1
-    vals, vecs = np.linalg.eigh(0.5 * (raw + raw.T))
+    L1, s1 = _dense_axis_stiffness(mass.space.mesh.elements_per_axis)
+    vals, vecs = np.linalg.eigh(s1)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     lead = np.argmax(np.abs(vecs), axis=0)
     vecs = vecs * np.sign(vecs[lead, np.arange(vecs.shape[1])])

@@ -38,12 +38,6 @@ def _random_band(rng, Q, w):
     return bands.SymmetricBand(upper), A
 
 
-def _stencil_factor(n):
-    """The Cholesky factor of the 1D P1 mass on n elements, from numpy's
-    dense Cholesky of the stencil, independently of fem.MassMatrix."""
-    return np.linalg.cholesky(reference.dense_axis_mass(n))
-
-
 def _alpha_for(tau, M):
     """An alpha whose bandwidth M^{1/(2 alpha + 1)} is tau - 1/2, so that
     taper_bandwidth(M, alpha) = tau for an even tau."""
@@ -81,7 +75,7 @@ def test_band_matvec_matches_the_dense_product(n):
 def test_band_congruence_matches_a_dense_oracle(n):
     rng = np.random.default_rng(100 + n)
     Q = n + 1
-    L = _stencil_factor(n)
+    L = reference.dense_axis_chol(n)
     factors = [(np.diag(L), np.diag(L, -1))]
     if n >= 2:
         mass = fem.assemble_mass(fem.build_space(1, n))

@@ -93,6 +93,13 @@ def test_config_validation_names_the_field():
         (dict(seed=True), "seed"),
         (dict(mode="projection", kl_trunc=True), "sampling.kl_trunc"),
         (dict(estimator="Tapered", alpha=math.inf), "estimator.alpha"),
+        # values of the wrong type: a study list that is a scalar, a null
+        # or a string, an unhashable mode, and a delta that s defaults from
+        (dict(ns=16), "study.ns"),
+        (dict(Ms=None), "study.Ms"),
+        (dict(ns="16"), "study.ns: must be a nonempty list"),
+        (dict(mode=["nodal"]), "sampling.mode"),
+        (dict(delta="x"), "field.delta"),
     ]
     for overrides, needle in bad:
         with pytest.raises(ConfigError) as err:
@@ -109,19 +116,47 @@ def test_config_validation_names_the_field():
             config_mod.from_dict(raw)
 
 
-def test_readme_config_schema_loads():
-    # the documented schema must stay loadable by the config loader
+def test_cli_malformed_config_value_exits_2(tmp_path, capsys):
+    # a YAML value of the wrong type is a config error naming its field,
+    # with the config exit code and no traceback
+    for old, new, needle in (("ns: [4]", "ns: 4", "study.ns"),
+                             ("Ms: [10]", "Ms: null", "study.Ms"),
+                             ("mode: nodal", "mode: [nodal]", "sampling.mode")):
+        path, out = write_cfg(tmp_path)
+        with open(path) as fh:
+            text = fh.read()
+        support.write_yaml(path, text.replace(old, new))
+        assert run_cli("sample", "--config", path) == 2
+        err = capsys.readouterr().err
+        assert needle in err and "Traceback" not in err, err
+        assert not os.path.exists(out)
+
+
+def _readme_block(heading, lang):
+    """The first ```lang block of README.md after the line `heading`."""
     readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           os.pardir, "README.md")
     with open(readme) as fh:
         text = fh.read()
-    section = text.split("### Config schema", 1)[1]
-    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
-    raw = yaml.safe_load(block)
+    section = text.split("\n%s\n" % heading, 1)[1]
+    return section.split("```%s\n" % lang, 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_schema_loads():
+    # the documented schema must stay loadable by the config loader
+    raw = yaml.safe_load(_readme_block("### Config schema", "yaml"))
     assert "quadrature" in raw, "the README documents the ignored section"
     cfg = config_mod.from_dict(raw)
     assert cfg.d == raw["field"]["d"] and cfg.ns == raw["study"]["ns"]
     assert cfg.calibration == raw["calibration"]
+
+
+def test_readme_library_example_runs():
+    # the Library section's example runs as written
+    namespace = {}
+    exec(compile(_readme_block("## Library", "python"), "README.md", "exec"),
+         namespace)
+    assert namespace["rep"].errors.total > 0.0
 
 
 def test_from_dict_structure_errors():

@@ -141,7 +141,7 @@ def test_mass_2d_is_kron_and_matches_quadrature():
     mass = fem.assemble_mass(fem.build_space(2, 3))
     one = fem.assemble_mass(fem.build_space(1, 3))
     assert all(np.array_equal(x, y)
-               for x, y in zip(mass.axis.chol_bands, one.chol_bands))
+               for x, y in zip(mass.chol_bands, one.chol_bands))
     ref = reference.mass_quadrature(2, 3, q=4)
     assert np.max(np.abs(reference.dense_mass(mass) - ref)) <= 1e-15, \
         "stencil mass must agree with quadrature-assembled reference"
@@ -164,11 +164,12 @@ def test_mass_symmetry_cholesky_and_extremes():
         assert np.array_equal(G, G.T), "mass matrix must be exactly symmetric"
         # the bands of L1 must reproduce the diagonal and subdiagonal of G1
         diag, sub = mass.chol_bands
-        G1 = reference.dense_mass(mass.axis)
+        G1 = reference.dense_axis_mass(n)
         resid = max(
             np.max(np.abs(diag ** 2 + np.append(0.0, sub ** 2) - np.diag(G1))),
             np.max(np.abs(sub * diag[:-1] - np.diag(G1, -1))))
-        assert resid <= 1e-12 * mass.axis.lambda_max, \
+        one = fem.assemble_mass(fem.build_space(1, n))
+        assert resid <= 1e-12 * one.lambda_max, \
             "Cholesky roundtrip must reproduce the mass matrix"
         assert 0.0 < mass.lambda_min <= mass.lambda_max
         vals = np.linalg.eigvalsh(G)
@@ -186,7 +187,7 @@ def test_mass_actions_match_the_dense_factor():
         mass = fem.assemble_mass(fem.build_space(d, n))
         diag, sub = mass.chol_bands
         assert diag.shape == (n + 1,) and sub.shape == (n,)
-        L1 = reference.dense_chol(mass.axis)
+        L1 = reference.dense_axis_chol(n)
         for got, want in ((diag, np.diag(L1)), (sub, np.diag(L1, -1))):
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15, \
                 "d=%d n=%d: the bands disagree with the dense factor" % (d, n)
@@ -267,15 +268,19 @@ def test_congruence_allocates_one_array():
 
 
 def test_mass_2d_shares_the_axis_factor():
-    mass = fem.assemble_mass(fem.build_space(2, 6))
-    axis = fem.assemble_mass(fem.build_space(1, 6))
-    assert mass.axis.dof_count == 7 \
-        and mass.chol_bands is mass.axis.chol_bands
-    assert all(np.array_equal(a, b)
-               for a, b in zip(mass.chol_bands, axis.chol_bands))
-    assert mass.lambda_max == axis.lambda_max ** 2
-    assert not hasattr(mass, "matrix"), \
-        "the dense 2D Gram matrix is never formed"
+    # a 2D mass factors the 1D axis mass itself: the bands, both axis
+    # inverses and the extremes, squared, are the 1D mass's bits
+    for n in (2, 6, 33):
+        mass = fem.assemble_mass(fem.build_space(2, n))
+        one = fem.assemble_mass(fem.build_space(1, n))
+        for got, want in ((mass.chol_bands, one.chol_bands),
+                          (mass._axis_inverses, one._axis_inverses)):
+            assert all(np.array_equal(x, y) for x, y in zip(got, want)), \
+                "n=%d" % n
+        assert (mass.lambda_min, mass.lambda_max) \
+            == (one.lambda_min ** 2, one.lambda_max ** 2)
+        assert not hasattr(mass, "axis") and not hasattr(mass, "matrix"), \
+            "no nested axis mass, and the dense 2D Gram matrix is never formed"
 
 
 def test_mass_quadratic_form_sandwich():

@@ -201,6 +201,22 @@ def test_exact_side_refuses_a_split_above_k():
             mercer.ExactSide(1, 16, k)
 
 
+def test_exact_side_2d_builds_one_mesh(monkeypatch):
+    # the mass of a 2D exact side factors its axis on the side's own mesh,
+    # the node-0 mode included (k > n), with no second Mesh for the axis
+    built = []
+    init = fem.Mesh.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(fem.Mesh, "__init__", counting)
+    exact = mercer.ExactSide(2, 6, 40)
+    exact.mass, exact.spectrum
+    assert built == [(2, 6)], "meshes built: %r" % (built,)
+
+
 def test_exact_side_2d_n128_forms_no_q_by_q_array(monkeypatch):
     # one Q_h x Q_h float64 array is 2.2 GB at n=128 (Q_h = 16641), and the
     # exact side runs no eigensolve, in 1D or 2D; s_exact holds and applies
