@@ -166,6 +166,8 @@ def read_covariance(path):
     with open(path, "r") as fh:
         lines = [ln for ln in fh.read().splitlines()
                  if ln.strip() and not ln.startswith("#")]
+    if not lines:
+        raise ConfigError("covariance file %s has no header line" % (path,))
     head = lines[0].split()
     if len(head) != 4:
         raise ConfigError("covariance file %s: header must be "

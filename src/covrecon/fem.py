@@ -15,7 +15,7 @@ Conventions
 -----------
 Node coordinates are an array of shape (Q_h, d), ordered lexicographically
 by coordinate tuple, so in 2D the flat index of lattice site (ix, iy) is
-ix*(n+1) + iy.
+ix*(n+1) + iy.  The nodes of an axis are j/n, j = 0..n, correctly rounded.
 """
 
 import functools
@@ -33,7 +33,7 @@ class Mesh:
     dim : 1 or 2
     elements_per_axis : number of elements n along each axis
     h : mesh width 1/n
-    axis_nodes : the n+1 grid points of one axis
+    axis_nodes : the n+1 grid points j/n of one axis, correctly rounded
     nodes : (Q_h, dim) array of node coordinates, lexicographic order
     node_count : Q_h = (n+1)**dim
     """
@@ -48,7 +48,7 @@ class Mesh:
         self.dim = dim
         self.elements_per_axis = n
         self.h = 1.0 / n
-        axis = np.linspace(0.0, 1.0, n + 1)
+        axis = np.arange(n + 1) / n
         grids = np.meshgrid(*(axis,) * dim, indexing="ij")
         self.axis_nodes = axis
         self.nodes = np.column_stack([g.ravel() for g in grids])

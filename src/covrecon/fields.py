@@ -82,11 +82,6 @@ class KlOracle:
         Y = np.asarray(Y)
         return np.prod(np.minimum(X[:, None, :], Y[None, :, :]), axis=2)
 
-    def axis_covariance(self, x):
-        """min(x_i, x_j) on one axis: the nodal covariance of a lattice is its
-        dim-th Kronecker power."""
-        return np.minimum.outer(x, x)
-
     # -- enumeration ----------------------------------------------------
     def _extend_pairs(self, P):
         """Table the axis-index tuples of odd product prod_k (2 l_k - 1) <= P
@@ -188,7 +183,7 @@ class KlOracle:
     # -- closed forms of the exact discrete side: the P1 pencil (Sigma1, G1)
     def axis_covariance_action(self, Y):
         """Sigma1 Y along axis 1 of a (p, n+1, r) array (an axis action)."""
-        return _apply_axis_covariance(Y)
+        return _apply_sigma1(Y)
 
     def exact_axis_pairs(self, mass, k):
         """The exact discrete pairs on one lattice axis of mass, descending:
@@ -348,12 +343,13 @@ def _axis_mu(n):
     return np.append(_sine_terms(theta, 1.0 / n)[0], 0.0)
 
 
-def _apply_axis_covariance(Y):
+def _apply_sigma1(Y):
     """Sigma1 Y along axis 1 of a (p, n+1, r) array Y (an axis action), for
     Sigma1_ij = min(x_i, x_j).  Sigma1 acts as two cumulative sums:
     min(x_i, x_j) = h #{1 <= k <= min(i, j)}, so Sigma1 z is h times the
     prefix sums of the suffix sums z_k + ... + z_n, k >= 1, and 0 at node 0.
-    O(n) per line."""
+    O(n) per line.  Sigma1 e_j is min(i, j) / n rounded once, which is
+    min(x_i, x_j) at the mesh nodes x_i = i / n (fem.Mesh) bit for bit."""
     suffix = np.cumsum(Y[:, :0:-1], axis=1)
     sums = np.zeros_like(Y)
     np.cumsum(suffix[:, ::-1], axis=1, out=sums[:, 1:])
@@ -369,13 +365,13 @@ def _apply_axis_load(Y):
     min(x, y) equals its bilinear nodal interpolant except on the n diagonal
     cells, where it exceeds it by h (min(s, t) - s t) in local coordinates.
     So B1 = G Sigma1 G (G the mass matrix, Sigma1_ij = min(x_i, x_j), applied
-    by _apply_axis_covariance) plus h^3 / 360 [[8, 7], [7, 8]] assembled
+    by _apply_sigma1) plus h^3 / 360 [[8, 7], [7, 8]] assembled
     over the cells, which is h^2 G / 15 plus h^3 / 120 on the first
     off-diagonals.
     """
     n = Y.shape[1] - 1
     GY = fem._axis_mass_action(Y)
-    BY = fem._axis_mass_action(_apply_axis_covariance(GY)) \
+    BY = fem._axis_mass_action(_apply_sigma1(GY)) \
         + GY / (15.0 * n * n)
     off = Y / (120.0 * n ** 3)
     BY[:, 1:] += off[:, :-1]

@@ -133,19 +133,18 @@ class ExactSide:
 
     field is the Brownian field of dimension d (a fields.KlOracle), which
     owns every closed form read here.  mass, covariance (the exact nodal
-    covariance), sigma and s_exact are built on first use.  The nodal
-    covariance is the d-th Kronecker power of Sigma1, the covariance on one
-    axis, held as its action (field.axis_covariance_action) and applied
-    along every axis (spectral.KroneckerOperator).  So s_exact is the d-th
-    power of S-tilde1 = L1^T Sigma1 L1, held as its action on the bands of
-    L1, and spectrum the d-th Kronecker power of the axis pairs
+    covariance) and s_exact are built on first use.  The nodal covariance
+    is the d-th Kronecker power of Sigma1, the covariance min(x_i, x_j)
+    on one axis, held as its action (field.axis_covariance_action) and
+    applied along every axis (spectral.KroneckerOperator).  So s_exact is
+    the d-th power of S-tilde1 = L1^T Sigma1 L1, held as its action on the
+    bands of L1, and spectrum the d-th Kronecker power of the axis pairs
     (field.exact_axis_pairs, spectral.kronecker_power): no eigensolve is
     run.  On a short axis both actions are replaced by their axis matrices
     (_axis_operator).  spectrum keeps every eigenvalue and the k leading
-    vectors.  The only Q_h x Q_h array formed here is sigma, which only the
-    Exact estimate reads; in 1D with k <= n, everything else takes O(n)
-    memory from _AXIS_MATRIX_MAX_NODES nodes on.  e1 and e2 are kept per L,
-    and lambda1_dev per mesh.
+    vectors.  No Q_h x Q_h array is formed here; in 1D with k <= n,
+    everything takes O(n) memory from _AXIS_MATRIX_MAX_NODES nodes on.  e1
+    and e2 are kept per L, and lambda1_dev per mesh.
     """
 
     def __init__(self, d, n, k):
@@ -179,17 +178,6 @@ class ExactSide:
     def covariance(self):
         return spectral.KroneckerOperator(
             self._axis_operator(self.field.axis_covariance_action), self.space)
-
-    @functools.cached_property
-    def sigma(self):
-        # The Kronecker power of min(x_i, x_j) on the mesh nodes, bit for
-        # bit, which the Exact estimate writes.  The covariance's action
-        # computes min(i, j) / n, which differs from these np.linspace
-        # nodes by an ulp at most n that are not powers of two, so it does
-        # not form sigma.
-        axis = self.field.axis_covariance(self.space.mesh.axis_nodes)
-        return self.space.along_axes(functools.partial(np.matmul, axis),
-                                     np.eye(self.space.dof_count))
 
     @functools.cached_property
     def s_exact(self):
@@ -237,10 +225,14 @@ def _estimate_batch(config, batch):
 
 
 def estimate(config, exact, M, seed):
-    """(batch, estimate) as configured; Exact draws nothing (batch None)."""
+    """(batch, estimate) as configured.  Exact draws nothing (batch None):
+    its estimate is exact.covariance @ I, the covariance the diagnostics
+    compare against: R at the node pairs bit for bit, but within ulps on 2D
+    axes of _AXIS_MATRIX_MAX_NODES or more nodes (a running sum there)."""
     if config.estimator == "Exact":
         return None, estimators.TaperedCovariance(
-            exact.sigma, tau=0, alpha=None, estimator_kind="Exact", M=0)
+            exact.covariance @ np.eye(exact.space.dof_count), tau=0,
+            alpha=None, estimator_kind="Exact", M=0)
     batch = draw(config, exact, M, seed)
     return batch, _estimate_batch(config, batch)
 

@@ -20,6 +20,7 @@ the product-logarithm closed form is evaluated with an independent
 bisection as a cross-check.
 """
 
+import collections.abc
 import math
 import operator
 
@@ -43,13 +44,17 @@ _SEARCH_LIMIT = 10 ** 18
 
 
 def resolve_calibration(calibration=None):
-    """DEFAULT_CALIBRATION updated with the given constants.
+    """DEFAULT_CALIBRATION updated with the given constants (None: none).
 
-    Raises ConfigError naming calibration.<key> for an unknown constant or
-    one that is not a finite number > 0 (YAML true and .inf included).
+    Raises ConfigError naming calibration when it is not None or a mapping,
+    and calibration.<key> for an unknown constant or one that is not a
+    finite number > 0 (YAML true and .inf included).
     """
     cal = dict(DEFAULT_CALIBRATION)
-    if calibration:
+    if calibration is not None:
+        if not isinstance(calibration, collections.abc.Mapping):
+            raise ConfigError("calibration: must be a mapping of constant "
+                              "names to numbers, got %r" % (calibration,))
         cal.update(calibration)
     for key, val in cal.items():
         if key not in DEFAULT_CALIBRATION:

@@ -18,7 +18,9 @@ move instead by |a - b| over the largest |component| of the row in either
 file, so that a component at roundoff, say 1e-17 against -1e-17, moves by as
 little as it is small against its vector.  With --max-rel X the exit code is
 1, and every field that moves by more than X is named on standard error,
-when any does.
+when any does.  A primary artifact found under one directory only (each
+one, in either direction) or holding other fields than its namesake is
+named on standard error instead of a table, and the exit code is 1.
 """
 
 import argparse
@@ -128,15 +130,21 @@ def _primary(root):
 
 def compare(old_dir, new_dir):
     """Rows (file, field, count, changed, largest relative move) for every
-    field of every primary artifact of old_dir, in file and field order.  A
-    file missing under new_dir, or with another field list, raises
-    ValueError."""
+    field of every primary artifact, in file and field order.  Files found
+    under one directory only raise ValueError, one line "REL is missing
+    under DIR" each (those of old_dir first), as does a file with another
+    field list."""
+    old_files, new_files = _primary(old_dir), _primary(new_dir)
+    missing = (["%s is missing under %s" % (rel, new_dir)
+                for rel in old_files if rel not in new_files]
+               + ["%s is missing under %s" % (rel, old_dir)
+                  for rel in new_files if rel not in old_files])
+    if missing:
+        raise ValueError("\n".join(missing))
     rows = []
-    for rel in _primary(old_dir):
-        new_path = os.path.join(new_dir, rel)
-        if not os.path.exists(new_path):
-            raise ValueError("%s is missing under %s" % (rel, new_dir))
-        old, new = fields_of(os.path.join(old_dir, rel)), fields_of(new_path)
+    for rel in old_files:
+        old = fields_of(os.path.join(old_dir, rel))
+        new = fields_of(os.path.join(new_dir, rel))
         if [f[0] for f in old] != [f[0] for f in new]:
             raise ValueError("%s: the two files hold different fields" % rel)
         # the largest |component| of each eigenvector in either file
@@ -164,11 +172,15 @@ def main(argv=None):
     parser.add_argument("--max-rel", type=float, default=None, metavar="X",
                         help="exit 1 when a field moves by more than X")
     args = parser.parse_args(argv)
+    try:
+        rows = compare(args.old_dir, args.new_dir)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     print("| file | field | values | changed | largest relative move |")
     print("|---|---|---|---|---|")
     beyond = []
-    for rel, field, count, changed, worst in compare(args.old_dir,
-                                                     args.new_dir):
+    for rel, field, count, changed, worst in rows:
         if changed or not args.moved:
             print("| %s | %s | %d | %d | %.2g |"
                   % (rel, field, count, changed, worst))

@@ -7,7 +7,7 @@ import os
 import numpy as np
 
 from covrecon import config as config_mod
-from covrecon import mercer
+from covrecon import fem, fields, mercer
 
 
 @functools.lru_cache(maxsize=None)
@@ -18,13 +18,27 @@ def exact_side(d, n):
     return mercer.ExactSide(d, n, (n + 1) ** d)
 
 
+@functools.lru_cache(maxsize=None)
+def nodal_covariance(d, n):
+    """R(x_i, x_j) at the node pairs of the n-element mesh, from the kernel
+    itself (KlOracle.covariance), not from the exact side's operator.
+    Cached and read-only."""
+    field = fields.KlOracle(d)
+    nodes = fem.build_space(d, n).mesh.nodes
+    sigma = field.covariance(nodes, nodes)
+    sigma.setflags(write=False)
+    return sigma
+
+
 def brownian_setup(d, n):
     """Field (its KL oracle), space, mass, exact covariance/stiffness/spectrum
-    for the Brownian field on the n-element mesh: the pipeline's exact side.
+    for the Brownian field on the n-element mesh: the pipeline's exact side,
+    with the nodal covariance formed from the kernel (nodal_covariance).
     Cached: everything returned is deterministic and treated as read-only
     by the tests."""
     ex = exact_side(d, n)
-    return (ex.field, ex.space, ex.mass, ex.sigma, ex.s_exact, ex.spectrum)
+    return (ex.field, ex.space, ex.mass, nodal_covariance(d, n), ex.s_exact,
+            ex.spectrum)
 
 
 def make_config(**overrides):

@@ -130,3 +130,47 @@ def test_compare_refuses_a_missing_file(tmp_path):
     os.remove(os.path.join(new, "spectrum.csv"))
     with pytest.raises(ValueError, match="missing"):
         artifact_compare.compare(old, new)
+
+
+def test_files_on_one_side_are_named_and_fail(tmp_path, capsys):
+    # a file only under NEW_DIR is no longer skipped, and one only under
+    # OLD_DIR, or with other fields, no longer ends in a traceback: each is
+    # named, and main exits 1
+    old = _reconstruct(tmp_path)
+    new = str(tmp_path / "new")
+    shutil.copytree(old, new)
+    os.remove(os.path.join(new, "spectrum.csv"))
+    shutil.copy(os.path.join(old, "report.json"),
+                os.path.join(new, "extra.json"))
+    os.makedirs(os.path.join(new, "deeper"))
+    shutil.copy(os.path.join(old, "report.json"),
+                os.path.join(new, "deeper", "report.json"))
+    named = ["spectrum.csv is missing under %s" % new,
+             "deeper/report.json is missing under %s" % old,
+             "extra.json is missing under %s" % old]
+    with pytest.raises(ValueError) as err:
+        artifact_compare.compare(old, new)
+    assert str(err.value).splitlines() == named
+    capsys.readouterr()
+    for argv in ([old, new], [old, new, "--moved", "--max-rel", "0"]):
+        assert artifact_compare.main(argv) == 1
+        printed = capsys.readouterr()
+        assert printed.err.splitlines() == named and printed.out == ""
+    # a file only under NEW_DIR alone fails too
+    shutil.copy(os.path.join(old, "spectrum.csv"),
+                os.path.join(new, "spectrum.csv"))
+    os.remove(os.path.join(new, "extra.json"))
+    shutil.rmtree(os.path.join(new, "deeper"))
+    os.remove(os.path.join(old, "report.json"))
+    assert artifact_compare.main([old, new, "--max-rel", "0"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "report.json is missing under %s" % old]
+    os.remove(os.path.join(new, "report.json"))
+    spectrum = os.path.join(new, "spectrum.csv")
+    with open(spectrum) as fh:
+        text = fh.read()
+    with open(spectrum, "w") as fh:
+        fh.write(text.replace("l,lambda,", "l,mu,", 1))
+    assert artifact_compare.main([old, new]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "spectrum.csv: the two files hold different fields"]

@@ -84,6 +84,12 @@ def test_config_validation_names_the_field():
         (dict(n_rep=0), "study.n_rep"),
         (dict(calibration=dict(C9=1.0)), "calibration.C9"),
         (dict(calibration=dict(rho1=0.0)), "calibration.rho1"),
+        # a calibration that is not a mapping, falsy ones included
+        (dict(calibration=5), "calibration: must be a mapping"),
+        (dict(calibration=[1]), "calibration: must be a mapping"),
+        (dict(calibration="x"), "calibration: must be a mapping"),
+        (dict(calibration=0), "calibration: must be a mapping"),
+        (dict(calibration=[]), "calibration: must be a mapping"),
         (dict(seed=-1), "seed"),
         (dict(out_dir=""), "output"),
         # YAML booleans are not integers, and alpha must be finite
@@ -340,6 +346,11 @@ def test_covariance_text_round_trip_and_errors(tmp_path):
         fh.write("\n".join(orig[:-1]) + "\n")
     with pytest.raises(ConfigError, match="expected 4 rows"):
         artifacts.read_covariance(path)
+    # comment lines alone: no header
+    with open(path, "w") as fh:
+        fh.write("\n".join(orig[:2]) + "\n")
+    with pytest.raises(ConfigError, match="c.txt has no header line"):
+        artifacts.read_covariance(path)
 
 
 def test_study_cell_persistence_round_trip(tmp_path):
@@ -442,19 +453,24 @@ def test_cli_estimate_covariance_round_trip(tmp_path):
 
 
 def test_cli_estimate_exact_writes_the_exact_covariance(tmp_path):
-    # coverage: the Exact estimate draws nothing and is the nodal covariance
-    path, out = write_cfg(tmp_path, n=4, M=30, estimator="Exact")
-    assert run_cli("estimate", "--config", path) == 0
-    cov_path = os.path.join(out, "covariance.txt")
-    cov = artifacts.read_covariance(cov_path)
-    assert np.array_equal(cov.matrix, mercer.ExactSide(1, 4, 1).sigma)
-    with open(cov_path) as fh:
-        lines = [ln for ln in fh.read().splitlines()
-                 if not ln.startswith("#")]
-    assert lines[0] == "5 Exact 0 -"
-    report = artifacts.read_json(os.path.join(out, "estimate_report.json"))
-    assert report["estimator"] == "Exact" and report["M"] == 0
-    assert "subgaussian" not in report, "no batch, no subgaussian block"
+    # coverage: the Exact estimate draws nothing and is the nodal covariance,
+    # R at the nodes j/n bit for bit, also at n = 6, not a power of two
+    for n in (4, 6):
+        x = np.arange(n + 1) / n
+        path, out = write_cfg(tmp_path, n=n, M=30, estimator="Exact",
+                              out_dir=str(tmp_path / ("out%d" % n)))
+        assert run_cli("estimate", "--config", path) == 0
+        cov_path = os.path.join(out, "covariance.txt")
+        cov = artifacts.read_covariance(cov_path)
+        assert np.array_equal(cov.matrix, np.minimum.outer(x, x)), n
+        with open(cov_path) as fh:
+            lines = [ln for ln in fh.read().splitlines()
+                     if not ln.startswith("#")]
+        assert lines[0] == "%d Exact 0 -" % (n + 1,)
+        report = artifacts.read_json(os.path.join(out,
+                                                  "estimate_report.json"))
+        assert report["estimator"] == "Exact" and report["M"] == 0
+        assert "subgaussian" not in report, "no batch, no subgaussian block"
 
 
 def test_cli_estimate_tapered_band(tmp_path):

@@ -62,7 +62,7 @@ def test_mle_operator_error_rate_in_m():
     # fixed Q: mean opnorm error of the MLE decays like M^{-1/2}
     space = fem.build_space(1, 8)
     field = fields.KlOracle(1)
-    sigma = mercer.ExactSide(1, 8, 1).sigma
+    sigma = support.nodal_covariance(1, 8)
     Ms = [500, 2000, 8000]
     means = []
     for i, M in enumerate(Ms):
@@ -332,7 +332,7 @@ def test_decay_constant_grows_with_dof_count():
     # grows ~quadratically in Q -- the field is *not* in a fixed decay class
     ests = []
     for n in (16, 32):
-        sigma = mercer.ExactSide(1, n, 1).sigma
+        sigma = support.nodal_covariance(1, n)
         ests.append(estimators.decay_class_check(sigma, 1.0, 1.0, 2.0, 1).C1_est)
     ratio = ests[1] / ests[0]
     assert 3.4 <= ratio <= 4.8, \

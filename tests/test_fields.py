@@ -400,7 +400,7 @@ def test_nodal_batch_covariance_entrywise_1d():
     field = fields.KlOracle(1)
     M = 100_000
     batch = fields.draw_batch(field, space, M, seed=29)
-    sigma = mercer.ExactSide(1, 8, 1).sigma
+    sigma = support.nodal_covariance(1, 8)
     est = estimators.mle_covariance(batch).matrix
     se = reference.gaussian_cov_stderr(sigma, M)
     inner = np.ix_(range(1, 9), range(1, 9))  # node 0 is deterministic
@@ -417,7 +417,7 @@ def test_nodal_batch_covariance_entrywise_2d():
     field = fields.KlOracle(2)
     M = 20_000
     batch = fields.draw_batch(field, space, M, seed=31)
-    sigma = mercer.ExactSide(2, 4, 1).sigma
+    sigma = support.nodal_covariance(2, 4)
     # boundary nodes (either coordinate 0) must vanish identically
     zero_cols = np.where(np.diag(sigma) == 0.0)[0]
     assert np.all(batch.coeffs[:, zero_cols] == 0.0)
@@ -429,20 +429,27 @@ def test_nodal_batch_covariance_entrywise_2d():
     assert frac >= 0.99
 
 
-def test_exact_side_sigma_is_the_nodal_covariance():
-    # the Kronecker power of the axis covariance is the kernel at node pairs
-    for d, n in ((1, 2), (1, 7), (2, 2), (2, 5)):
+def test_exact_covariance_operator_is_r_at_the_mesh_nodes():
+    # the exact side's covariance operator, applied to I, is the kernel at
+    # the node pairs bit for bit, and the nodes are j/n correctly rounded,
+    # also at n that are not powers of two (1D n=200 runs the O(n) action)
+    for d, n in ((1, 2), (1, 7), (1, 200), (2, 2), (2, 5)):
         exact = mercer.ExactSide(d, n, 1)
-        nodes = exact.space.mesh.nodes
-        assert np.array_equal(exact.sigma,
-                              exact.field.covariance(nodes, nodes)), \
-            "%dD n=%d: sigma is not R at the node pairs" % (d, n)
-    assert np.array_equal(mercer.ExactSide(1, 2, 1).sigma,
+        mesh = exact.space.mesh
+        assert np.array_equal(mesh.axis_nodes, np.arange(n + 1) / n)
+        formed = exact.covariance @ np.eye(exact.space.dof_count)
+        assert np.array_equal(formed, exact.field.covariance(mesh.nodes,
+                                                             mesh.nodes)), \
+            "%dD n=%d: the covariance operator is not R at the node pairs" \
+            % (d, n)
+    exact2 = mercer.ExactSide(1, 2, 1)
+    assert np.array_equal(exact2.covariance @ np.eye(3),
                           [[0.0, 0.0, 0.0],
                            [0.0, 0.5, 0.5],
                            [0.0, 0.5, 1.0]])
     exact7 = mercer.ExactSide(1, 7, 1)
-    assert np.array_equal(np.diag(exact7.sigma), exact7.space.mesh.nodes[:, 0]), \
+    assert np.array_equal(np.diag(exact7.covariance @ np.eye(8)),
+                          exact7.space.mesh.nodes[:, 0]), \
         "Brownian variance at a node equals its coordinate"
 
 

@@ -39,7 +39,7 @@ def test_transform_zero_and_mismatch():
 def test_transform_small_grid_triple_product():
     space = fem.build_space(1, 2)
     mass = fem.assemble_mass(space)
-    sigma = mercer.ExactSide(1, 2, 1).sigma
+    sigma = support.nodal_covariance(1, 2)
     stiffness = spectral.transform(sigma, mass)
     L = reference.dense_chol(mass)
     direct = L.T @ sigma @ L
@@ -54,7 +54,7 @@ def test_transform_accepts_covariance_objects():
 
     space = fem.build_space(1, 4)
     mass = fem.assemble_mass(space)
-    sigma = mercer.ExactSide(1, 4, 1).sigma
+    sigma = support.nodal_covariance(1, 4)
     cov = estimators.TaperedCovariance(sigma, tau=0, alpha=None,
                                        estimator_kind="Exact", M=0)
     a = spectral.transform(cov, mass)
@@ -657,7 +657,7 @@ def test_diagnostics_above_lanczos_switch():
                                 exact.covariance, cov.matrix, field, 5)
     want = _dense_norm(reference.dense_stiffness(exact.mass) - s_est.dense())
     assert abs(diag.weyl_bound - want) <= 1e-13 * want
-    want = _dense_norm(exact.sigma - cov.matrix)
+    want = _dense_norm(support.nodal_covariance(1, 256) - cov.matrix)
     assert abs(diag.cov_diff_norm - want) <= 1e-13 * want
     lo, hi = diag.sandwich_interval
     assert lo <= diag.weyl_bound <= hi
@@ -675,7 +675,7 @@ def test_cov_diff_norm_matches_the_formed_recovered_difference(d, n):
     exact, cov, s_est, est = _mle_case(d, n)
     diag = spectral.diagnostics(exact.spectrum, est, exact.s_exact, s_est,
                                 exact.covariance, cov.matrix, exact.field, 3)
-    want = _dense_norm(exact.sigma - cov.matrix)
+    want = _dense_norm(support.nodal_covariance(d, n) - cov.matrix)
     assert abs(diag.cov_diff_norm - want) <= 1e-13 * want, \
         "Q=%d: %r against the formed difference %r" % (
             exact.space.dof_count, diag.cov_diff_norm, want)
