@@ -16,8 +16,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import artifacts, estimators, mercer, planner, spectral
 from . import config as config_mod
 from ._version import __version__
@@ -101,14 +99,12 @@ def cmd_estimate(cfg, args):
     report = dict(
         estimator=cov.estimator_kind, tau=cov.tau, M=cov.M,
         Q_h=exact.space.dof_count,
-        decay_check=dict(alpha=check.alpha, C1_est=check.C1_est,
-                         lambda_max=check.lambda_max, passes=check.passes),
+        decay_check=check._asdict(),
         rho_tilde=estimators.rho_tilde(exact.space.mesh.h, max(M, 1),
                                        cfg.alpha, cfg.d))
     if batch is not None:
-        sub = estimators.subgaussian_diagnostic(batch)
-        report["subgaussian"] = dict(c_inf_hat=sub.c_inf_hat,
-                                     rho_inv_nodal=sub.rho_inv_nodal)
+        report["subgaussian"] = \
+            estimators.subgaussian_diagnostic(batch)._asdict()
     artifacts.write_json(os.path.join(cfg.out_dir, "estimate_report.json"),
                          report, cfg)
     artifacts.write_sidecar(path[:-4] + ".meta.json", cfg, n=n, M=M)
@@ -121,28 +117,12 @@ def cmd_reconstruct(cfg, args):
     exact = mercer.ExactSide(cfg.d, n, L)
     rep = mercer.replicate(cfg, exact, M, L, cfg.seed)
     spec, diag, report = rep.spectrum, rep.diagnostics, rep.errors
-    ev = spec.eigenvalues
-    # negatives within Q eps lambda_1 of 0 are roundoff on a null space (the
-    # 2D nodes pinned to 0 on the axes), as in numpy's matrix_rank
-    n_negative = int(np.sum(ev < -ev.size * np.finfo(float).eps * ev[0]))
     payload = dict(
         n=n, M=rep.M, L=L, estimator=rep.estimator, tau=rep.tau,
         errors=vars(report),
         diagnostics=dict(
-            weyl_bound=diag.weyl_bound,
-            eigenvalue_dev=diag.eigenvalue_dev[:L],
-            discrete_gaps=diag.discrete_gaps,
-            continuous_gaps=diag.continuous_gaps,
-            gap_condition_ok=diag.gap_condition_ok,
-            quarter_gap_per_ell=diag.quarter_gap_per_ell,
-            davis_kahan_bounds=diag.davis_kahan_bounds,
-            sandwich_interval=list(diag.sandwich_interval),
-            cov_diff_norm=diag.cov_diff_norm,
-            theorem_consistent=diag.theorem_consistent,
-            p0=mercer.success_bound(cfg, exact, rep.tau, rep.M, L),
-            n_negative_eigenvalues=n_negative,
-            min_eigenvalue=float(ev[-1]),
-            negatives_below_weyl=bool(ev[-1] >= -diag.weyl_bound)))
+            diag._asdict(), eigenvalue_dev=diag.eigenvalue_dev[:L],
+            p0=mercer.success_bound(cfg, exact, rep.tau, rep.M, L)))
     artifacts.write_json(os.path.join(cfg.out_dir, "report.json"), payload,
                          cfg)
     artifacts.write_spectrum_csv(os.path.join(cfg.out_dir, "spectrum.csv"),

@@ -9,11 +9,11 @@ its two axis weights (taper).  The rate function rho_tilde gives the
 theoretical squared-error level of that choice.
 """
 
+import collections
 import functools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .bands import SymmetricBand, dense_form
 
@@ -81,9 +81,12 @@ def _centred(batch):
 def mle_covariance(batch):
     """Centered second-moment matrix with divisor M (the Gaussian MLE)."""
     Xc, M = _centred(batch)
-    # numpy computes Xc^T Xc as a symmetric rank-k update: exactly symmetric
-    return TaperedCovariance((Xc.T @ Xc) / M, tau=0, alpha=None,
-                             estimator_kind="MLE", M=M)
+    # numpy computes Xc^T Xc as a symmetric rank-k update: exactly symmetric;
+    # it is divided in place, so no second Q x Q array is held
+    gram = Xc.T @ Xc
+    gram /= M
+    return TaperedCovariance(gram, tau=0, alpha=None, estimator_kind="MLE",
+                             M=M)
 
 
 def tapering_weights(tau, j, jprime):
@@ -165,9 +168,9 @@ def taper(cov, alpha, dim):
     unchanged.  The Q dofs are the lexicographic nodes of the lattice,
     tapered per axis: the weight of a node pair is the product of the
     weights of its axis offsets.  The covariance, seen as its (m,) * 2 dim
-    lattice array, is multiplied by the m x m axis weight W1 along each axis
-    pair (k, dim + k), in place after the first; W1 is a read-only Toeplitz
-    view of the 2m - 1 offset weights, so no Q x Q weight is built.
+    lattice array, is multiplied by the m x m axis weight
+    W1[i, j] = w(|i - j|) along each axis pair (k, dim + k), in place after
+    the first, so no Q x Q weight is built.
     """
     if dim < 2:
         raise ValueError("a 1D estimate is tapered from its samples "
@@ -177,9 +180,8 @@ def taper(cov, alpha, dim):
     if tau is None:
         return cov
     m = _lattice_side(Q, dim)
-    # W1[i, j] = w(|j - i|): row i is the window of offsets -i .. m - 1 - i
-    W1 = sliding_window_view(tapering_weights(tau, 0, np.arange(1 - m, m)),
-                             m)[::-1]
+    i = np.arange(m)
+    W1 = tapering_weights(tau, i[:, None], i)
 
     def along(k):  # W1 on lattice axes k (row) and dim + k (column)
         return W1.reshape([m if a % dim == k else 1 for a in range(2 * dim)])
@@ -217,16 +219,10 @@ def rho_tilde(h, M, alpha, d):
     return h ** (-d) / M
 
 
-class DecayClassCheck:
-    """Measured off-diagonal decay of a covariance matrix against a class bound."""
-
-    def __init__(self, alpha, C1_est, lambda_max, C1, C2):
-        self.alpha = alpha
-        self.C1_est = C1_est
-        self.lambda_max = lambda_max
-        self.C1 = C1
-        self.C2 = C2
-        self.passes = bool(C1_est <= C1 and lambda_max <= C2)
+# measured off-diagonal decay of a covariance matrix against a class bound:
+# the decay_check block of estimate_report.json
+DecayClassCheck = collections.namedtuple(
+    "DecayClassCheck", "alpha C1_est lambda_max passes")
 
 
 def decay_class_check(matrix, alpha, C1, C2, dim):
@@ -257,15 +253,14 @@ def decay_class_check(matrix, alpha, C1, C2, dim):
     cs = np.arange(1, span, dtype=float)
     C1_est = float(np.max(tail[1:] * cs ** alpha)) if span > 1 else 0.0
     lambda_max = float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1])
-    return DecayClassCheck(alpha, C1_est, lambda_max, C1, C2)
+    return DecayClassCheck(alpha, C1_est, lambda_max,
+                           bool(C1_est <= C1 and lambda_max <= C2))
 
 
-class SubgaussianDiagnostic:
-    """Nodal proxy for the inverse concentration constant of a batch."""
-
-    def __init__(self, c_inf_hat, rho_inv_nodal):
-        self.c_inf_hat = c_inf_hat
-        self.rho_inv_nodal = rho_inv_nodal
+# nodal proxy for the inverse concentration constant of a batch: the
+# subgaussian block of estimate_report.json
+SubgaussianDiagnostic = collections.namedtuple(
+    "SubgaussianDiagnostic", "c_inf_hat rho_inv_nodal")
 
 
 def subgaussian_diagnostic(batch):

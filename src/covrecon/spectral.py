@@ -16,6 +16,7 @@ Davis-Kahan subspace ratios, and the mass-spectrum sandwich that relates
 the transformed perturbation norm to that of the covariance difference.
 """
 
+import collections
 import functools
 import os
 import tempfile
@@ -416,26 +417,15 @@ def gap_condition_margins(gaps, oracle, h, s, C1, stiffness_diff_norm):
                    + 4.0 * stiffness_diff_norm)
 
 
-class SpectralDiagnostics:
-    """Joint stability report for an exact and an estimated discrete spectrum."""
-
-    def __init__(self, weyl_bound, eigenvalue_dev, discrete_gaps,
-                 continuous_gaps, gap_condition_per_ell, quarter_gap_per_ell,
-                 davis_kahan_bounds, sandwich_interval, cov_diff_norm):
-        self.weyl_bound = weyl_bound
-        self.eigenvalue_dev = eigenvalue_dev
-        self.discrete_gaps = discrete_gaps
-        self.continuous_gaps = continuous_gaps
-        self.gap_condition_per_ell = gap_condition_per_ell
-        self.gap_condition_ok = bool(np.all(gap_condition_per_ell))
-        self.quarter_gap_per_ell = quarter_gap_per_ell
-        self.davis_kahan_bounds = davis_kahan_bounds
-        self.sandwich_interval = sandwich_interval
-        self.cov_diff_norm = cov_diff_norm
-        # the spectral-gap theorem: whenever the condition holds at l, the
-        # mixed gap retains at least a quarter of the continuous gap
-        self.theorem_consistent = bool(np.all(
-            ~gap_condition_per_ell | quarter_gap_per_ell))
+# the joint stability report of diagnostics: the diagnostics block of
+# report.json, which cuts eigenvalue_dev to rank L and adds the success
+# bound p0
+SpectralDiagnostics = collections.namedtuple(
+    "SpectralDiagnostics", "weyl_bound eigenvalue_dev discrete_gaps "
+    "continuous_gaps gap_condition_per_ell gap_condition_ok "
+    "quarter_gap_per_ell davis_kahan_bounds sandwich_interval cov_diff_norm "
+    "theorem_consistent n_negative_eigenvalues min_eigenvalue "
+    "negatives_below_weyl")
 
 
 def diagnostics(exact, estimated, s_exact, s_est, cov_exact, cov_est, oracle,
@@ -449,7 +439,12 @@ def diagnostics(exact, estimated, s_exact, s_est, cov_exact, cov_est, oracle,
     C ||S-tilde diff|| / mixed gap, the norm of the covariance difference
     Sigma_exact - Sigma_est, and the mass-spectrum sandwich
     (opnorm_sandwich) on it, which must contain the Weyl bound.  Failed gap
-    checks are reported, never raised.
+    checks are reported, never raised: gap_condition_ok holds when the
+    condition holds at every l, and theorem_consistent when the mixed gap
+    keeps a quarter of the continuous gap wherever it does.  It also reads
+    the whole estimated spectrum: its smallest eigenvalue, raw, whether
+    that lies within the Weyl bound of 0, and the count of eigenvalues
+    below the roundoff of a null space.
 
     s_exact and s_est are the transforms of the covariances cov_exact and
     cov_est.  All four are operators with a shape and an @ (a matrix, an
@@ -491,6 +486,15 @@ def diagnostics(exact, estimated, s_exact, s_est, cov_exact, cov_est, oracle,
         raise NumericError("transformed norm %.6e escapes the sandwich "
                            "[%.6e, %.6e]" % (weyl_bound, lo, hi))
 
-    return SpectralDiagnostics(weyl_bound, eigenvalue_dev, discrete_gaps,
-                               continuous_gaps, gap_condition, quarter_gap,
-                               davis_kahan, (lo, hi), cov_diff_norm)
+    ev = estimated.eigenvalues
+    # negatives within Q eps lambda_1 of 0 are roundoff on a null space (the
+    # 2D nodes pinned to 0 on the axes), as in numpy's matrix_rank
+    n_negative = int(np.sum(ev < -Q * np.finfo(float).eps * ev[0]))
+    # the spectral-gap theorem: whenever the condition holds at l, the mixed
+    # gap retains at least a quarter of the continuous gap
+    consistent = bool(np.all(~gap_condition | quarter_gap))
+    return SpectralDiagnostics(
+        weyl_bound, eigenvalue_dev, discrete_gaps, continuous_gaps,
+        gap_condition, bool(np.all(gap_condition)), quarter_gap, davis_kahan,
+        (lo, hi), cov_diff_norm, consistent, n_negative, float(ev[-1]),
+        bool(ev[-1] >= -weyl_bound))

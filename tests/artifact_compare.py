@@ -19,8 +19,11 @@ file, so that a component at roundoff, say 1e-17 against -1e-17, moves by as
 little as it is small against its vector.  With --max-rel X the exit code is
 1, and every field that moves by more than X is named on standard error,
 when any does.  A primary artifact found under one directory only (each
-one, in either direction) or holding other fields than its namesake is
-named on standard error instead of a table, and the exit code is 1.
+one, in either direction) is named on standard error instead of a table,
+and the exit code is 1.  Two namesakes compare on the fields they both
+hold, matched by name; each field that one of them lacks, and each shared
+field whose value count differs between them, is named on standard error
+after the table, and the exit code is 1.
 """
 
 import argparse
@@ -128,12 +131,25 @@ def _primary(root):
     return sorted(found)
 
 
-def compare(old_dir, new_dir):
+def _by_field(triples):
+    """{field: [(value, vector), ...]} of fields_of triples, in file
+    order."""
+    fields = {}
+    for field, value, row in triples:
+        fields.setdefault(field, []).append((value, row))
+    return fields
+
+
+def compare(old_dir, new_dir, unmatched=None):
     """Rows (file, field, count, changed, largest relative move) for every
-    field of every primary artifact, in file and field order.  Files found
-    under one directory only raise ValueError, one line "REL is missing
-    under DIR" each (those of old_dir first), as does a file with another
-    field list."""
+    field that a primary artifact and its namesake both hold, matched by
+    name, in file and field order.  Files found under one directory only
+    raise ValueError, one line "REL is missing under DIR" each (those of
+    old_dir first).  A field that one file lacks, or that holds another
+    value count in the two, gets no row: one line naming it, "REL: FIELD is
+    missing under DIR" (those of old_dir first) or "REL: FIELD holds A
+    values under OLD_DIR and B under NEW_DIR", is appended to unmatched, and
+    without that list they raise ValueError instead."""
     old_files, new_files = _primary(old_dir), _primary(new_dir)
     missing = (["%s is missing under %s" % (rel, new_dir)
                 for rel in old_files if rel not in new_files]
@@ -141,25 +157,37 @@ def compare(old_dir, new_dir):
                   for rel in new_files if rel not in old_files])
     if missing:
         raise ValueError("\n".join(missing))
-    rows = []
+    rows, lines = [], []
     for rel in old_files:
-        old = fields_of(os.path.join(old_dir, rel))
-        new = fields_of(os.path.join(new_dir, rel))
-        if [f[0] for f in old] != [f[0] for f in new]:
-            raise ValueError("%s: the two files hold different fields" % rel)
-        # the largest |component| of each eigenvector in either file
-        scale = {}
-        for (_, a, row), (_, b, _) in zip(old, new):
-            if row is not None:
-                scale[row] = max(scale.get(row, 0.0), _magnitude(a),
-                                 _magnitude(b))
-        stats = {}
-        for (field, a, row), (_, b, _) in zip(old, new):
-            count, changed, worst = stats.get(field, (0, 0, 0.0))
-            move = relative_move(a, b, scale.get(row))
-            stats[field] = (count + 1, changed + (move > 0.0),
-                            max(worst, move))
-        rows.extend((rel, field) + stats[field] for field in stats)
+        old = _by_field(fields_of(os.path.join(old_dir, rel)))
+        new = _by_field(fields_of(os.path.join(new_dir, rel)))
+        lines += (["%s: %s is missing under %s" % (rel, f, new_dir)
+                   for f in old if f not in new]
+                  + ["%s: %s is missing under %s" % (rel, f, old_dir)
+                     for f in new if f not in old])
+        for field, a in old.items():
+            b = new.get(field)
+            if b is None:
+                continue
+            if len(a) != len(b):
+                lines.append("%s: %s holds %d values under %s and %d under "
+                             "%s" % (rel, field, len(a), old_dir, len(b),
+                                     new_dir))
+                continue
+            # the largest |component| of each eigenvector in either file
+            scale = {}
+            for (x, row), (y, _) in zip(a, b):
+                if row is not None:
+                    scale[row] = max(scale.get(row, 0.0), _magnitude(x),
+                                     _magnitude(y))
+            moves = [relative_move(x, y, scale.get(row))
+                     for (x, row), (y, _) in zip(a, b)]
+            rows.append((rel, field, len(moves),
+                         sum(move > 0.0 for move in moves), max(moves)))
+    if unmatched is not None:
+        unmatched.extend(lines)
+    elif lines:
+        raise ValueError("\n".join(lines))
     return rows
 
 
@@ -172,8 +200,9 @@ def main(argv=None):
     parser.add_argument("--max-rel", type=float, default=None, metavar="X",
                         help="exit 1 when a field moves by more than X")
     args = parser.parse_args(argv)
+    unmatched = []
     try:
-        rows = compare(args.old_dir, args.new_dir)
+        rows = compare(args.old_dir, args.new_dir, unmatched)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -186,9 +215,11 @@ def main(argv=None):
                   % (rel, field, count, changed, worst))
         if args.max_rel is not None and not worst <= args.max_rel:
             beyond.append("%s %s (%.2g)" % (rel, field, worst))
+    for line in unmatched:
+        print(line, file=sys.stderr)
     for line in beyond:
         print("moved beyond %g: %s" % (args.max_rel, line), file=sys.stderr)
-    return 1 if beyond else 0
+    return 1 if unmatched or beyond else 0
 
 
 if __name__ == "__main__":

@@ -134,8 +134,8 @@ def test_compare_refuses_a_missing_file(tmp_path):
 
 def test_files_on_one_side_are_named_and_fail(tmp_path, capsys):
     # a file only under NEW_DIR is no longer skipped, and one only under
-    # OLD_DIR, or with other fields, no longer ends in a traceback: each is
-    # named, and main exits 1
+    # OLD_DIR no longer ends in a traceback: each is named, and main exits 1;
+    # so is a field that one of two namesakes lacks
     old = _reconstruct(tmp_path)
     new = str(tmp_path / "new")
     shutil.copytree(old, new)
@@ -172,5 +172,50 @@ def test_files_on_one_side_are_named_and_fail(tmp_path, capsys):
     with open(spectrum, "w") as fh:
         fh.write(text.replace("l,lambda,", "l,mu,", 1))
     assert artifact_compare.main([old, new]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "spectrum.csv: the two files hold different fields"]
+    printed = capsys.readouterr()
+    assert printed.err.splitlines() == [
+        "spectrum.csv: lambda is missing under %s" % new,
+        "spectrum.csv: mu is missing under %s" % old]
+    tabled = [line.split(" | ")[:2] for line in printed.out.splitlines()[2:]]
+    assert tabled == [["| spectrum.csv", "l"], ["| spectrum.csv", "v_*"],
+                      ["| spectrum_exact.csv", "l"],
+                      ["| spectrum_exact.csv", "lambda"],
+                      ["| spectrum_exact.csv", "v_*"]], \
+        "the shared fields are still tabled"
+
+
+def test_a_field_on_one_side_is_named_and_the_rest_compared(tmp_path,
+                                                            capsys):
+    # a report that gains a key still compares on the keys both hold, so a
+    # shared field that moved shows next to the added one
+    old = _reconstruct(tmp_path)
+    new = str(tmp_path / "new")
+    shutil.copytree(old, new)
+    report = os.path.join(new, "report.json")
+    with open(report) as fh:
+        doc = json.load(fh)
+    doc["diagnostics"]["added"] = [True, False]
+    doc["diagnostics"]["eigenvalue_dev"].append(0.0)
+    doc["errors"]["e3"] *= 1.0 + 1e-12
+    with open(report, "w") as fh:
+        json.dump(doc, fh)
+    unmatched = []
+    rows = artifact_compare.compare(old, new, unmatched)
+    named = ["report.json: diagnostics.added[] is missing under %s" % old,
+             "report.json: diagnostics.eigenvalue_dev[] holds 2 values "
+             "under %s and 3 under %s" % (old, new)]
+    assert unmatched == named
+    fields = {r[1]: r[2:] for r in rows if r[0] == "report.json"}
+    assert "diagnostics.added[]" not in fields
+    assert "diagnostics.eigenvalue_dev[]" not in fields
+    assert fields["diagnostics.weyl_bound"] == (1, 0, 0.0)
+    assert fields["errors.e3"][:2] == (1, 1)
+    with pytest.raises(ValueError) as err:
+        artifact_compare.compare(old, new)
+    assert str(err.value).splitlines() == named
+    capsys.readouterr()
+    assert artifact_compare.main([old, new, "--moved"]) == 1
+    printed = capsys.readouterr()
+    assert printed.err.splitlines() == named
+    assert printed.out.splitlines()[2:] == [
+        "| report.json | errors.e3 | 1 | 1 | 1e-12 |"]

@@ -18,7 +18,7 @@ import yaml
 import reference
 import support
 import covrecon
-from covrecon import artifacts, cli, estimators, mercer
+from covrecon import artifacts, cli, estimators, mercer, spectral
 from covrecon import config as config_mod
 from covrecon._version import __version__
 from covrecon.errors import ConfigError, NumericError
@@ -449,6 +449,8 @@ def test_cli_estimate_covariance_round_trip(tmp_path):
     assert report["Q_h"] == 5 and report["rho_tilde"] > 0
     assert set(report["decay_check"]) == {"alpha", "C1_est", "lambda_max",
                                           "passes"}
+    assert set(report["subgaussian"]) \
+        == set(estimators.SubgaussianDiagnostic._fields)
     assert report["subgaussian"]["c_inf_hat"] > 0
 
 
@@ -526,6 +528,8 @@ def test_cli_reconstruct_counts_only_real_negative_eigenvalues(tmp_path):
     path, out = write_cfg(tmp_path, n=8, M=200, L=3, seed=0, d=2)
     assert run_cli("reconstruct", "--config", path) == 0
     diag = artifacts.read_json(os.path.join(out, "report.json"))["diagnostics"]
+    assert set(diag) == set(spectral.SpectralDiagnostics._fields) | {"p0"}, \
+        "the diagnostics block is the library record, plus p0"
     assert diag["n_negative_eigenvalues"] == 0
     assert -1e-15 < diag["min_eigenvalue"] < 0.0, \
         "min_eigenvalue stays the raw smallest eigenvalue"

@@ -586,6 +586,20 @@ def test_diagnostics_identical_spectra():
     assert np.allclose(diag.discrete_gaps, want, rtol=1e-12)
 
 
+def test_diagnostics_count_only_real_negative_eigenvalues():
+    # the 2D MLE estimate is 0 on the 2n+1 axis nodes, a null space whose
+    # eigenvalues are roundoff around 0; the diagnostics report the raw
+    # smallest one and count only those below -Q eps lambda_1
+    exact, cov, s_est, est = _mle_case(2, 8, seed=0)
+    diag = spectral.diagnostics(exact.spectrum, est, exact.s_exact, s_est,
+                                exact.covariance, cov.matrix, exact.field, 3)
+    assert np.sum(est.eigenvalues < 0.0) > 0, "the null space rounds below 0"
+    assert diag.n_negative_eigenvalues == 0
+    assert -1e-15 < diag.min_eigenvalue < 0.0
+    assert diag.min_eigenvalue == est.eigenvalues[-1]
+    assert diag.negatives_below_weyl
+
+
 def test_diagnostics_rank_one_perturbation():
     # with the identity mass each stiffness is its own covariance
     eps = 1e-3
