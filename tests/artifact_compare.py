@@ -140,16 +140,15 @@ def _by_field(triples):
     return fields
 
 
-def compare(old_dir, new_dir, unmatched=None):
-    """Rows (file, field, count, changed, largest relative move) for every
-    field that a primary artifact and its namesake both hold, matched by
-    name, in file and field order.  Files found under one directory only
-    raise ValueError, one line "REL is missing under DIR" each (those of
-    old_dir first).  A field that one file lacks, or that holds another
-    value count in the two, gets no row: one line naming it, "REL: FIELD is
-    missing under DIR" (those of old_dir first) or "REL: FIELD holds A
-    values under OLD_DIR and B under NEW_DIR", is appended to unmatched, and
-    without that list they raise ValueError instead."""
+def compare(old_dir, new_dir):
+    """(rows, unmatched).  rows holds (file, field, count, changed, largest
+    relative move) for every field that a primary artifact and its namesake
+    both hold, matched by name, in file and field order.  Files found under
+    one directory only raise ValueError, one line "REL is missing under DIR"
+    each (those of old_dir first).  A field that one file lacks, or that
+    holds another value count in the two, gets no row but one line of
+    unmatched: "REL: FIELD is missing under DIR" (those of old_dir first) or
+    "REL: FIELD holds A values under OLD_DIR and B under NEW_DIR"."""
     old_files, new_files = _primary(old_dir), _primary(new_dir)
     missing = (["%s is missing under %s" % (rel, new_dir)
                 for rel in old_files if rel not in new_files]
@@ -184,11 +183,7 @@ def compare(old_dir, new_dir, unmatched=None):
                      for (x, row), (y, _) in zip(a, b)]
             rows.append((rel, field, len(moves),
                          sum(move > 0.0 for move in moves), max(moves)))
-    if unmatched is not None:
-        unmatched.extend(lines)
-    elif lines:
-        raise ValueError("\n".join(lines))
-    return rows
+    return rows, lines
 
 
 def main(argv=None):
@@ -200,9 +195,8 @@ def main(argv=None):
     parser.add_argument("--max-rel", type=float, default=None, metavar="X",
                         help="exit 1 when a field moves by more than X")
     args = parser.parse_args(argv)
-    unmatched = []
     try:
-        rows = compare(args.old_dir, args.new_dir, unmatched)
+        rows, unmatched = compare(args.old_dir, args.new_dir)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 1
